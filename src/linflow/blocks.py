@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,7 +172,7 @@ class RationalMatrix:
         return len(self.rows)
 
     def to_float(self):
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+        return np.array([_floats(row, "matrix entry") for row in self.rows], dtype=float)
 
     def fingerprint(self):
         payload = json.dumps(serialize_matrix(self), sort_keys=True)
@@ -375,32 +376,45 @@ def materialize(spec):
 # ---------------------------------------------------------------------------
 # matrix -> spec ingestion
 #
-# Exact tier: rational characteristic polynomial, square-free float rooting
-# with Newton polish, limit_denominator snap, certification by exact
-# divisibility, and block sizes from exact rank sequences over Q(i).  If the
-# spectrum is not exactly rational at the denominator bound, a numeric tier
-# clusters float eigenvalues and measures ranks by SVD; either tier aborts
-# with SnapFailure / ClusterAmbiguity rather than guess.
+# Exact tier: rational characteristic polynomial (Berkowitz over Z),
+# square-free float rooting with Newton polish, limit_denominator snap,
+# certification by exact divisibility, and block sizes from integer ranks of
+# the powers of each eigenvalue's real factor p(A), p = x - re or
+# (x - re)^2 + im^2 (see _ratlinalg).  If the spectrum is not exactly
+# rational at the denominator bound, a numeric tier clusters float
+# eigenvalues and measures ranks by SVD; either tier aborts with SnapFailure
+# / ClusterAmbiguity rather than guess.
+
+
+def _floats(values, what):
+    """float() of each rational; SnapFailure, not OverflowError, past the float range."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        raise SnapFailure(f"{what} beyond the float range") from None
 
 
 def _float_roots_squarefree(chi):
     sf = rl.poly_squarefree(chi)
-    coeffs = [float(c) for c in sf]  # lowest degree first
+    what = "characteristic polynomial coefficient"
+    coeffs = _floats(sf, what)  # lowest degree first
+    dcoeffs = _floats(rl.poly_deriv(sf), what)
     roots = np.roots(list(reversed(coeffs)))
-    dsf = rl.poly_deriv(sf)
     polished = []
     for z in roots:
         z = complex(z)
         for _ in range(4):
-            dz = rl.poly_eval_complex(dsf, z)
+            dz = rl.poly_eval_complex(dcoeffs, z)
             if dz == 0:
                 break
-            z = z - rl.poly_eval_complex(sf, z) / dz
+            z = z - rl.poly_eval_complex(coeffs, z) / dz
         polished.append(z)
     return polished
 
 
 def _snap(x, max_denominator):
+    if not math.isfinite(x):
+        raise SnapFailure(f"eigenvalue estimate {x} is not finite")
     return Fraction(x).limit_denominator(max_denominator)
 
 
@@ -578,7 +592,11 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     at the denominator bound.  Raises SnapFailure or ClusterAmbiguity rather
     than return a guess.
     """
-    assert tol > 0 and max_denominator >= 1
+    if not (tol > 0 and max_denominator >= 1):
+        raise PreconditionViolated(
+            f"need tol > 0 and max_denominator >= 1, got tol={tol}, "
+            f"max_denominator={max_denominator}"
+        )
     chi = rl.charpoly(matrix.rows)
     exact = _exact_tier(matrix, chi, tol, max_denominator)
     if exact is not None:

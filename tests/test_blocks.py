@@ -235,6 +235,31 @@ def test_snap_failure_on_irrational_spectrum():
         spec_from_matrix(m)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"max_denominator": 0}],
+)
+def test_ingestion_rejects_bad_tolerances(kwargs):
+    with pytest.raises(PreconditionViolated):
+        spec_from_matrix(RationalMatrix(((1, 0), (0, 2))), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # charpoly coefficients overflow a float
+        (((10**400, 0), (0, 1)), "float range"),
+        # irrational spectrum: the numeric tier's float matrix overflows
+        (((0, 1, 10**400), (2, 0, 0), (0, 0, 0)), "float range"),
+        # entries fit a float, but the numeric tier's eigenvalues do not
+        (((10**308, 0, 0), (0, 10**308, 1), (1, 0, 10**308)), "not finite"),
+    ],
+)
+def test_entries_beyond_float_range_are_snap_failures(rows, message):
+    with pytest.raises(SnapFailure, match=message):
+        spec_from_matrix(RationalMatrix(rows))
+
+
 def test_cluster_ambiguity_between_tol_and_twice_tol():
     gap = Fraction(15, 10**10)  # 1.5e-9: above tol, below 2 tol
     m = RationalMatrix(((0, 0), (0, gap)))

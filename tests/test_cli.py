@@ -4,8 +4,14 @@ documented contract."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import linflow
 
 from linflow.cli import (
     EXIT_OK,
@@ -153,6 +159,38 @@ def test_matrix_rows_file_is_ingested(capsys, shear_file, tmp_path):
     doc = json.loads(out)
     assert doc["decision"] == "Yes"
     assert doc["left"] == spec_doc((2, -1, 0))
+
+
+def test_matrix_entry_beyond_float_range_exits_2(capsys, tmp_path):
+    matrix = write_json(tmp_path, "huge.json", {"dim": 2, "rows": [[10**400, 0], [0, 1]]})
+    code, _, err = run_cli(capsys, "invariants", matrix)
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err
+    assert "float range" in err
+
+
+@pytest.fixture
+def jordan_matrix_file(tmp_path):
+    return write_json(tmp_path, "matrix.json", {"dim": 2, "rows": [["-1", "1"], ["0", "-1"]]})
+
+
+def test_zero_tol_exits_3_with_one_line(capsys, jordan_matrix_file):
+    code, _, err = run_cli(capsys, "invariants", "--tol", "0", jordan_matrix_file)
+    assert code == EXIT_PRECONDITION
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_bad_tol_is_checked_under_python_O(jordan_matrix_file, tol):
+    # -O strips assert statements; the tolerance check must not be one
+    src = str(Path(linflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "linflow", "invariants", "--tol", tol, jordan_matrix_file],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
