@@ -6,7 +6,14 @@ decides, with certificates, which equivalence and conjugacy relations hold
 between two such flows, produces canonical forms and invariants, builds
 the explicit homeomorphisms realizing selected verdicts, and validates
 everything numerically through closed-form flow evaluation.
+
+The exact layer (blocks, classifier, invariants, similarity) loads numpy
+only inside the float helpers of matrix ingestion.  The names of the float
+layer (flows, homeos, probes) resolve on first access, so work on block
+multisets that never touches them loads neither numpy nor scipy.
 """
+
+import importlib
 
 from .blocks import (
     ApproxSpec,
@@ -53,15 +60,6 @@ from .errors import (
     SnapFailure,
     SpecParseError,
 )
-from .flows import FLOW_TIME_GUARD, FlowEvaluator, flow_apply
-from .homeos import (
-    HomeoMap,
-    build_parabola_shear,
-    build_pw_conj_hyperbolic,
-    build_rotation_unwind_map,
-    build_spiral_map,
-    build_uniform_exponent_map,
-)
 from .invariants import (
     DistortionSubspace,
     GrowthProfile,
@@ -81,18 +79,6 @@ from .invariants import (
     top_rate,
     top_size,
 )
-from .probes import (
-    ConjugacyReport,
-    DecayReport,
-    DistortionReport,
-    LipschitzReport,
-    PeriodReport,
-    decay_rate_probe,
-    distortion_probe,
-    lipschitz_probe,
-    period_probe,
-    verify_conjugacy,
-)
 from .similarity import (
     ScalingCertificate,
     find_scaling,
@@ -103,6 +89,46 @@ from .similarity import (
     scaling_candidates,
     similar,
 )
+
+# float-layer names, imported on first access (PEP 562 module __getattr__)
+_LAZY = {
+    "flows": ("FLOW_TIME_GUARD", "FlowEvaluator", "flow_apply"),
+    "homeos": (
+        "HomeoMap",
+        "build_parabola_shear",
+        "build_pw_conj_hyperbolic",
+        "build_rotation_unwind_map",
+        "build_spiral_map",
+        "build_uniform_exponent_map",
+    ),
+    "probes": (
+        "ConjugacyReport",
+        "DecayReport",
+        "DistortionReport",
+        "LipschitzReport",
+        "PeriodReport",
+        "decay_rate_probe",
+        "distortion_probe",
+        "lipschitz_probe",
+        "period_probe",
+        "verify_conjugacy",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_MODULE))
+
 
 __version__ = "1.0.0"
 

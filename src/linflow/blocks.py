@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _ratlinalg as rl
 from .errors import (
     ClusterAmbiguity,
@@ -172,6 +170,8 @@ class RationalMatrix:
         return len(self.rows)
 
     def to_float(self):
+        import numpy as np
+
         return np.array([_floats(row, "matrix entry") for row in self.rows], dtype=float)
 
     def fingerprint(self):
@@ -395,6 +395,8 @@ def _floats(values, what):
 
 
 def _float_roots_squarefree(chi):
+    import numpy as np
+
     sf = rl.poly_squarefree(chi)
     what = "characteristic polynomial coefficient"
     coeffs = _floats(sf, what)  # lowest degree first
@@ -507,6 +509,8 @@ def _exact_structure(matrix, eigs):
 
 
 def _numeric_tier(matrix, tol, max_denominator):
+    import numpy as np
+
     Mf = matrix.to_float()
     d = matrix.dim
     eigs = np.linalg.eigvals(Mf)

@@ -16,9 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .blocks import (
+    _floats,
     parse_matrix,
     parse_spec,
     scale_spec,
@@ -37,16 +36,9 @@ from .classifier import (
 )
 from .errors import (
     InternalCheckError,
+    NotStable,
     PreconditionViolated,
     SpecParseError,
-)
-from .flows import FlowEvaluator
-from .homeos import (
-    build_parabola_shear,
-    build_pw_conj_hyperbolic,
-    build_rotation_unwind_map,
-    build_spiral_map,
-    build_uniform_exponent_map,
 )
 from .invariants import (
     distortion_subspace,
@@ -59,8 +51,9 @@ from .invariants import (
     rotation_decouple,
     semisimple_collapse,
 )
-from .errors import NotStable
-from .probes import verify_conjugacy
+
+# numpy and the float layer (flows, homeos, probes) are imported inside the
+# subcommands that compute in floats, so the exact ones never load them
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,22 +98,39 @@ def _parse_value(text, what):
         raise SpecParseError(f"{what}: malformed rational {text!r}")
 
 
+def _parse_float(text, what):
+    return _floats([_parse_value(text, what)], what)[0]
+
+
 def _parse_floats(text, what):
     try:
-        return [float(Fraction(part)) for part in text.split(",") if part.strip()]
+        values = [Fraction(part) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"{what}: expected comma-separated numbers, got {text!r}")
+    return _floats(values, what)
+
+
+def _parse_int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecParseError(f"{what}: malformed integer {text!r}")
 
 
 def _time_grid(args, default_span=5.0, default_n=11):
+    import numpy as np
+
     if getattr(args, "times", None):
         return np.array(_parse_floats(args.times, "--times"))
     if getattr(args, "t_range", None):
         parts = args.t_range.split(",")
         if len(parts) != 3:
             raise SpecParseError("--t-range expects LO,HI,N")
-        lo, hi = float(Fraction(parts[0])), float(Fraction(parts[1]))
-        n = int(parts[2])
+        lo = _parse_float(parts[0], "--t-range")
+        hi = _parse_float(parts[1], "--t-range")
+        n = _parse_int(parts[2], "--t-range count")
+        if n < 1:
+            raise PreconditionViolated(f"--t-range needs N >= 1, got {n}")
         return np.linspace(lo, hi, n)
     return np.linspace(-default_span, default_span, default_n)
 
@@ -195,6 +205,10 @@ def _cmd_catalog2d(args):
 
 
 def _cmd_simulate(args):
+    import numpy as np
+
+    from .flows import FlowEvaluator
+
     spec = _load_generator(args.spec, args.tol, args.max_denominator)
     x = np.array(_parse_floats(args.point, "--point"))
     if x.shape != (spec.dim,):
@@ -212,10 +226,18 @@ def _cmd_simulate(args):
 
 
 def _build_construction(token, args):
+    from .homeos import (
+        build_parabola_shear,
+        build_pw_conj_hyperbolic,
+        build_rotation_unwind_map,
+        build_spiral_map,
+        build_uniform_exponent_map,
+    )
+
     if token.startswith("spiral:"):
-        return build_spiral_map(float(_parse_value(token[7:], "spiral rate"))), 20.0
+        return build_spiral_map(_parse_float(token[7:], "spiral rate")), 20.0
     if token.startswith("shear:"):
-        return build_parabola_shear(float(_parse_value(token[6:], "shear shift"))), 20.0
+        return build_parabola_shear(_parse_float(token[6:], "shear shift")), 20.0
     if token == "uniform":
         if not args.spec:
             raise SpecParseError("construction 'uniform' needs a generator file")
@@ -230,9 +252,9 @@ def _build_construction(token, args):
         parts = token.split(":", 1)[1].split(",")
         if len(parts) != 3:
             raise SpecParseError("construction 'unwind' expects unwind:M,A,B")
-        m = int(parts[0])
-        a = float(_parse_value(parts[1], "unwind growth"))
-        b = float(_parse_value(parts[2], "unwind rotation"))
+        m = _parse_int(parts[0], "unwind size")
+        a = _parse_float(parts[1], "unwind growth")
+        b = _parse_float(parts[2], "unwind rotation")
         return build_rotation_unwind_map(m, a, b), 10.0
     raise SpecParseError(
         f"unknown construction {token!r}; expected spiral:RATE, shear:SHIFT, "
@@ -241,6 +263,8 @@ def _build_construction(token, args):
 
 
 def _cmd_verify(args):
+    from .probes import verify_conjugacy
+
     hmap, span = _build_construction(args.construction, args)
     times = _time_grid(args, default_span=span, default_n=11)
     report = verify_conjugacy(

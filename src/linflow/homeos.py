@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .blocks import GeneratorSpec, JordanBlock
 from .errors import (
@@ -170,8 +169,13 @@ def build_spiral_map(rate):
     def inverse_batch(W):
         return forward_batch(W, sgn=-1.0)
 
-    source = FlowEvaluator([(1, -1.0, rate)], guard=_INTERNAL_GUARD)
-    target = FlowEvaluator([(1, -1.0, 0.0), (1, -1.0, 0.0)], guard=_INTERNAL_GUARD)
+    node_blocks = [(1, -1.0, 0.0), (1, -1.0, 0.0)]
+    node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
+    # at rate 0 the focus is the node itself (two real blocks) and h = id
+    source_blocks = [(1, -1.0, rate)] if rate else node_blocks
+    source_spec = GeneratorSpec([JordanBlock(1, -1, abs(Fraction(rate)))]) if rate else node_spec
+    source = FlowEvaluator(source_blocks, guard=_INTERNAL_GUARD)
+    target = FlowEvaluator(node_blocks, guard=_INTERNAL_GUARD)
     return HomeoMap(
         name="spiral",
         source_flow=source,
@@ -182,8 +186,8 @@ def build_spiral_map(rate):
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
         tau_batch=lambda X, ts: np.asarray(ts, dtype=float),
-        source_spec=GeneratorSpec([JordanBlock(1, -1, abs(Fraction(rate)))]),
-        target_spec=GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)]),
+        source_spec=source_spec,
+        target_spec=node_spec,
         metadata={"rate": rate, "lipschitz_bound_unit_ball": 1.0 + abs(rate)},
     )
 
@@ -297,6 +301,9 @@ def _lyapunov_metric(A, blocks, stable, attempts=8):
     d = A.shape[0]
     if d == 0:
         return np.zeros((0, 0)), {"attempts": 0, "gap": None}
+    # scipy is imported here, its only use, so other maps never load it
+    from scipy.linalg import solve_continuous_lyapunov
+
     # the norm along the flow is monotone decreasing (stable) or increasing
     # (unstable); solving against -A reuses the stable identity for the
     # unstable factor and flips the sign of the first derivative form

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._ratlinalg import fraction_gcd
-from .errors import NotBounded, NotStable, PreconditionViolated
+from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
 from .blocks import GeneratorSpec, JordanBlock
 
 __all__ = [
@@ -111,7 +111,8 @@ def partition_dims(spec):
 
 def refined_dim(spec, m, s):
     # m == 0 is the degenerate row: only the strictly-slower part survives.
-    assert m >= 0
+    if m < 0:
+        raise PreconditionViolated(f"refined_dim needs a degree index m >= 0, got {m}")
     s = Fraction(s)
     total = 0
     for b in spec.blocks:
@@ -238,7 +239,12 @@ def distortion_subspace(spec):
     sub = DistortionSubspace(
         dim=len(coords), coords=tuple(coords), top_rate=lam, top_size=mtop
     )
-    assert sub.dim == refined_dim(spec, mtop - 1, lam)
+    expected = refined_dim(spec, mtop - 1, lam)
+    if sub.dim != expected:
+        raise InternalCheckError(
+            f"distortion subspace has dimension {sub.dim}, the growth filtration "
+            f"gives {expected}"
+        )
     return sub
 
 

@@ -77,9 +77,13 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
     Also measures the round trip |h^{-1}(h(x)) - x|.  The residual is the
     max over points and grid times of |lhs - rhs| / (1 + |rhs|).
     """
+    if n_points < 1:
+        raise PreconditionViolated(f"need n_points >= 1, got {n_points}")
     if times is None:
         times = np.linspace(-5.0, 5.0, 11)
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise PreconditionViolated("need at least one time")
     X = _sample_points(hmap.source_flow.dim, n_points, seed, radii)
     HX = hmap.forward_batch(X)
     back = hmap.inverse_batch(HX)

@@ -399,6 +399,63 @@ def test_verify_unknown_construction_exits_2(capsys):
     assert "unknown construction" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["spiral:1", "--points", "0"], EXIT_PRECONDITION, "n_points >= 1"),
+        (["spiral:1", "--points", "-3"], EXIT_PRECONDITION, "n_points >= 1"),
+        (["spiral:1", "--t-range", "0,1,x"], EXIT_PARSE, "malformed integer"),
+        (["spiral:1", "--t-range", "0,1,-2"], EXIT_PRECONDITION, "N >= 1"),
+        (["spiral:1", "--t-range", "1e400,1,3"], EXIT_PARSE, "float range"),
+        (["spiral:1", "--times", "1e400"], EXIT_PARSE, "float range"),
+        (["spiral:1", "--times=,"], EXIT_PRECONDITION, "at least one time"),
+        (["spiral:1e400"], EXIT_PARSE, "float range"),
+        (["shear:-1e400"], EXIT_PARSE, "float range"),
+        (["unwind:x,-1,1"], EXIT_PARSE, "malformed integer"),
+        (["unwind:2,1e400,1"], EXIT_PARSE, "float range"),
+    ],
+)
+def test_verify_bad_number_arguments_end_in_typed_errors(capsys, argv, code, message):
+    got, _, err = run_cli(capsys, "verify", *argv)
+    assert got == code
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_simulate_point_beyond_float_range_exits_2(capsys, saddle_file):
+    code, _, err = run_cli(capsys, "simulate", saddle_file, "--point", "1e400,0")
+    assert code == EXIT_PARSE
+    assert "float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spiral:1", "--times", "1e400"], EXIT_PARSE),
+        (["spiral:1", "--points", "0"], EXIT_PRECONDITION),
+    ],
+)
+def test_verify_bad_number_arguments_under_python_O(argv, code):
+    src = str(Path(linflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "linflow", "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_verify_spiral_rate_zero_is_the_identity(capsys):
+    code, out, _ = run_cli(capsys, "verify", "spiral:0", "--points", "8")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["residual"] == 0.0
+    assert doc["round_trip"] == 0.0
+    assert doc["map"]["source"] == doc["map"]["target"] == spec_doc((1, -1, 0), (1, -1, 0))
+
+
 # ---------------------------------------------------------------------------
 # audit and argument plumbing
 

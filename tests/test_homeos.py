@@ -52,6 +52,16 @@ def test_spiral_map_pointwise_check():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+def test_spiral_map_at_rate_zero_is_the_planar_identity():
+    # the focus without rotation is the node itself: two real blocks
+    hm = build_spiral_map(0)
+    assert hm.source_spec == hm.target_spec == S((1, -1, 0), (1, -1, 0))
+    assert hm.source_flow.dim == hm.target_flow.dim == 2
+    rep = verify_conjugacy(hm, times=np.linspace(-10, 10, 21))
+    assert rep.residual == 0.0
+    assert rep.round_trip == 0.0
+
+
 # ---------------------------------------------------------------------------
 # shear: node self-conjugacy moving the invariant curve family
 

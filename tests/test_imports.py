@@ -1,0 +1,114 @@
+"""Import-cost guard: the exact layer must not load the float stack.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported numpy and scipy.  Exact subcommands on block multisets must
+leave both out of sys.modules; `verify` loads numpy, and scipy only for the
+pw-hyp Lyapunov solve.  The package's lazily resolved names must still all
+resolve, and `from linflow import *` must still work.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import linflow
+
+SRC = str(Path(linflow.__file__).resolve().parents[1])
+
+SPECS = {
+    "shear.json": {"blocks": [{"m": 2, "re": "-1", "im": "0"}]},
+    "scalar.json": {"blocks": [{"m": 1, "re": "-1", "im": "0"}] * 2},
+    "spiral.json": {"blocks": [{"m": 1, "re": "-1", "im": "2"}]},
+}
+
+
+def run_fresh(code, cwd):
+    """Run `code` in a fresh interpreter; return the JSON of its last line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_main(argv, cwd):
+    """Exit code of linflow.cli.main(argv) and the float modules it left loaded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import linflow, linflow.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = linflow.cli.main({argv!r})\n"
+        "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules,"
+        " 'scipy': 'scipy' in sys.modules}))\n"
+    )
+    return run_fresh(code, cwd)
+
+
+@pytest.fixture
+def spec_dir(tmp_path):
+    for name, doc in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    return tmp_path
+
+
+def test_import_loads_neither_numpy_nor_scipy(spec_dir):
+    out = run_fresh(
+        "import json, sys, linflow, linflow.cli\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules}))\n",
+        spec_dir,
+    )
+    assert out == {"numpy": False, "scipy": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "LipEquiv", "shear.json", "scalar.json"],
+        ["classify", "PwLipConj", "spiral.json", "scalar.json"],
+        ["audit", "shear.json", "scalar.json"],
+        ["transform", "collapse", "spiral.json"],
+        ["transform", "scale:1/2", "shear.json"],
+        ["catalog2d", "spiral.json"],
+        ["invariants", "spiral.json"],
+    ],
+)
+def test_exact_subcommands_load_neither_numpy_nor_scipy(spec_dir, argv):
+    assert run_main(argv, spec_dir) == {"rc": 0, "numpy": False, "scipy": False}
+
+
+def test_verify_spiral_loads_numpy_but_not_scipy(spec_dir):
+    out = run_main(["verify", "spiral:1", "--points", "4"], spec_dir)
+    assert out == {"rc": 0, "numpy": True, "scipy": False}
+
+
+def test_every_public_name_resolves(spec_dir):
+    out = run_fresh(
+        "import json, linflow\n"
+        "missing = [n for n in linflow.__all__ if getattr(linflow, n, None) is None]\n"
+        "same = linflow.verify_conjugacy is linflow.probes.verify_conjugacy\n"
+        "listed = set(linflow.__all__) <= set(dir(linflow))\n"
+        "try:\n"
+        "    linflow.no_such_name\n"
+        "    bogus = 'resolved'\n"
+        "except AttributeError:\n"
+        "    bogus = 'AttributeError'\n"
+        "print(json.dumps({'missing': missing, 'same': same, 'listed': listed, 'bogus': bogus}))\n",
+        spec_dir,
+    )
+    assert out == {"missing": [], "same": True, "listed": True, "bogus": "AttributeError"}
+
+
+def test_star_import_binds_every_public_name(spec_dir):
+    out = run_fresh(
+        "import json, linflow\n"
+        "ns = {}\n"
+        "exec('from linflow import *', ns)\n"
+        "print(json.dumps(sorted(set(linflow.__all__) - set(ns))))\n",
+        spec_dir,
+    )
+    assert out == []

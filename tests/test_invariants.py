@@ -1,13 +1,20 @@
 """Spectra, growth filtration, transforms, periods, genericity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linflow
+from linflow import invariants
 from linflow import (
     GeneratorSpec,
+    InternalCheckError,
     JordanBlock,
     NotBounded,
     NotStable,
@@ -115,6 +122,29 @@ def test_refined_dim_table(m, s, expected):
     assert refined_dim(FILTRATION, m, s) == expected
 
 
+def test_refined_dim_rejects_negative_degree():
+    with pytest.raises(PreconditionViolated, match="m >= 0"):
+        refined_dim(FILTRATION, -1, 0)
+
+
+def test_refined_dim_rejects_negative_degree_under_python_O():
+    # -O strips assert statements; the check must not be one
+    src = str(Path(linflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from linflow import GeneratorSpec, JordanBlock, PreconditionViolated, refined_dim\n"
+        "try:\n"
+        "    refined_dim(GeneratorSpec((JordanBlock(1, -1, 0),)), -1, 0)\n"
+        "except PreconditionViolated:\n"
+        "    print('PreconditionViolated')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "PreconditionViolated\n"
+
+
 @given(spec=spec_st(), m=st.integers(0, 4), s=rational_st)
 @settings(max_examples=80, deadline=None)
 def test_refined_dim_monotone(spec, m, s):
@@ -162,6 +192,14 @@ def test_distortion_subspace_dim_matches_filtration():
     spec = S((2, -1, 1), (3, -1, 0), (1, -4, 0))
     sub = distortion_subspace(spec)
     assert sub.dim == refined_dim(spec, sub.top_size - 1, sub.top_rate)
+
+
+def test_distortion_subspace_cross_check_raises(monkeypatch):
+    # the coordinate count is checked against the growth filtration by a
+    # raise, not an assert; a disagreeing filtration must surface
+    monkeypatch.setattr(invariants, "refined_dim", lambda spec, m, s: -1)
+    with pytest.raises(InternalCheckError):
+        distortion_subspace(S((2, -1, 0)))
 
 
 @pytest.mark.parametrize("spec", [S((1, 0, 1)), S((1, 1, 0)), S((1, -1, 0), (1, 0, 0))])
