@@ -1,15 +1,16 @@
 """Decision procedures for equivalence and conjugacy of linear flows.
 
-Every decision is exact: block data is rational, candidate time scalings
-come from a finite spectrum-derived set, and each Yes carries a scaling
-certificate.  Undecided is a first-class outcome reserved for the regimes
-where no finite criterion is available; it is never collapsed into No.
+Every decision is exact: block data is rational, each grade compares
+canonical scaled keys of a structural form (see `similarity`), and each
+Yes carries a scaling certificate.  Undecided is a first-class outcome
+reserved for the regimes where no finite criterion is available; it is
+never collapsed into No.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,15 +24,7 @@ from .invariants import (
     semisimple_collapse,
     subspec,
 )
-from .similarity import (
-    ScalingCertificate,
-    lipschitz_similar,
-    lipschitz_similar_by_parts,
-    lyapunov_similar,
-    kinematic_similar,
-    scaling_candidates,
-    similar,
-)
+from .similarity import ScalingCertificate, canonical_key, normalising_scalings
 
 __all__ = [
     "Relation",
@@ -111,146 +104,109 @@ def _central(spec):
     return subspec(spec, "central")
 
 
-def _defective(spec):
-    return subspec(spec, "defective")
+# Forms T(spec) whose equality up to time scaling decides a grade, as
+# sort_key tuples.  Each keeps every growth rate and the whole central part,
+# as canonical_key requires.  The linear form is the block multiset itself.
 
 
-def _is_hyperbolic(spec):
-    return partition_dims(spec).central == 0
+def _keyof(spec):
+    return tuple(blk.sort_key() for blk in spec.blocks)
 
 
-def _fmt_alpha(alpha):
-    return str(alpha)
+def _hoelder_form(spec):
+    return lyapunov_spectrum(spec), _keyof(_central(spec))
 
 
-# Per-candidate predicates.  Each takes (left, scaled_right) and returns a
-# bool; the matching relation holds iff some candidate scaling passes.
-
-def _pred_linear(a, sb):
-    return similar(a, sb)
+def _lipschitz_collapse_form(spec):
+    return _keyof(semisimple_collapse(spec)), _keyof(_central(spec))
 
 
-def _pred_hoelder(a, sb):
-    return lyapunov_similar(a, sb) and similar(_central(a), _central(sb))
+def _lipschitz_parts_form(spec):
+    defective = subspec(spec, "defective")
+    return lyapunov_spectrum(spec), _keyof(defective), _keyof(_central(spec))
 
 
-def _pred_lip_routes(a, sb):
-    """Both independent Lipschitz criteria; they must agree."""
-    central_ok = similar(_central(a), _central(sb))
-    via_collapse = lipschitz_similar(a, sb) and central_ok
-    via_parts = lipschitz_similar_by_parts(a, sb) and central_ok
-    return via_collapse, via_parts
+def _kinematic_form(spec):
+    return _keyof(rotation_decouple(spec)), _keyof(_central(spec))
 
 
-def _pred_kinematic(a, sb):
-    return kinematic_similar(a, sb) and similar(_central(a), _central(sb))
+# The two Lipschitz routes are independent criteria; every decision runs
+# both and they must agree.
+_LIPSCHITZ = (_lipschitz_collapse_form, _lipschitz_parts_form)
+
+# relation -> (forms, scaled?, predicate name).  Equivalences allow any
+# nonzero time scaling, conjugacies only alpha = 1.  For PwLipEquiv and
+# TopEquiv outside their complete criteria the row is only sufficient.
+_TABLE = {
+    Relation.LIN_EQUIV: ((_keyof,), True, "linear"),
+    Relation.DIFF_EQUIV: ((_keyof,), True, "linear"),
+    Relation.LIP_EQUIV: (_LIPSCHITZ, True, "lipschitz"),
+    Relation.HOELDER_EQUIV: ((_hoelder_form,), True, "hoelder"),
+    Relation.PW_LIP_EQUIV: ((_kinematic_form,), True, "kinematic sufficient"),
+    Relation.TOP_EQUIV: ((_hoelder_form,), True, "hoelder sufficient"),
+    Relation.LIN_CONJ: ((_keyof,), False, "linear"),
+    Relation.DIFF_CONJ: ((_keyof,), False, "linear"),
+    Relation.LIP_CONJ: (_LIPSCHITZ, False, "lipschitz"),
+    Relation.HOELDER_CONJ: ((_hoelder_form,), False, "hoelder"),
+    Relation.PW_LIP_CONJ: ((_kinematic_form,), False, "piecewise-lipschitz-conjugacy"),
+}
+
+_UNDECIDED_SCOPE = {
+    Relation.PW_LIP_EQUIV: "no complete criterion outside the hyperbolic case"
+    " and the sufficient criterion does not apply",
+    Relation.TOP_EQUIV: "dimension >= 3 with a central part present and the"
+    " sufficient criterion does not apply",
+}
 
 
-def _scan_candidates(a, b, pred, name, trace):
-    cands = scaling_candidates(a, b)
-    trace.append(
-        TraceEntry(
-            "candidates",
-            "generated",
-            "alpha in {" + ", ".join(_fmt_alpha(c) for c in cands) + "}",
+def _route(a, b, form, scaled):
+    """An alpha with form(a) == form(scale_spec(b, alpha)), or None."""
+    if not scaled:
+        return Fraction(1) if form(a) == form(b) else None
+    (key_a, c_a), (key_b, c_b) = canonical_key(a, form), canonical_key(b, form)
+    return c_b / c_a if key_a == key_b else None
+
+
+def _decide_by_keys(a, b, forms, scaled, name, trace):
+    alphas = [_route(a, b, form, scaled) for form in forms]
+    if len(set(alphas)) > 1:
+        raise InternalCheckError(
+            f"{name} criteria disagree: collapse route gives alpha = {alphas[0]},"
+            f" spectrum-plus-defective route gives alpha = {alphas[1]}"
         )
-    )
-    for alpha in cands:
-        sb = scale_spec(b, alpha)
-        if pred(a, sb):
-            trace.append(TraceEntry(name, "pass", f"alpha = {_fmt_alpha(alpha)}"))
-            return ScalingCertificate(
-                alpha,
-                name,
-                {
-                    "left_generator": serialize_spec(a),
-                    "scaled_right_generator": serialize_spec(sb),
-                },
-            )
-        trace.append(TraceEntry(name, "fail", f"alpha = {_fmt_alpha(alpha)}"))
-    trace.append(TraceEntry(name, "exhausted", f"{len(cands)} candidates"))
-    return None
-
-
-def _scan_lipschitz(a, b, trace):
-    cands = scaling_candidates(a, b)
-    trace.append(
-        TraceEntry(
-            "candidates",
-            "generated",
-            "alpha in {" + ", ".join(_fmt_alpha(c) for c in cands) + "}",
-        )
-    )
-    for alpha in cands:
-        sb = scale_spec(b, alpha)
-        via_collapse, via_parts = _pred_lip_routes(a, sb)
-        if via_collapse != via_parts:
-            raise InternalCheckError(
-                "lipschitz criteria disagree at "
-                f"alpha = {_fmt_alpha(alpha)}: collapse route says "
-                f"{via_collapse}, spectrum-plus-defective route says {via_parts}"
-            )
-        if via_collapse:
-            trace.append(
-                TraceEntry("lipschitz", "pass", f"alpha = {_fmt_alpha(alpha)}, both routes")
-            )
-            return ScalingCertificate(
-                alpha,
-                "lipschitz",
-                {
-                    "left_generator": serialize_spec(a),
-                    "scaled_right_generator": serialize_spec(sb),
-                },
-            )
-        trace.append(TraceEntry("lipschitz", "fail", f"alpha = {_fmt_alpha(alpha)}"))
-    trace.append(TraceEntry("lipschitz", "exhausted", f"{len(cands)} candidates"))
-    return None
-
-
-def _fixed_scaling_check(a, b, pred, name, trace):
-    """Conjugacy variant: the only admissible scaling is alpha = 1."""
-    ok = pred(a, b)
-    trace.append(TraceEntry(name, "pass" if ok else "fail", "alpha = 1"))
-    if not ok:
+    alpha = alphas[0]
+    what = "canonical scaled keys" if scaled else "forms at alpha = 1"
+    routes = ", both routes" if len(forms) > 1 else ""
+    if alpha is None:
+        trace.append(TraceEntry(name, "fail", f"{what} differ{routes}"))
         return None
+    trace.append(TraceEntry(name, "pass", f"alpha = {alpha}, {what} equal{routes}"))
     return ScalingCertificate(
-        Fraction(1),
+        alpha,
         name,
         {
             "left_generator": serialize_spec(a),
-            "scaled_right_generator": serialize_spec(b),
+            "scaled_right_generator": serialize_spec(scale_spec(b, alpha)),
         },
     )
 
 
-def _fixed_lipschitz_check(a, b, trace):
-    via_collapse, via_parts = _pred_lip_routes(a, b)
-    if via_collapse != via_parts:
-        raise InternalCheckError(
-            "lipschitz criteria disagree at alpha = 1: collapse route says "
-            f"{via_collapse}, spectrum-plus-defective route says {via_parts}"
-        )
-    trace.append(
-        TraceEntry("lipschitz", "pass" if via_collapse else "fail", "alpha = 1, both routes")
-    )
-    if not via_collapse:
+def _hyperbolic_index(a, b, trace):
+    """Decision by unordered stable/unstable dims when both flows are
+    hyperbolic, else None."""
+    pa, pb = partition_dims(a), partition_dims(b)
+    if pa.central or pb.central:
         return None
-    return ScalingCertificate(
-        Fraction(1),
-        "lipschitz",
-        {
-            "left_generator": serialize_spec(a),
-            "scaled_right_generator": serialize_spec(b),
-        },
+    da, db = (pa.stable, pa.unstable), (pb.stable, pb.unstable)
+    ok = sorted(da) == sorted(db)
+    trace.append(
+        TraceEntry(
+            "hyperbolic index",
+            "pass" if ok else "fail",
+            f"stable/unstable dims {da} vs {db}, unordered",
+        )
     )
-
-
-def _stable_unstable_dims(spec):
-    parts = partition_dims(spec)
-    return parts.stable, parts.unstable
-
-
-TOP_LABELS = ("zero", "shear", "center", "saddle", "degenerate-line", "node")
+    return Decision.YES if ok else Decision.NO
 
 
 def _topological_label_2d(spec):
@@ -273,23 +229,11 @@ def _topological_label_2d(spec):
     return "saddle" if a1 * a2 < 0 else "node"
 
 
-def _decide_topological(a, b, trace):
-    if _is_hyperbolic(a) and _is_hyperbolic(b):
-        da = _stable_unstable_dims(a)
-        db = _stable_unstable_dims(b)
-        ok = sorted(da) == sorted(db)
-        trace.append(
-            TraceEntry(
-                "hyperbolic index",
-                "pass" if ok else "fail",
-                f"stable/unstable dims {da} vs {db}, unordered",
-            )
-        )
-        return (Decision.YES if ok else Decision.NO), None
+def _low_dim_topological(a, b, trace):
+    """TopEquiv on a line or in the plane, where the catalogs are complete;
+    None in dimension >= 3."""
     if a.dim == 1:
-        za = a.blocks[0].re == 0
-        zb = b.blocks[0].re == 0
-        ok = za == zb
+        ok = (a.blocks[0].re == 0) == (b.blocks[0].re == 0)
         trace.append(
             TraceEntry(
                 "line catalog",
@@ -297,31 +241,15 @@ def _decide_topological(a, b, trace):
                 "flows on a line match iff both or neither are rest points",
             )
         )
-        return (Decision.YES if ok else Decision.NO), None
-    if a.dim == 2:
+    elif a.dim == 2:
         la, lb = _topological_label_2d(a), _topological_label_2d(b)
+        ok = la == lb
         trace.append(
-            TraceEntry(
-                "planar catalog",
-                "pass" if la == lb else "fail",
-                f"labels {la} vs {lb}",
-            )
+            TraceEntry("planar catalog", "pass" if ok else "fail", f"labels {la} vs {lb}")
         )
-        return (Decision.YES if la == lb else Decision.NO), None
-    # Dimension >= 3 with a central part: no complete criterion is known,
-    # but a Hoelder match is still sufficient (never necessary) here.
-    cert = _scan_candidates(a, b, _pred_hoelder, "hoelder sufficient", trace)
-    if cert is not None:
-        return Decision.YES, cert
-    trace.append(
-        TraceEntry(
-            "scope",
-            "undecided",
-            "dimension >= 3 with a central part present and the"
-            " sufficient criterion does not apply",
-        )
-    )
-    return Decision.UNDECIDED, None
+    else:
+        return None
+    return Decision.YES if ok else Decision.NO
 
 
 def classify(relation, a, b):
@@ -340,76 +268,22 @@ def classify(relation, a, b):
         return Verdict(relation, Decision.NO, a, b, None, tuple(trace))
     trace.append(TraceEntry("dimension", "ok", f"{a.dim} == {b.dim}"))
 
-    cert = None
-    if relation in (Relation.LIN_EQUIV, Relation.DIFF_EQUIV):
-        cert = _scan_candidates(a, b, _pred_linear, "linear", trace)
-        decision = Decision.YES if cert else Decision.NO
-    elif relation in (Relation.LIN_CONJ, Relation.DIFF_CONJ):
-        cert = _fixed_scaling_check(a, b, _pred_linear, "linear", trace)
-        decision = Decision.YES if cert else Decision.NO
-    elif relation is Relation.HOELDER_EQUIV:
-        cert = _scan_candidates(a, b, _pred_hoelder, "hoelder", trace)
-        decision = Decision.YES if cert else Decision.NO
-    elif relation is Relation.HOELDER_CONJ:
-        cert = _fixed_scaling_check(a, b, _pred_hoelder, "hoelder", trace)
-        decision = Decision.YES if cert else Decision.NO
-    elif relation is Relation.LIP_EQUIV:
-        cert = _scan_lipschitz(a, b, trace)
-        decision = Decision.YES if cert else Decision.NO
-    elif relation is Relation.LIP_CONJ:
-        cert = _fixed_lipschitz_check(a, b, trace)
-        decision = Decision.YES if cert else Decision.NO
-    elif relation is Relation.PW_LIP_CONJ:
-        ok = kinematic_similar(a, b) and similar(_central(a), _central(b))
-        trace.append(
-            TraceEntry(
-                "kinematic",
-                "pass" if ok else "fail",
-                "rotation-decoupled forms and central parts compared at alpha = 1",
-            )
-        )
-        if ok:
-            cert = ScalingCertificate(
-                Fraction(1),
-                "piecewise-lipschitz-conjugacy",
-                {
-                    "left_generator": serialize_spec(a),
-                    "scaled_right_generator": serialize_spec(b),
-                },
-            )
-        decision = Decision.YES if ok else Decision.NO
-    elif relation is Relation.PW_LIP_EQUIV:
-        if _is_hyperbolic(a) and _is_hyperbolic(b):
-            da, db = _stable_unstable_dims(a), _stable_unstable_dims(b)
-            ok = sorted(da) == sorted(db)
-            trace.append(
-                TraceEntry(
-                    "hyperbolic index",
-                    "pass" if ok else "fail",
-                    f"stable/unstable dims {da} vs {db}, unordered",
-                )
-            )
-            decision = Decision.YES if ok else Decision.NO
-        else:
-            # Outside the hyperbolic case a scaled kinematic match is still
-            # sufficient (a time-rescaled conjugacy is an equivalence).
-            cert = _scan_candidates(a, b, _pred_kinematic, "kinematic sufficient", trace)
-            if cert is not None:
-                decision = Decision.YES
-            else:
-                trace.append(
-                    TraceEntry(
-                        "scope",
-                        "undecided",
-                        "no complete criterion outside the hyperbolic case"
-                        " and the sufficient criterion does not apply",
-                    )
-                )
-                decision = Decision.UNDECIDED
-    elif relation is Relation.TOP_EQUIV:
-        decision, cert = _decide_topological(a, b, trace)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled relation {relation}")
+    if relation in _UNDECIDED_SCOPE:
+        decision = _hyperbolic_index(a, b, trace)
+        if decision is None and relation is Relation.TOP_EQUIV:
+            decision = _low_dim_topological(a, b, trace)
+        if decision is not None:
+            return Verdict(relation, decision, a, b, None, tuple(trace))
+    # Outside the complete criteria, a scaled kinematic (PwLipEquiv) or
+    # Hoelder (TopEquiv) match is still sufficient, never necessary.
+    cert = _decide_by_keys(a, b, *_TABLE[relation], trace)
+    if cert is not None:
+        decision = Decision.YES
+    elif relation in _UNDECIDED_SCOPE:
+        trace.append(TraceEntry("scope", "undecided", _UNDECIDED_SCOPE[relation]))
+        decision = Decision.UNDECIDED
+    else:
+        decision = Decision.NO
     return Verdict(relation, decision, a, b, cert, tuple(trace))
 
 
@@ -433,31 +307,6 @@ class CatalogEntry:
         }
 
 
-def _similar_rep_2d(spec):
-    """Canonical representative of the scaling-plus-similarity class and
-    the scaling alpha with scale_spec(spec, alpha) == representative."""
-    blocks = spec.blocks
-    if len(blocks) == 1:
-        (blk,) = blocks
-        if blk.im == 0:
-            # single real block of size 2
-            alpha = Fraction(1) if blk.re == 0 else 1 / Fraction(blk.re)
-        else:
-            if blk.re == 0:
-                alpha = 1 / Fraction(blk.im)
-            else:
-                alpha = 1 / Fraction(blk.re)
-        return scale_spec(spec, alpha), alpha
-    a1, a2 = Fraction(blocks[0].re), Fraction(blocks[1].re)
-    if a1 == 0 and a2 == 0:
-        return spec, Fraction(1)
-    # pick the exponent of larger modulus; break the {-x, x} tie toward the
-    # positive one so the representative keeps its sign pattern
-    e = a1 if abs(a1) > abs(a2) else a2
-    alpha = 1 / e
-    return scale_spec(spec, alpha), alpha
-
-
 def _spectrum_spec(spec):
     return GeneratorSpec(
         [JordanBlock(1, lam, 0) for lam in lyapunov_spectrum(spec)]
@@ -465,21 +314,25 @@ def _spectrum_spec(spec):
 
 
 def catalog2d(spec):
-    """Four coarsening normal forms of a planar generator, finest first."""
+    """Four coarsening normal forms of a planar generator, finest first.
+
+    The first three rows scale a form of the generator by its first
+    normalising scaling, the same normaliser the classifier's keys use.
+    """
     if spec.dim != 2:
         raise DimMismatch(f"catalog requires dimension 2, got {spec.dim}")
-    sim_rep, sim_alpha = _similar_rep_2d(spec)
-    lip_rep, lip_alpha = _similar_rep_2d(semisimple_collapse(spec))
-    lyap_rep, lyap_alpha = _similar_rep_2d(_spectrum_spec(spec))
-    label = _topological_label_2d(spec)
-    return {
-        "similar": CatalogEntry("similar", sim_rep, sim_alpha),
-        "lipschitz": CatalogEntry("lipschitz", lip_rep, lip_alpha),
-        "lyapunov": CatalogEntry("lyapunov", lyap_rep, lyap_alpha),
-        "topological": CatalogEntry(
-            "topological", _TOP_REPS[label], None, label=label
-        ),
+    forms = {
+        "similar": spec,
+        "lipschitz": semisimple_collapse(spec),
+        "lyapunov": _spectrum_spec(spec),
     }
+    rows = {}
+    for row, form in forms.items():
+        alpha = normalising_scalings(form)[0]
+        rows[row] = CatalogEntry(row, scale_spec(form, alpha), alpha)
+    label = _topological_label_2d(spec)
+    rows["topological"] = CatalogEntry("topological", _TOP_REPS[label], None, label=label)
+    return rows
 
 
 _TOP_REPS = {

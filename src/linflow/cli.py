@@ -55,6 +55,12 @@ from .invariants import (
 # numpy and the float layer (flows, homeos, probes) are imported inside the
 # subcommands that compute in floats, so the exact ones never load them
 
+# Caps on the sizes the CLI allocates from its own arguments: sample points
+# (--points), grid times (--t-range N) and the unwind block size (unwind:M).
+MAX_POINTS = 10**5
+MAX_TIMES = 10**5
+MAX_UNWIND_SIZE = 64
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -117,6 +123,12 @@ def _parse_int(text, what):
         raise SpecParseError(f"{what}: malformed integer {text!r}")
 
 
+def _check_cap(value, cap, what):
+    if value > cap:
+        raise PreconditionViolated(f"{what} is capped at {cap}, got {value}")
+    return value
+
+
 def _time_grid(args, default_span=5.0, default_n=11):
     import numpy as np
 
@@ -131,7 +143,7 @@ def _time_grid(args, default_span=5.0, default_n=11):
         n = _parse_int(parts[2], "--t-range count")
         if n < 1:
             raise PreconditionViolated(f"--t-range needs N >= 1, got {n}")
-        return np.linspace(lo, hi, n)
+        return np.linspace(lo, hi, _check_cap(n, MAX_TIMES, "--t-range N"))
     return np.linspace(-default_span, default_span, default_n)
 
 
@@ -235,7 +247,9 @@ def _build_construction(token, args):
     )
 
     if token.startswith("spiral:"):
-        return build_spiral_map(_parse_float(token[7:], "spiral rate")), 20.0
+        rate = _parse_value(token[7:], "spiral rate")
+        _floats([rate], "spiral rate")  # range check; the map keeps the exact rate
+        return build_spiral_map(rate), 20.0
     if token.startswith("shear:"):
         return build_parabola_shear(_parse_float(token[6:], "shear shift")), 20.0
     if token == "uniform":
@@ -252,7 +266,7 @@ def _build_construction(token, args):
         parts = token.split(":", 1)[1].split(",")
         if len(parts) != 3:
             raise SpecParseError("construction 'unwind' expects unwind:M,A,B")
-        m = _parse_int(parts[0], "unwind size")
+        m = _check_cap(_parse_int(parts[0], "unwind size"), MAX_UNWIND_SIZE, "unwind size")
         a = _parse_float(parts[1], "unwind growth")
         b = _parse_float(parts[2], "unwind rotation")
         return build_rotation_unwind_map(m, a, b), 10.0
@@ -265,6 +279,7 @@ def _build_construction(token, args):
 def _cmd_verify(args):
     from .probes import verify_conjugacy
 
+    _check_cap(args.points, MAX_POINTS, "--points")
     hmap, span = _build_construction(args.construction, args)
     times = _time_grid(args, default_span=span, default_n=11)
     report = verify_conjugacy(

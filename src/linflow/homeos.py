@@ -157,6 +157,8 @@ def build_spiral_map(rate):
     to the radial flow with growth -1; Lipschitz with constant 1 + |rate|
     on the unit ball, and a homeomorphism globally.
     """
+    # the spec records the rate as given; a float rate records its binary value
+    exact_rate = abs(Fraction(rate))
     rate = float(rate)
 
     def forward_batch(X, sgn=1.0):
@@ -173,7 +175,7 @@ def build_spiral_map(rate):
     node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
     # at rate 0 the focus is the node itself (two real blocks) and h = id
     source_blocks = [(1, -1.0, rate)] if rate else node_blocks
-    source_spec = GeneratorSpec([JordanBlock(1, -1, abs(Fraction(rate)))]) if rate else node_spec
+    source_spec = GeneratorSpec([JordanBlock(1, -1, exact_rate)]) if rate else node_spec
     source = FlowEvaluator(source_blocks, guard=_INTERNAL_GUARD)
     target = FlowEvaluator(node_blocks, guard=_INTERNAL_GUARD)
     return HomeoMap(

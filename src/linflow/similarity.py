@@ -1,12 +1,16 @@
-"""Similarity predicates on generators and the finite scaling search.
+"""Similarity predicates, canonical scaled keys, and the reference scan.
 
 Similarity of block-diagonal generators is multiset equality, so all four
 predicates reduce to comparisons of (transformed) block multisets.  The
-existential "does some nonzero rescaling of B relate to A" questions are
-resolved by a finite candidate list: any usable alpha must match either a
-ratio of nonzero growth rates (the spectra must align) or a ratio of
-nonzero rotation rates (the central parts must align); when neither side
-has such data, scaling acts trivially and alpha = 1 stands in for all.
+classifier decides "form(a) == form(alpha * b) for some alpha != 0" by
+comparing `canonical_key`s built on `normalising_scalings`.
+
+`scaling_candidates` and `find_scaling` are the older scan over a finite
+list of alphas: any usable alpha must match either a ratio of nonzero
+growth rates (the spectra must align) or a ratio of nonzero rotation rates
+(the central parts must align); when neither side has such data, scaling
+acts trivially and alpha = 1 stands in for all.  The classifier no longer
+calls them; they stay as the independent oracle its tests compare against.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import GeneratorSpec, scale_spec, serialize_spec
+from .blocks import scale_spec, serialize_spec
 from .errors import DimMismatch
 from .invariants import (
     lyapunov_spectrum,
@@ -30,6 +34,8 @@ __all__ = [
     "lipschitz_similar",
     "lipschitz_similar_by_parts",
     "kinematic_similar",
+    "normalising_scalings",
+    "canonical_key",
     "scaling_candidates",
     "find_scaling",
 ]
@@ -53,8 +59,9 @@ def lipschitz_similar(a, b):
 def lipschitz_similar_by_parts(a, b):
     """Equivalent formulation: same spectrum and same defective part.
 
-    Kept as an independent route; the classifier cross-checks it against
-    lipschitz_similar on every decision.
+    Kept as an independent route.  The classifier compares the same data
+    (spectrum, defective part) as its second Lipschitz key and cross-checks
+    it against the collapse key on every decision.
     """
     return lyapunov_similar(a, b) and similar(
         subspec(a, "defective"), subspec(b, "defective")
@@ -64,6 +71,39 @@ def lipschitz_similar_by_parts(a, b):
 def kinematic_similar(a, b):
     """Similarity after forgetting rotation rates on every block."""
     return similar(rotation_decouple(a), rotation_decouple(b))
+
+
+def normalising_scalings(spec):
+    """Scalings c that bring spec to unit size, positive first.
+
+    With some growth rate nonzero, let m = max|re|: c = 1/m if +m occurs and
+    c = -1/m if -m occurs.  Otherwise c = 1/max im, or 1 when every rate is
+    zero.  The set of scaled specs scale_spec(spec, c) is the same for spec
+    and for every nonzero rescaling of it.
+    """
+    top = max((abs(blk.re) for blk in spec.blocks), default=0)
+    if top:
+        res = {blk.re for blk in spec.blocks}
+        return tuple(sign / top for sign in (1, -1) if sign * top in res)
+    top = max((blk.im for blk in spec.blocks), default=0)
+    return (1 / top,) if top else (Fraction(1),)
+
+
+def canonical_key(spec, form):
+    """(key, c): the smallest form(scale_spec(spec, c)) over the normalising
+    scalings c, and the first c that reaches it.
+
+    form maps a spec to a comparable tuple.  It must keep every growth rate
+    and, when all of them vanish, every rotation rate, and form(alpha * X)
+    must depend only on alpha and form(X).  Then two specs have equal keys
+    exactly when form(a) == form(scale_spec(b, alpha)) for some alpha != 0,
+    and alpha = c_b / c_a is one.  Ties go to the positive c, so that alpha
+    is positive whenever -alpha matches too.
+    """
+    return min(
+        ((form(scale_spec(spec, c)), c) for c in normalising_scalings(spec)),
+        key=lambda pair: pair[0],
+    )
 
 
 def scaling_candidates(a, b):
@@ -111,7 +151,9 @@ def find_scaling(a, b, predicate, name="predicate"):
 
     predicate is called as predicate(a, scaled_b).  Returns None when no
     candidate passes; by the completeness argument this means no nonzero
-    alpha passes at all, for every predicate the classifier uses.
+    alpha passes at all, for every predicate the classifier uses.  This is
+    the reference scan: the classifier decides by canonical keys and does
+    not call it, and the tests check the two against each other.
     """
     for alpha in scaling_candidates(a, b):
         scaled = scale_spec(b, alpha)

@@ -1,8 +1,10 @@
 """Relation decisions, planar catalog, coincidence report, implication audit."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linflow import (
     Decision,
@@ -10,13 +12,27 @@ from linflow import (
     IMPLICATION_EDGES,
     JordanBlock,
     Relation,
+    ScalingCertificate,
     catalog2d,
     class_coincidence,
     classify,
+    find_scaling,
     implication_audit,
+    kinematic_similar,
+    lipschitz_similar,
+    lipschitz_similar_by_parts,
+    lyapunov_similar,
+    partition_dims,
+    rotation_decouple,
     scale_spec,
+    semisimple_collapse,
+    serialize_spec,
+    similar,
+    subspec,
 )
-from linflow.errors import DimMismatch
+from linflow import similarity
+from linflow.classifier import _topological_label_2d
+from linflow.errors import DimMismatch, InternalCheckError
 
 from conftest import random_spec
 
@@ -62,7 +78,14 @@ def test_verdict_serializes():
     assert payload["relation"] == "LipEquiv"
     assert payload["decision"] == "Yes"
     assert payload["scaling"]["alpha"] == "1/2"
-    assert any(step["step"] == "candidates" for step in payload["trace"])
+    assert payload["trace"] == [
+        {"step": "dimension", "outcome": "ok", "detail": "2 == 2"},
+        {
+            "step": "lipschitz",
+            "outcome": "pass",
+            "detail": "alpha = 1/2, canonical scaled keys equal, both routes",
+        },
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +333,193 @@ def test_audit_skips_undecided_edges():
     assert report.clean
     assert report.verdicts[Relation.TOP_EQUIV].decision is Decision.UNDECIDED
     assert report.to_json()["verdicts"]["TopEquiv"] == "Undecided"
+
+
+# ---------------------------------------------------------------------------
+# oracle: the reference candidate scan
+#
+# The classifier decides by canonical scaled keys.  The scan below is the
+# older, independent route: it tries every alpha of scaling_candidates (by
+# find_scaling) for equivalences and alpha = 1 for conjugacies, with the
+# pairwise similarity predicates.  Decisions, certificate alphas, predicate
+# names and witnesses must agree for every relation.
+
+
+def _central_similar(a, b):
+    return similar(subspec(a, "central"), subspec(b, "central"))
+
+
+def _hoelder(a, b):
+    return lyapunov_similar(a, b) and _central_similar(a, b)
+
+
+def _lipschitz(a, b):
+    via_collapse = lipschitz_similar(a, b) and _central_similar(a, b)
+    via_parts = lipschitz_similar_by_parts(a, b) and _central_similar(a, b)
+    assert via_collapse == via_parts
+    return via_collapse
+
+
+def _kinematic(a, b):
+    return kinematic_similar(a, b) and _central_similar(a, b)
+
+
+SCAN = {
+    Relation.LIN_EQUIV: (similar, True, "linear"),
+    Relation.DIFF_EQUIV: (similar, True, "linear"),
+    Relation.LIP_EQUIV: (_lipschitz, True, "lipschitz"),
+    Relation.HOELDER_EQUIV: (_hoelder, True, "hoelder"),
+    Relation.PW_LIP_EQUIV: (_kinematic, True, "kinematic sufficient"),
+    Relation.TOP_EQUIV: (_hoelder, True, "hoelder sufficient"),
+    Relation.LIN_CONJ: (similar, False, "linear"),
+    Relation.DIFF_CONJ: (similar, False, "linear"),
+    Relation.LIP_CONJ: (_lipschitz, False, "lipschitz"),
+    Relation.HOELDER_CONJ: (_hoelder, False, "hoelder"),
+    Relation.PW_LIP_CONJ: (_kinematic, False, "piecewise-lipschitz-conjugacy"),
+}
+
+
+def scan_oracle(rel, a, b):
+    """(decision, certificate) by the reference scan."""
+    if a.dim != b.dim:
+        return Decision.NO, None
+    sufficient_only = rel in (Relation.PW_LIP_EQUIV, Relation.TOP_EQUIV)
+    if sufficient_only:
+        pa, pb = partition_dims(a), partition_dims(b)
+        if pa.central == 0 and pb.central == 0:
+            ok = sorted((pa.stable, pa.unstable)) == sorted((pb.stable, pb.unstable))
+            return (Decision.YES if ok else Decision.NO), None
+        if rel is Relation.TOP_EQUIV and a.dim <= 2:
+            if a.dim == 1:
+                ok = (a.blocks[0].re == 0) == (b.blocks[0].re == 0)
+            else:
+                ok = _topological_label_2d(a) == _topological_label_2d(b)
+            return (Decision.YES if ok else Decision.NO), None
+    pred, scaled, name = SCAN[rel]
+    if scaled:
+        cert = find_scaling(a, b, pred, name)
+    else:
+        witness = {"left_generator": serialize_spec(a), "scaled_right_generator": serialize_spec(b)}
+        cert = ScalingCertificate(Fraction(1), name, witness) if pred(a, b) else None
+    if cert is not None:
+        return Decision.YES, cert
+    return (Decision.UNDECIDED if sufficient_only else Decision.NO), None
+
+
+def assert_matches_scan(a, b):
+    for rel in Relation:
+        v = classify(rel, a, b)
+        decision, cert = scan_oracle(rel, a, b)
+        assert v.decision is decision, (rel, a, b)
+        if cert is None:
+            assert v.scaling is None, (rel, a, b)
+        else:
+            assert v.scaling.alpha == cert.alpha, (rel, a, b)
+            assert v.scaling.predicate == cert.predicate
+            assert v.scaling.witness == cert.witness
+
+
+ALPHAS = tuple(Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3))
+rate_st = st.sampled_from([Fraction(k, 4) for k in range(-12, 13)])
+rot_st = st.sampled_from([Fraction(0)] * 3 + [Fraction(k, 4) for k in range(1, 13)])
+
+
+@st.composite
+def oracle_spec_st(draw, max_dim=6, central=False, nilpotent=False):
+    """Spec of dimension 1..max_dim; optionally every re (and im) zero."""
+    blocks, dim = [], 0
+    target = draw(st.integers(1, max_dim))
+    while dim < target:
+        im = Fraction(0) if nilpotent else draw(rot_st)
+        width = 2 if im else 1
+        if dim + width > max_dim:
+            im, width = Fraction(0), 1
+        size = draw(st.integers(1, min(3, (max_dim - dim) // width)))
+        re = Fraction(0) if (central or nilpotent) else draw(rate_st)
+        blocks.append(JordanBlock(size, re, im))
+        dim += width * size
+    return GeneratorSpec(tuple(blocks))
+
+
+def _symmetric(spec):
+    return GeneratorSpec(spec.blocks + scale_spec(spec, -1).blocks)
+
+
+@st.composite
+def oracle_pair_st(draw):
+    kind = draw(st.sampled_from([
+        "independent", "negated", "scaled", "symmetric", "central",
+        "nilpotent", "collapse", "decouple",
+    ]))
+    alpha = draw(st.sampled_from(ALPHAS))
+    if kind == "independent":
+        a, b = draw(oracle_spec_st()), draw(oracle_spec_st())
+    elif kind == "symmetric":
+        a = _symmetric(draw(oracle_spec_st(max_dim=3)))
+        b = draw(st.sampled_from([scale_spec(a, alpha), _symmetric(draw(oracle_spec_st(max_dim=3)))]))
+    elif kind in ("central", "nilpotent"):
+        flags = {kind: True}
+        a = draw(oracle_spec_st(**flags))
+        b = draw(st.sampled_from([scale_spec(a, alpha), draw(oracle_spec_st(**flags))]))
+    else:
+        a = draw(oracle_spec_st())
+        b = {
+            "negated": lambda: scale_spec(a, -1),
+            "scaled": lambda: scale_spec(a, alpha),
+            "collapse": lambda: semisimple_collapse(scale_spec(a, alpha)),
+            "decouple": lambda: rotation_decouple(scale_spec(a, alpha)),
+        }[kind]()
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(pair=oracle_pair_st())
+@settings(max_examples=400, deadline=None)
+def test_keys_match_the_scan_for_every_relation(pair):
+    assert_matches_scan(*pair)
+
+
+def test_keys_match_the_scan_on_acceptance_style_pairs(rng):
+    # the A10/A11 generators: scaled, collapse and decouple relatives, and
+    # independent specs of dimension <= 6
+    for _ in range(300):
+        a = random_spec(rng, max_dim=6)
+        r = rng.random()
+        alpha = ALPHAS[int(rng.integers(len(ALPHAS)))]
+        if r < 0.35:
+            b = scale_spec(a, alpha)
+        elif r < 0.5:
+            b = semisimple_collapse(scale_spec(a, alpha))
+        elif r < 0.6:
+            b = rotation_decouple(scale_spec(a, alpha))
+        else:
+            b = random_spec(rng, max_dim=6)
+        assert_matches_scan(a, b)
+
+
+def test_classifier_no_longer_calls_the_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classifier called the reference scan")
+
+    # rebind every linflow module's name for the scan helpers
+    for fn in (similarity.scaling_candidates, similarity.find_scaling):
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "linflow" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, refuse)
+    a = S((1, -1, 2), (1, 2, 0), (1, 0, 1))
+    for b in (scale_spec(a, Fraction(-3, 2)), semisimple_collapse(a), S((1, 0, 2), (2, 1, 0))):
+        report = implication_audit(a, b)
+        assert report.clean and len(report.verdicts) == len(Relation)
+    with pytest.raises(AssertionError):
+        similarity.scaling_candidates(a, a)
+
+
+@pytest.mark.parametrize("rel", [Relation.LIP_EQUIV, Relation.LIP_CONJ])
+def test_lipschitz_routes_are_cross_checked(monkeypatch, rel):
+    from linflow import classifier
+
+    forms, scaled, name = classifier._TABLE[rel]
+    # a second route that ignores the defective part must be caught
+    broken = (forms[0], lambda spec: forms[1](semisimple_collapse(spec))[:1])
+    monkeypatch.setitem(classifier._TABLE, rel, (broken, scaled, name))
+    with pytest.raises(InternalCheckError, match="lipschitz criteria disagree"):
+        classify(rel, S((2, -1, 0)), S((1, -1, 0), (1, -1, 0)))

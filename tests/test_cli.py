@@ -366,6 +366,14 @@ def test_verify_spiral_reports_residual_and_map(capsys):
     assert doc["map"]["target"] is not None
 
 
+def test_verify_spiral_keeps_the_exact_rate(capsys):
+    code, out, _ = run_cli(capsys, "verify", "spiral:1/3", "--points", "8")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["map"]["source"] == spec_doc((1, -1, "1/3"))
+    assert doc["residual"] < 1e-9
+
+
 def test_verify_unwind_runs(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -413,6 +421,10 @@ def test_verify_unknown_construction_exits_2(capsys):
         (["shear:-1e400"], EXIT_PARSE, "float range"),
         (["unwind:x,-1,1"], EXIT_PARSE, "malformed integer"),
         (["unwind:2,1e400,1"], EXIT_PARSE, "float range"),
+        (["spiral:1", "--points", "100001"], EXIT_PRECONDITION, "--points is capped at 100000"),
+        (["spiral:1", "--t-range", "0,1,100001"], EXIT_PRECONDITION, "N is capped at 100000"),
+        (["unwind:65,-1,1"], EXIT_PRECONDITION, "unwind size is capped at 64"),
+        (["unwind:1000000000,-1,1"], EXIT_PRECONDITION, "size is capped at 64"),
     ],
 )
 def test_verify_bad_number_arguments_end_in_typed_errors(capsys, argv, code, message):

@@ -18,6 +18,7 @@ from linflow import (
     scaling_candidates,
     similar,
 )
+from linflow.similarity import canonical_key, normalising_scalings
 
 
 def S(*blks):
@@ -159,3 +160,41 @@ def test_find_scaling_reports_witness():
 
 def test_find_scaling_none_when_no_candidate_works():
     assert find_scaling(S((1, 1, 0)), S((1, 1, 0)), lambda a, b: False) is None
+
+
+# ---------------------------------------------------------------------------
+# normalising scalings and canonical keys
+
+
+def test_normalising_scalings_by_top_growth_rate():
+    assert normalising_scalings(S((1, 2, 0), (1, -1, 3))) == (Fraction(1, 2),)
+    assert normalising_scalings(S((1, -4, 0), (1, 1, 0))) == (Fraction(-1, 4),)
+    # both signs of the top rate occur: positive first
+    assert normalising_scalings(S((1, -2, 0), (2, 2, 1))) == (Fraction(1, 2), Fraction(-1, 2))
+
+
+def test_normalising_scalings_fall_back_to_rotation_then_unit():
+    assert normalising_scalings(S((1, 0, 3), (2, 0, Fraction(1, 2)))) == (Fraction(1, 3),)
+    assert normalising_scalings(S((2, 0, 0), (1, 0, 0))) == (Fraction(1),)
+
+
+def _blocks(spec):
+    return tuple(blk.sort_key() for blk in spec.blocks)
+
+
+@given(a=spec_st(), alpha=alpha_st)
+@settings(max_examples=120, deadline=None)
+def test_canonical_key_is_scale_invariant_and_certifies(a, alpha):
+    b = scale_spec(a, alpha)
+    (key_a, c_a), (key_b, c_b) = canonical_key(a, _blocks), canonical_key(b, _blocks)
+    assert key_a == key_b
+    assert similar(a, scale_spec(b, c_b / c_a))
+    # the key's scaling brings a to unit size: top growth rate +1, else top
+    # rotation rate 1, else a has no nonzero rate at all
+    unit = scale_spec(a, c_a)
+    res = [blk.re for blk in unit.blocks]
+    ims = [blk.im for blk in unit.blocks]
+    if any(res):
+        assert max(res) == 1 and min(res) >= -1
+    else:
+        assert max(ims) in (0, 1)
