@@ -7,7 +7,8 @@ Each builder returns a HomeoMap h with a time change tau such that
 where Phi is the source flow and Psi the target flow.  Conjugacies have
 tau(x, t) = t.  All maps come with inverses and vectorized variants; the
 only numerics involved are monotone or convex one-dimensional root solves
-on closed-form norm profiles, bisected to machine-level tolerance.
+on closed-form norm profiles, solved by safeguarded Newton steps on their
+closed-form derivatives to machine-level tolerance.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .blocks import GeneratorSpec, JordanBlock
 from .errors import (
     DefinitenessCheckFailed,
+    InternalCheckError,
     LyapunovSolveFailed,
     MonotonicityNotAchieved,
     PreconditionViolated,
@@ -39,106 +41,166 @@ __all__ = [
 
 _INTERNAL_GUARD = 1e9  # internal evaluators are not time-limited
 _BRACKET_CAP = 2.0**60
+_SOLVE_CAP = 300  # bisection alone needs ~105 steps from the bracket cap
+
+
+def _same_time(X, ts):
+    return np.asarray(ts, dtype=float)
 
 
 @dataclass
 class HomeoMap:
-    """A homeomorphism between the phase spaces of two linear flows."""
+    """A homeomorphism between the phase spaces of two linear flows.
+
+    Builders give the vectorized maps; the single-point forward, inverse
+    and tau are derived from them."""
 
     name: str
     source_flow: FlowEvaluator
     target_flow: FlowEvaluator
-    forward: Callable
-    inverse: Callable
-    tau: Callable  # tau(x, t) -> reparametrized target time
-    forward_batch: Callable = None
-    inverse_batch: Callable = None
-    tau_batch: Callable = None
+    forward_batch: Callable
+    inverse_batch: Callable
+    # tau_batch(X, ts) -> reparametrized target times; conjugacies keep t
+    tau_batch: Callable = _same_time
     source_spec: Optional[GeneratorSpec] = None
     target_spec: Optional[GeneratorSpec] = None
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.forward_batch is None:
-            self.forward_batch = lambda X: np.stack([self.forward(x) for x in X])
-        if self.inverse_batch is None:
-            self.inverse_batch = lambda W: np.stack([self.inverse(w) for w in W])
-        if self.tau_batch is None:
-            self.tau_batch = lambda X, ts: np.array(
-                [self.tau(x, t) for x, t in zip(X, ts)]
-            )
+    def forward(self, x):
+        return self.forward_batch(x)[0]
+
+    def inverse(self, w):
+        return self.inverse_batch(w)[0]
+
+    def tau(self, x, t):
+        return float(self.tau_batch(x, np.array([t], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
 # batched monotone root solving
 
 
-def _bisect_monotone(fn, lo, hi, iters=110):
-    """Roots of an elementwise increasing fn with fn(lo) <= 0 <= fn(hi)."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
+def _grow_bracket(fg, n, lo, hi):
+    """Widens [lo, hi] per point until f(lo) <= 0 <= f(hi) for increasing
+    f: a wrong-signed end becomes the other end and moves away 2x (to at
+    least 1), or 1.2 Newton steps if farther, at most 16x.  Returns lo, hi
+    and a start inside: the secant root of the ends, else the midpoint."""
+    ends = [np.full(n, lo, dtype=float), np.full(n, hi, dtype=float)]
+    fs = [np.full(n, np.nan), np.full(n, np.nan)]
+    todo = np.ones(n, dtype=bool)
+    for k, away in ((0, -1.0), (1, 1.0)):
+        end, f_end, other, f_other = ends[k], fs[k], ends[1 - k], fs[1 - k]
+        rows = np.flatnonzero(todo)
+        while rows.size:
+            f, df = fg(end[rows], rows)
+            f_end[rows] = f
+            bad = away * f < 0
+            rows, f, df = rows[bad], f[bad], df[bad]
+            if np.any(np.abs(end[rows]) > _BRACKET_CAP):
+                raise PreconditionViolated("monotone time bracket could not be established")
+            todo[rows] = False  # the old end brackets the root from the other side
+            other[rows], f_other[rows] = end[rows], f_end[rows]
+            m = away * end[rows]
+            with np.errstate(all="ignore"):
+                m_new = np.fmax(np.maximum(2.0 * m, 1.0), m + 1.2 * np.abs(f / df))
+            end[rows] = away * np.minimum(m_new, 16.0 * np.maximum(m, 1.0))
+    (lo, hi), (flo, fhi) = ends, fs
+    with np.errstate(all="ignore"):
+        x0 = lo - flo * (hi - lo) / (fhi - flo)
+    return lo, hi, np.where((x0 > lo) & (x0 < hi), x0, 0.5 * (lo + hi))
+
+
+def _newton(fg, n, stats, lo=-1.0, hi=1.0, cap=_SOLVE_CAP):
+    """Roots of n elementwise increasing functions, bracketed by growing
+    [lo, hi]; fg(x, rows) -> (f, f') for the given rows of the batch.
+
+    Safeguarded Newton (rtsafe, Press et al., Numerical Recipes): keep the
+    bracket, take the Newton step only if it lands inside it and is at most
+    half the step before last, bisect otherwise.  A point stops once its
+    step or its bracket is within 1e-13 * max(1, |x|); one still running
+    after `cap` iterations is a bug, never a result.
+    """
+    lo, hi, x = _grow_bracket(fg, n, lo, hi)
+    out = x.copy()
+    step_old = step = hi - lo
+    rows = np.arange(n)
+    stats["solves"] += n
+    for _ in range(cap):
+        f, df = fg(x, rows)
+        neg = f < 0
+        lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
+        with np.errstate(all="ignore"):
+            dn = f / np.where(np.isfinite(df) & (df > 0), df, np.nan)
+        xn = x - dn
+        tol = 1e-13 * np.maximum(1.0, np.abs(x))
+        # a step within tolerance is taken even when rounding puts it on
+        # the bracket's end
+        newton = (np.abs(dn) <= tol) | (
+            (xn > lo) & (xn < hi) & (2.0 * np.abs(dn) <= np.abs(step_old))
+        )
         mid = 0.5 * (lo + hi)
-        neg = fn(mid) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-        if np.all(hi - lo <= 1e-13 * np.maximum(1.0, np.abs(mid))):
-            break
-    return 0.5 * (lo + hi)
+        step_old, step = step, np.where(newton, dn, x - mid)
+        x = np.where(newton, xn, mid)
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        stats["iterations"] += rows.size
+        stats["bisect_steps"] += int(np.count_nonzero(~newton))
+        out[rows[done]] = x[done]
+        if done.all():
+            return out
+        rows, x, lo, hi, step, step_old = (a[~done] for a in (rows, x, lo, hi, step, step_old))
+    raise InternalCheckError(
+        "root solve did not converge in %d iterations (%d points)" % (cap, rows.size)
+    )
 
 
-def _grow_bracket(fn, n):
-    """Doubles [-1, 1] per point until fn changes sign across the bracket."""
-    lo = np.full(n, -1.0)
-    hi = np.full(n, 1.0)
-    for _ in range(80):
-        flo = fn(lo)
-        fhi = fn(hi)
-        bad_lo = flo > 0
-        bad_hi = fhi < 0
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            return lo, hi
-        lo = np.where(bad_lo, lo * 2, lo)
-        hi = np.where(bad_hi, hi * 2, hi)
-        if np.any(np.abs(lo) > _BRACKET_CAP) or np.any(hi > _BRACKET_CAP):
-            break
-    raise PreconditionViolated("monotone time bracket could not be established")
+class _NormProfile:
+    """V(t) = |Phi_t x|_G^2 along one factor flow with its closed-form
+    derivatives V' = <S z, z> and V'' = <C z, z> at z = Phi_t x, where
+    S = G A + A^T G and C = A^T S + S A.  `sign` is the sign of S."""
+
+    def __init__(self, flow, G, sign):
+        A = flow.generator_matrix()
+        S = G @ A + A.T @ G
+        self.flow, self.sign = flow, sign
+        # a row that overflows reads as the value its definite form tends to
+        self.quads = ((G, np.inf), (S, sign * np.inf), (A.T @ S + S @ A, np.inf))
+
+    def forms(self, ts, X, k):
+        """[V, V', V''][:k] at times ts, from one flow evaluation."""
+        Z = self.flow.apply_batch(ts, X)
+        bad = ~np.all(np.isfinite(Z), axis=1)
+        out = []
+        with np.errstate(all="ignore"):
+            for M, overflow in self.quads[:k]:
+                q = np.einsum("ni,ij,nj->n", Z, M, Z)
+                out.append(np.where(bad | ~np.isfinite(q), overflow, q))
+        return out
 
 
-def _gnorm_sq(flow, G, ts, X):
-    """Squared metric norm of Phi_{ts} X rows; overflow reads as +inf."""
-    Z = flow.apply_batch(ts, X)
-    with np.errstate(all="ignore"):
-        V = np.einsum("ni,ij,nj->n", Z, G, Z)
-    bad = ~np.all(np.isfinite(Z), axis=1)
-    V = np.where(bad | ~np.isfinite(V), np.inf, V)
-    return V
+def _solve_norm_time(prof, X, stats, targets=1.0):
+    """Times s with V(s) == target on a strictly monotone norm profile,
+    solved in log V, whose derivative is V'/V."""
+    logt = np.log(np.broadcast_to(targets, X.shape[:1]))
+
+    def fg(s, r):
+        V, dV = prof.forms(s, X[r], 2)
+        with np.errstate(all="ignore"):
+            return prof.sign * (np.log(V) - logt[r]), prof.sign * dV / V
+
+    return _newton(fg, X.shape[0], stats)
 
 
-def _quad_form(flow, S, ts, X, overflow):
-    """<S Phi_t x, Phi_t x>; rows that overflow are read as +-inf with the
-    sign the definite form S would give (a factor only overflows in the
-    time direction where its norm blows up)."""
-    Z = flow.apply_batch(ts, X)
-    with np.errstate(all="ignore"):
-        q = np.einsum("ni,ij,nj->n", Z, S, Z)
-    bad = ~np.all(np.isfinite(Z), axis=1) | ~np.isfinite(q)
-    if np.any(bad):
-        q = np.where(bad, overflow, q)
-    return q
+def _solve_min_time(pS, pU, Y, Z, shift, stats):
+    """Argmin s of the strictly convex V_S(s) + V_U(s + shift) with stable
+    pS and unstable pU, where the growth V_U' > 0 meets the decay -V_S' > 0;
+    solved in log V_U' - log(-V_S'), increasing since V'' > 0."""
+    def fg(ts, r):
+        _, dVs, d2Vs = pS.forms(ts, Y[r], 3)
+        _, dVu, d2Vu = pU.forms(ts + shift[r], Z[r], 3)
+        with np.errstate(all="ignore"):
+            return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
 
-
-def _solve_norm_time(flow, G, X, targets, decreasing):
-    """Times s with |Phi_s x|_G^2 == target on a strictly monotone profile."""
-    sign = -1.0 if decreasing else 1.0
-    logt = np.log(targets)
-
-    def f(ts):
-        with np.errstate(divide="ignore"):
-            return sign * (np.log(_gnorm_sq(flow, G, ts, X)) - logt)
-
-    lo, hi = _grow_bracket(f, X.shape[0])
-    return _bisect_monotone(f, lo, hi)
+    return _newton(fg, Y.shape[0], stats)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +244,8 @@ def build_spiral_map(rate):
         name="spiral",
         source_flow=source,
         target_flow=target,
-        forward=lambda x: forward_batch(x)[0],
-        inverse=lambda w: inverse_batch(w)[0],
-        tau=lambda x, t: t,
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
-        tau_batch=lambda X, ts: np.asarray(ts, dtype=float),
         source_spec=source_spec,
         target_spec=node_spec,
         metadata={"rate": rate, "lipschitz_bound_unit_ball": 1.0 + abs(rate)},
@@ -213,12 +271,8 @@ def build_parabola_shear(shift):
         name="shear",
         source_flow=flow,
         target_flow=flow,
-        forward=lambda x: fwd(x, c)[0],
-        inverse=lambda w: fwd(w, -c)[0],
-        tau=lambda x, t: t,
         forward_batch=lambda X: fwd(X, c),
         inverse_batch=lambda W: fwd(W, -c),
-        tau_batch=lambda X, ts: np.asarray(ts, dtype=float),
         source_spec=spec,
         target_spec=spec,
         metadata={
@@ -267,12 +321,8 @@ def build_uniform_exponent_map(spec):
         name="uniform",
         source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
         target_flow=FlowEvaluator([(1, float(a0), 0.0)] * d, guard=_INTERNAL_GUARD),
-        forward=lambda x: fwd(x, 1.0)[0],
-        inverse=lambda w: fwd(w, -1.0)[0],
-        tau=lambda x, t: t,
         forward_batch=lambda X: fwd(X, 1.0),
         inverse_batch=lambda W: fwd(W, -1.0),
-        tau_batch=lambda X, ts: np.asarray(ts, dtype=float),
         source_spec=spec,
         target_spec=GeneratorSpec([JordanBlock(1, a0, 0)] * d),
         metadata={"rate": float(a0), "planes_unwound": len(plane)},
@@ -387,8 +437,11 @@ def build_pw_conj_hyperbolic(spec):
     evU = FlowEvaluator(_signed_blocks(ublocks), guard=_INTERNAL_GUARD)
     GS, infoS = _lyapunov_metric(evS.generator_matrix(), evS.blocks, stable=True)
     GU, infoU = _lyapunov_metric(evU.generator_matrix(), evU.blocks, stable=False)
-    SS = GS @ evS.generator_matrix() + evS.generator_matrix().T @ GS if dS else GS
-    SU = GU @ evU.generator_matrix() + evU.generator_matrix().T @ GU if dU else GU
+    # the stable norm strictly decreases along the flow, the unstable one
+    # strictly increases, and both are strictly convex in time
+    pS = _NormProfile(evS, GS, -1.0)
+    pU = _NormProfile(evU, GU, 1.0)
+    stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     tinysq = 1e-28  # squared relative threshold below which a factor is absent
 
@@ -401,31 +454,12 @@ def build_pw_conj_hyperbolic(spec):
             return np.zeros(Y.shape[0])
         return np.einsum("ni,ij,nj->n", Y, G, Y)
 
-    def _vderiv(ts, Y, Z):
-        # derivative of the squared norm along the flow; the stable term is
-        # strictly negative, the unstable term strictly positive
-        out = np.zeros(len(ts))
-        if dS:
-            out = out + _quad_form(evS, SS, ts, Y, -np.inf)
-        if dU:
-            out = out + _quad_form(evU, SU, ts, Z, np.inf)
-        return out
+    def _vfull(ts, Y, Z, k=1):
+        # V, V', V'' of the full norm; factor U runs at the same times
+        return [a + b for a, b in zip(pS.forms(ts, Y, k), pU.forms(ts, Z, k))]
 
-    def _vfull(ts, Y, Z):
-        out = np.zeros(len(ts))
-        if dS:
-            out = out + _gnorm_sq(evS, GS, ts, Y)
-        if dU:
-            out = out + _gnorm_sq(evU, GU, ts, Z)
-        return out
-
-    def _min_time(Y, Z):
-        """Argmin of the strictly convex norm-square profile."""
-        def f(ts):
-            return _vderiv(ts, Y, Z)
-
-        lo, hi = _grow_bracket(f, Y.shape[0])
-        return _bisect_monotone(f, lo, hi)
+    def _min_time(Y, Z, shift):
+        return _solve_min_time(pS, pU, Y, Z, shift, stats)
 
     def _classify(ny2, nz2):
         tot = ny2 + nz2
@@ -444,27 +478,27 @@ def build_pw_conj_hyperbolic(spec):
         W = np.zeros_like(X)
         if np.any(pure_s):
             Ys = Y[pure_s]
-            T = _solve_norm_time(evS, GS, Ys, np.ones(len(Ys)), decreasing=True)
+            T = _solve_norm_time(pS, Ys, stats)
             W[np.ix_(pure_s, np.arange(dS))] = (
                 np.sqrt(nx2[pure_s])[:, None] * evS.apply_batch(T, Ys)
             )
         if np.any(pure_u):
             Zu = Z[pure_u]
-            T = _solve_norm_time(evU, GU, Zu, np.ones(len(Zu)), decreasing=False)
+            T = _solve_norm_time(pU, Zu, stats)
             W[np.ix_(pure_u, dS + np.arange(dU))] = (
                 np.sqrt(nx2[pure_u])[:, None] * evU.apply_batch(T, Zu)
             )
         if np.any(mixed):
             Ym, Zm = Y[mixed], Z[mixed]
             n2 = nx2[mixed]
-            T = _min_time(Ym, Zm)
-            mu2 = _vfull(T, Ym, Zm)
+            T = _min_time(Ym, Zm, np.zeros(len(Ym)))
+            mu2 = _vfull(T, Ym, Zm)[0]
             mu4 = mu2 * mu2
             rad = np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
             cs2 = 0.5 * _stable_side(n2, rad, np.sign(T), mu4)
             cu2 = 0.5 * _stable_side(n2, rad, -np.sign(T), mu4)
-            TS = _solve_norm_time(evS, GS, Ym, np.ones(len(Ym)), decreasing=True)
-            TU = _solve_norm_time(evU, GU, Zm, np.ones(len(Zm)), decreasing=False)
+            TS = _solve_norm_time(pS, Ym, stats)
+            TU = _solve_norm_time(pU, Zm, stats)
             W[np.ix_(mixed, np.arange(dS))] = (
                 np.sqrt(cs2)[:, None] * evS.apply_batch(TS, Ym)
             )
@@ -482,22 +516,20 @@ def build_pw_conj_hyperbolic(spec):
         zero, pure_s, pure_u, mixed = _classify(ny2, nz2)
         out = np.zeros(len(ts))
         if np.any(pure_s):
-            V0 = nx2[pure_s]
-            Vt = _gnorm_sq(evS, GS, ts[pure_s], Y[pure_s])
-            out[pure_s] = 0.5 * np.log(V0 / Vt)
+            Vt = pS.forms(ts[pure_s], Y[pure_s], 1)[0]
+            out[pure_s] = 0.5 * np.log(nx2[pure_s] / Vt)
         if np.any(pure_u):
-            V0 = nx2[pure_u]
-            Vt = _gnorm_sq(evU, GU, ts[pure_u], Z[pure_u])
-            out[pure_u] = 0.5 * np.log(Vt / V0)
+            Vt = pU.forms(ts[pure_u], Z[pure_u], 1)[0]
+            out[pure_u] = 0.5 * np.log(Vt / nx2[pure_u])
         if np.any(mixed):
             Ym, Zm = Y[mixed], Z[mixed]
             tm = ts[mixed]
             n2 = nx2[mixed]
-            T = _min_time(Ym, Zm)
-            mu2 = _vfull(T, Ym, Zm)
+            T = _min_time(Ym, Zm, np.zeros(len(Ym)))
+            mu2 = _vfull(T, Ym, Zm)[0]
             mu4 = mu2 * mu2
             rad0 = np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
-            Vt = _vfull(tm, Ym, Zm)
+            Vt = _vfull(tm, Ym, Zm)[0]
             radt = np.sqrt(np.maximum(Vt * Vt - mu4, 0.0))
             num = _stable_side(n2, rad0, np.sign(T), mu4)
             den = _stable_side(Vt, radt, np.sign(T - tm), mu4)
@@ -514,80 +546,52 @@ def build_pw_conj_hyperbolic(spec):
         zero, pure_s, pure_u, mixed = _classify(nu2, nv2)
         X = np.zeros((W.shape[0], d))
         if np.any(pure_s):
-            Us = U[pure_s]
             nu = np.sqrt(nu2[pure_s])
-            uh = Us / nu[:, None]
-            s = _solve_norm_time(evS, GS, uh, nu2[pure_s], decreasing=True)
+            uh = U[pure_s] / nu[:, None]
+            s = _solve_norm_time(pS, uh, stats, nu2[pure_s])
             X[np.ix_(pure_s, idxS)] = evS.apply_batch(s, uh)
         if np.any(pure_u):
-            Vu = V[pure_u]
             nv = np.sqrt(nv2[pure_u])
-            vh = Vu / nv[:, None]
-            s = _solve_norm_time(evU, GU, vh, nv2[pure_u], decreasing=False)
+            vh = V[pure_u] / nv[:, None]
+            s = _solve_norm_time(pU, vh, stats, nv2[pure_u])
             X[np.ix_(pure_u, idxU)] = evU.apply_batch(s, vh)
         if np.any(mixed):
-            Um, Vm = U[mixed], V[mixed]
             nu = np.sqrt(nu2[mixed])
             nv = np.sqrt(nv2[mixed])
-            uh = Um / nu[:, None]
-            vh = Vm / nv[:, None]
-            mu2 = 2.0 * nu * nv
-            n = len(nu)
+            uh = U[mixed] / nu[:, None]
+            vh = V[mixed] / nv[:, None]
+            logmu2 = np.log(2.0 * nu * nv)
 
-            def _vderiv_pair(ss, deltas):
-                a = _quad_form(evS, SS, ss, uh, -np.inf)
-                b = _quad_form(evU, SU, ss + deltas, vh, np.inf)
-                return a + b
+            def outer(deltas, r):
+                # log of min_s V(s, delta) against log mu^2; by the envelope
+                # theorem d/d delta min_s V = <S_U z, z> at the minimiser
+                s = _min_time(uh[r], vh[r], deltas)
+                Vs = pS.forms(s, uh[r], 1)[0]
+                Vu, dVu = pU.forms(s + deltas, vh[r], 2)
+                with np.errstate(all="ignore"):
+                    return np.log(Vs + Vu) - logmu2[r], dVu / (Vs + Vu)
 
-            def _vpair(ss, deltas):
-                return _gnorm_sq(evS, GS, ss, uh) + _gnorm_sq(evU, GU, ss + deltas, vh)
-
-            def inner_min(deltas):
-                def g(ss):
-                    return _vderiv_pair(ss, deltas)
-
-                lo, hi = _grow_bracket(g, n)
-                return _bisect_monotone(g, lo, hi, iters=80)
-
-            def outer(deltas):
-                s_star = inner_min(deltas)
-                with np.errstate(divide="ignore"):
-                    return np.log(_vpair(s_star, deltas)) - np.log(mu2)
-
-            lo, hi = _grow_bracket(outer, n)
-            delta = _bisect_monotone(outer, lo, hi, iters=80)
-            s_star = inner_min(delta)
+            delta = _newton(outer, len(nu), stats)
+            s_star = _min_time(uh, vh, delta)
             qS = evS.apply_batch(s_star, uh)
             qU = evU.apply_batch(s_star + delta, vh)
 
             # slide along the trajectory of the cone point until the full
             # metric norm matches |w|; the side is set by which factor wins
             side = np.sign(nu - nv)
+            lognw2 = np.log(nw2[mixed])
 
-            def f_slide(sig):
+            def slide(sig, r):
                 # increasing toward the dominant factor's past/future
-                return side * (np.log(nw2[mixed]) - np.log(_vfull(sig, qS, qU)))
+                Vf, dVf = _vfull(sig, qS[r], qU[r], 2)
+                with np.errstate(all="ignore"):
+                    return side[r] * (lognw2[r] - np.log(Vf)), -side[r] * dVf / Vf
 
-            lo2 = np.where(side > 0, -1.0, 0.0)
-            hi2 = np.where(side > 0, 0.0, 1.0)
-            # grow one-sided brackets
-            for _ in range(80):
-                flo = f_slide(lo2)
-                fhi = f_slide(hi2)
-                bad_lo = flo > 0
-                bad_hi = fhi < 0
-                if not (np.any(bad_lo) or np.any(bad_hi)):
-                    break
-                lo2 = np.where(bad_lo, np.minimum(lo2 * 2, -1.0), lo2)
-                hi2 = np.where(bad_hi, np.maximum(hi2 * 2, 1.0), hi2)
-            else:
-                raise PreconditionViolated("slide bracket failed")
-            sig = _bisect_monotone(f_slide, lo2, hi2)
+            lo = np.where(side > 0, -1.0, 0.0)
+            sig = _newton(slide, len(nu), stats, lo, lo + 1.0)
             sig = np.where(side == 0, 0.0, sig)
-            Xs = evS.apply_batch(sig, qS)
-            Xu = evU.apply_batch(sig, qU)
-            X[np.ix_(mixed, idxS)] = Xs
-            X[np.ix_(mixed, idxU)] = Xu
+            X[np.ix_(mixed, idxS)] = evS.apply_batch(sig, qS)
+            X[np.ix_(mixed, idxU)] = evU.apply_batch(sig, qU)
         return X
 
     target_blocks = [(1, -1.0, 0.0)] * dS + [(1, 1.0, 0.0)] * dU
@@ -598,9 +602,6 @@ def build_pw_conj_hyperbolic(spec):
         name="pw-hyp",
         source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
         target_flow=FlowEvaluator(target_blocks, guard=_INTERNAL_GUARD),
-        forward=lambda x: forward_batch(x)[0],
-        inverse=lambda w: inverse_batch(w)[0],
-        tau=lambda x, t: float(tau_batch(x, np.array([t]))[0]),
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
         tau_batch=tau_batch,
@@ -613,6 +614,7 @@ def build_pw_conj_hyperbolic(spec):
             "unstable_metric": GU.tolist(),
             "metric_retries": {"stable": infoS, "unstable": infoU},
             "norm": "factor-wise Lyapunov metric; the image saddle preserves it",
+            "solver": stats,
         },
     )
 
@@ -653,15 +655,15 @@ def build_rotation_unwind_map(size, growth, rotation):
             "no diagonal chain metric made the norm strictly monotone"
         )
 
-    def hit_time(X):
-        return _solve_norm_time(src, G, X, np.ones(X.shape[0]), decreasing=(a < 0))
+    prof = _NormProfile(src, G, np.sign(a))
+    stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     def _map(X, sgn):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
         nz = np.einsum("ni,ni->n", X, X) > 0
         if np.any(nz):
-            T = hit_time(X[nz])
+            T = _solve_norm_time(prof, X[nz], stats)
             theta = sgn * b * T
             U, V = X[nz, :m], X[nz, m:]
             RU, RV = _rotate_pairs(theta[:, None], U, V)
@@ -673,17 +675,14 @@ def build_rotation_unwind_map(size, growth, rotation):
         name="unwind",
         source_flow=src,
         target_flow=FlowEvaluator([(m, a, 0.0), (m, a, 0.0)], guard=_INTERNAL_GUARD),
-        forward=lambda x: _map(x, 1.0)[0],
-        inverse=lambda w: _map(w, -1.0)[0],
-        tau=lambda x, t: t,
         forward_batch=lambda X: _map(X, 1.0),
         inverse_batch=lambda W: _map(W, -1.0),
-        tau_batch=lambda X, ts: np.asarray(ts, dtype=float),
         source_spec=GeneratorSpec([JordanBlock(m, fa, abs(Fraction(b)))]),
         target_spec=GeneratorSpec([JordanBlock(m, fa, 0), JordanBlock(m, fa, 0)]),
         metadata={
             "metric_gap": g,
             "metric_diagonal": [g**i for i in range(m)],
             "pointwise": "rotations are Euclidean isometries: |h(x)| == |x|",
+            "solver": stats,
         },
     )

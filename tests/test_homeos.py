@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from scipy.linalg import expm
+from scipy.optimize import brentq
+
 from linflow import (
     DefinitenessCheckFailed,
     GeneratorSpec,
+    InternalCheckError,
     JordanBlock,
     PreconditionViolated,
     build_parabola_shear,
@@ -17,6 +21,9 @@ from linflow import (
     lipschitz_probe,
     verify_conjugacy,
 )
+from linflow import homeos
+from linflow.flows import FlowEvaluator
+from linflow.probes import _sample_points
 
 from conftest import random_hyperbolic_spec
 
@@ -210,3 +217,155 @@ def test_unwind_preconditions():
         build_rotation_unwind_map(2, Fraction(0), Fraction(1))
     with pytest.raises(PreconditionViolated):
         build_rotation_unwind_map(2, Fraction(-1), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# safeguarded Newton root solves against independent scalar oracles
+
+
+def _fresh_stats():
+    return dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
+
+
+def _oracle_root(f):
+    """brentq on a scalar increasing f, bracketed by doubling [-1, 1]."""
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0:
+        lo *= 2.0
+    while f(hi) < 0:
+        hi *= 2.0
+    return brentq(f, lo, hi, xtol=1e-15, rtol=1e-15, maxiter=500)
+
+
+def _expm_norm_sq(A, G, s, x):
+    z = expm(s * A) @ x
+    return float(z @ G @ z)
+
+
+def _factor_profile(blocks, stable):
+    ev = FlowEvaluator(blocks, guard=1e9)
+    G, _ = homeos._lyapunov_metric(ev.generator_matrix(), ev.blocks, stable=stable)
+    return homeos._NormProfile(ev, G, -1.0 if stable else 1.0), ev.generator_matrix(), G
+
+
+def _directions(rng, n, d, radii):
+    X = rng.standard_normal((n, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return X * np.resize(np.asarray(radii, dtype=float), n)[:, None]
+
+
+RADII = (2.0**-23, 0.3, 1.0, 7.0, 1e3)
+
+
+@pytest.mark.parametrize(
+    "blocks, stable",
+    [
+        ([(2, -0.25, 0.0), (1, -2.0, 1.5)], True),
+        ([(3, -1.0, 0.0)], True),
+        ([(1, 3.25, 0.0), (2, 0.5, -0.75)], False),
+    ],
+)
+def test_norm_time_solve_matches_brentq(rng, blocks, stable):
+    prof, A, G = _factor_profile(blocks, stable)
+    X = _directions(rng, 10, A.shape[0], RADII)
+    targets = np.resize([1.0, 0.04, 25.0], len(X))
+    stats = _fresh_stats()
+    got = homeos._solve_norm_time(prof, X, stats, targets)
+    for x, t, s in zip(X, targets, got):
+        want = _oracle_root(lambda u: prof.sign * np.log(_expm_norm_sq(A, G, u, x) / t))
+        assert abs(s - want) <= 1e-10 * max(1.0, abs(want)), (x, t, s, want)
+    assert stats["solves"] == len(X)
+
+
+def test_min_time_solve_matches_brentq(rng):
+    pS, AS, GS = _factor_profile([(2, -0.25, 0.0)], stable=True)
+    pU, AU, GU = _factor_profile([(1, 3.25, 0.0), (1, 1.0, 2.0)], stable=False)
+    SS, SU = GS @ AS + AS.T @ GS, GU @ AU + AU.T @ GU
+    n = 12
+    Y = _directions(rng, n, 2, RADII)
+    Z = _directions(rng, n, 3, RADII[::-1])
+    shift = rng.uniform(-3.0, 3.0, n)
+    stats = _fresh_stats()
+    got = homeos._solve_min_time(pS, pU, Y, Z, shift, stats)
+
+    def dV(u, y, z, dt):
+        ys, zs = expm(u * AS) @ y, expm((u + dt) * AU) @ z
+        return float(ys @ SS @ ys + zs @ SU @ zs)
+
+    for y, z, dt, s in zip(Y, Z, shift, got):
+        want = _oracle_root(lambda u: dV(u, y, z, dt))
+        assert abs(s - want) <= 1e-10 * max(1.0, abs(want)), (s, want)
+
+
+@pytest.mark.parametrize("growth", [-1.0, 0.75])
+def test_unwind_hit_time_matches_brentq(rng, growth):
+    hm = build_rotation_unwind_map(2, growth, 1.5)
+    A = hm.source_flow.generator_matrix()
+    G = np.diag(hm.metadata["metric_diagonal"] * 2)
+    prof = homeos._NormProfile(hm.source_flow, G, np.sign(growth))
+    X = _directions(rng, 10, 4, RADII)
+    stats = _fresh_stats()
+    got = homeos._solve_norm_time(prof, X, stats)
+    for x, s in zip(X, got):
+        want = _oracle_root(lambda u: np.sign(growth) * np.log(_expm_norm_sq(A, G, u, x)))
+        assert abs(s - want) <= 1e-10 * max(1.0, abs(want)), (x, s, want)
+
+
+def _round_trip(hm, X):
+    back = hm.inverse_batch(hm.forward_batch(X))
+    return float(np.max(np.linalg.norm(back - X, axis=1) / (1.0 + np.linalg.norm(X, axis=1))))
+
+
+def test_pw_conj_round_trip_on_a_steep_mixed_profile():
+    # slow stable and fast unstable rates: Newton alone crawls on the
+    # exponential side of the inner minimum, so an unconverged solve shows
+    hm = build_pw_conj_hyperbolic(S((2, Fraction(-1, 4), 0), (1, Fraction(13, 4), 0)))
+    assert _round_trip(hm, _sample_points(3, 12, 0)) <= 1e-9
+
+
+def test_pw_conj_round_trip_sweep():
+    rng = np.random.default_rng(4021)
+    for _ in range(30):
+        spec = random_hyperbolic_spec(rng, max_dim=6)
+        hm = build_pw_conj_hyperbolic(spec)
+        X = _sample_points(spec.dim, 12, int(rng.integers(1 << 30)), radii=(1e-3, 1e3))
+        assert _round_trip(hm, X) <= 1e-9, spec
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+def test_newton_bisects_through_a_useless_derivative(bad):
+    roots = np.array([0.3, -5.0, 17.25, 1e4])
+
+    def fg(x, rows):
+        return x - roots[rows], np.full(len(rows), bad)
+
+    stats = _fresh_stats()
+    got = homeos._newton(fg, len(roots), stats)
+    assert np.allclose(got, roots, rtol=1e-12, atol=1e-12)
+    assert stats["bisect_steps"] == stats["iterations"] > 0
+
+
+def test_newton_iteration_cap_is_an_internal_error():
+    def fg(x, rows):
+        return x - 0.3, np.full(len(rows), np.nan)
+
+    stats = _fresh_stats()
+    with pytest.raises(InternalCheckError):
+        homeos._newton(fg, 3, stats, cap=5)
+
+
+def test_solver_counters_accumulate_on_the_map():
+    hm = build_pw_conj_hyperbolic(S((2, -1, 1), (2, Fraction(1, 2), 0)))
+    stats = hm.metadata["solver"]
+    assert stats == _fresh_stats()
+    verify_conjugacy(hm, times=np.linspace(-4, 4, 9))
+    first = dict(stats)
+    # Newton steps on closed-form derivatives: about 4 per root here, and
+    # the bisection safeguard fires on a handful of the ~6000 iterations
+    assert first["solves"] <= first["iterations"] <= 6 * first["solves"]
+    assert 0 <= first["bisect_steps"] <= 0.01 * first["iterations"]
+    hm.forward_batch(np.ones((3, hm.source_flow.dim)))
+    assert hm.metadata["solver"]["solves"] > first["solves"]
+    unwind = build_rotation_unwind_map(2, -1.0, 1.0)
+    unwind.forward(np.array([0.5, -1.0, 2.0, 0.25]))
+    assert unwind.metadata["solver"]["solves"] == 1
