@@ -341,6 +341,26 @@ def realify(blocks):
     return GeneratorSpec(tuple(out))
 
 
+def _block_entries(blocks):
+    """(row, column, value) of every entry of the block-diagonal generator
+    of (size, re, im) blocks, im signed, that is not zero by layout: re on
+    the diagonal, ones on the superdiagonal of each half-chain, and for
+    im != 0 the coupling -im (first half to second) and im (second to first)."""
+    off = 0
+    for m, re, im in blocks:
+        halves = (off,) if im == 0 else (off, off + m)
+        for h in halves:
+            for i in range(m):
+                yield h + i, h + i, re
+                if i + 1 < m:
+                    yield h + i, h + i + 1, 1
+        if im != 0:
+            for i in range(m):
+                yield off + i, off + m + i, -im
+                yield off + m + i, off + i, im
+        off += len(halves) * m
+
+
 def materialize(spec):
     """Exact block-diagonal matrix for a generator.
 
@@ -349,27 +369,9 @@ def materialize(spec):
     2m x 2m matrix [[J, -b I], [b I, J]] acting on R^m x R^m.
     """
     d = spec.dim
-    zero = Fraction(0)
-    rows = [[zero] * d for _ in range(d)]
-    off = 0
-    for b in spec.blocks:
-        m = b.size
-        if b.im == 0:
-            for i in range(m):
-                rows[off + i][off + i] = b.re
-                if i + 1 < m:
-                    rows[off + i][off + i + 1] = Fraction(1)
-            off += m
-        else:
-            for i in range(m):
-                rows[off + i][off + i] = b.re
-                rows[off + m + i][off + m + i] = b.re
-                if i + 1 < m:
-                    rows[off + i][off + i + 1] = Fraction(1)
-                    rows[off + m + i][off + m + i + 1] = Fraction(1)
-                rows[off + i][off + m + i] = -b.im
-                rows[off + m + i][off + i] = b.im
-            off += 2 * m
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i, j, v in _block_entries((b.size, b.re, b.im) for b in spec.blocks):
+        rows[i][j] = v
     return RationalMatrix(tuple(tuple(r) for r in rows))
 
 
@@ -463,13 +465,15 @@ def _exact_tier(matrix, chi, tol, max_denominator):
     return eigs, residual
 
 
-def _check_cluster_separation(eigs, tol):
-    pts = [complex(re, im) for re, im in eigs]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < 2 * tol:
+def _check_cluster_separation(pts, tol):
+    """ClusterAmbiguity if two distinct eigenvalues (exact tier) or cluster
+    centres (numeric tier) lie closer than 2 tol, where a snap within tol
+    could not tell them apart."""
+    for i, z in enumerate(pts):
+        for w in pts[i + 1 :]:
+            if abs(z - w) < 2 * tol:
                 raise ClusterAmbiguity(
-                    f"eigenvalues {pts[i]} and {pts[j]} are closer than twice tol={tol}"
+                    f"eigenvalues {z:.12g} and {w:.12g} are closer than twice tol={tol}"
                 )
 
 
@@ -499,13 +503,8 @@ def _exact_structure(matrix, eigs):
             raise SnapFailure(
                 f"inconsistent rank sequence at eigenvalue ({re_hat}, {im_hat})"
             )
-        for m in sizes:
-            if im_hat == 0:
-                blocks.append(JordanBlock(m, re_hat, 0))
-            else:
-                blocks.append(JordanBlock(m, re_hat, im_hat))
-    spec = GeneratorSpec(tuple(blocks))
-    return spec
+        blocks.extend(JordanBlock(m, re_hat, im_hat) for m in sizes)
+    return GeneratorSpec(tuple(blocks))
 
 
 def _numeric_tier(matrix, tol, max_denominator):
@@ -525,13 +524,7 @@ def _numeric_tier(matrix, tol, max_denominator):
         else:
             clusters.append([z])
     centers = [sum(cl) / len(cl) for cl in clusters]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 2 * tol:
-                raise ClusterAmbiguity(
-                    f"eigenvalue clusters at {centers[i]:.3e} and {centers[j]:.3e} "
-                    f"are closer than twice tol={tol}"
-                )
+    _check_cluster_separation(centers, tol)
     residual = 0.0
     parsed = {}
     for cl, z in zip(clusters, centers):
@@ -549,21 +542,18 @@ def _numeric_tier(matrix, tol, max_denominator):
         residual = max(residual, err)
         key = (re_hat, im_hat)
         parsed[key] = parsed.get(key, 0) + len(cl)
-    # fold: eigenvalues with im>0 were counted once per conjugate pair member?
-    # pts kept both conjugates mapped to the upper half plane, so counts are
-    # total algebraic multiplicities over C for im=0 and 2x the pair count for
-    # im>0; normalize the latter.
+    # pts folded both members of a conjugate pair onto the upper half plane,
+    # so a count is the multiplicity over C for im == 0 and twice the number
+    # of pairs for im > 0; halve the latter
     total = 0
     for (re_hat, im_hat), mult in list(parsed.items()):
+        total += mult
         if im_hat > 0:
             if mult % 2:
                 raise SnapFailure(
                     f"odd conjugate count at eigenvalue ({re_hat}, {im_hat})"
                 )
             parsed[(re_hat, im_hat)] = mult // 2
-            total += mult
-        else:
-            total += mult
     if total != d:
         raise SnapFailure("eigenvalue multiplicities do not sum to the dimension")
     blocks = []
@@ -605,7 +595,7 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     exact = _exact_tier(matrix, chi, tol, max_denominator)
     if exact is not None:
         eigs, residual = exact
-        _check_cluster_separation(eigs, tol)
+        _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
         spec = _exact_structure(matrix, eigs)
         return ApproxSpec(
             spec=spec,

@@ -12,11 +12,9 @@ rotation formula, vectorized over sample points.
 
 from __future__ import annotations
 
-from math import factorial
-
 import numpy as np
 
-from .blocks import GeneratorSpec
+from .blocks import GeneratorSpec, _block_entries
 from .errors import PreconditionViolated, RangeGuard
 
 __all__ = ["FlowEvaluator", "flow_apply", "FLOW_TIME_GUARD"]
@@ -112,21 +110,8 @@ class FlowEvaluator:
     def generator_matrix(self):
         """Dense A with e^{tA} = Phi_t."""
         A = np.zeros((self.dim, self.dim))
-        for (m, a, b), off in zip(self.blocks, self.offsets):
-            if b == 0.0:
-                for i in range(m):
-                    A[off + i, off + i] = a
-                    if i + 1 < m:
-                        A[off + i, off + i + 1] = 1.0
-            else:
-                for i in range(m):
-                    A[off + i, off + i] = a
-                    A[off + m + i, off + m + i] = a
-                    if i + 1 < m:
-                        A[off + i, off + i + 1] = 1.0
-                        A[off + m + i, off + m + i + 1] = 1.0
-                    A[off + i, off + m + i] = -b
-                    A[off + m + i, off + i] = b
+        for i, j, v in _block_entries(self.blocks):
+            A[i, j] = v
         return A
 
 

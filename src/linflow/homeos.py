@@ -9,6 +9,17 @@ tau(x, t) = t.  All maps come with inverses and vectorized variants; the
 only numerics involved are monotone or convex one-dimensional root solves
 on closed-form norm profiles, solved by safeguarded Newton steps on their
 closed-form derivatives to machine-level tolerance.
+
+Each concept has one routine that every builder shares: `_newton` solves
+every root (`_solve_norm_time` for a norm level, `_solve_min_time` for a
+minimum), `_NormProfile` gives a factor's norm and its derivatives,
+`_turn_planes` does the log-spiral turning of the spiral and
+uniform-exponent maps, and `_chain_weight_matrix` with `_definite` drives
+the metric searches of the pw-hyp and unwind maps.  Inside the pw-hyp map,
+one `_split` sorts the rows of a batch into zero, pure-stable,
+pure-unstable and mixed, one loop over the (stable, unstable) factors
+serves both pure kinds, and one `_cone` serves the mixed rows of the
+forward map and of tau.
 """
 
 from __future__ import annotations
@@ -212,6 +223,23 @@ def _rotate_pairs(theta, U, V):
     return c * U - s * V, s * U + c * V
 
 
+def _turn_planes(planes):
+    """Forward and inverse batch maps that turn each coordinate plane
+    (offset, offset + 1) by the logarithmic spiral R(rate * log r), r the
+    point's radius in that plane; planes: (offset, rate) pairs."""
+
+    def turn(X, sgn):
+        X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
+        for off, rate in planes:
+            u, v = X[:, off], X[:, off + 1]
+            r = np.hypot(u, v)
+            theta = np.where(r > 0, sgn * rate * np.log(np.where(r > 0, r, 1.0)), 0.0)
+            X[:, off], X[:, off + 1] = _rotate_pairs(theta, u, v)
+        return X
+
+    return (lambda X: turn(X, 1.0)), (lambda W: turn(W, -1.0))
+
+
 def build_spiral_map(rate):
     """Logarithmic spiral h(y) = R(rate * log|y|) y on the plane.
 
@@ -222,17 +250,7 @@ def build_spiral_map(rate):
     # the spec records the rate as given; a float rate records its binary value
     exact_rate = abs(Fraction(rate))
     rate = float(rate)
-
-    def forward_batch(X, sgn=1.0):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.hypot(X[:, 0], X[:, 1])
-        theta = np.where(r > 0, sgn * rate * np.log(np.where(r > 0, r, 1.0)), 0.0)
-        u, v = _rotate_pairs(theta, X[:, 0], X[:, 1])
-        return np.column_stack([u, v])
-
-    def inverse_batch(W):
-        return forward_batch(W, sgn=-1.0)
-
+    forward_batch, inverse_batch = _turn_planes([(0, rate)])
     node_blocks = [(1, -1.0, 0.0), (1, -1.0, 0.0)]
     node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
     # at rate 0 the focus is the node itself (two real blocks) and h = id
@@ -307,22 +325,13 @@ def build_uniform_exponent_map(spec):
         if b.im != 0:
             plane.append((off, float(b.im) / abs(float(a0))))
         off += b.dim
-
-    def fwd(X, sgn):
-        X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
-        for off, rate in plane:
-            u, v = X[:, off], X[:, off + 1]
-            r = np.hypot(u, v)
-            theta = np.where(r > 0, sgn * rate * np.log(np.where(r > 0, r, 1.0)), 0.0)
-            X[:, off], X[:, off + 1] = _rotate_pairs(theta, u, v)
-        return X
-
+    forward_batch, inverse_batch = _turn_planes(plane)
     return HomeoMap(
         name="uniform",
         source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
         target_flow=FlowEvaluator([(1, float(a0), 0.0)] * d, guard=_INTERNAL_GUARD),
-        forward_batch=lambda X: fwd(X, 1.0),
-        inverse_batch=lambda W: fwd(W, -1.0),
+        forward_batch=forward_batch,
+        inverse_batch=inverse_batch,
         source_spec=spec,
         target_spec=GeneratorSpec([JordanBlock(1, a0, 0)] * d),
         metadata={"rate": float(a0), "planes_unwound": len(plane)},
@@ -340,6 +349,13 @@ def _chain_weight_matrix(blocks, g):
         w = [float(g) ** i for i in range(m)]
         diags.extend(w if b == 0.0 else w + w)
     return np.diag(diags)
+
+
+def _definite(M):
+    """Whether the symmetric M is positive definite with margin 1e-10
+    relative to its largest eigenvalue."""
+    ev = np.linalg.eigvalsh(M)
+    return ev[0] > 1e-10 * max(1.0, ev[-1])
 
 
 def _lyapunov_metric(A, blocks, stable, attempts=8):
@@ -375,13 +391,7 @@ def _lyapunov_metric(A, blocks, stable, attempts=8):
         G = 0.5 * (G + G.T)
         B = -sgn * (G @ A + A.T @ G)
         C = G @ (A @ A) + 2.0 * (A.T @ G @ A) + (A.T @ A.T) @ G
-        ok = True
-        for M in (G, B, C):
-            ev = np.linalg.eigvalsh(M)
-            if ev[0] <= 1e-10 * max(1.0, ev[-1]):
-                ok = False
-                break
-        if ok:
+        if all(_definite(M) for M in (G, B, C)):
             return G, {"attempts": k + 1, "gap": g}
     if len(solve_errors) == attempts:
         raise LyapunovSolveFailed(
@@ -397,14 +407,17 @@ def _lyapunov_metric(A, blocks, stable, attempts=8):
 # hyperbolic flows: explicit equivalence with the standard saddle
 
 
-def _signed_blocks(blocks):
-    return [(b.size, float(b.re), float(b.im)) for b in blocks]
-
-
 def _stable_side(n2, rad, sgn, mu4):
     """n2 + sgn*rad without cancellation; n2^2 - rad^2 == mu4 exactly."""
     big = n2 + rad
     out = np.where(sgn >= 0, big, np.where(big > 0, mu4 / np.where(big > 0, big, 1.0), 0.0))
+    return out
+
+
+def _finite(out):
+    """out, unless some row of it left the float range."""
+    if not np.all(np.isfinite(out)):
+        raise PreconditionViolated("pw-hyp map: a point's norm is beyond the float range")
     return out
 
 
@@ -416,43 +429,46 @@ def build_pw_conj_hyperbolic(spec):
     sends x to coordinates (stable sphere direction, unstable sphere
     direction) weighted so the image metric norm equals |x|.  Lipschitz on
     every compact set away from nothing (piecewise Lipschitz globally).
+    A point whose image, preimage or time change leaves the float range
+    raises PreconditionViolated.
     """
-    parts = partition_dims(spec)
-    if parts.central:
+    if partition_dims(spec).central:
         raise PreconditionViolated("hyperbolic generator required")
-    sblocks = [b for b in spec.blocks if b.re < 0]
-    ublocks = [b for b in spec.blocks if b.re > 0]
-    idxS, idxU = [], []
-    off = 0
-    for b in spec.blocks:
-        rng = list(range(off, off + b.dim))
-        (idxS if b.re < 0 else idxU).extend(rng)
-        off += b.dim
-    idxS = np.array(idxS, dtype=int)
-    idxU = np.array(idxU, dtype=int)
-    dS, dU = len(idxS), len(idxU)
     d = spec.dim
-
-    evS = FlowEvaluator(_signed_blocks(sblocks), guard=_INTERNAL_GUARD)
-    evU = FlowEvaluator(_signed_blocks(ublocks), guard=_INTERNAL_GUARD)
-    GS, infoS = _lyapunov_metric(evS.generator_matrix(), evS.blocks, stable=True)
-    GU, infoU = _lyapunov_metric(evU.generator_matrix(), evU.blocks, stable=False)
-    # the stable norm strictly decreases along the flow, the unstable one
-    # strictly increases, and both are strictly convex in time
-    pS = _NormProfile(evS, GS, -1.0)
-    pU = _NormProfile(evU, GU, 1.0)
+    dS = sum(b.dim for b in spec.blocks if b.re < 0)
+    # spec blocks are sorted by growth rate, so the stable coordinates come
+    # first, and the image saddle keeps both factors where they are
+    factors = []  # stable, unstable: (norm profile, flow, metric, coordinates)
+    infos = []
+    for stable, coords in ((True, slice(0, dS)), (False, slice(dS, d))):
+        ev = FlowEvaluator(
+            [(b.size, b.re, b.im) for b in spec.blocks if (b.re < 0) == stable],
+            guard=_INTERNAL_GUARD,
+        )
+        G, info = _lyapunov_metric(ev.generator_matrix(), ev.blocks, stable=stable)
+        # the stable norm strictly decreases along the flow, the unstable one
+        # strictly increases, and both are strictly convex in time
+        factors.append((_NormProfile(ev, G, -1.0 if stable else 1.0), ev, G, coords))
+        infos.append(info)
+    (pS, evS, GS, _), (pU, evU, GU, _) = factors
     stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     tinysq = 1e-28  # squared relative threshold below which a factor is absent
 
     def _split(X):
+        """X as a batch, its factor parts, their metric norms squared, the
+        total, the pure-stable and pure-unstable row masks, the mixed mask
+        and the zero mask."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X[:, idxS], X[:, idxU]
-
-    def _nsq(G, Y):
-        if Y.shape[1] == 0:
-            return np.zeros(Y.shape[0])
-        return np.einsum("ni,ij,nj->n", Y, G, Y)
+        parts = [X[:, c] for *_, c in factors]
+        norms = [np.einsum("ni,ij,nj->n", P, G, P) for P, (_, _, G, _) in zip(parts, factors)]
+        total = norms[0] + norms[1]
+        zero = taken = total == 0
+        pure = []
+        for other in norms[::-1]:  # a factor is pure where the other one is absent
+            pure.append(~taken & (other <= tinysq * total))
+            taken = taken | pure[-1]
+        return X, parts, norms, total, pure, ~taken, zero
 
     def _vfull(ts, Y, Z, k=1):
         # V, V', V'' of the full norm; factor U runs at the same times
@@ -461,105 +477,60 @@ def build_pw_conj_hyperbolic(spec):
     def _min_time(Y, Z, shift):
         return _solve_min_time(pS, pU, Y, Z, shift, stats)
 
-    def _classify(ny2, nz2):
-        tot = ny2 + nz2
-        zero = tot == 0
-        pure_s = (~zero) & (nz2 <= tinysq * tot)
-        pure_u = (~zero) & (~pure_s) & (ny2 <= tinysq * tot)
-        mixed = ~(zero | pure_s | pure_u)
-        return zero, pure_s, pure_u, mixed
+    def _cone(Y, Z, n2):
+        """Time T of the minimum full norm mu^2 along each mixed trajectory,
+        mu^4, and sqrt(n2^2 - mu^4) for the squared norms n2 at time 0."""
+        T = _min_time(Y, Z, np.zeros(len(Y)))
+        mu2 = _vfull(T, Y, Z)[0]
+        mu4 = mu2 * mu2
+        return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
 
     def forward_batch(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y, Z = _split(X)
-        ny2, nz2 = _nsq(GS, Y), _nsq(GU, Z)
-        nx2 = ny2 + nz2
-        zero, pure_s, pure_u, mixed = _classify(ny2, nz2)
+        X, parts, _, n2, pure, mixed, _ = _split(X)
         W = np.zeros_like(X)
-        if np.any(pure_s):
-            Ys = Y[pure_s]
-            T = _solve_norm_time(pS, Ys, stats)
-            W[np.ix_(pure_s, np.arange(dS))] = (
-                np.sqrt(nx2[pure_s])[:, None] * evS.apply_batch(T, Ys)
-            )
-        if np.any(pure_u):
-            Zu = Z[pure_u]
-            T = _solve_norm_time(pU, Zu, stats)
-            W[np.ix_(pure_u, dS + np.arange(dU))] = (
-                np.sqrt(nx2[pure_u])[:, None] * evU.apply_batch(T, Zu)
-            )
-        if np.any(mixed):
-            Ym, Zm = Y[mixed], Z[mixed]
-            n2 = nx2[mixed]
-            T = _min_time(Ym, Zm, np.zeros(len(Ym)))
-            mu2 = _vfull(T, Ym, Zm)[0]
-            mu4 = mu2 * mu2
-            rad = np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
-            cs2 = 0.5 * _stable_side(n2, rad, np.sign(T), mu4)
-            cu2 = 0.5 * _stable_side(n2, rad, -np.sign(T), mu4)
-            TS = _solve_norm_time(pS, Ym, stats)
-            TU = _solve_norm_time(pU, Zm, stats)
-            W[np.ix_(mixed, np.arange(dS))] = (
-                np.sqrt(cs2)[:, None] * evS.apply_batch(TS, Ym)
-            )
-            W[np.ix_(mixed, dS + np.arange(dU))] = (
-                np.sqrt(cu2)[:, None] * evU.apply_batch(TU, Zm)
-            )
-        return W
+        for (prof, ev, _, c), P, rows in zip(factors, parts, pure):
+            if rows.any():
+                T = _solve_norm_time(prof, P[rows], stats)
+                W[rows, c] = np.sqrt(n2[rows])[:, None] * ev.apply_batch(T, P[rows])
+        if mixed.any():
+            Q, n2 = [P[mixed] for P in parts], n2[mixed]
+            T, mu4, rad = _cone(*Q, n2)
+            for (prof, ev, _, c), P in zip(factors, Q):
+                c2 = 0.5 * _stable_side(n2, rad, -prof.sign * np.sign(T), mu4)
+                T1 = _solve_norm_time(prof, P, stats)
+                W[mixed, c] = np.sqrt(c2)[:, None] * ev.apply_batch(T1, P)
+        return _finite(W)
 
     def tau_batch(X, ts):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         ts = np.asarray(ts, dtype=float)
-        Y, Z = _split(X)
-        ny2, nz2 = _nsq(GS, Y), _nsq(GU, Z)
-        nx2 = ny2 + nz2
-        zero, pure_s, pure_u, mixed = _classify(ny2, nz2)
+        X, parts, _, n2, pure, mixed, zero = _split(X)
         out = np.zeros(len(ts))
-        if np.any(pure_s):
-            Vt = pS.forms(ts[pure_s], Y[pure_s], 1)[0]
-            out[pure_s] = 0.5 * np.log(nx2[pure_s] / Vt)
-        if np.any(pure_u):
-            Vt = pU.forms(ts[pure_u], Z[pure_u], 1)[0]
-            out[pure_u] = 0.5 * np.log(Vt / nx2[pure_u])
-        if np.any(mixed):
-            Ym, Zm = Y[mixed], Z[mixed]
-            tm = ts[mixed]
-            n2 = nx2[mixed]
-            T = _min_time(Ym, Zm, np.zeros(len(Ym)))
-            mu2 = _vfull(T, Ym, Zm)[0]
-            mu4 = mu2 * mu2
-            rad0 = np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
-            Vt = _vfull(tm, Ym, Zm)[0]
+        for (prof, *_), P, rows in zip(factors, parts, pure):
+            if rows.any():
+                Vt = prof.forms(ts[rows], P[rows], 1)[0]
+                # log of the ratio that grows with t: the stable norm decays
+                out[rows] = 0.5 * np.log(n2[rows] / Vt if prof.sign < 0 else Vt / n2[rows])
+        if mixed.any():
+            Q, n2, tm = [P[mixed] for P in parts], n2[mixed], ts[mixed]
+            T, mu4, rad0 = _cone(*Q, n2)
+            Vt = _vfull(tm, *Q)[0]
             radt = np.sqrt(np.maximum(Vt * Vt - mu4, 0.0))
             num = _stable_side(n2, rad0, np.sign(T), mu4)
             den = _stable_side(Vt, radt, np.sign(T - tm), mu4)
             out[mixed] = 0.5 * np.log(num / den)
-        if np.any(zero):
-            out[zero] = ts[zero]
-        return out
+        out[zero] = ts[zero]
+        return _finite(out)
 
     def inverse_batch(W):
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        U, V = W[:, :dS], W[:, dS:]
-        nu2, nv2 = _nsq(GS, U), _nsq(GU, V)
-        nw2 = nu2 + nv2
-        zero, pure_s, pure_u, mixed = _classify(nu2, nv2)
-        X = np.zeros((W.shape[0], d))
-        if np.any(pure_s):
-            nu = np.sqrt(nu2[pure_s])
-            uh = U[pure_s] / nu[:, None]
-            s = _solve_norm_time(pS, uh, stats, nu2[pure_s])
-            X[np.ix_(pure_s, idxS)] = evS.apply_batch(s, uh)
-        if np.any(pure_u):
-            nv = np.sqrt(nv2[pure_u])
-            vh = V[pure_u] / nv[:, None]
-            s = _solve_norm_time(pU, vh, stats, nv2[pure_u])
-            X[np.ix_(pure_u, idxU)] = evU.apply_batch(s, vh)
-        if np.any(mixed):
-            nu = np.sqrt(nu2[mixed])
-            nv = np.sqrt(nv2[mixed])
-            uh = U[mixed] / nu[:, None]
-            vh = V[mixed] / nv[:, None]
+        W, parts, norms, nw2, pure, mixed, _ = _split(W)
+        X = np.zeros_like(W)
+        for (prof, ev, _, c), P, q2, rows in zip(factors, parts, norms, pure):
+            if rows.any():
+                ph = P[rows] / np.sqrt(q2[rows])[:, None]
+                X[rows, c] = ev.apply_batch(_solve_norm_time(prof, ph, stats, q2[rows]), ph)
+        if mixed.any():
+            nu, nv = (np.sqrt(q2[mixed]) for q2 in norms)
+            uh, vh = (P[mixed] / q[:, None] for P, q in zip(parts, (nu, nv)))
             logmu2 = np.log(2.0 * nu * nv)
 
             def outer(deltas, r):
@@ -590,13 +561,13 @@ def build_pw_conj_hyperbolic(spec):
             lo = np.where(side > 0, -1.0, 0.0)
             sig = _newton(slide, len(nu), stats, lo, lo + 1.0)
             sig = np.where(side == 0, 0.0, sig)
-            X[np.ix_(mixed, idxS)] = evS.apply_batch(sig, qS)
-            X[np.ix_(mixed, idxU)] = evU.apply_batch(sig, qU)
-        return X
+            for (_, ev, _, c), q in zip(factors, (qS, qU)):
+                X[mixed, c] = ev.apply_batch(sig, q)
+        return _finite(X)
 
-    target_blocks = [(1, -1.0, 0.0)] * dS + [(1, 1.0, 0.0)] * dU
+    target_blocks = [(1, -1.0, 0.0)] * dS + [(1, 1.0, 0.0)] * (d - dS)
     target_spec = GeneratorSpec(
-        [JordanBlock(1, -1, 0)] * dS + [JordanBlock(1, 1, 0)] * dU
+        [JordanBlock(1, -1, 0)] * dS + [JordanBlock(1, 1, 0)] * (d - dS)
     )
     return HomeoMap(
         name="pw-hyp",
@@ -608,11 +579,11 @@ def build_pw_conj_hyperbolic(spec):
         source_spec=spec,
         target_spec=target_spec,
         metadata={
-            "stable_coords": idxS.tolist(),
-            "unstable_coords": idxU.tolist(),
+            "stable_coords": list(range(dS)),
+            "unstable_coords": list(range(dS, d)),
             "stable_metric": GS.tolist(),
             "unstable_metric": GU.tolist(),
-            "metric_retries": {"stable": infoS, "unstable": infoU},
+            "metric_retries": {"stable": infos[0], "unstable": infos[1]},
             "norm": "factor-wise Lyapunov metric; the image saddle preserves it",
             "solver": stats,
         },
@@ -639,18 +610,12 @@ def build_rotation_unwind_map(size, growth, rotation):
     src = FlowEvaluator([(m, a, b)], guard=_INTERNAL_GUARD)
     A = src.generator_matrix()
     # diagonal chain metric; double the gap until the norm is monotone
-    g = 1.0
-    G = None
-    for _ in range(40):
-        diag = np.array([g**i for i in range(m)] * 2)
-        Gtry = np.diag(diag)
-        S = Gtry @ A + A.T @ Gtry
-        ev = np.linalg.eigvalsh(np.sign(a) * S)
-        if ev[0] > 1e-10 * max(1.0, ev[-1]):
-            G = Gtry
+    for k in range(40):
+        g = 2.0**k
+        G = _chain_weight_matrix(src.blocks, g)
+        if _definite(np.sign(a) * (G @ A + A.T @ G)):
             break
-        g *= 2.0
-    if G is None:
+    else:
         raise MonotonicityNotAchieved(
             "no diagonal chain metric made the norm strictly monotone"
         )

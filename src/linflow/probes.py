@@ -17,7 +17,6 @@ from .errors import NotStable, PreconditionViolated
 from .flows import FlowEvaluator
 from .invariants import (
     distortion_subspace,
-    is_bounded,
     minimal_period,
     top_rate,
     top_size,
@@ -288,7 +287,6 @@ def distortion_probe(
         )
 
     # membership branch: build the explicit partner
-    half = m  # offset of the second half-chain within the block
     u = x[off : off + m].copy()
     v = x[off + m : off + 2 * m].copy() if blk.im != 0 else np.zeros(m)
     support = [i for i in range(m) if u[i] != 0 or v[i] != 0]

@@ -162,6 +162,45 @@ def test_pw_conj_inverse_recovers_adversarial_points(rng):
         assert np.linalg.norm(back - x) <= 1e-6 * (1 + np.linalg.norm(x)), x
 
 
+def test_pw_conj_mixed_batch_matches_single_rows(rng):
+    # zero, pure-stable, pure-unstable and mixed rows in one batch: every
+    # row must come out as it does alone
+    hm = build_pw_conj_hyperbolic(S((2, -1, 1), (2, Fraction(1, 2), 0)))
+    d, dS = hm.source_flow.dim, 4
+    stable, unstable = np.zeros((2, d)), np.zeros((2, d))
+    stable[:, :dS] = rng.standard_normal((2, dS))
+    unstable[:, dS:] = 3.0 * rng.standard_normal((2, d - dS))
+    X = np.vstack([np.zeros(d), stable[0], unstable[0], rng.standard_normal(d),
+                   unstable[1], np.zeros(d), 0.1 * rng.standard_normal(d), stable[1]])
+    ts = np.linspace(-2.0, 2.0, len(X))
+    W = hm.forward_batch(X)
+    for got, want in (
+        (W, [hm.forward(x) for x in X]),
+        (hm.inverse_batch(W), [hm.inverse(w) for w in W]),
+        (hm.tau_batch(X, ts), [hm.tau(x, t) for x, t in zip(X, ts)]),
+    ):
+        np.testing.assert_allclose(got, np.array(want), rtol=1e-12, atol=1e-12)
+    assert np.all(W[[0, 5]] == 0) and np.all(W[[1, 7], dS:] == 0) and np.all(W[[2, 4], :dS] == 0)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e150, 1e300])
+def test_pw_conj_large_norms_round_trip_or_raise(scale):
+    # an overflowing norm must end in the typed error, never in NaN
+    hm = build_pw_conj_hyperbolic(S((2, -1, 1), (2, Fraction(1, 2), 0)))
+    d = hm.source_flow.dim
+    for x in (np.full(d, scale), np.eye(d)[0] * scale, np.eye(d)[d - 1] * scale):
+        try:
+            tau = hm.tau(x, 0.5)
+        except PreconditionViolated:
+            tau = 0.5
+        assert np.isfinite(tau)
+        try:
+            back = hm.inverse(hm.forward(x))
+        except PreconditionViolated:
+            continue
+        assert np.max(np.abs(back - x)) <= 1e-9 * scale, (scale, x)
+
+
 def test_pw_conj_rejects_central_blocks():
     with pytest.raises(PreconditionViolated):
         build_pw_conj_hyperbolic(S((1, 0, 1), (1, -1, 0)))
