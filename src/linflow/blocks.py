@@ -90,6 +90,8 @@ def _load_json(text, what):
         return json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"{what}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SpecParseError(f"{what}: JSON nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +380,13 @@ def materialize(spec):
 # ---------------------------------------------------------------------------
 # matrix -> spec ingestion
 #
-# Exact tier: rational characteristic polynomial (Berkowitz over Z),
-# square-free float rooting with Newton polish, limit_denominator snap,
-# certification by exact divisibility, and block sizes from integer ranks of
-# the powers of each eigenvalue's real factor p(A), p = x - re or
-# (x - re)^2 + im^2 (see _ratlinalg).  If the spectrum is not exactly
+# Exact tier, over the integers after one denominator clearing B = D*A (see
+# _ratlinalg): the monic integer chi_B and its square-free part, proved
+# square-free modulo a prime or else divided by a gcd over Z; polished float
+# roots of the square-free part of chi_A; a limit_denominator snap of each
+# root within tol; certification of each snapped eigenvalue by integer
+# synthetic division of chi_B; block sizes from integer ranks of the powers
+# of each eigenvalue's real factor of B.  If the spectrum is not exactly
 # rational at the denominator bound, a numeric tier clusters float
 # eigenvalues and measures ranks by SVD; either tier aborts with SnapFailure
 # / ClusterAmbiguity rather than guess.
@@ -396,22 +400,41 @@ def _floats(values, what):
         raise SnapFailure(f"{what} beyond the float range") from None
 
 
-def _float_roots_squarefree(chi):
+def _horner(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _float_roots_squarefree(chi, D):
+    """Polished float roots of the square-free part of chi_A, from chi = chi_B.
+
+    sf_A(x) = D^-e sf_B(D x) for sf_B of degree e, so the coefficient of
+    x^k is sf_B[k] / D^(e-k), rounded once by int / int true division: the
+    same correctly rounded float as float() of the Fraction.
+    """
     import numpy as np
 
-    sf = rl.poly_squarefree(chi)
-    what = "characteristic polynomial coefficient"
-    coeffs = _floats(sf, what)  # lowest degree first
-    dcoeffs = _floats(rl.poly_deriv(sf), what)
-    roots = np.roots(list(reversed(coeffs)))
+    sf = rl.squarefree(chi)
+    e = len(sf) - 1
+    powers = [1]  # D^0 .. D^e
+    for _ in range(e):
+        powers.append(powers[-1] * D)
+    try:
+        coeffs = [c / powers[e - k] for k, c in enumerate(sf)]  # lowest degree first
+        dcoeffs = [k * c / powers[e - k] for k, c in enumerate(sf) if k]
+    except OverflowError:
+        raise SnapFailure("characteristic polynomial coefficient beyond the float range") from None
+    roots = np.roots(coeffs[::-1])
     polished = []
     for z in roots:
         z = complex(z)
         for _ in range(4):
-            dz = rl.poly_eval_complex(dcoeffs, z)
+            dz = _horner(dcoeffs, z)
             if dz == 0:
                 break
-            z = z - rl.poly_eval_complex(coeffs, z) / dz
+            z = z - _horner(coeffs, z) / dz
         polished.append(z)
     return polished
 
@@ -422,9 +445,21 @@ def _snap(x, max_denominator):
     return Fraction(x).limit_denominator(max_denominator)
 
 
-def _exact_tier(matrix, chi, tol, max_denominator):
+def _real_factor(D, re, im):
+    """Monic real factor over Z of the eigenvalue D*(re + i*im) of B, or None
+    when it has non-integer coefficients and so divides no monic chi_B."""
+    if im == 0:
+        factor = [-D * re, 1]
+    else:
+        factor = [D * D * (re * re + im * im), -2 * D * re, 1]
+    if any(c.denominator != 1 for c in factor[:-1]):
+        return None
+    return [int(c) for c in factor]
+
+
+def _exact_tier(chi, D, tol, max_denominator):
     """Return (eigs, residual) or None; eigs maps (re, im>=0) -> multiplicity."""
-    roots = _float_roots_squarefree(chi)
+    roots = _float_roots_squarefree(chi, D)
     # candidate rational eigenvalues, conjugates identified
     cands = []
     for z in roots:
@@ -438,21 +473,20 @@ def _exact_tier(matrix, chi, tol, max_denominator):
     remaining = chi
     eigs = {}
     for re_hat, im_hat in cands:
-        if im_hat == 0:
-            factor = [-re_hat, Fraction(1)]
-        else:
-            factor = [re_hat * re_hat + im_hat * im_hat, -2 * re_hat, Fraction(1)]
+        factor = _real_factor(D, re_hat, im_hat)
+        if factor is None:
+            return None
         mult = 0
         while True:
-            q, r = rl.poly_divmod(remaining, factor)
-            if r != [Fraction(0)]:
+            q, r = rl.divmod_monic(remaining, factor)
+            if r:
                 break
             remaining = q
             mult += 1
         if mult == 0:
             return None
         eigs[(re_hat, im_hat)] = mult
-    if rl.poly_deg(remaining) != 0:
+    if len(remaining) != 1:
         return None
     # residual: distance from every float root to its claimed rational
     residual = 0.0
@@ -494,10 +528,10 @@ def _sizes_from_ranks(ranks, total):
     return sizes
 
 
-def _exact_structure(matrix, eigs):
+def _exact_structure(B, D, eigs):
     blocks = []
     for (re_hat, im_hat), mult in eigs.items():
-        ranks = rl.rank_sequence(matrix.rows, re_hat, im_hat, mult)
+        ranks = rl.rank_sequence(B, D * re_hat, D * im_hat, mult)
         sizes = _sizes_from_ranks(ranks, mult)
         if sizes is None:
             raise SnapFailure(
@@ -591,12 +625,13 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
             f"need tol > 0 and max_denominator >= 1, got tol={tol}, "
             f"max_denominator={max_denominator}"
         )
-    chi = rl.charpoly(matrix.rows)
-    exact = _exact_tier(matrix, chi, tol, max_denominator)
+    B, D = rl.integer_matrix(matrix.rows)
+    chi = rl.charpoly(B)
+    exact = _exact_tier(chi, D, tol, max_denominator)
     if exact is not None:
         eigs, residual = exact
         _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
-        spec = _exact_structure(matrix, eigs)
+        spec = _exact_structure(B, D, eigs)
         return ApproxSpec(
             spec=spec,
             residual=float(residual),

@@ -90,6 +90,8 @@ def _load_generator(path, tol, max_denominator):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise SpecParseError(f"{path}: JSON nested too deeply") from None
     if isinstance(doc, dict) and "rows" in doc:
         matrix = parse_matrix(text)
         approx = spec_from_matrix(matrix, tol=tol, max_denominator=max_denominator)

@@ -20,6 +20,7 @@ from .errors import PreconditionViolated, RangeGuard
 __all__ = ["FlowEvaluator", "flow_apply", "FLOW_TIME_GUARD"]
 
 FLOW_TIME_GUARD = 1e3
+_EXP_SAFE = 700.0  # e^x is finite for every x up to this
 
 
 class FlowEvaluator:
@@ -41,6 +42,9 @@ class FlowEvaluator:
             offs.append(offs[-1] + (m if b == 0.0 else 2 * m))
         self.offsets = tuple(offs)
         self.dim = offs[-1]
+        # growth rate of every coordinate
+        self.rates = np.repeat([a for _, a, _ in self.blocks], np.diff(offs))
+        self.top_rate = float(np.abs(self.rates).max(initial=0.0))
 
     @classmethod
     def from_spec(cls, spec: GeneratorSpec, guard=FLOW_TIME_GUARD):
@@ -51,25 +55,32 @@ class FlowEvaluator:
         return ev
 
     def _check_t(self, ts):
-        if np.any(np.abs(ts) > self.guard):
+        """max |t|, once it is checked against the guard."""
+        tmax = float(np.abs(ts).max(initial=0.0))
+        if tmax > self.guard:
             raise RangeGuard(
                 f"|t| exceeds the simulation guard {self.guard:g}"
             )
+        return tmax
 
     def apply_batch(self, ts, X):
-        """Phi_{ts[i]} X[i] for every row i.  ts: (n,), X: (n, d)."""
+        """Phi_{ts[i]} X[i] for every row i.  ts: (n,), X: (n, d).
+
+        A coordinate whose polynomial-and-rotation part is exactly zero
+        stays zero under any growth, also one past the float range, where
+        inf * 0 would make it NaN.
+        """
         ts = np.asarray(ts, dtype=float)
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise PreconditionViolated(f"points must have shape (n, {self.dim})")
         if ts.shape != (X.shape[0],):
             raise PreconditionViolated("need one time per point")
-        self._check_t(ts)
-        out = np.empty_like(X)
+        tmax = self._check_t(ts)
+        P = np.empty_like(X)  # the flow without its growth factors
         for (m, a, b), off in zip(self.blocks, self.offsets):
             w = m if b == 0.0 else 2 * m
             Y = X[:, off : off + w]
-            growth = np.exp(a * ts)[:, None]
             if b == 0.0:
                 Z = np.zeros_like(Y)
                 tp = np.ones_like(ts)
@@ -77,7 +88,7 @@ class FlowEvaluator:
                     if j:
                         tp = tp * ts / j
                     Z[:, : m - j] += tp[:, None] * Y[:, j:]
-                out[:, off : off + w] = growth * Z
+                P[:, off : off + w] = Z
             else:
                 U, V = Y[:, :m], Y[:, m:]
                 ZU = np.zeros_like(U)
@@ -90,8 +101,11 @@ class FlowEvaluator:
                     ZV[:, : m - j] += tp[:, None] * V[:, j:]
                 c = np.cos(b * ts)[:, None]
                 s = np.sin(b * ts)[:, None]
-                out[:, off : off + m] = growth * (c * ZU - s * ZV)
-                out[:, off + m : off + w] = growth * (s * ZU + c * ZV)
+                P[:, off : off + m] = c * ZU - s * ZV
+                P[:, off + m : off + w] = s * ZU + c * ZV
+        out = np.exp(ts[:, None] * self.rates) * P
+        if tmax * self.top_rate > _EXP_SAFE:  # a growth may be inf, and inf * 0 NaN
+            np.copyto(out, P, where=P == 0)
         return out
 
     def apply(self, t, x):

@@ -429,8 +429,10 @@ def build_pw_conj_hyperbolic(spec):
     sends x to coordinates (stable sphere direction, unstable sphere
     direction) weighted so the image metric norm equals |x|.  Lipschitz on
     every compact set away from nothing (piecewise Lipschitz globally).
-    A point whose image, preimage or time change leaves the float range
-    raises PreconditionViolated.
+    A point whose norm, image, preimage or time change leaves the float
+    range raises PreconditionViolated, also when it underflows: a norm that
+    squares to zero, or a block of the image or preimage that comes out all
+    zero.
     """
     if partition_dims(spec).central:
         raise PreconditionViolated("hyperbolic generator required")
@@ -463,12 +465,36 @@ def build_pw_conj_hyperbolic(spec):
         parts = [X[:, c] for *_, c in factors]
         norms = [np.einsum("ni,ij,nj->n", P, G, P) for P, (_, _, G, _) in zip(parts, factors)]
         total = norms[0] + norms[1]
+        if not np.all(np.isfinite(total)):
+            raise PreconditionViolated("pw-hyp map: a point's norm is beyond the float range")
         zero = taken = total == 0
+        if zero.any() and X[zero].any():
+            raise PreconditionViolated("pw-hyp map: a point's norm is below the float range")
         pure = []
         for other in norms[::-1]:  # a factor is pure where the other one is absent
             pure.append(~taken & (other <= tinysq * total))
             taken = taken | pure[-1]
         return X, parts, norms, total, pure, ~taken, zero
+
+    def _kept(X, Y, pure, mixed):
+        """Y, unless a block of X is all zero in Y although its factor was
+        mapped and the block is not absent within it (its largest entry
+        above sqrt(tinysq) times the factor's): the block's exact image
+        underflowed the float range."""
+        if Y.all():  # the common case: no zero coordinate at all
+            return Y
+        for (_, ev, _, c), rows in zip(factors, pure):
+            rows = rows | mixed
+            if not rows.any():
+                continue
+            A = np.abs(X[rows, c])
+            starts = ev.offsets[:-1]
+            top = tinysq**0.5 * A.max(axis=1, keepdims=True)
+            present = np.maximum.reduceat(A, starts, axis=1) > top
+            if np.any(present & ~np.logical_or.reduceat(Y[rows, c] != 0, starts, axis=1)):
+                raise PreconditionViolated(
+                    "pw-hyp map: a block of a point's image is below the float range")
+        return Y
 
     def _vfull(ts, Y, Z, k=1):
         # V, V', V'' of the full norm; factor U runs at the same times
@@ -499,7 +525,7 @@ def build_pw_conj_hyperbolic(spec):
                 c2 = 0.5 * _stable_side(n2, rad, -prof.sign * np.sign(T), mu4)
                 T1 = _solve_norm_time(prof, P, stats)
                 W[mixed, c] = np.sqrt(c2)[:, None] * ev.apply_batch(T1, P)
-        return _finite(W)
+        return _kept(X, _finite(W), pure, mixed)
 
     def tau_batch(X, ts):
         ts = np.asarray(ts, dtype=float)
@@ -563,7 +589,7 @@ def build_pw_conj_hyperbolic(spec):
             sig = np.where(side == 0, 0.0, sig)
             for (_, ev, _, c), q in zip(factors, (qS, qU)):
                 X[mixed, c] = ev.apply_batch(sig, q)
-        return _finite(X)
+        return _kept(W, _finite(X), pure, mixed)
 
     target_blocks = [(1, -1.0, 0.0)] * dS + [(1, 1.0, 0.0)] * (d - dS)
     target_spec = GeneratorSpec(

@@ -1,6 +1,7 @@
 """Data model: parsing, serialization, transforms, materialize, ingestion."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,12 @@ def test_parse_spec_rejects_duplicate_keys():
 def test_parse_spec_rejects_malformed(text):
     with pytest.raises(SpecParseError):
         parse_spec(text)
+
+
+@pytest.mark.parametrize("parse", [parse_spec, parse_matrix])
+def test_deeply_nested_json_is_a_parse_error(parse):
+    with pytest.raises(SpecParseError, match="nested too deeply"):
+        parse("[" * 200000 + "]" * 200000)
 
 
 def test_matrix_round_trip():
@@ -258,6 +265,21 @@ def test_ingestion_rejects_bad_tolerances(kwargs):
 def test_entries_beyond_float_range_are_snap_failures(rows, message):
     with pytest.raises(SnapFailure, match=message):
         spec_from_matrix(RationalMatrix(rows))
+
+
+def test_hostile_digit_entries_end_in_snap_failure():
+    # a dense 4 x 4 of random 300-digit rationals has an irrational
+    # spectrum; its characteristic polynomial is square-free, which the
+    # modular test proves without a gcd over Q
+    rng = random.Random(300)
+
+    def entry():
+        num = rng.randrange(10**299, 10**300) * rng.choice((-1, 1))
+        return Fraction(num, rng.randrange(10**299, 10**300))
+
+    m = RationalMatrix(tuple(tuple(entry() for _ in range(4)) for _ in range(4)))
+    with pytest.raises(SnapFailure, match="no rational"):
+        spec_from_matrix(m)
 
 
 def test_cluster_ambiguity_between_tol_and_twice_tol():

@@ -141,6 +141,17 @@ def test_malformed_json_exits_2(capsys, shear_file, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_deeply_nested_json_exits_2_without_traceback(capsys, shear_file, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    argv = [command, str(deep)] if command == "invariants" else [command, "LipEquiv", shear_file, str(deep)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 def test_malformed_block_payload_exits_2(capsys, shear_file, tmp_path):
     bad = write_json(tmp_path, "bad.json", spec_doc((0, "1", "0")))
     code, _, err = run_cli(capsys, "classify", "LipEquiv", shear_file, bad)

@@ -36,6 +36,17 @@ def test_flow_matches_expm_on_random_specs(rng):
         assert rel_err(flow_apply(spec, t, x), expm_flow(spec, t, x)) < 1e-9
 
 
+def test_zero_block_stays_zero_under_overflowing_growth():
+    # e^{2 * 400} and e^{3 * 400} overflow; inf * 0 must not turn the zero
+    # blocks into NaN
+    ev = FlowEvaluator([(1, 0.25, 2.25), (1, 2.0, 0.0), (2, 3.0, 1.0)], guard=1e9)
+    out = ev.apply_batch(np.array([400.0, 400.0]), np.array([[1.0, 0, 0, 0, 0, 0, 0],
+                                                              [1.0, 0, 1, 0, 0, 0, 0]]))
+    assert np.all(np.isfinite(out[0])) and np.all(out[0, 2:] == 0)
+    assert out[0, :2] == pytest.approx(np.exp(100.0) * np.array([np.cos(900.0), np.sin(900.0)]))
+    assert out[1, 2] == np.inf and np.all(out[1, 3:] == 0)
+
+
 def test_flow_matches_expm_on_a_defective_rotation():
     spec = S((4, Fraction(-1, 3), Fraction(7, 2)))
     x = np.arange(1.0, 9.0)

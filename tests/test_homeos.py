@@ -201,6 +201,27 @@ def test_pw_conj_large_norms_round_trip_or_raise(scale):
         assert np.max(np.abs(back - x)) <= 1e-9 * scale, (scale, x)
 
 
+@pytest.mark.parametrize("x", [[1e40, 0, 0], [0, 1e60, 1e60], [1e-200, 0, 0], [0, 0, 1e-200]])
+def test_pw_conj_blocks_of_unequal_growth_round_trip_or_raise(x):
+    # all unstable, rates 1/4 and 2: the norm-time solves need growth far
+    # past the float range on the fast block, which must not make a zero
+    # block NaN, nor silently lose a block whose image underflows
+    hm = build_pw_conj_hyperbolic(S((1, Fraction(1, 4), Fraction(9, 4)), (1, 2, 0)))
+    x = np.array(x)
+    try:
+        back = hm.inverse(hm.forward(x))
+    except PreconditionViolated:
+        return
+    assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+
+
+def test_pw_conj_inverse_of_a_norm_beyond_the_float_range_raises():
+    # the metric norm squared overflows; the inverse used to return 0
+    hm = build_pw_conj_hyperbolic(S((1, 1, 0)))
+    with pytest.raises(PreconditionViolated, match="beyond the float range"):
+        hm.inverse(np.array([1e300]))
+
+
 def test_pw_conj_rejects_central_blocks():
     with pytest.raises(PreconditionViolated):
         build_pw_conj_hyperbolic(S((1, 0, 1), (1, -1, 0)))
