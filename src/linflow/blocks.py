@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _ratlinalg as rl
@@ -98,7 +98,7 @@ def _load_json(text, what):
 # core types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JordanBlock:
     """One real Jordan block: size, growth rate, rotation rate (>= 0).
 
@@ -127,11 +127,13 @@ class JordanBlock:
         return (self.re, self.im, self.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorSpec:
     """Canonically ordered multiset of blocks; equality is similarity."""
 
     blocks: tuple
+    # real dimension, fixed at construction; not part of eq, hash or repr
+    dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         blocks = tuple(sorted(self.blocks, key=JordanBlock.sort_key))
@@ -139,10 +141,7 @@ class GeneratorSpec:
             if not isinstance(b, JordanBlock):
                 raise SpecParseError("GeneratorSpec takes JordanBlock entries")
         object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def dim(self):
-        return sum(b.dim for b in self.blocks)
+        object.__setattr__(self, "dim", sum(b.dim for b in blocks))
 
     def __iter__(self):
         return iter(self.blocks)
@@ -177,7 +176,20 @@ class RationalMatrix:
         return np.array([_floats(row, "matrix entry") for row in self.rows], dtype=float)
 
     def fingerprint(self):
-        payload = json.dumps(serialize_matrix(self), sort_keys=True)
+        """First 16 hex digits of the sha256 of the sorted-key JSON wire form.
+
+        The payload is the text json.dumps(serialize_matrix(self),
+        sort_keys=True) gives, written out directly: an integer entry as
+        its decimal digits, any other as the quoted string "p/q".
+        """
+        rows = ", ".join(
+            "[" + ", ".join(
+                str(x.numerator) if x.denominator == 1 else f'"{x.numerator}/{x.denominator}"'
+                for x in row
+            ) + "]"
+            for row in self.rows
+        )
+        payload = f'{{"dim": {len(self.rows)}, "rows": [{rows}]}}'
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

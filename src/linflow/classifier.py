@@ -10,21 +10,20 @@ never collapsed into No.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .blocks import GeneratorSpec, JordanBlock, scale_spec, serialize_spec
 from .errors import DimMismatch, InternalCheckError
-from .invariants import (
-    is_generic,
-    lyapunov_spectrum,
-    partition_dims,
-    rotation_decouple,
-    semisimple_collapse,
-    subspec,
+from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
+from .similarity import (
+    ScalingCertificate,
+    _projective,
+    _projective_key,
+    normalising_scalings,
 )
-from .similarity import ScalingCertificate, canonical_key, normalising_scalings
 
 __all__ = [
     "Relation",
@@ -100,34 +99,54 @@ class Verdict:
         }
 
 
-def _central(spec):
-    return subspec(spec, "central")
-
-
 # Forms T(spec) whose equality up to time scaling decides a grade, as
-# sort_key tuples.  Each keeps every growth rate and the whole central part,
-# as canonical_key requires.  The linear form is the block multiset itself.
+# functions of the spec's sorted (re, im, size) block triples.  Each keeps
+# every growth rate and the whole central part, as canonical_key requires.
+# The linear form is the block multiset itself.
 
 
-def _keyof(spec):
-    return tuple(blk.sort_key() for blk in spec.blocks)
+def _linear_form(triples):
+    return triples
 
 
-def _hoelder_form(spec):
-    return lyapunov_spectrum(spec), _keyof(_central(spec))
+def _central_part(triples):
+    return tuple(t for t in triples if not t[0])
 
 
-def _lipschitz_collapse_form(spec):
-    return _keyof(semisimple_collapse(spec)), _keyof(_central(spec))
+def _spectrum(triples):
+    """Growth rates with multiplicity, ascending (the triples are sorted)."""
+    out = []
+    for re, im, size in triples:
+        out += [re] * (2 * size if im else size)
+    return tuple(out)
 
 
-def _lipschitz_parts_form(spec):
-    defective = subspec(spec, "defective")
-    return lyapunov_spectrum(spec), _keyof(defective), _keyof(_central(spec))
+def _unrotated(triples, max_size):
+    """Each rotating block of size <= max_size as two real blocks."""
+    out = []
+    for re, im, size in triples:
+        if im and size <= max_size:
+            out += [(re, 0, size)] * 2
+        else:
+            out.append((re, im, size))
+    return tuple(sorted(out))
 
 
-def _kinematic_form(spec):
-    return _keyof(rotation_decouple(spec)), _keyof(_central(spec))
+def _hoelder_form(triples):
+    return _spectrum(triples), _central_part(triples)
+
+
+def _lipschitz_collapse_form(triples):
+    return _unrotated(triples, 1), _central_part(triples)
+
+
+def _lipschitz_parts_form(triples):
+    defective = tuple(t for t in triples if t[2] >= 2)
+    return _spectrum(triples), defective, _central_part(triples)
+
+
+def _kinematic_form(triples):
+    return _unrotated(triples, math.inf), _central_part(triples)
 
 
 # The two Lipschitz routes are independent criteria; every decision runs
@@ -138,14 +157,14 @@ _LIPSCHITZ = (_lipschitz_collapse_form, _lipschitz_parts_form)
 # nonzero time scaling, conjugacies only alpha = 1.  For PwLipEquiv and
 # TopEquiv outside their complete criteria the row is only sufficient.
 _TABLE = {
-    Relation.LIN_EQUIV: ((_keyof,), True, "linear"),
-    Relation.DIFF_EQUIV: ((_keyof,), True, "linear"),
+    Relation.LIN_EQUIV: ((_linear_form,), True, "linear"),
+    Relation.DIFF_EQUIV: ((_linear_form,), True, "linear"),
     Relation.LIP_EQUIV: (_LIPSCHITZ, True, "lipschitz"),
     Relation.HOELDER_EQUIV: ((_hoelder_form,), True, "hoelder"),
     Relation.PW_LIP_EQUIV: ((_kinematic_form,), True, "kinematic sufficient"),
     Relation.TOP_EQUIV: ((_hoelder_form,), True, "hoelder sufficient"),
-    Relation.LIN_CONJ: ((_keyof,), False, "linear"),
-    Relation.DIFF_CONJ: ((_keyof,), False, "linear"),
+    Relation.LIN_CONJ: ((_linear_form,), False, "linear"),
+    Relation.DIFF_CONJ: ((_linear_form,), False, "linear"),
     Relation.LIP_CONJ: (_LIPSCHITZ, False, "lipschitz"),
     Relation.HOELDER_CONJ: ((_hoelder_form,), False, "hoelder"),
     Relation.PW_LIP_CONJ: ((_kinematic_form,), False, "piecewise-lipschitz-conjugacy"),
@@ -159,16 +178,54 @@ _UNDECIDED_SCOPE = {
 }
 
 
-def _route(a, b, form, scaled):
-    """An alpha with form(a) == form(scale_spec(b, alpha)), or None."""
-    if not scaled:
-        return Fraction(1) if form(a) == form(b) else None
-    (key_a, c_a), (key_b, c_b) = canonical_key(a, form), canonical_key(b, form)
-    return c_b / c_a if key_a == key_b else None
+class _Pair:
+    """The two generators of one decision and the data its relations share.
+
+    Each part is computed on first use and kept for the pair's lifetime
+    only: the partition dims, each spec's own block triples and projective
+    data (see `similarity._projective`), and the alpha of every route
+    already taken.  Certificates are built per verdict, never shared.
+    """
+
+    __slots__ = ("a", "b", "_dims", "_own", "_projective", "_alphas")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self._dims = self._own = self._projective = None
+        self._alphas = {}
+
+    def dims(self):
+        if self._dims is None:
+            self._dims = partition_dims(self.a), partition_dims(self.b)
+        return self._dims
+
+    def alpha(self, form, scaled):
+        """An alpha with form(a) == form(alpha * b), or None."""
+        route = (form, scaled)
+        if route not in self._alphas:
+            self._alphas[route] = self._scaled(form) if scaled else self._unscaled(form)
+        return self._alphas[route]
+
+    def _unscaled(self, form):
+        if form is _linear_form:
+            same = self.a.blocks == self.b.blocks
+        else:
+            if self._own is None:
+                self._own = tuple(
+                    tuple(blk.sort_key() for blk in spec.blocks) for spec in (self.a, self.b)
+                )
+            same = form(self._own[0]) == form(self._own[1])
+        return Fraction(1) if same else None
+
+    def _scaled(self, form):
+        if self._projective is None:
+            self._projective = _projective(self.a), _projective(self.b)
+        (key_a, c_a), (key_b, c_b) = (_projective_key(p, form) for p in self._projective)
+        return c_b / c_a if key_a == key_b else None
 
 
-def _decide_by_keys(a, b, forms, scaled, name, trace):
-    alphas = [_route(a, b, form, scaled) for form in forms]
+def _decide_by_keys(pair, forms, scaled, name, trace):
+    alphas = [pair.alpha(form, scaled) for form in forms]
     if len(set(alphas)) > 1:
         raise InternalCheckError(
             f"{name} criteria disagree: collapse route gives alpha = {alphas[0]},"
@@ -185,16 +242,16 @@ def _decide_by_keys(a, b, forms, scaled, name, trace):
         alpha,
         name,
         {
-            "left_generator": serialize_spec(a),
-            "scaled_right_generator": serialize_spec(scale_spec(b, alpha)),
+            "left_generator": serialize_spec(pair.a),
+            "scaled_right_generator": serialize_spec(scale_spec(pair.b, alpha)),
         },
     )
 
 
-def _hyperbolic_index(a, b, trace):
+def _hyperbolic_index(pair, trace):
     """Decision by unordered stable/unstable dims when both flows are
     hyperbolic, else None."""
-    pa, pb = partition_dims(a), partition_dims(b)
+    pa, pb = pair.dims()
     if pa.central or pb.central:
         return None
     da, db = (pa.stable, pa.unstable), (pb.stable, pb.unstable)
@@ -260,6 +317,11 @@ def classify(relation, a, b):
     """
     if not isinstance(relation, Relation):
         relation = Relation.from_string(str(relation))
+    return _classify(relation, _Pair(a, b))
+
+
+def _classify(relation, pair):
+    a, b = pair.a, pair.b
     trace = []
     if a.dim != b.dim:
         trace.append(
@@ -269,14 +331,14 @@ def classify(relation, a, b):
     trace.append(TraceEntry("dimension", "ok", f"{a.dim} == {b.dim}"))
 
     if relation in _UNDECIDED_SCOPE:
-        decision = _hyperbolic_index(a, b, trace)
+        decision = _hyperbolic_index(pair, trace)
         if decision is None and relation is Relation.TOP_EQUIV:
             decision = _low_dim_topological(a, b, trace)
         if decision is not None:
             return Verdict(relation, decision, a, b, None, tuple(trace))
     # Outside the complete criteria, a scaled kinematic (PwLipEquiv) or
     # Hoelder (TopEquiv) match is still sufficient, never necessary.
-    cert = _decide_by_keys(a, b, *_TABLE[relation], trace)
+    cert = _decide_by_keys(pair, *_TABLE[relation], trace)
     if cert is not None:
         decision = Decision.YES
     elif relation in _UNDECIDED_SCOPE:
@@ -317,7 +379,8 @@ def catalog2d(spec):
     """Four coarsening normal forms of a planar generator, finest first.
 
     The first three rows scale a form of the generator by its first
-    normalising scaling, the same normaliser the classifier's keys use.
+    normalising scaling, to unit size: a growth rate of largest modulus
+    becomes +1, else the top rotation rate becomes 1.
     """
     if spec.dim != 2:
         raise DimMismatch(f"catalog requires dimension 2, got {spec.dim}")
@@ -428,10 +491,12 @@ class AuditReport:
 def implication_audit(a, b):
     """Decide every relation for the pair and check the implication lattice.
 
-    Edges with an Undecided endpoint are skipped; a violation is a premise
-    decided Yes whose conclusion is decided No.
+    All eleven decisions share one pair, so each spec's keys are computed
+    once.  Edges with an Undecided endpoint are skipped; a violation is a
+    premise decided Yes whose conclusion is decided No.
     """
-    verdicts = {rel: classify(rel, a, b) for rel in Relation}
+    pair = _Pair(a, b)
+    verdicts = {rel: _classify(rel, pair) for rel in Relation}
     violations = []
     for prem, conc in IMPLICATION_EDGES:
         dp = verdicts[prem].decision

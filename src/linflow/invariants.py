@@ -92,8 +92,26 @@ def lyapunov_spectrum(spec):
 
 
 def partition_dims(spec):
+    """Dimensions of the six canonical parts, in one pass over the blocks."""
+    stable = central = unstable = semisimple = 0
+    for b in spec.blocks:
+        d = b.dim
+        sign = b.re.numerator
+        if sign < 0:
+            stable += d
+        elif sign > 0:
+            unstable += d
+        else:
+            central += d
+        if b.size == 1:
+            semisimple += d
     return PartitionDims(
-        **{part: subspec(spec, part).dim for part in PARTS}
+        stable=stable,
+        central=central,
+        unstable=unstable,
+        hyperbolic=stable + unstable,
+        semisimple=semisimple,
+        defective=spec.dim - semisimple,
     )
 
 

@@ -3,7 +3,14 @@
 Similarity of block-diagonal generators is multiset equality, so all four
 predicates reduce to comparisons of (transformed) block multisets.  The
 classifier decides "form(a) == form(alpha * b) for some alpha != 0" by
-comparing `canonical_key`s built on `normalising_scalings`.
+comparing `canonical_key`s.  Such an alpha carries the rate vector of b
+onto that of a, so it exists only when the two are projectively equal.
+The one normaliser, `_projective`, picks a representative of that
+projective class: it clears the denominators of the nonzero growth rates
+(of the nonzero rotation rates when every growth rate is 0) to D and
+divides by their gcd g, so that c = D/g turns the spec into
+(re, im, size) triples whose growth vector is a primitive integer vector;
+only its sign is left, and the key takes the smaller form over +c and -c.
 
 `scaling_candidates` and `find_scaling` are the older scan over a finite
 list of alphas: any usable alpha must match either a ratio of nonzero
@@ -11,12 +18,14 @@ growth rates (the spectra must align) or a ratio of nonzero rotation rates
 (the central parts must align); when neither side has such data, scaling
 acts trivially and alpha = 1 stands in for all.  The classifier no longer
 calls them; they stay as the independent oracle its tests compare against.
+`normalising_scalings`, the unit-size normaliser, serves `catalog2d`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .blocks import scale_spec, serialize_spec
 from .errors import DimMismatch
@@ -89,21 +98,64 @@ def normalising_scalings(spec):
     return (1 / top,) if top else (Fraction(1),)
 
 
-def canonical_key(spec, form):
-    """(key, c): the smallest form(scale_spec(spec, c)) over the normalising
-    scalings c, and the first c that reaches it.
+def _projective(spec):
+    """(c, triples, negated): the projective normalisation of spec.
 
-    form maps a spec to a comparable tuple.  It must keep every growth rate
-    and, when all of them vanish, every rotation rate, and form(alpha * X)
-    must depend only on alpha and form(X).  Then two specs have equal keys
-    exactly when form(a) == form(scale_spec(b, alpha)) for some alpha != 0,
-    and alpha = c_b / c_a is one.  Ties go to the positive c, so that alpha
-    is positive whenever -alpha matches too.
+    c = D/g > 0, where D clears the denominators of the nonzero growth
+    rates (of the nonzero rotation rates when every growth rate is 0) and
+    g is the gcd of the cleared integers; c = 1 when every rate is 0.
+    triples are the sorted (c*re, c*im, size) of the blocks, with every
+    c*re an int; c*im is an int where it is whole and a Fraction
+    otherwise.  negated are the sorted triples of -c, or None when every
+    growth rate is 0 and -c gives the same triples.
     """
-    return min(
-        ((form(scale_spec(spec, c)), c) for c in normalising_scalings(spec)),
-        key=lambda pair: pair[0],
-    )
+    blocks = spec.blocks
+    growth = [blk.re for blk in blocks if blk.re]
+    rates = growth or [blk.im for blk in blocks if blk.im]
+    if not rates:
+        return Fraction(1), tuple(blk.sort_key() for blk in blocks), None
+    den = lcm(*(r.denominator for r in rates))
+    g = gcd(*(r.numerator * (den // r.denominator) for r in rates))
+    triples = []
+    for blk in blocks:
+        re, im = blk.re, blk.im
+        if im:
+            num, div = im.numerator * den, im.denominator * g
+            im = num // div if num % div == 0 else Fraction(num, div)
+        else:
+            im = 0
+        triples.append((re.numerator * (den // re.denominator) // g, im, blk.size))
+    # c > 0 keeps the blocks' sort order; -c reverses it on re
+    negated = tuple(sorted((-re, im, m) for re, im, m in triples)) if growth else None
+    return Fraction(den, g), tuple(triples), negated
+
+
+def _projective_key(projective, form):
+    """(key, c) of canonical_key from the data of `_projective`."""
+    c, triples, negated = projective
+    key = form(triples)
+    if negated is not None:
+        other = form(negated)
+        if other < key:
+            return other, -c
+    return key, c
+
+
+def canonical_key(spec, form):
+    """(key, c): the smaller of form(c * spec) and form(-c * spec) for the
+    projective normaliser c = D/g of `_projective`, with the c that
+    reaches it.
+
+    form maps the sorted (re, im, size) triples of a scaled spec to a
+    comparable tuple.  It must keep every growth rate and, when all of them
+    vanish, every rotation rate, and form(alpha * X) must depend only on
+    alpha and form(X).  Then two specs have equal keys exactly when
+    form(a) == form(scale_spec(b, alpha)) for some alpha != 0, and
+    alpha = c_b / c_a is one.  -c is tried only when some growth rate is
+    nonzero (otherwise it changes nothing), and ties go to +c, so that
+    alpha is positive whenever -alpha matches too.
+    """
+    return _projective_key(_projective(spec), form)
 
 
 def scaling_candidates(a, b):

@@ -1,5 +1,6 @@
 """Data model: parsing, serialization, transforms, materialize, ingestion."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -121,6 +122,17 @@ def test_matrix_round_trip():
     m = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')
     assert m.rows[0][1] == Fraction(-1, 3)
     assert parse_matrix(serialize_matrix(m)) == m
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fingerprint_hashes_the_sorted_key_wire_form(data):
+    d = data.draw(st.integers(1, 4))
+    entry = st.fractions(max_denominator=10**12) | st.integers(-10**40, 10**40).map(Fraction)
+    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    m = RationalMatrix(tuple(map(tuple, rows)))
+    payload = json.dumps(serialize_matrix(m), sort_keys=True)
+    assert m.fingerprint() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def test_parse_matrix_rejects_non_square():

@@ -518,8 +518,9 @@ def test_lipschitz_routes_are_cross_checked(monkeypatch, rel):
     from linflow import classifier
 
     forms, scaled, name = classifier._TABLE[rel]
-    # a second route that ignores the defective part must be caught
-    broken = (forms[0], lambda spec: forms[1](semisimple_collapse(spec))[:1])
+    # a second route that ignores the defective part (it keeps only the
+    # spectrum of the block triples) must be caught
+    broken = (forms[0], lambda triples: forms[1](triples)[:1])
     monkeypatch.setitem(classifier._TABLE, rel, (broken, scaled, name))
     with pytest.raises(InternalCheckError, match="lipschitz criteria disagree"):
         classify(rel, S((2, -1, 0)), S((1, -1, 0), (1, -1, 0)))

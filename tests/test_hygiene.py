@@ -1,9 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module defines a private top-level name that nothing references.
 
-No linter is part of the toolchain, so this stdlib `ast` check stands in
-for one.  `__init__.py` is exempt: its imports are the public re-exports.
-A name counts as used when it is read anywhere in the module or listed in
-its `__all__`.
+No linter is part of the toolchain, so these stdlib `ast` checks stand in
+for one.  For imports, `__init__.py` is exempt: its imports are the public
+re-exports.  A name counts as used when it is read anywhere in the module
+or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
+at the top level of a module counts as referenced when any module of the
+package reads it, imports it or reaches it as an attribute; a leftover
+helper that the code stopped calling fails here.
 """
 
 import ast
@@ -44,3 +48,69 @@ def test_module_imports_only_names_it_uses(path):
 def test_the_check_sees_unused_imports():
     source = "import os\nfrom math import pi, tau\nfrom x import y as z\nprint(pi)\n"
     assert unused_imports(source) == [(1, "os"), (2, "tau"), (3, "z")]
+
+
+def _top_level_privates(tree):
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def _references(tree):
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_privates(source, other_sources=()):
+    """(line, name) of each private top-level name of source that neither
+    source nor any of other_sources references."""
+    tree = ast.parse(source)
+    refs = _references(tree)
+    for other in other_sources:
+        refs |= _references(ast.parse(other))
+    return sorted((line, name) for name, line in _top_level_privates(tree).items() if name not in refs)
+
+
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_defines_only_private_names_in_use(path):
+    others = [p.read_text(encoding="utf-8") for p in ALL_MODULES if p != path]
+    assert unreferenced_privates(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_the_check_sees_unreferenced_privates():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Left:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "def _elsewhere():\n"
+        "    pass\n"
+    )
+    other = "from m import _elsewhere\n"
+    assert unreferenced_privates(source, [other]) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left")]
+    assert unreferenced_privates(source) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left"), (9, "_elsewhere")]

@@ -97,6 +97,23 @@ def test_parts_partition_the_dimension():
     assert parts.hyperbolic == parts.stable + parts.unstable
 
 
+@given(spec=spec_st(max_blocks=4))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_partition_dims_match_the_subspecs(spec):
+    want = {part: subspec(spec, part).dim for part in invariants.PARTS}
+    assert partition_dims(spec).to_json() == want
+
+
+@given(spec=spec_st(max_blocks=4))
+@settings(max_examples=100, deadline=None)
+def test_spec_dim_is_the_sum_of_block_dims(spec):
+    assert spec.dim == sum(blk.size * (2 if blk.im else 1) for blk in spec.blocks)
+    # fixed at construction, outside eq, hash and repr
+    twin = GeneratorSpec(tuple(reversed(spec.blocks)))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(spec) == f"GeneratorSpec(blocks={spec.blocks!r})"
+
+
 # ---------------------------------------------------------------------------
 # growth filtration
 

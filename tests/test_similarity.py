@@ -1,6 +1,7 @@
 """Similarity grades, candidate scalings, certified search."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,23 +179,54 @@ def test_normalising_scalings_fall_back_to_rotation_then_unit():
     assert normalising_scalings(S((2, 0, 0), (1, 0, 0))) == (Fraction(1),)
 
 
-def _blocks(spec):
-    return tuple(blk.sort_key() for blk in spec.blocks)
+def _linear(triples):
+    return triples
 
 
-@given(a=spec_st(), alpha=alpha_st)
-@settings(max_examples=120, deadline=None)
+@st.composite
+def key_spec_st(draw):
+    """Any spec, or one with zero growth, pure rotation, or a spectrum
+    symmetric under negation (a tie between +c and -c)."""
+    kind = draw(st.sampled_from(["any", "zero-growth", "rotation", "symmetric"]))
+    a = draw(spec_st())
+    if kind == "zero-growth":
+        return GeneratorSpec(tuple(JordanBlock(blk.size, 0, blk.im) for blk in a.blocks))
+    if kind == "rotation":
+        return GeneratorSpec(tuple(JordanBlock(blk.size, 0, blk.im or 1) for blk in a.blocks))
+    if kind == "symmetric":
+        return GeneratorSpec(a.blocks + scale_spec(a, -1).blocks)
+    return a
+
+
+def _unit_key(spec):
+    """The unit-size key that canonical keys replaced: (key, c) over the
+    normalising scalings, ties to the first."""
+    return min(
+        ((tuple(blk.sort_key() for blk in scale_spec(spec, c).blocks), c)
+         for c in normalising_scalings(spec)),
+        key=lambda pair: pair[0],
+    )
+
+
+@given(a=key_spec_st(), alpha=alpha_st)
+@settings(max_examples=200, deadline=None)
 def test_canonical_key_is_scale_invariant_and_certifies(a, alpha):
     b = scale_spec(a, alpha)
-    (key_a, c_a), (key_b, c_b) = canonical_key(a, _blocks), canonical_key(b, _blocks)
+    (key_a, c_a), (key_b, c_b) = canonical_key(a, _linear), canonical_key(b, _linear)
     assert key_a == key_b
-    assert similar(a, scale_spec(b, c_b / c_a))
-    # the key's scaling brings a to unit size: top growth rate +1, else top
-    # rotation rate 1, else a has no nonzero rate at all
+    found = c_b / c_a
+    assert similar(a, scale_spec(b, found))
+    # the same alpha as the unit-size key, positive when -alpha matches too
+    assert found == _unit_key(b)[1] / _unit_key(a)[1]
+    if similar(a, scale_spec(b, -found)):
+        assert found > 0
+    # the key is the linear form of c_a * a, whose growth rates (else
+    # rotation rates) form a primitive integer vector; c = 1 without rates
     unit = scale_spec(a, c_a)
-    res = [blk.re for blk in unit.blocks]
-    ims = [blk.im for blk in unit.blocks]
-    if any(res):
-        assert max(res) == 1 and min(res) >= -1
+    assert key_a == tuple(blk.sort_key() for blk in unit.blocks)
+    rates = [blk.re for blk in unit.blocks if blk.re] or [blk.im for blk in unit.blocks if blk.im]
+    if rates:
+        assert all(r.denominator == 1 for r in rates)
+        assert gcd(*(r.numerator for r in rates)) == 1
     else:
-        assert max(ims) in (0, 1)
+        assert c_a == 1
