@@ -8,6 +8,12 @@ on R^(2m).  Two generators are similar exactly when their block multisets
 agree, which is why the multiset is the canonical object everywhere in this
 package.
 
+Every module uses one coordinate layout, computed only by `_layout`: the
+blocks follow one another in order, a real block as one half-chain of m
+coordinates and a rotating one as two, whose coordinates i turn together.
+Along a half-chain the nilpotent shift moves each coordinate into the one
+before it.
+
 The JSON wire format is::
 
     {"blocks": [{"m": 2, "re": "-1/2", "im": 1}, ...]}
@@ -355,24 +361,33 @@ def realify(blocks):
     return GeneratorSpec(tuple(out))
 
 
+def _layout(blocks):
+    """The start coordinate of each half-chain of every (size, re, im)
+    block, in block order: (off,) when im == 0, else (off, off + m)."""
+    out, off = [], 0
+    for m, _, im in blocks:
+        out.append((off,) if im == 0 else (off, off + m))
+        off += len(out[-1]) * m
+    return out
+
+
 def _block_entries(blocks):
     """(row, column, value) of every entry of the block-diagonal generator
     of (size, re, im) blocks, im signed, that is not zero by layout: re on
     the diagonal, ones on the superdiagonal of each half-chain, and for
     im != 0 the coupling -im (first half to second) and im (second to first)."""
-    off = 0
-    for m, re, im in blocks:
-        halves = (off,) if im == 0 else (off, off + m)
+    blocks = tuple(blocks)
+    for (m, re, im), halves in zip(blocks, _layout(blocks)):
         for h in halves:
             for i in range(m):
                 yield h + i, h + i, re
                 if i + 1 < m:
                     yield h + i, h + i + 1, 1
         if im != 0:
+            u, v = halves
             for i in range(m):
-                yield off + i, off + m + i, -im
-                yield off + m + i, off + i, im
-        off += len(halves) * m
+                yield u + i, v + i, -im
+                yield v + i, u + i, im
 
 
 def materialize(spec):
@@ -632,9 +647,9 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     at the denominator bound.  Raises SnapFailure or ClusterAmbiguity rather
     than return a guess.
     """
-    if not (tol > 0 and max_denominator >= 1):
+    if not (0 < tol < math.inf and max_denominator >= 1):
         raise PreconditionViolated(
-            f"need tol > 0 and max_denominator >= 1, got tol={tol}, "
+            f"need a finite tol > 0 and max_denominator >= 1, got tol={tol}, "
             f"max_denominator={max_denominator}"
         )
     B, D = rl.integer_matrix(matrix.rows)

@@ -14,7 +14,7 @@ Each concept has one routine that every builder shares: `_newton` solves
 every root (`_solve_norm_time` for a norm level, `_solve_min_time` for a
 minimum), `_NormProfile` gives a factor's norm and its derivatives,
 `_turn_planes` does the log-spiral turning of the spiral and
-uniform-exponent maps, and `_chain_weight_matrix` with `_definite` drives
+uniform-exponent maps, and `_chain_weights` with `_definite` drives
 the metric searches of the pw-hyp and unwind maps.  Inside the pw-hyp map,
 one `_split` sorts the rows of a batch into zero, pure-stable,
 pure-unstable and mixed, one loop over the (stable, unstable) factors
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import GeneratorSpec, JordanBlock
+from .blocks import GeneratorSpec, JordanBlock, _layout
 from .errors import (
     DefinitenessCheckFailed,
     InternalCheckError,
@@ -225,16 +225,16 @@ def _rotate_pairs(theta, U, V):
 
 def _turn_planes(planes):
     """Forward and inverse batch maps that turn each coordinate plane
-    (offset, offset + 1) by the logarithmic spiral R(rate * log r), r the
-    point's radius in that plane; planes: (offset, rate) pairs."""
+    (i, j) by the logarithmic spiral R(rate * log r), r the point's radius
+    in that plane; planes: ((i, j), rate) pairs."""
 
     def turn(X, sgn):
         X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
-        for off, rate in planes:
-            u, v = X[:, off], X[:, off + 1]
+        for (i, j), rate in planes:
+            u, v = X[:, i], X[:, j]
             r = np.hypot(u, v)
             theta = np.where(r > 0, sgn * rate * np.log(np.where(r > 0, r, 1.0)), 0.0)
-            X[:, off], X[:, off + 1] = _rotate_pairs(theta, u, v)
+            X[:, i], X[:, j] = _rotate_pairs(theta, u, v)
         return X
 
     return (lambda X: turn(X, 1.0)), (lambda W: turn(W, -1.0))
@@ -250,7 +250,7 @@ def build_spiral_map(rate):
     # the spec records the rate as given; a float rate records its binary value
     exact_rate = abs(Fraction(rate))
     rate = float(rate)
-    forward_batch, inverse_batch = _turn_planes([(0, rate)])
+    forward_batch, inverse_batch = _turn_planes([((0, 1), rate)])
     node_blocks = [(1, -1.0, 0.0), (1, -1.0, 0.0)]
     node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
     # at rate 0 the focus is the node itself (two real blocks) and h = id
@@ -319,12 +319,10 @@ def build_uniform_exponent_map(spec):
     if a0 >= 0:
         raise PreconditionViolated("shared growth rate must be negative")
     d = spec.dim
-    plane = []  # (offset, spiral rate) for rotation blocks
-    off = 0
-    for b in blocks:
-        if b.im != 0:
-            plane.append((off, float(b.im) / abs(float(a0))))
-        off += b.dim
+    layout = _layout((b.size, b.re, b.im) for b in blocks)
+    # the two size-1 half-chains of a rotation block span its plane
+    plane = [(halves, float(b.im) / abs(float(a0)))
+             for b, halves in zip(blocks, layout) if b.im != 0]
     forward_batch, inverse_batch = _turn_planes(plane)
     return HomeoMap(
         name="uniform",
@@ -342,13 +340,17 @@ def build_uniform_exponent_map(spec):
 # Lyapunov metrics
 
 
-def _chain_weight_matrix(blocks, g):
-    """Block-diagonal Q with diag(1, g, ..., g^{m-1}) per half-chain."""
-    diags = []
-    for m, _, b in blocks:
-        w = [float(g) ** i for i in range(m)]
-        diags.extend(w if b == 0.0 else w + w)
-    return np.diag(diags)
+def _chain_weights(flow, attempts):
+    """The chain-weight schedule: (g, Q) for g = 1, 2, 4, ..., where the
+    diagonal Q weights the coordinate at chain position i by g^i, for
+    `attempts` gaps or until a weight leaves the float range."""
+    for k in range(attempts):
+        g = 2.0**k
+        with np.errstate(over="ignore"):
+            w = g**flow.chain_pos
+        if not np.all(np.isfinite(w)):
+            return
+        yield g, np.diag(w)
 
 
 def _definite(M):
@@ -358,7 +360,7 @@ def _definite(M):
     return ev[0] > 1e-10 * max(1.0, ev[-1])
 
 
-def _lyapunov_metric(A, blocks, stable, attempts=8):
+def _lyapunov_metric(flow, stable, attempts=8):
     """Metric G with monotone norms along the factor flow.
 
     Solves G A + A^T G = -+2Q and certifies strict definiteness of both
@@ -366,9 +368,9 @@ def _lyapunov_metric(A, blocks, stable, attempts=8):
     over chain weights with geometrically growing gap until both checks
     pass.
     """
-    d = A.shape[0]
-    if d == 0:
+    if flow.dim == 0:
         return np.zeros((0, 0)), {"attempts": 0, "gap": None}
+    A = flow.generator_matrix()
     # scipy is imported here, its only use, so other maps never load it
     from scipy.linalg import solve_continuous_lyapunov
 
@@ -377,9 +379,7 @@ def _lyapunov_metric(A, blocks, stable, attempts=8):
     # unstable factor and flips the sign of the first derivative form
     sgn = 1.0 if stable else -1.0
     solve_errors = []
-    for k in range(attempts):
-        g = 2.0**k
-        Q = _chain_weight_matrix(blocks, g)
+    for k, (g, Q) in enumerate(_chain_weights(flow, attempts)):
         try:
             G = solve_continuous_lyapunov(sgn * A.T, -2.0 * Q)
         except Exception as exc:  # singular Sylvester operator etc.
@@ -393,13 +393,12 @@ def _lyapunov_metric(A, blocks, stable, attempts=8):
         C = G @ (A @ A) + 2.0 * (A.T @ G @ A) + (A.T @ A.T) @ G
         if all(_definite(M) for M in (G, B, C)):
             return G, {"attempts": k + 1, "gap": g}
-    if len(solve_errors) == attempts:
+    if len(solve_errors) == k + 1:
         raise LyapunovSolveFailed(
             "every Lyapunov solve failed: " + "; ".join(solve_errors[:2])
         )
     raise DefinitenessCheckFailed(
-        "no chain weight up to gap 2^%d produced strictly definite derivative forms"
-        % (attempts - 1)
+        "no chain weight up to gap 2^%d produced strictly definite derivative forms" % k
     )
 
 
@@ -447,7 +446,7 @@ def build_pw_conj_hyperbolic(spec):
             [(b.size, b.re, b.im) for b in spec.blocks if (b.re < 0) == stable],
             guard=_INTERNAL_GUARD,
         )
-        G, info = _lyapunov_metric(ev.generator_matrix(), ev.blocks, stable=stable)
+        G, info = _lyapunov_metric(ev, stable=stable)
         # the stable norm strictly decreases along the flow, the unstable one
         # strictly increases, and both are strictly convex in time
         factors.append((_NormProfile(ev, G, -1.0 if stable else 1.0), ev, G, coords))
@@ -636,9 +635,7 @@ def build_rotation_unwind_map(size, growth, rotation):
     src = FlowEvaluator([(m, a, b)], guard=_INTERNAL_GUARD)
     A = src.generator_matrix()
     # diagonal chain metric; double the gap until the norm is monotone
-    for k in range(40):
-        g = 2.0**k
-        G = _chain_weight_matrix(src.blocks, g)
+    for g, G in _chain_weights(src, 40):
         if _definite(np.sign(a) * (G @ A + A.T @ G)):
             break
     else:

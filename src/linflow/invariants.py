@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ._ratlinalg import fraction_gcd
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
-from .blocks import GeneratorSpec, JordanBlock
+from .blocks import GeneratorSpec, JordanBlock, _layout
 
 __all__ = [
     "PartitionDims",
@@ -82,7 +81,6 @@ def subspec(spec, part):
     return GeneratorSpec(tuple(b for b in spec.blocks if _block_in_part(b, part)))
 
 
-@lru_cache(maxsize=4096)
 def lyapunov_spectrum(spec):
     """Growth rates with multiplicity, sorted ascending; length == dim."""
     out = []
@@ -243,17 +241,11 @@ def distortion_subspace(spec):
     lam = top_rate(spec)
     mtop = top_size(spec)
     coords = []
-    off = 0
-    for b in spec.blocks:
-        w = b.dim
-        if b.re < lam:
-            coords.extend(range(off, off + w))
-        else:
-            k = min(mtop - 1, b.size)
-            coords.extend(range(off, off + k))
-            if b.im != 0:
-                coords.extend(range(off + b.size, off + b.size + k))
-        off += w
+    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
+    for b, halves in zip(spec.blocks, layout):
+        k = b.size if b.re < lam else min(mtop - 1, b.size)
+        for h in halves:
+            coords.extend(range(h, h + k))
     sub = DistortionSubspace(
         dim=len(coords), coords=tuple(coords), top_rate=lam, top_size=mtop
     )
@@ -270,7 +262,6 @@ def distortion_subspace(spec):
 # coarsening transforms
 
 
-@lru_cache(maxsize=4096)
 def semisimple_collapse(spec):
     """Forget rotation rates on size-1 blocks.
 
@@ -289,7 +280,6 @@ def semisimple_collapse(spec):
     return GeneratorSpec(tuple(out))
 
 
-@lru_cache(maxsize=4096)
 def rotation_decouple(spec):
     """Forget rotation rates on every block.
 
@@ -331,15 +321,13 @@ def minimal_period(spec, x=None):
     if x is not None and len(x) != spec.dim:
         raise PreconditionViolated(f"x has length {len(x)}, expected {spec.dim}")
     rates = []
-    off = 0
-    for b in spec.blocks:
-        w = b.dim
-        supported = True
-        if x is not None:
-            supported = any(float(x[i]) != 0.0 for i in range(off, off + w))
+    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
+    for b, halves in zip(spec.blocks, layout):
+        supported = x is None or any(
+            float(x[h + i]) != 0.0 for h in halves for i in range(b.size)
+        )
         if supported and b.im != 0:
             rates.append(b.im)
-        off += w
     if not rates:
         return Fraction(0)
     return 1 / fraction_gcd(rates)

@@ -13,6 +13,7 @@ from math import lgamma, pi
 
 import numpy as np
 
+from .blocks import _layout
 from .errors import NotStable, PreconditionViolated
 from .flows import FlowEvaluator
 from .invariants import (
@@ -204,19 +205,15 @@ class DistortionReport:
 
 
 def _choose_witness_block(spec):
-    """A largest block at the top growth rate; prefer one without rotation
-    (its probe schedule needs no subsequence)."""
+    """A largest block at the top growth rate and its half-chain starts;
+    prefer one without rotation (its probe schedule needs no subsequence)."""
     lam = top_rate(spec)
     M = top_size(spec)
-    cands = [b for b in spec.blocks if b.re == lam and b.size == M]
-    cands.sort(key=lambda b: (b.im != 0, b.im))
-    blk = cands[0]
-    off = 0
-    for b in spec.blocks:
-        if b is blk:
-            break
-        off += b.dim
-    return blk, off
+    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
+    _, _, i = min(
+        (b.im != 0, b.im, i) for i, b in enumerate(spec.blocks) if b.re == lam and b.size == M
+    )
+    return spec.blocks[i], layout[i]
 
 
 def distortion_probe(
@@ -252,7 +249,7 @@ def distortion_probe(
     flow = FlowEvaluator.from_spec(spec, guard=_PROBE_GUARD)
     lam = abs(float(top_rate(spec)))
     M = top_size(spec)
-    blk, off = _choose_witness_block(spec)
+    blk, halves = _choose_witness_block(spec)
     m = blk.size
     rot = float(blk.im) / lam  # rotation rate in normalized time
 
@@ -287,20 +284,19 @@ def distortion_probe(
         )
 
     # membership branch: build the explicit partner
-    u = x[off : off + m].copy()
-    v = x[off + m : off + 2 * m].copy() if blk.im != 0 else np.zeros(m)
+    u, v = ([x[h : h + m] for h in halves] + [np.zeros(m)])[:2]  # a real block's v is 0
     support = [i for i in range(m) if u[i] != 0 or v[i] != 0]
+    ends = [h + m - 1 for h in halves]  # the last coordinate of each half-chain
     y = x.copy()
     if not support:
         branch = "partner-axis"
-        y[off + m - 1] += eps / 2.0
+        y[ends[0]] += eps / 2.0
     else:
         branch = "partner-rotated"
         lmax = max(support) + 1  # highest occupied chain position, 1-based
         theta = float(np.arctan2(v[lmax - 1], u[lmax - 1]))
-        y[off + m - 1] -= (eps / 2.0) * np.cos(theta)
-        if blk.im != 0:
-            y[off + 2 * m - 1] -= (eps / 2.0) * np.sin(theta)
+        for end, w in zip(ends, (np.cos(theta), np.sin(theta))):
+            y[end] -= (eps / 2.0) * w
 
     s_grid = np.geomspace(1.0, t_max, n_grid)
     snapped = []
@@ -366,17 +362,13 @@ class DecayReport:
 def _expected_decay(spec, x):
     """Dominant (rate, degree) of |Phi_t x| from the block structure."""
     best = None
-    off = 0
-    for b in spec.blocks:
-        m = b.size
-        u = x[off : off + m]
-        v = x[off + m : off + 2 * m] if b.im != 0 else np.zeros(m)
-        support = [i for i in range(m) if u[i] != 0 or v[i] != 0]
+    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
+    for b, halves in zip(spec.blocks, layout):
+        support = [i for i in range(b.size) if any(x[h + i] != 0 for h in halves)]
         if support:
             cand = (float(b.re), max(support))
             if best is None or cand > best:
                 best = cand
-        off += b.dim
     if best is None:
         raise PreconditionViolated("decay probe needs a nonzero point")
     return best

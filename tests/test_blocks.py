@@ -256,7 +256,7 @@ def test_snap_failure_on_irrational_spectrum():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"tol": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"max_denominator": 0}],
+    [{"tol": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"max_denominator": 0}, {"tol": float("inf")}],
 )
 def test_ingestion_rejects_bad_tolerances(kwargs):
     with pytest.raises(PreconditionViolated):

@@ -191,6 +191,14 @@ def test_zero_tol_exits_3_with_one_line(capsys, jordan_matrix_file):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_infinite_tol_exits_3_with_one_line(capsys, tmp_path):
+    # eigenvalues +-sqrt(2): an infinite tol would snap them to 0
+    path = write_json(tmp_path, "irrational.json", {"dim": 2, "rows": [[0, 1], [2, 0]]})
+    code, out, err = run_cli(capsys, "invariants", "--tol", "inf", path)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["0", "-1"])
 def test_bad_tol_is_checked_under_python_O(jordan_matrix_file, tol):
     # -O strips assert statements; the tolerance check must not be one
@@ -436,6 +444,8 @@ def test_verify_unknown_construction_exits_2(capsys):
         (["spiral:1", "--t-range", "0,1,100001"], EXIT_PRECONDITION, "N is capped at 100000"),
         (["unwind:65,-1,1"], EXIT_PRECONDITION, "unwind size is capped at 64"),
         (["unwind:1000000000,-1,1"], EXIT_PRECONDITION, "size is capped at 64"),
+        # the chain weights g^39 leave the float range before the norm is monotone
+        (["unwind:40,1e-3,1e3"], EXIT_PRECONDITION, "made the norm strictly monotone"),
     ],
 )
 def test_verify_bad_number_arguments_end_in_typed_errors(capsys, argv, code, message):
@@ -449,6 +459,15 @@ def test_simulate_point_beyond_float_range_exits_2(capsys, saddle_file):
     code, _, err = run_cli(capsys, "simulate", saddle_file, "--point", "1e400,0")
     assert code == EXIT_PARSE
     assert "float range" in err
+
+
+def test_verify_pw_hyp_with_overflowing_chain_weights_exits_3(capsys, tmp_path):
+    # the size-150 block's chain weights g^149 leave the float range at g = 2^7
+    path = write_json(tmp_path, "long.json", spec_doc((150, "-1/100", 0), (1, 1, 0)))
+    code, out, err = run_cli(capsys, "verify", "pw-hyp", path)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "strictly definite" in err
 
 
 @pytest.mark.parametrize(

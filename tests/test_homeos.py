@@ -304,7 +304,7 @@ def _expm_norm_sq(A, G, s, x):
 
 def _factor_profile(blocks, stable):
     ev = FlowEvaluator(blocks, guard=1e9)
-    G, _ = homeos._lyapunov_metric(ev.generator_matrix(), ev.blocks, stable=stable)
+    G, _ = homeos._lyapunov_metric(ev, stable=stable)
     return homeos._NormProfile(ev, G, -1.0 if stable else 1.0), ev.generator_matrix(), G
 
 
