@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalCheckError, PreconditionViolated
+from .errors import InternalCheckError
 
 __all__ = [
     "integer_matrix",
@@ -47,7 +47,6 @@ __all__ = [
     "squarefree",
     "divmod_monic",
     "rank_sequence",
-    "fraction_gcd",
 ]
 
 # any prime proves a monic polynomial square-free; a large one makes an
@@ -253,15 +252,3 @@ def squarefree(chi):
         raise InternalCheckError("square-free division left a remainder")
     return q
 
-
-def fraction_gcd(values):
-    """gcd of a nonempty list of positive Fractions: gcd(nums)/lcm(dens)."""
-    num = 0
-    den = 1
-    for v in values:
-        v = Fraction(v)
-        if v <= 0:
-            raise PreconditionViolated(f"fraction_gcd takes positive rationals, got {v}")
-        num = gcd(num, v.numerator)
-        den = den * v.denominator // gcd(den, v.denominator)
-    return Fraction(num, den)

@@ -555,20 +555,22 @@ def _sizes_from_ranks(ranks, total):
     return sizes
 
 
-def _exact_structure(B, D, eigs):
+def _structure(eigs, ranks, what):
+    """The blocks of both tiers: at each eigenvalue (re, im) of multiplicity
+    mult, sizes from ranks(re, im, mult), the rank sequence [rank((A - z)^k)
+    for k = 0..mult] measured by that tier; what names it in the error."""
     blocks = []
     for (re_hat, im_hat), mult in eigs.items():
-        ranks = rl.rank_sequence(B, D * re_hat, D * im_hat, mult)
-        sizes = _sizes_from_ranks(ranks, mult)
+        sizes = _sizes_from_ranks(ranks(re_hat, im_hat, mult), mult)
         if sizes is None:
-            raise SnapFailure(
-                f"inconsistent rank sequence at eigenvalue ({re_hat}, {im_hat})"
-            )
+            raise SnapFailure(f"inconsistent {what} at eigenvalue ({re_hat}, {im_hat})")
         blocks.extend(JordanBlock(m, re_hat, im_hat) for m in sizes)
     return GeneratorSpec(tuple(blocks))
 
 
 def _numeric_tier(matrix, tol, max_denominator):
+    """(eigs, residual, ranks) from float eigenvalues clustered within tol
+    and snapped, with SVD ranks of the float powers."""
     import numpy as np
 
     Mf = matrix.to_float()
@@ -617,25 +619,19 @@ def _numeric_tier(matrix, tol, max_denominator):
             parsed[(re_hat, im_hat)] = mult // 2
     if total != d:
         raise SnapFailure("eigenvalue multiplicities do not sum to the dimension")
-    blocks = []
-    for (re_hat, im_hat), mult in parsed.items():
-        z = complex(re_hat, im_hat)
+
+    def ranks(re_hat, im_hat, mult):
+        S = Mf.astype(complex) - complex(re_hat, im_hat) * np.eye(d)
         P = np.eye(d, dtype=complex)
-        S = Mf.astype(complex) - z * np.eye(d)
-        ranks = [d]
+        out = [d]
         for _ in range(mult):
             P = P @ S
             sv = np.linalg.svd(P, compute_uv=False)
             thresh = tol * max(1.0, sv[0] if len(sv) else 0.0)
-            ranks.append(int(np.sum(sv > thresh)))
-        sizes = _sizes_from_ranks(ranks, mult)
-        if sizes is None:
-            raise SnapFailure(
-                f"inconsistent numeric rank sequence at eigenvalue ({re_hat}, {im_hat})"
-            )
-        for m in sizes:
-            blocks.append(JordanBlock(m, re_hat, im_hat))
-    return GeneratorSpec(tuple(blocks)), residual
+            out.append(int(np.sum(sv > thresh)))
+        return out
+
+    return parsed, residual, ranks
 
 
 def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
@@ -653,24 +649,22 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
             f"max_denominator={max_denominator}"
         )
     B, D = rl.integer_matrix(matrix.rows)
-    chi = rl.charpoly(B)
-    exact = _exact_tier(chi, D, tol, max_denominator)
+    exact = _exact_tier(rl.charpoly(B), D, tol, max_denominator)
     if exact is not None:
         eigs, residual = exact
         _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
-        spec = _exact_structure(B, D, eigs)
-        return ApproxSpec(
-            spec=spec,
-            residual=float(residual),
-            tol=float(tol),
-            source=matrix.fingerprint(),
-            exact=True,
-        )
-    spec, residual = _numeric_tier(matrix, tol, max_denominator)
+        what = "rank sequence"
+
+        def ranks(re, im, mult):
+            return rl.rank_sequence(B, D * re, D * im, mult)
+
+    else:
+        eigs, residual, ranks = _numeric_tier(matrix, tol, max_denominator)
+        what = "numeric rank sequence"
     return ApproxSpec(
-        spec=spec,
+        spec=_structure(eigs, ranks, what),
         residual=float(residual),
         tol=float(tol),
         source=matrix.fingerprint(),
-        exact=False,
+        exact=exact is not None,
     )

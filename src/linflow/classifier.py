@@ -17,6 +17,7 @@ from typing import Optional
 
 from .blocks import GeneratorSpec, JordanBlock, scale_spec, serialize_spec
 from .errors import DimMismatch, InternalCheckError
+from .invariants import _part, _spectrum, _triples, _unrotated
 from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
 from .similarity import (
     ScalingCertificate,
@@ -100,53 +101,30 @@ class Verdict:
 
 
 # Forms T(spec) whose equality up to time scaling decides a grade, as
-# functions of the spec's sorted (re, im, size) block triples.  Each keeps
-# every growth rate and the whole central part, as canonical_key requires.
-# The linear form is the block multiset itself.
+# functions of the spec's sorted (re, im, size) block triples, composed of
+# the forms and parts of `invariants`.  Each keeps every growth rate and the
+# whole central part, as canonical_key requires.  The linear form is the
+# block multiset itself.
 
 
 def _linear_form(triples):
     return triples
 
 
-def _central_part(triples):
-    return tuple(t for t in triples if not t[0])
-
-
-def _spectrum(triples):
-    """Growth rates with multiplicity, ascending (the triples are sorted)."""
-    out = []
-    for re, im, size in triples:
-        out += [re] * (2 * size if im else size)
-    return tuple(out)
-
-
-def _unrotated(triples, max_size):
-    """Each rotating block of size <= max_size as two real blocks."""
-    out = []
-    for re, im, size in triples:
-        if im and size <= max_size:
-            out += [(re, 0, size)] * 2
-        else:
-            out.append((re, im, size))
-    return tuple(sorted(out))
-
-
 def _hoelder_form(triples):
-    return _spectrum(triples), _central_part(triples)
+    return _spectrum(triples), _part(triples, "central")
 
 
 def _lipschitz_collapse_form(triples):
-    return _unrotated(triples, 1), _central_part(triples)
+    return _unrotated(triples, 1), _part(triples, "central")
 
 
 def _lipschitz_parts_form(triples):
-    defective = tuple(t for t in triples if t[2] >= 2)
-    return _spectrum(triples), defective, _central_part(triples)
+    return _spectrum(triples), _part(triples, "defective"), _part(triples, "central")
 
 
 def _kinematic_form(triples):
-    return _unrotated(triples, math.inf), _central_part(triples)
+    return _unrotated(triples, math.inf), _part(triples, "central")
 
 
 # The two Lipschitz routes are independent criteria; every decision runs
@@ -211,9 +189,7 @@ class _Pair:
             same = self.a.blocks == self.b.blocks
         else:
             if self._own is None:
-                self._own = tuple(
-                    tuple(blk.sort_key() for blk in spec.blocks) for spec in (self.a, self.b)
-                )
+                self._own = _triples(self.a), _triples(self.b)
             same = form(self._own[0]) == form(self._own[1])
         return Fraction(1) if same else None
 

@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from .blocks import (
     _floats,
+    _load_json,
     parse_matrix,
+    parse_rational,
     parse_spec,
     scale_spec,
     serialize_spec,
@@ -86,28 +88,16 @@ def _load_generator(path, tol, max_denominator):
             text = fh.read()
     except OSError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-    except RecursionError:
-        raise SpecParseError(f"{path}: JSON nested too deeply") from None
+    doc = _load_json(text, path)
     if isinstance(doc, dict) and "rows" in doc:
-        matrix = parse_matrix(text)
+        matrix = parse_matrix(doc)
         approx = spec_from_matrix(matrix, tol=tol, max_denominator=max_denominator)
         return approx.spec
-    return parse_spec(text)
-
-
-def _parse_value(text, what):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SpecParseError(f"{what}: malformed rational {text!r}")
+    return parse_spec(doc)
 
 
 def _parse_float(text, what):
-    return _floats([_parse_value(text, what)], what)[0]
+    return _floats([parse_rational(text, what)], what)[0]
 
 
 def _parse_floats(text, what):
@@ -198,7 +188,7 @@ def _cmd_transform(args):
     spec = _load_generator(args.spec, args.tol, args.max_denominator)
     op = args.op
     if op.startswith("scale:"):
-        alpha = _parse_value(op.split(":", 1)[1], "scale factor")
+        alpha = parse_rational(op.split(":", 1)[1], "scale factor")
         result = scale_spec(spec, alpha)
     elif op in _TRANSFORMS:
         result = _TRANSFORMS[op](spec)
@@ -232,6 +222,11 @@ def _cmd_simulate(args):
     ts = _time_grid(args, default_span=10.0, default_n=101)
     flow = FlowEvaluator.from_spec(spec)
     Z = flow.apply_batch(ts, np.tile(x, (len(ts), 1)))
+    bad = ~np.all(np.isfinite(Z), axis=1)
+    if bad.any():
+        raise PreconditionViolated(
+            f"the orbit leaves the float range at t = {ts[bad.argmax()]:g}"
+        )
     writer = sys.stdout
     writer.write("t," + ",".join(f"x{i+1}" for i in range(spec.dim)) + "\n")
     for t, row in zip(ts, Z):
@@ -249,7 +244,7 @@ def _build_construction(token, args):
     )
 
     if token.startswith("spiral:"):
-        rate = _parse_value(token[7:], "spiral rate")
+        rate = parse_rational(token[7:], "spiral rate")
         _floats([rate], "spiral rate")  # range check; the map keeps the exact rate
         return build_spiral_map(rate), 20.0
     if token.startswith("shear:"):

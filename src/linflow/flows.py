@@ -65,11 +65,7 @@ class FlowEvaluator:
 
     @classmethod
     def from_spec(cls, spec: GeneratorSpec, guard=FLOW_TIME_GUARD):
-        ev = cls(
-            [(b.size, float(b.re), float(b.im)) for b in spec.blocks], guard=guard
-        )
-        ev.spec = spec
-        return ev
+        return cls([(b.size, float(b.re), float(b.im)) for b in spec.blocks], guard=guard)
 
     def _check_t(self, ts):
         """max |t|, once it is checked against the guard."""
@@ -85,7 +81,8 @@ class FlowEvaluator:
 
         A coordinate whose polynomial-and-rotation part is exactly zero
         stays zero under any growth, also one past the float range, where
-        inf * 0 would make it NaN.
+        inf * 0 would make it NaN.  A growth past the float range comes out
+        inf without a floating-point warning; callers check the result.
         """
         ts = np.asarray(ts, dtype=float)
         X = np.asarray(X, dtype=float)
@@ -106,9 +103,11 @@ class FlowEvaluator:
         U, V = P[:, self._rot_u], P[:, self._rot_v]
         P[:, self._rot_u] = c * U - s * V
         P[:, self._rot_v] = s * U + c * V
-        out = np.exp(ts[:, None] * self.rates) * P
-        if tmax * self.top_rate > _EXP_SAFE:  # a growth may be inf, and inf * 0 NaN
-            np.copyto(out, P, where=P == 0)
+        if tmax * self.top_rate <= _EXP_SAFE:
+            return np.exp(ts[:, None] * self.rates) * P
+        with np.errstate(over="ignore", invalid="ignore"):  # a growth may be inf, and inf * 0 NaN
+            out = np.exp(ts[:, None] * self.rates) * P
+        np.copyto(out, P, where=P == 0)
         return out
 
     def apply(self, t, x):

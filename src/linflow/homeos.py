@@ -39,7 +39,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .flows import FlowEvaluator
-from .invariants import partition_dims
+from .invariants import partition_dims, subspec
 
 __all__ = [
     "HomeoMap",
@@ -251,13 +251,15 @@ def build_spiral_map(rate):
     exact_rate = abs(Fraction(rate))
     rate = float(rate)
     forward_batch, inverse_batch = _turn_planes([((0, 1), rate)])
-    node_blocks = [(1, -1.0, 0.0), (1, -1.0, 0.0)]
     node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
-    # at rate 0 the focus is the node itself (two real blocks) and h = id
-    source_blocks = [(1, -1.0, rate)] if rate else node_blocks
-    source_spec = GeneratorSpec([JordanBlock(1, -1, exact_rate)]) if rate else node_spec
-    source = FlowEvaluator(source_blocks, guard=_INTERNAL_GUARD)
-    target = FlowEvaluator(node_blocks, guard=_INTERNAL_GUARD)
+    target = FlowEvaluator.from_spec(node_spec, guard=_INTERNAL_GUARD)
+    # at rate 0 the focus is the node itself (two real blocks) and h = id;
+    # otherwise the source turns by the signed rate, which a spec normalises
+    if rate:
+        source_spec = GeneratorSpec([JordanBlock(1, -1, exact_rate)])
+        source = FlowEvaluator([(1, -1.0, rate)], guard=_INTERNAL_GUARD)
+    else:
+        source_spec, source = node_spec, target
     return HomeoMap(
         name="spiral",
         source_flow=source,
@@ -284,7 +286,7 @@ def build_parabola_shear(shift):
         return np.column_stack([X[:, 0] + s * X[:, 1] ** 2, X[:, 1]])
 
     spec = GeneratorSpec([JordanBlock(1, -2, 0), JordanBlock(1, -1, 0)])
-    flow = FlowEvaluator([(1, -2.0, 0.0), (1, -1.0, 0.0)], guard=_INTERNAL_GUARD)
+    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
     return HomeoMap(
         name="shear",
         source_flow=flow,
@@ -318,20 +320,20 @@ def build_uniform_exponent_map(spec):
         )
     if a0 >= 0:
         raise PreconditionViolated("shared growth rate must be negative")
-    d = spec.dim
     layout = _layout((b.size, b.re, b.im) for b in blocks)
     # the two size-1 half-chains of a rotation block span its plane
     plane = [(halves, float(b.im) / abs(float(a0)))
              for b, halves in zip(blocks, layout) if b.im != 0]
     forward_batch, inverse_batch = _turn_planes(plane)
+    target_spec = GeneratorSpec([JordanBlock(1, a0, 0)] * spec.dim)
     return HomeoMap(
         name="uniform",
         source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
-        target_flow=FlowEvaluator([(1, float(a0), 0.0)] * d, guard=_INTERNAL_GUARD),
+        target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
         source_spec=spec,
-        target_spec=GeneratorSpec([JordanBlock(1, a0, 0)] * d),
+        target_spec=target_spec,
         metadata={"rate": float(a0), "planes_unwound": len(plane)},
     )
 
@@ -433,19 +435,17 @@ def build_pw_conj_hyperbolic(spec):
     squares to zero, or a block of the image or preimage that comes out all
     zero.
     """
-    if partition_dims(spec).central:
+    dims = partition_dims(spec)
+    if dims.central:
         raise PreconditionViolated("hyperbolic generator required")
-    d = spec.dim
-    dS = sum(b.dim for b in spec.blocks if b.re < 0)
+    d, dS = spec.dim, dims.stable
     # spec blocks are sorted by growth rate, so the stable coordinates come
     # first, and the image saddle keeps both factors where they are
     factors = []  # stable, unstable: (norm profile, flow, metric, coordinates)
     infos = []
     for stable, coords in ((True, slice(0, dS)), (False, slice(dS, d))):
-        ev = FlowEvaluator(
-            [(b.size, b.re, b.im) for b in spec.blocks if (b.re < 0) == stable],
-            guard=_INTERNAL_GUARD,
-        )
+        part = subspec(spec, "stable" if stable else "unstable")
+        ev = FlowEvaluator.from_spec(part, guard=_INTERNAL_GUARD)
         G, info = _lyapunov_metric(ev, stable=stable)
         # the stable norm strictly decreases along the flow, the unstable one
         # strictly increases, and both are strictly convex in time
@@ -590,14 +590,13 @@ def build_pw_conj_hyperbolic(spec):
                 X[mixed, c] = ev.apply_batch(sig, q)
         return _kept(W, _finite(X), pure, mixed)
 
-    target_blocks = [(1, -1.0, 0.0)] * dS + [(1, 1.0, 0.0)] * (d - dS)
     target_spec = GeneratorSpec(
         [JordanBlock(1, -1, 0)] * dS + [JordanBlock(1, 1, 0)] * (d - dS)
     )
     return HomeoMap(
         name="pw-hyp",
         source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
-        target_flow=FlowEvaluator(target_blocks, guard=_INTERNAL_GUARD),
+        target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
         tau_batch=tau_batch,
@@ -659,14 +658,15 @@ def build_rotation_unwind_map(size, growth, rotation):
         return out
 
     fa = Fraction(a)
+    target_spec = GeneratorSpec([JordanBlock(m, fa, 0), JordanBlock(m, fa, 0)])
     return HomeoMap(
         name="unwind",
         source_flow=src,
-        target_flow=FlowEvaluator([(m, a, 0.0), (m, a, 0.0)], guard=_INTERNAL_GUARD),
+        target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
         forward_batch=lambda X: _map(X, 1.0),
         inverse_batch=lambda W: _map(W, -1.0),
         source_spec=GeneratorSpec([JordanBlock(m, fa, abs(Fraction(b)))]),
-        target_spec=GeneratorSpec([JordanBlock(m, fa, 0), JordanBlock(m, fa, 0)]),
+        target_spec=target_spec,
         metadata={
             "metric_gap": g,
             "metric_diagonal": [g**i for i in range(m)],

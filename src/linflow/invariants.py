@@ -3,14 +3,21 @@
 Everything in this module is exact: inputs are GeneratorSpec objects and
 outputs are Fractions, ints, and new specs.  The numerical side of the
 package (flows, probes) checks these values by simulation.
+
+This module is the one owner of the coarsening forms and canonical parts.
+Each is defined once on sorted (re, im, size) block triples: `_spectrum`,
+`_unrotated` and `_part` (by the `_PARTS` table).  The public functions
+apply them to a spec's `_triples`; the classifier composes its forms from
+them.  `_inverse_gcd` is the one gcd of rational rates, which
+`minimal_period` and the projective normaliser of `similarity` share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, inf, lcm
 
-from ._ratlinalg import fraction_gcd
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
 from .blocks import GeneratorSpec, JordanBlock, _layout
 
@@ -35,7 +42,17 @@ __all__ = [
     "is_generic",
 ]
 
-PARTS = ("stable", "central", "unstable", "hyperbolic", "semisimple", "defective")
+# part -> the (re, im, size) block triples lying in it
+_PARTS = {
+    "stable": lambda ts: tuple(t for t in ts if t[0] < 0),
+    "central": lambda ts: tuple(t for t in ts if t[0] == 0),
+    "unstable": lambda ts: tuple(t for t in ts if t[0] > 0),
+    "hyperbolic": lambda ts: tuple(t for t in ts if t[0] != 0),
+    "semisimple": lambda ts: tuple(t for t in ts if t[2] == 1),
+    "defective": lambda ts: tuple(t for t in ts if t[2] >= 2),
+}
+
+PARTS = tuple(_PARTS)
 
 
 @dataclass(frozen=True)
@@ -60,37 +77,58 @@ class PartitionDims:
         }
 
 
-def _block_in_part(block, part):
-    if part == "stable":
-        return block.re < 0
-    if part == "central":
-        return block.re == 0
-    if part == "unstable":
-        return block.re > 0
-    if part == "hyperbolic":
-        return block.re != 0
-    if part == "semisimple":
-        return block.size == 1
-    if part == "defective":
-        return block.size >= 2
-    raise PreconditionViolated(f"unknown part {part!r}; want one of {PARTS}")
+def _triples(spec):
+    """The sorted (re, im, size) triples of a spec's blocks."""
+    return tuple(b.sort_key() for b in spec.blocks)
+
+
+def _spec(triples):
+    return GeneratorSpec(tuple(JordanBlock(size, re, im) for re, im, size in triples))
+
+
+def _part(triples, part):
+    """The triples lying in one canonical part."""
+    try:
+        select = _PARTS[part]
+    except (KeyError, TypeError):
+        raise PreconditionViolated(f"unknown part {part!r}; want one of {PARTS}") from None
+    return select(triples)
+
+
+def _spectrum(triples):
+    """Growth rates with multiplicity, ascending (the triples are sorted)."""
+    out = []
+    for re, im, size in triples:
+        out += [re] * (2 * size if im else size)
+    return tuple(out)
+
+
+def _unrotated(triples, max_size):
+    """Each rotating block of size <= max_size as two real blocks, sorted."""
+    out = []
+    for re, im, size in triples:
+        if im and size <= max_size:
+            out += [(re, 0, size)] * 2
+        else:
+            out.append((re, im, size))
+    return tuple(sorted(out))
 
 
 def subspec(spec, part):
     """Sub-multiset of blocks lying in one canonical part."""
-    return GeneratorSpec(tuple(b for b in spec.blocks if _block_in_part(b, part)))
+    return _spec(_part(_triples(spec), part))
 
 
 def lyapunov_spectrum(spec):
     """Growth rates with multiplicity, sorted ascending; length == dim."""
-    out = []
-    for b in spec.blocks:
-        out.extend([b.re] * b.dim)
-    return tuple(sorted(out))
+    return _spectrum(_triples(spec))
 
 
 def partition_dims(spec):
-    """Dimensions of the six canonical parts, in one pass over the blocks."""
+    """Dimensions of the six canonical parts, in one pass over the blocks.
+
+    The fast path of the `_PARTS` table: the tests check it against the
+    dimensions of the subspecs."""
     stable = central = unstable = semisimple = 0
     for b in spec.blocks:
         d = b.dim
@@ -270,14 +308,7 @@ def semisimple_collapse(spec):
     are bi-Lipschitz equivalent as linear maps, which is why it shows up in
     every Lipschitz-grade decision.  Idempotent; preserves dim and spectrum.
     """
-    out = []
-    for b in spec.blocks:
-        if b.size == 1 and b.im != 0:
-            out.append(JordanBlock(1, b.re, 0))
-            out.append(JordanBlock(1, b.re, 0))
-        else:
-            out.append(b)
-    return GeneratorSpec(tuple(out))
+    return _spec(_unrotated(_triples(spec), 1))
 
 
 def rotation_decouple(spec):
@@ -288,18 +319,19 @@ def rotation_decouple(spec):
     coordinates with bounded inverse carries one flow to the other.
     Idempotent; preserves dim and spectrum; absorbs semisimple_collapse.
     """
-    out = []
-    for b in spec.blocks:
-        if b.im != 0:
-            out.append(JordanBlock(b.size, b.re, 0))
-            out.append(JordanBlock(b.size, b.re, 0))
-        else:
-            out.append(b)
-    return GeneratorSpec(tuple(out))
+    return _spec(_unrotated(_triples(spec), inf))
 
 
 # ---------------------------------------------------------------------------
 # periods and genericity
+
+
+def _inverse_gcd(rates):
+    """1 / gcd of nonzero rationals, the c > 0 that turns them into coprime
+    integers: Fraction(D, g) for D the lcm of the denominators and g the
+    gcd of the rates cleared to D (D and g are coprime)."""
+    den = lcm(*(r.denominator for r in rates))
+    return Fraction(den, gcd(*(r.numerator * (den // r.denominator) for r in rates)))
 
 
 def is_bounded(spec):
@@ -330,7 +362,7 @@ def minimal_period(spec, x=None):
             rates.append(b.im)
     if not rates:
         return Fraction(0)
-    return 1 / fraction_gcd(rates)
+    return _inverse_gcd(rates)
 
 
 def is_generic(spec):

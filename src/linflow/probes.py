@@ -71,11 +71,13 @@ class ConjugacyReport:
         }
 
 
+@np.errstate(all="ignore")  # past the float range values turn inf or NaN; checked below
 def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
     """Relative defect of h(Phi_t x) = Psi_{tau(x,t)} h(x) over a sample.
 
     Also measures the round trip |h^{-1}(h(x)) - x|.  The residual is the
-    max over points and grid times of |lhs - rhs| / (1 + |rhs|).
+    max over points and grid times of |lhs - rhs| / (1 + |rhs|).  A round
+    trip or residual that is not finite raises PreconditionViolated.
     """
     if n_points < 1:
         raise PreconditionViolated(f"need n_points >= 1, got {n_points}")
@@ -90,6 +92,8 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
     round_trip = float(
         np.max(np.linalg.norm(back - X, axis=1) / (1.0 + np.linalg.norm(X, axis=1)))
     )
+    if not np.isfinite(round_trip):
+        raise PreconditionViolated("round trip h^-1(h(x)) is not finite")
     worst = 0.0
     worst_t = 0.0
     for t in times:
@@ -99,6 +103,11 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
         rhs = hmap.target_flow.apply_batch(taus, HX)
         err = np.linalg.norm(lhs - rhs, axis=1) / (1.0 + np.linalg.norm(rhs, axis=1))
         m = float(np.max(err))
+        if not np.isfinite(m):
+            raise PreconditionViolated(
+                f"conjugacy residual at t = {float(t):g} is not finite:"
+                " the flows leave the float range"
+            )
         if m > worst:
             worst, worst_t = m, float(t)
     return ConjugacyReport(

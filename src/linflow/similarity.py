@@ -8,9 +8,11 @@ onto that of a, so it exists only when the two are projectively equal.
 The one normaliser, `_projective`, picks a representative of that
 projective class: it clears the denominators of the nonzero growth rates
 (of the nonzero rotation rates when every growth rate is 0) to D and
-divides by their gcd g, so that c = D/g turns the spec into
-(re, im, size) triples whose growth vector is a primitive integer vector;
-only its sign is left, and the key takes the smaller form over +c and -c.
+divides by their gcd g, so that c = D/g (`invariants._inverse_gcd`) turns
+the spec into (re, im, size) triples whose growth vector is a primitive
+integer vector; only its sign is left, and the key takes the smaller form
+over +c and -c.  The forms themselves, and the transforms and parts the
+predicates below compare, are defined once in `invariants`.
 
 `scaling_candidates` and `find_scaling` are the older scan over a finite
 list of alphas: any usable alpha must match either a ratio of nonzero
@@ -25,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .blocks import scale_spec, serialize_spec
 from .errors import DimMismatch
 from .invariants import (
+    _inverse_gcd,
+    _triples,
     lyapunov_spectrum,
     rotation_decouple,
     semisimple_collapse,
@@ -101,9 +104,10 @@ def normalising_scalings(spec):
 def _projective(spec):
     """(c, triples, negated): the projective normalisation of spec.
 
-    c = D/g > 0, where D clears the denominators of the nonzero growth
-    rates (of the nonzero rotation rates when every growth rate is 0) and
-    g is the gcd of the cleared integers; c = 1 when every rate is 0.
+    c = D/g > 0 is `invariants._inverse_gcd` of the nonzero growth
+    rates (of the nonzero rotation rates when every growth rate is 0): D
+    clears their denominators and g is the gcd of the cleared integers;
+    c = 1 when every rate is 0.
     triples are the sorted (c*re, c*im, size) of the blocks, with every
     c*re an int; c*im is an int where it is whole and a Fraction
     otherwise.  negated are the sorted triples of -c, or None when every
@@ -113,9 +117,9 @@ def _projective(spec):
     growth = [blk.re for blk in blocks if blk.re]
     rates = growth or [blk.im for blk in blocks if blk.im]
     if not rates:
-        return Fraction(1), tuple(blk.sort_key() for blk in blocks), None
-    den = lcm(*(r.denominator for r in rates))
-    g = gcd(*(r.numerator * (den // r.denominator) for r in rates))
+        return Fraction(1), _triples(spec), None
+    c = _inverse_gcd(rates)
+    den, g = c.numerator, c.denominator
     triples = []
     for blk in blocks:
         re, im = blk.re, blk.im
@@ -127,7 +131,7 @@ def _projective(spec):
         triples.append((re.numerator * (den // re.denominator) // g, im, blk.size))
     # c > 0 keeps the blocks' sort order; -c reverses it on re
     negated = tuple(sorted((-re, im, m) for re, im, m in triples)) if growth else None
-    return Fraction(den, g), tuple(triples), negated
+    return c, tuple(triples), negated
 
 
 def _projective_key(projective, form):

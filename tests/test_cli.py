@@ -461,6 +461,49 @@ def test_simulate_point_beyond_float_range_exits_2(capsys, saddle_file):
     assert "float range" in err
 
 
+@pytest.fixture
+def fast_slow_file(tmp_path):
+    # growth 3 beside decay -1: the second coordinate leaves the float range
+    return write_json(tmp_path, "g.json", spec_doc((1, 3, 0), (1, -1, 0)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_growth_past_the_float_range_on_a_zero_coordinate(capsys, fast_slow_file):
+    # e^1200 overflows, but it multiplies an exact zero: no warning, no inf
+    code, out, err = run_cli(
+        capsys, "simulate", fast_slow_file, "--point", "1,0", "--times", "400"
+    )
+    assert code == EXIT_OK
+    assert err.splitlines() == []
+    assert out.splitlines() == ["t,x1,x2", "400,1.91516959671e-174,0"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "{g}", "--point", "0,1", "--times", "900"],
+         "error: the orbit leaves the float range at t = 900"),
+        (["simulate", "{g}", "--point", "0,1", "--times", "1,900,950"],
+         "error: the orbit leaves the float range at t = 900"),
+        (["verify", "pw-hyp", "{g}", "--times", "300"],
+         "error: pw-hyp map: a point's norm is beyond the float range"),
+        (["verify", "unwind:2,1,1", "--times", "800"],
+         "error: |t| exceeds the simulation guard 1e+09"),
+        # inf - inf on both sides of the conjugacy: a NaN residual, never 0.0
+        (["verify", "shear:1", "--times=-400"],
+         "error: conjugacy residual at t = -400 is not finite: the flows leave the float range"),
+    ],
+    ids=["simulate", "simulate-grid", "pw-hyp", "unwind", "shear-nan-residual"],
+)
+def test_flows_past_the_float_range_end_in_one_error_line(capsys, fast_slow_file, argv, message):
+    argv = [fast_slow_file if a == "{g}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
 def test_verify_pw_hyp_with_overflowing_chain_weights_exits_3(capsys, tmp_path):
     # the size-150 block's chain weights g^149 leave the float range at g = 2^7
     path = write_json(tmp_path, "long.json", spec_doc((150, "-1/100", 0), (1, 1, 0)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,9 @@ def test_subspec_selects_blocks():
     assert subspec(spec, "central") == S((2, 0, 1))
     assert subspec(spec, "hyperbolic") == S((1, -1, 0), (1, 2, 0))
     assert subspec(spec, "defective") == S((2, 0, 1))
-    with pytest.raises(PreconditionViolated):
-        subspec(spec, "everything")
+    for part in ("everything", None, ["stable"]):
+        with pytest.raises(PreconditionViolated):
+            subspec(spec, part)
 
 
 def test_parts_partition_the_dimension():
@@ -260,6 +262,71 @@ def test_transform_laws(spec):
 
 
 # ---------------------------------------------------------------------------
+# per-block references for the forms and parts that `invariants` defines
+# once on block triples
+
+
+def _ref_in_part(block, part):
+    if part == "stable":
+        return block.re < 0
+    if part == "central":
+        return block.re == 0
+    if part == "unstable":
+        return block.re > 0
+    if part == "hyperbolic":
+        return block.re != 0
+    if part == "semisimple":
+        return block.size == 1
+    if part == "defective":
+        return block.size >= 2
+    raise PreconditionViolated(f"unknown part {part!r}")
+
+
+def _ref_subspec(spec, part):
+    return GeneratorSpec(tuple(b for b in spec.blocks if _ref_in_part(b, part)))
+
+
+def _ref_lyapunov_spectrum(spec):
+    out = []
+    for b in spec.blocks:
+        out.extend([b.re] * b.dim)
+    return tuple(sorted(out))
+
+
+def _ref_semisimple_collapse(spec):
+    out = []
+    for b in spec.blocks:
+        if b.size == 1 and b.im != 0:
+            out.append(JordanBlock(1, b.re, 0))
+            out.append(JordanBlock(1, b.re, 0))
+        else:
+            out.append(b)
+    return GeneratorSpec(tuple(out))
+
+
+def _ref_rotation_decouple(spec):
+    out = []
+    for b in spec.blocks:
+        if b.im != 0:
+            out.append(JordanBlock(b.size, b.re, 0))
+            out.append(JordanBlock(b.size, b.re, 0))
+        else:
+            out.append(b)
+    return GeneratorSpec(tuple(out))
+
+
+@given(spec=spec_st(max_blocks=4))
+@settings(max_examples=200, deadline=None)
+def test_shared_forms_match_the_per_block_references(spec):
+    assert lyapunov_spectrum(spec) == _ref_lyapunov_spectrum(spec)
+    assert all(type(v) is Fraction for v in lyapunov_spectrum(spec))
+    assert semisimple_collapse(spec) == _ref_semisimple_collapse(spec)
+    assert rotation_decouple(spec) == _ref_rotation_decouple(spec)
+    for part in invariants.PARTS:
+        assert subspec(spec, part) == _ref_subspec(spec, part)
+
+
+# ---------------------------------------------------------------------------
 # boundedness and periods
 
 
@@ -312,6 +379,33 @@ def test_minimal_period_against_grid_search(spec):
     x = np.ones(spec.dim)
     found = brute_force_period(spec, x, predicted)
     assert abs(found - predicted) < 1e-4 * predicted
+
+
+def _ref_minimal_period(spec, x=None):
+    """1 / gcd of the supported rotation rates, the gcd of Fractions in
+    lowest terms being gcd(numerators) / lcm(denominators)."""
+    rates, off = [], 0
+    for b in spec.blocks:
+        if b.im and (x is None or any(v != 0 for v in x[off : off + b.dim])):
+            rates.append(b.im)
+        off += b.dim
+    if not rates:
+        return Fraction(0)
+    return 1 / Fraction(gcd(*(r.numerator for r in rates)), lcm(*(r.denominator for r in rates)))
+
+
+@st.composite
+def bounded_spec_st(draw):
+    n = draw(st.integers(1, 4))
+    return GeneratorSpec(tuple(JordanBlock(1, 0, draw(nonneg_st)) for _ in range(n)))
+
+
+@given(spec=bounded_spec_st(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_minimal_period_matches_the_one_over_gcd_formula(spec, data):
+    assert minimal_period(spec) == _ref_minimal_period(spec)
+    x = data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]), min_size=spec.dim, max_size=spec.dim))
+    assert minimal_period(spec, x) == _ref_minimal_period(spec, x)
 
 
 # ---------------------------------------------------------------------------

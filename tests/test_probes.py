@@ -10,6 +10,7 @@ from linflow import (
     NotBounded,
     NotStable,
     PreconditionViolated,
+    build_parabola_shear,
     build_spiral_map,
     decay_rate_probe,
     distortion_probe,
@@ -36,6 +37,22 @@ def test_verify_conjugacy_honors_arguments():
     assert rep.worst_time in rep.times
     assert rep.name == hm.name
     assert set(rep.to_json()) >= {"name", "residual", "round_trip", "worst_time"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_conjugacy_never_reports_a_non_finite_round_trip():
+    hm = build_spiral_map(1.0)
+    hm.inverse_batch = lambda W: np.full_like(W, np.inf)
+    with pytest.raises(PreconditionViolated, match="round trip"):
+        verify_conjugacy(hm, times=[0.0], n_points=4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_conjugacy_never_reports_a_nan_residual():
+    # the shear's flow and map overflow on both sides at t = -400: inf - inf
+    hm = build_parabola_shear(1.0)
+    with pytest.raises(PreconditionViolated, match="at t = -400 is not finite"):
+        verify_conjugacy(hm, times=[0.0, -400.0], n_points=4)
 
 
 def test_lipschitz_probe_reports_schedules():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from linflow import GeneratorSpec, JordanBlock, materialize
 from linflow import _ratlinalg as rl
-from linflow.errors import InternalCheckError, PreconditionViolated
+from linflow.errors import InternalCheckError
 
 from conftest import random_spec
 
@@ -240,8 +240,3 @@ def test_divmod_monic_by_zero_is_an_internal_error():
         with pytest.raises(InternalCheckError):
             rl.divmod_monic([1, 1], den)
 
-
-@pytest.mark.parametrize("bad", [0, Fraction(-1, 2)])
-def test_fraction_gcd_rejects_non_positive(bad):
-    with pytest.raises(PreconditionViolated):
-        rl.fraction_gcd([Fraction(1, 2), bad])
