@@ -6,13 +6,16 @@ multiset ({"blocks": [...]}) or a rational matrix ({"dim": d, "rows":
 [...]}); matrices are ingested through the exact normal-form recovery.
 
 Exit codes: 0 success, 1 usage error, 2 parse or ingestion failure,
-3 precondition violation, 4 Undecided under --strict.
+3 precondition violation, 4 Undecided under --strict, 141 stdout closed
+before the output was written (128 + SIGPIPE, as a shell reports a tool
+that a closed pipe ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -68,6 +71,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_UNDECIDED = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,7 +379,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here at the latest
+        return code
+    except BrokenPipeError:
+        # end quietly; stdout now points at devnull, so the flush at exit
+        # cannot fail again (the Python docs' "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -81,8 +81,9 @@ class FlowEvaluator:
 
         A coordinate whose polynomial-and-rotation part is exactly zero
         stays zero under any growth, also one past the float range, where
-        inf * 0 would make it NaN.  A growth past the float range comes out
-        inf without a floating-point warning; callers check the result.
+        inf * 0 would make it NaN.  A series term or a growth past the float
+        range comes out inf without a floating-point warning; callers check
+        the result.
         """
         ts = np.asarray(ts, dtype=float)
         X = np.asarray(X, dtype=float)
@@ -91,8 +92,20 @@ class FlowEvaluator:
         if ts.shape != (X.shape[0],):
             raise PreconditionViolated("need one time per point")
         tmax = self._check_t(ts)
-        # the flow without its growth factors; the series starts from 0 + x,
-        # so a -0 entry comes out +0 (the float golden file pins the sign)
+        # t^j / j! <= e^|t|, so the series stays finite where the growth does
+        if tmax * max(1.0, self.top_rate) <= _EXP_SAFE:
+            return np.exp(ts[:, None] * self.rates) * self._unscaled(ts, X)
+        with np.errstate(over="ignore", invalid="ignore"):  # a term may be inf, and inf * 0 NaN
+            P = self._unscaled(ts, X)
+            out = np.exp(ts[:, None] * self.rates) * P
+        np.copyto(out, P, where=P == 0)
+        return out
+
+    def _unscaled(self, ts, X):
+        """The flow without its growth factors: the series over the powers
+        of K, then the rotations."""
+        # the series starts from 0 + x, so a -0 entry comes out +0 (the
+        # float golden file pins the sign)
         P = 0.0 + X
         tp = np.ones_like(ts)
         for j, (dst, src) in enumerate(self._shifts, 1):
@@ -103,12 +116,7 @@ class FlowEvaluator:
         U, V = P[:, self._rot_u], P[:, self._rot_v]
         P[:, self._rot_u] = c * U - s * V
         P[:, self._rot_v] = s * U + c * V
-        if tmax * self.top_rate <= _EXP_SAFE:
-            return np.exp(ts[:, None] * self.rates) * P
-        with np.errstate(over="ignore", invalid="ignore"):  # a growth may be inf, and inf * 0 NaN
-            out = np.exp(ts[:, None] * self.rates) * P
-        np.copyto(out, P, where=P == 0)
-        return out
+        return P
 
     def apply(self, t, x):
         x = np.asarray(x, dtype=float)

@@ -507,8 +507,9 @@ def build_pw_conj_hyperbolic(spec):
         mu^4, and sqrt(n2^2 - mu^4) for the squared norms n2 at time 0."""
         T = _min_time(Y, Z, np.zeros(len(Y)))
         mu2 = _vfull(T, Y, Z)[0]
-        mu4 = mu2 * mu2
-        return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # mu^4 may overflow; _finite checks
+            mu4 = mu2 * mu2
+            return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
 
     def forward_batch(X):
         X, parts, _, n2, pure, mixed, _ = _split(X)
@@ -539,7 +540,8 @@ def build_pw_conj_hyperbolic(spec):
             Q, n2, tm = [P[mixed] for P in parts], n2[mixed], ts[mixed]
             T, mu4, rad0 = _cone(*Q, n2)
             Vt = _vfull(tm, *Q)[0]
-            radt = np.sqrt(np.maximum(Vt * Vt - mu4, 0.0))
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _cone
+                radt = np.sqrt(np.maximum(Vt * Vt - mu4, 0.0))
             num = _stable_side(n2, rad0, np.sign(T), mu4)
             den = _stable_side(Vt, radt, np.sign(T - tm), mu4)
             out[mixed] = 0.5 * np.log(num / den)

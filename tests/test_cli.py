@@ -14,6 +14,7 @@ import pytest
 import linflow
 
 from linflow.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -486,6 +487,9 @@ def test_simulate_growth_past_the_float_range_on_a_zero_coordinate(capsys, fast_
          "error: the orbit leaves the float range at t = 900"),
         (["simulate", "{g}", "--point", "0,1", "--times", "1,900,950"],
          "error: the orbit leaves the float range at t = 900"),
+        # t^j / j! overflows from j ~ 300 on at t = 1000, though e^{0 t} does not
+        (["simulate", "{big}", "--point", ",".join(["1"] * 400), "--times", "1000"],
+         "error: the orbit leaves the float range at t = 1000"),
         (["verify", "pw-hyp", "{g}", "--times", "300"],
          "error: pw-hyp map: a point's norm is beyond the float range"),
         (["verify", "unwind:2,1,1", "--times", "800"],
@@ -494,10 +498,15 @@ def test_simulate_growth_past_the_float_range_on_a_zero_coordinate(capsys, fast_
         (["verify", "shear:1", "--times=-400"],
          "error: conjugacy residual at t = -400 is not finite: the flows leave the float range"),
     ],
-    ids=["simulate", "simulate-grid", "pw-hyp", "unwind", "shear-nan-residual"],
+    ids=["simulate", "simulate-grid", "simulate-series", "pw-hyp", "unwind",
+         "shear-nan-residual"],
 )
-def test_flows_past_the_float_range_end_in_one_error_line(capsys, fast_slow_file, argv, message):
-    argv = [fast_slow_file if a == "{g}" else a for a in argv]
+def test_flows_past_the_float_range_end_in_one_error_line(
+    capsys, tmp_path, fast_slow_file, argv, message
+):
+    files = {"{g}": fast_slow_file,
+             "{big}": write_json(tmp_path, "big.json", spec_doc((400, 0, 0)))}
+    argv = [files.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_PRECONDITION
     assert out == ""
@@ -530,6 +539,24 @@ def test_verify_bad_number_arguments_under_python_O(argv, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_stdout_closed_early_ends_quietly(tmp_path):
+    # the reader takes two of 100001 lines and leaves; the rest meets a closed pipe
+    path = write_json(tmp_path, "one.json", spec_doc((1, -1, 0)))
+    src = str(Path(linflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linflow", "simulate", path, "--point", "1",
+         "--t-range", "0,10,100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert lines == ["t,x1\n", "0,1\n"]
+    assert err == ""  # no traceback, no error line
 
 
 def test_verify_spiral_rate_zero_is_the_identity(capsys):

@@ -183,6 +183,7 @@ def test_pw_conj_mixed_batch_matches_single_rows(rng):
     assert np.all(W[[0, 5]] == 0) and np.all(W[[1, 7], dS:] == 0) and np.all(W[[2, 4], :dS] == 0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e80, 1e150, 1e300])
 def test_pw_conj_large_norms_round_trip_or_raise(scale):
     # an overflowing norm must end in the typed error, never in NaN
