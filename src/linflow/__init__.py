@@ -10,7 +10,8 @@ everything numerically through closed-form flow evaluation.
 The exact layer (blocks, classifier, invariants, similarity) loads numpy
 only inside the float helpers of matrix ingestion.  The names of the float
 layer (flows, homeos, probes) resolve on first access, so work on block
-multisets that never touches them loads neither numpy nor scipy.
+multisets that never touches them does not load numpy.  The float layer
+needs nothing beyond numpy.
 """
 
 import importlib

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .blocks import (
     _floats,
@@ -104,14 +103,6 @@ def _parse_float(text, what):
     return _floats([parse_rational(text, what)], what)[0]
 
 
-def _parse_floats(text, what):
-    try:
-        values = [Fraction(part) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError):
-        raise SpecParseError(f"{what}: expected comma-separated numbers, got {text!r}")
-    return _floats(values, what)
-
-
 def _parse_int(text, what):
     try:
         return int(text)
@@ -129,7 +120,7 @@ def _time_grid(args, default_span=5.0, default_n=11):
     import numpy as np
 
     if getattr(args, "times", None):
-        return np.array(_parse_floats(args.times, "--times"))
+        return np.array([_parse_float(p, "--times") for p in args.times.split(",") if p.strip()])
     if getattr(args, "t_range", None):
         parts = args.t_range.split(",")
         if len(parts) != 3:
@@ -218,7 +209,7 @@ def _cmd_simulate(args):
     from .flows import FlowEvaluator
 
     spec = _load_generator(args.spec, args.tol, args.max_denominator)
-    x = np.array(_parse_floats(args.point, "--point"))
+    x = np.array([_parse_float(p, "--point") for p in args.point.split(",") if p.strip()])
     if x.shape != (spec.dim,):
         raise PreconditionViolated(
             f"--point needs {spec.dim} coordinates, got {len(x)}"

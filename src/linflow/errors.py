@@ -64,7 +64,8 @@ class RangeGuard(PreconditionViolated):
 
 
 class LyapunovSolveFailed(PreconditionViolated):
-    """The Lyapunov equation solve returned no usable symmetric solution."""
+    """The Lyapunov equation solve returned no usable symmetric solution.
+    The pw-hyp metrics now have a closed form, so no builder raises it."""
 
 
 class DefinitenessCheckFailed(PreconditionViolated):

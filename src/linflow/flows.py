@@ -28,6 +28,12 @@ FLOW_TIME_GUARD = 1e3
 _EXP_SAFE = 700.0  # e^x is finite for every x up to this
 
 
+def _rotate_pairs(theta, U, V):
+    """(U, V) turned pairwise by the angles theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    return c * U - s * V, s * U + c * V
+
+
 class FlowEvaluator:
     """Evaluates x -> e^{tA} x for one block-diagonal generator.
 
@@ -70,10 +76,9 @@ class FlowEvaluator:
     def _check_t(self, ts):
         """max |t|, once it is checked against the guard."""
         tmax = float(np.abs(ts).max(initial=0.0))
-        if tmax > self.guard:
-            raise RangeGuard(
-                f"|t| exceeds the simulation guard {self.guard:g}"
-            )
+        if not tmax <= self.guard:  # a NaN time fails this too
+            raise RangeGuard("a time is NaN" if tmax != tmax
+                             else f"|t| exceeds the simulation guard {self.guard:g}")
         return tmax
 
     def apply_batch(self, ts, X):
@@ -111,11 +116,8 @@ class FlowEvaluator:
         for j, (dst, src) in enumerate(self._shifts, 1):
             tp = tp * ts / j
             P[:, dst] += tp[:, None] * X[:, src]
-        theta = ts[:, None] * self._rot_rates
-        c, s = np.cos(theta), np.sin(theta)
         U, V = P[:, self._rot_u], P[:, self._rot_v]
-        P[:, self._rot_u] = c * U - s * V
-        P[:, self._rot_v] = s * U + c * V
+        P[:, self._rot_u], P[:, self._rot_v] = _rotate_pairs(ts[:, None] * self._rot_rates, U, V)
         return P
 
     def apply(self, t, x):

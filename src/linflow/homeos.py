@@ -8,7 +8,8 @@ where Phi is the source flow and Psi the target flow.  Conjugacies have
 tau(x, t) = t.  All maps come with inverses and vectorized variants; the
 only numerics involved are monotone or convex one-dimensional root solves
 on closed-form norm profiles, solved by safeguarded Newton steps on their
-closed-form derivatives to machine-level tolerance.
+closed-form derivatives to machine-level tolerance.  The Lyapunov
+metrics of the pw-hyp map are closed forms too, with no matrix solver.
 
 Each concept has one routine that every builder shares: `_newton` solves
 every root (`_solve_norm_time` for a norm level, `_solve_min_time` for a
@@ -34,11 +35,10 @@ from .blocks import GeneratorSpec, JordanBlock, _layout
 from .errors import (
     DefinitenessCheckFailed,
     InternalCheckError,
-    LyapunovSolveFailed,
     MonotonicityNotAchieved,
     PreconditionViolated,
 )
-from .flows import FlowEvaluator
+from .flows import FlowEvaluator, _rotate_pairs
 from .invariants import partition_dims, subspec
 
 __all__ = [
@@ -218,11 +218,6 @@ def _solve_min_time(pS, pU, Y, Z, shift, stats):
 # planar spiral
 
 
-def _rotate_pairs(theta, U, V):
-    c, s = np.cos(theta), np.sin(theta)
-    return c * U - s * V, s * U + c * V
-
-
 def _turn_planes(planes):
     """Forward and inverse batch maps that turn each coordinate plane
     (i, j) by the logarithmic spiral R(rate * log r), r the point's radius
@@ -362,43 +357,49 @@ def _definite(M):
     return ev[0] > 1e-10 * max(1.0, ev[-1])
 
 
-def _lyapunov_metric(flow, stable, attempts=8):
-    """Metric G with monotone norms along the factor flow.
+def _lyapunov_solutions(flow, sgn, attempts):
+    """(g, G) for each chain weight (g, Q) of the schedule, where G solves
+    A^T G + G A = -2 sgn Q in closed form.
 
-    Solves G A + A^T G = -+2Q and certifies strict definiteness of both
-    the first and second derivative forms of |Phi_t x|_G^2.  Q is retried
-    over chain weights with geometrically growing gap until both checks
-    pass.
+    Write A = R + N + J: the diagonal R of rates, the chain shift N and the
+    rotation coupling J.  Q and N act alike on both halves of a rotating
+    block, so the unique G does too, and then J^T G + G J = 0.  What is left
+    reads entrywise (r_i + r_j) G_ij + (N^T G + G N)_ij = -2 sgn Q_ij, where
+    r_i + r_j != 0 since the rates of one factor share a sign.  N is
+    nilpotent, so the Neumann series in T -> N^T T + T N ends after
+    2 * max(chain_pos) terms of O(d^2) shifts, and G is exactly symmetric.
+    Tiny rates on long chains overflow; such a G is not finite.
     """
+    pos = flow.chain_pos
+    link = pos[1:] == pos[:-1] + 1  # coordinate i + 1 follows i on its chain
+    inv = 1.0 / np.add.outer(flow.rates, flow.rates)
+    for g, Q in _chain_weights(flow, attempts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = T = -2.0 * sgn * Q * inv
+            for _ in range(2 * pos.max()):
+                L = np.zeros_like(T)
+                L[1:] = link[:, None] * T[:-1]  # N^T T
+                L[:, 1:] += T[:, :-1] * link  # T N
+                T = -inv * L
+                G = G + T
+        yield g, G
+
+
+def _lyapunov_metric(flow, stable, attempts=8):
+    """Metric G with monotone norms along the factor flow: the first of
+    `_lyapunov_solutions`, over chain weights of growing gap, whose first
+    and second derivative forms of |Phi_t x|_G^2 are strictly definite."""
     if flow.dim == 0:
         return np.zeros((0, 0)), {"attempts": 0, "gap": None}
     A = flow.generator_matrix()
-    # scipy is imported here, its only use, so other maps never load it
-    from scipy.linalg import solve_continuous_lyapunov
-
-    # the norm along the flow is monotone decreasing (stable) or increasing
-    # (unstable); solving against -A reuses the stable identity for the
-    # unstable factor and flips the sign of the first derivative form
-    sgn = 1.0 if stable else -1.0
-    solve_errors = []
-    for k, (g, Q) in enumerate(_chain_weights(flow, attempts)):
-        try:
-            G = solve_continuous_lyapunov(sgn * A.T, -2.0 * Q)
-        except Exception as exc:  # singular Sylvester operator etc.
-            solve_errors.append(str(exc))
-            continue
+    sgn = 1.0 if stable else -1.0  # the norm decreases (stable) or increases
+    for k, (g, G) in enumerate(_lyapunov_solutions(flow, sgn, attempts)):
         if not np.all(np.isfinite(G)):
-            solve_errors.append("non-finite solution")
             continue
-        G = 0.5 * (G + G.T)
         B = -sgn * (G @ A + A.T @ G)
         C = G @ (A @ A) + 2.0 * (A.T @ G @ A) + (A.T @ A.T) @ G
         if all(_definite(M) for M in (G, B, C)):
             return G, {"attempts": k + 1, "gap": g}
-    if len(solve_errors) == k + 1:
-        raise LyapunovSolveFailed(
-            "every Lyapunov solve failed: " + "; ".join(solve_errors[:2])
-        )
     raise DefinitenessCheckFailed(
         "no chain weight up to gap 2^%d produced strictly definite derivative forms" % k
     )

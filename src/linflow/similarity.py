@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import scale_spec, serialize_spec
+from .blocks import rational_to_json, scale_spec, serialize_spec
 from .errors import DimMismatch
 from .invariants import (
     _inverse_gcd,
@@ -194,9 +194,8 @@ class ScalingCertificate:
     witness: dict
 
     def to_json(self):
-        num, den = self.alpha.numerator, self.alpha.denominator
         return {
-            "alpha": num if den == 1 else f"{num}/{den}",
+            "alpha": rational_to_json(self.alpha),
             "predicate": self.predicate,
             "witness": self.witness,
         }

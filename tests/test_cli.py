@@ -357,6 +357,27 @@ def test_simulate_wrong_point_count_exits_3(capsys, saddle_file):
     assert "needs 2 coordinates" in err
 
 
+@pytest.mark.parametrize(
+    "point, times, code, message",
+    [
+        ("1,x", "0", EXIT_PARSE, "--point: malformed rational 'x'"),
+        ("1,1/0", "0", EXIT_PARSE, "--point: malformed rational '1/0'"),
+        ("1,1", "0,nan", EXIT_PARSE, "--times: malformed rational 'nan'"),
+        ("1,1", "0,,1;", EXIT_PARSE, "--times: malformed rational '1;'"),
+        (",1,,1,", "1/2, ,3/4", EXIT_OK, None),
+    ],
+)
+def test_simulate_parses_point_and_times_as_rationals(
+    capsys, saddle_file, point, times, code, message
+):
+    got, out, err = run_cli(capsys, "simulate", saddle_file, "--point", point, "--times", times)
+    assert got == code
+    if message is None:
+        assert [row.split(",")[0] for row in out.splitlines()] == ["t", "0.5", "0.75"]
+    else:
+        assert err.splitlines() == [f"error: {message}"]
+
+
 def test_simulate_missing_point_flag_is_a_usage_error(capsys, saddle_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", saddle_file])

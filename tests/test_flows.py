@@ -108,6 +108,17 @@ def test_time_guard():
     assert ev.apply(9.0, [1.0]) is not None
 
 
+def test_a_nan_time_does_not_hide_the_guard():
+    # max |t| over a batch holding a NaN is NaN, and NaN > guard is False
+    ev = FlowEvaluator([(2, -1.0, 0.0)])
+    with pytest.raises(RangeGuard, match="a time is NaN"):
+        ev.apply_batch([np.nan, 2e9], np.ones((2, 2)))
+    with pytest.raises(RangeGuard, match="a time is NaN"):
+        ev.apply(np.nan, [1.0, 1.0])
+    with pytest.raises(RangeGuard, match=r"^\|t\| exceeds the simulation guard 1000$"):
+        ev.apply_batch([np.inf, 0.0], np.ones((2, 2)))
+
+
 def test_shape_validation():
     ev = FlowEvaluator.from_spec(S((1, -1, 0), (1, 2, 0)))
     with pytest.raises(PreconditionViolated):

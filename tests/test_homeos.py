@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.optimize import brentq
 
 from linflow import (
@@ -23,6 +23,7 @@ from linflow import (
 )
 from linflow import homeos
 from linflow.flows import FlowEvaluator
+from linflow.invariants import subspec
 from linflow.probes import _sample_points
 
 from conftest import random_hyperbolic_spec
@@ -233,6 +234,35 @@ def test_pw_conj_fails_honestly_on_flat_defective_blocks():
     # certifies the convexity form, and the builder must say so
     with pytest.raises(DefinitenessCheckFailed):
         build_pw_conj_hyperbolic(S((3, Fraction(-1, 20), 0)))
+
+
+def test_pw_conj_reports_the_last_gap_when_chain_weights_overflow():
+    # g^149 leaves the float range at g = 2^7, and at every smaller gap the
+    # closed-form metric of the slow size-150 chain overflows
+    with pytest.raises(DefinitenessCheckFailed, match=r"up to gap 2\^6 "):
+        build_pw_conj_hyperbolic(S((150, Fraction(-1, 100), 0), (1, 1, 0)))
+
+
+def test_closed_form_lyapunov_metrics_match_the_bartels_stewart_solver(rng):
+    # the oracle: scipy's general Lyapunov solver on the same chain weights
+    seen = dict.fromkeys(("rotating", "defective", "stable", "unstable"), 0)
+    for _ in range(60):
+        spec = random_hyperbolic_spec(rng, max_dim=8)
+        for stable in (True, False):
+            ev = FlowEvaluator.from_spec(subspec(spec, "stable" if stable else "unstable"))
+            if ev.dim == 0:
+                continue
+            seen["stable" if stable else "unstable"] += 1
+            seen["rotating"] += any(b != 0 for _, _, b in ev.blocks)
+            seen["defective"] += any(m > 1 for m, _, _ in ev.blocks)
+            A, sgn = ev.generator_matrix(), 1.0 if stable else -1.0
+            solutions = homeos._lyapunov_solutions(ev, sgn, 8)
+            for (g, Q), (h, G) in zip(homeos._chain_weights(ev, 8), solutions, strict=True):
+                want = solve_continuous_lyapunov(sgn * A.T, -2.0 * Q)
+                assert g == h
+                assert np.array_equal(G, G.T)
+                assert np.abs(G - want).max() <= 1e-12 * np.abs(want).max(), (ev.blocks, g)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_pw_conj_random_specs_meet_tolerance(rng):

@@ -2,9 +2,10 @@
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported numpy and scipy.  Exact subcommands on block multisets must
-leave both out of sys.modules; `verify` loads numpy, and scipy only for the
-pw-hyp Lyapunov solve.  The package's lazily resolved names must still all
-resolve, and `from linflow import *` must still work.
+leave both out of sys.modules; `verify` loads numpy, and never scipy: not
+even the pw-hyp map, whose Lyapunov metrics have a closed form.  The
+package's lazily resolved names must still all resolve, and
+`from linflow import *` must still work.
 """
 
 import json
@@ -23,6 +24,7 @@ SPECS = {
     "shear.json": {"blocks": [{"m": 2, "re": "-1", "im": "0"}]},
     "scalar.json": {"blocks": [{"m": 1, "re": "-1", "im": "0"}] * 2},
     "spiral.json": {"blocks": [{"m": 1, "re": "-1", "im": "2"}]},
+    "saddle.json": {"blocks": [{"m": 2, "re": "-1", "im": "1"}, {"m": 1, "re": "1/2", "im": "0"}]},
 }
 
 
@@ -83,6 +85,11 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy(spec_dir, argv):
 
 def test_verify_spiral_loads_numpy_but_not_scipy(spec_dir):
     out = run_main(["verify", "spiral:1", "--points", "4"], spec_dir)
+    assert out == {"rc": 0, "numpy": True, "scipy": False}
+
+
+def test_verify_pw_hyp_loads_numpy_but_not_scipy(spec_dir):
+    out = run_main(["verify", "pw-hyp", "saddle.json", "--points", "4"], spec_dir)
     assert out == {"rc": 0, "numpy": True, "scipy": False}
 
 
