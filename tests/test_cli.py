@@ -535,12 +535,13 @@ def test_flows_past_the_float_range_end_in_one_error_line(
 
 
 def test_verify_pw_hyp_with_overflowing_chain_weights_exits_3(capsys, tmp_path):
-    # the size-150 block's chain weights g^149 leave the float range at g = 2^7
+    # the size-150 block's chain weights g^149 leave the float range at g = 2^7,
+    # and at every smaller gap the metric of the slow chain overflows
     path = write_json(tmp_path, "long.json", spec_doc((150, "-1/100", 0), (1, 1, 0)))
     code, out, err = run_cli(capsys, "verify", "pw-hyp", path)
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "strictly definite" in err
+    assert "up to gap 2^6 produced strictly definite" in err
 
 
 @pytest.mark.parametrize(
