@@ -11,16 +11,22 @@ on closed-form norm profiles, solved by safeguarded Newton steps on their
 closed-form derivatives to machine-level tolerance.  The Lyapunov
 metrics of the pw-hyp map are closed forms too, with no matrix solver.
 
+Every root has a certified bracket, and no bracket is grown: the slopes
+of the solved log profiles are Rayleigh quotients of fixed matrix
+pencils, whose ranges each factor computes once at build time, so one
+evaluation at the start places the root.  The mixed pw-hyp inverse starts
+each inner minimum from the previous outer step.
+
 Each concept has one routine that every builder shares: `_newton` solves
 every root (`_solve_norm_time` for a norm level, `_solve_min_time` for a
-minimum), `_NormProfile` gives a factor's norm and its derivatives,
-`_turn_planes` does the log-spiral turning of the spiral and
-uniform-exponent maps, and `_chain_weights` with `_definite` drives
-the metric searches of the pw-hyp and unwind maps.  Inside the pw-hyp map,
-one `_split` sorts the rows of a batch into zero, pure-stable,
-pure-unstable and mixed, one loop over the (stable, unstable) factors
-serves both pure kinds, and one `_cone` serves the mixed rows of the
-forward map and of tau.
+minimum), `_NormProfile` gives a factor's norm, its derivatives and
+their slope ranges, `_turn_planes` does the log-spiral turning of the
+spiral and uniform-exponent maps, and `_chain_weights` with `_definite`
+drives the metric searches of the pw-hyp and unwind maps.  Inside the
+pw-hyp map, one `_split` sorts the rows of a batch into zero,
+pure-stable, pure-unstable and mixed, one loop over the (stable,
+unstable) factors serves both pure kinds, and one `_cone` serves the
+mixed rows of the forward map and of tau.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .flows import FlowEvaluator, _rotate_pairs
-from .invariants import partition_dims, subspec
+from .invariants import partition_dims
 
 __all__ = [
     "HomeoMap",
@@ -51,8 +57,9 @@ __all__ = [
 ]
 
 _INTERNAL_GUARD = 1e9  # internal evaluators are not time-limited
-_BRACKET_CAP = 2.0**60
-_SOLVE_CAP = 300  # bisection alone needs ~105 steps from the bracket cap
+_SOLVE_CAP = 300  # bisection alone needs ~100 steps across the time guard
+_SLACK = 1e-2  # relative widening of the slope bounds behind a certified bracket
+_F_PAD = 1e-10  # rounding allowance on a log value that places a certified bracket
 
 
 def _same_time(X, ts):
@@ -91,55 +98,56 @@ class HomeoMap:
 # batched monotone root solving
 
 
-def _grow_bracket(fg, n, lo, hi):
-    """Widens [lo, hi] per point until f(lo) <= 0 <= f(hi) for increasing
-    f: a wrong-signed end becomes the other end and moves away 2x (to at
-    least 1), or 1.2 Newton steps if farther, at most 16x.  Returns lo, hi
-    and a start inside: the secant root of the ends, else the midpoint."""
-    ends = [np.full(n, lo, dtype=float), np.full(n, hi, dtype=float)]
-    fs = [np.full(n, np.nan), np.full(n, np.nan)]
-    todo = np.ones(n, dtype=bool)
-    for k, away in ((0, -1.0), (1, 1.0)):
-        end, f_end, other, f_other = ends[k], fs[k], ends[1 - k], fs[1 - k]
-        rows = np.flatnonzero(todo)
-        while rows.size:
-            f, df = fg(end[rows], rows)
-            f_end[rows] = f
-            bad = away * f < 0
-            rows, f, df = rows[bad], f[bad], df[bad]
-            if np.any(np.abs(end[rows]) > _BRACKET_CAP):
-                raise PreconditionViolated("monotone time bracket could not be established")
-            todo[rows] = False  # the old end brackets the root from the other side
-            other[rows], f_other[rows] = end[rows], f_end[rows]
-            m = away * end[rows]
-            with np.errstate(all="ignore"):
-                m_new = np.fmax(np.maximum(2.0 * m, 1.0), m + 1.2 * np.abs(f / df))
-            end[rows] = away * np.minimum(m_new, 16.0 * np.maximum(m, 1.0))
-    (lo, hi), (flo, fhi) = ends, fs
+def _bracket(x, f, kmin, kmax):
+    """[lo, hi] holding the root of an increasing function with value f at
+    x whose slope lies in [kmin, kmax] > 0: x - f / [kmin, kmax] in interval
+    arithmetic, with the slopes widened by _SLACK and f by _F_PAD."""
     with np.errstate(all="ignore"):
-        x0 = lo - flo * (hi - lo) / (fhi - flo)
-    return lo, hi, np.where((x0 > lo) & (x0 < hi), x0, 0.5 * (lo + hi))
+        q = [(f + e) / k for e in (-_F_PAD, _F_PAD)
+             for k in (kmin * (1.0 - _SLACK), kmax * (1.0 + _SLACK))]
+    return x - np.maximum.reduce(q), x - np.minimum.reduce(q)
 
 
-def _newton(fg, n, stats, lo=-1.0, hi=1.0, cap=_SOLVE_CAP):
-    """Roots of n elementwise increasing functions, bracketed by growing
-    [lo, hi]; fg(x, rows) -> (f, f') for the given rows of the batch.
+def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=_SOLVE_CAP):
+    """Roots of len(x) elementwise increasing functions, started at x;
+    fg(x, rows) -> (f, f') for the given rows of the batch.
+
+    The roots lie in [lo, hi].  With slopes = (kmin, kmax) bounding f',
+    the first evaluation at x narrows that to the certified
+    `_bracket(x, f(x), kmin, kmax)`, so no bracket is ever grown; a point
+    whose f(x) is not finite keeps [lo, hi] and moves to `restart` where
+    that lies inside, else bisects.  A start, or a bracket after the first
+    evaluation, that is not finite cannot be used.
 
     Safeguarded Newton (rtsafe, Press et al., Numerical Recipes): keep the
-    bracket, take the Newton step only if it lands inside it and is at most
-    half the step before last, bisect otherwise.  A point stops once its
-    step or its bracket is within 1e-13 * max(1, |x|); one still running
-    after `cap` iterations is a bug, never a result.
+    bracket, take the Newton step only if it lands inside it and, from the
+    third step on, is at most half the step before last; bisect otherwise.
+    A point stops once its step or its bracket is within
+    1e-13 * max(1, |x|); one still running after `cap` iterations is a
+    bug, never a result.  Every f here is a difference of logs, so a point
+    that stops with |f| above 1e-6 * max(1, |x|) stopped at a jump, where a
+    flow left the float range, not at a root.
     """
-    lo, hi, x = _grow_bracket(fg, n, lo, hi)
-    out = x.copy()
-    step_old = step = hi - lo
+    n = len(x)
+    lo, hi = (np.array(np.broadcast_to(b, (n,)), dtype=float) for b in (lo, hi))
+    x = np.clip(np.asarray(x, dtype=float), lo, hi)
+    if not np.all(np.isfinite(x)):
+        raise PreconditionViolated("monotone time bracket could not be established")
+    out = np.empty(n)
+    step_old = step = np.full(n, np.inf)
     rows = np.arange(n)
     stats["solves"] += n
-    for _ in range(cap):
+    for it in range(cap):
         f, df = fg(x, rows)
+        if it == 0:
+            if slopes is not None:
+                a, b = _bracket(x, f, *slopes)
+                ok = np.isfinite(f)
+                lo, hi = np.where(ok, np.maximum(lo, a), lo), np.where(ok, np.minimum(hi, b), hi)
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise PreconditionViolated("monotone time bracket could not be established")
         neg = f < 0
-        lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
+        lo, hi = np.where(neg, np.maximum(lo, x), lo), np.where(neg, hi, np.minimum(hi, x))
         with np.errstate(all="ignore"):
             dn = f / np.where(np.isfinite(df) & (df > 0), df, np.nan)
         xn = x - dn
@@ -150,9 +158,13 @@ def _newton(fg, n, stats, lo=-1.0, hi=1.0, cap=_SOLVE_CAP):
             (xn > lo) & (xn < hi) & (2.0 * np.abs(dn) <= np.abs(step_old))
         )
         mid = 0.5 * (lo + hi)
+        if it == 0 and restart is not None:
+            mid = np.where((restart > lo) & (restart < hi), restart, mid)
         step_old, step = step, np.where(newton, dn, x - mid)
         x = np.where(newton, xn, mid)
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        if not np.all(np.abs(f[done]) <= 1e7 * tol[done]):
+            raise PreconditionViolated("a root of a norm profile lies beyond the float range")
         stats["iterations"] += rows.size
         stats["bisect_steps"] += int(np.count_nonzero(~newton))
         out[rows[done]] = x[done]
@@ -164,21 +176,47 @@ def _newton(fg, n, stats, lo=-1.0, hi=1.0, cap=_SOLVE_CAP):
     )
 
 
+def _slope_ranges(G, S, C, sign):
+    """The ranges of V'/V = <S z, z> / <G z, z> and, unless C is None, of
+    V''/(sign V') = <C z, z> / <sign S z, z> over z != 0: the extreme
+    eigenvalues of the pencils (S, G) and (C, sign S).  None unless G,
+    sign S and C are strictly definite.  One eigh call certifies G and
+    sign S and gives their inverse square roots R, and one eigvalsh call
+    gives the spectra of the R M R and certifies C."""
+    w, U = np.linalg.eigh(np.array((G, sign * S)))
+    if not (_margin(w[0]) and _margin(w[1])):
+        return None
+    R = (U / np.sqrt(w)[:, None, :]) @ U.transpose(0, 2, 1)
+    if C is None:
+        ev = np.linalg.eigvalsh(R[0] @ S @ R[0])
+        return (ev[0], ev[-1]), None
+    ev = np.linalg.eigvalsh(np.array((R[0] @ S @ R[0], R[1] @ C @ R[1], C)))
+    if not _margin(ev[2]):
+        return None
+    return (ev[0, 0], ev[0, -1]), (ev[1, 0], ev[1, -1])
+
+
 class _NormProfile:
     """V(t) = |Phi_t x|_G^2 along one factor flow with its closed-form
     derivatives V' = <S z, z> and V'' = <C z, z> at z = Phi_t x, where
-    S = G A + A^T G and C = A^T S + S A.  `sign` is the sign of S."""
+    S = G A + A^T G and C = A^T S + S A.  `sign` is the sign of S.
 
-    def __init__(self, flow, G, sign):
-        A = flow.generator_matrix()
-        S = G @ A + A.T @ G
-        self.flow, self.sign = flow, sign
+    `rates` bounds V'/V = <S z, z>/<G z, z> and `curvatures` bounds
+    V''/(sign V') = <C z, z>/<sign S z, z> over every z != 0: the ranges of
+    the pencils (S, G) and (C, sign S) from `_slope_ranges`, computed once
+    per build.  A profile whose convexity is not used has C None and no
+    curvatures."""
+
+    def __init__(self, flow, G, S, C, sign, ranges):
+        self.flow, self.G, self.S, self.sign = flow, G, S, sign
         # a row that overflows reads as the value its definite form tends to
-        self.quads = ((G, np.inf), (S, sign * np.inf), (A.T @ S + S @ A, np.inf))
+        self.quads = ((G, np.inf), (S, sign * np.inf), (C, np.inf))
+        self.rates, self.curvatures = ranges
 
     def forms(self, ts, X, k):
-        """[V, V', V''][:k] at times ts, from one flow evaluation."""
-        Z = self.flow.apply_batch(ts, X)
+        """[V, V', V''][:k] at times ts, from one flow evaluation, or none
+        when every time is 0."""
+        Z = self.flow.apply_batch(ts, X) if np.any(ts) else X
         bad = ~np.all(np.isfinite(Z), axis=1)
         out = []
         with np.errstate(all="ignore"):
@@ -187,10 +225,17 @@ class _NormProfile:
                 out.append(np.where(bad | ~np.isfinite(q), overflow, q))
         return out
 
+    def log_speed(self, X):
+        """log |V'(0)| at the points X, on max-abs-scaled rows so that it
+        neither overflows nor underflows."""
+        m = np.abs(X).max(axis=1)
+        Xs = X / m[:, None]
+        return np.log(self.sign * np.einsum("ni,ij,nj->n", Xs, self.S, Xs)) + 2.0 * np.log(m)
+
 
 def _solve_norm_time(prof, X, stats, targets=1.0):
     """Times s with V(s) == target on a strictly monotone norm profile,
-    solved in log V, whose derivative is V'/V."""
+    solved in log V from s = 0, whose slope V'/V lies within the rates."""
     logt = np.log(np.broadcast_to(targets, X.shape[:1]))
 
     def fg(s, r):
@@ -198,20 +243,42 @@ def _solve_norm_time(prof, X, stats, targets=1.0):
         with np.errstate(all="ignore"):
             return prof.sign * (np.log(V) - logt[r]), prof.sign * dV / V
 
-    return _newton(fg, X.shape[0], stats)
+    slopes = np.sort(prof.sign * np.array(prof.rates))
+    return _newton(fg, np.zeros(X.shape[0]), stats, slopes)
 
 
-def _solve_min_time(pS, pU, Y, Z, shift, stats):
+def _solve_min_time(pS, pU, Y, Z, shift, stats, start=None):
     """Argmin s of the strictly convex V_S(s) + V_U(s + shift) with stable
     pS and unstable pU, where the growth V_U' > 0 meets the decay -V_S' > 0;
-    solved in log V_U' - log(-V_S'), increasing since V'' > 0."""
+    solved in log V_U' - log(-V_S'), increasing with slope in the sum of
+    the curvature ranges since V'' > 0.
+
+    The two logs move from their values L_U, L_S at time 0 at mean slopes
+    k_U, k_S within the curvature ranges, so the root is a balance point
+    (L_S - L_U - k_U shift) / (k_U + k_S), bracketed by the corners of
+    those ranges.  s starts at `start` where that is finite and restarts at
+    the balance point of the midpoints where f(start) is not; without a
+    start, it starts there."""
+    LS, LU = pS.log_speed(Y), pU.log_speed(Z)
+    (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
+
+    def balance(kU, kS, e=0.0):
+        return (LS - LU + e - kU * shift) / (kU + kS)
+
+    corners = [balance(kU, kS, e) for e in (-_F_PAD, _F_PAD)
+               for kU in (cU0 * (1.0 - _SLACK), cU1 * (1.0 + _SLACK))
+               for kS in (cS0 * (1.0 - _SLACK), cS1 * (1.0 + _SLACK))]
+    s0 = balance(0.5 * (cU0 + cU1), 0.5 * (cS0 + cS1))
+    x0 = s0 if start is None else np.where(np.isfinite(start), start, s0)
+
     def fg(ts, r):
         _, dVs, d2Vs = pS.forms(ts, Y[r], 3)
         _, dVu, d2Vu = pU.forms(ts + shift[r], Z[r], 3)
         with np.errstate(all="ignore"):
             return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
 
-    return _newton(fg, Y.shape[0], stats)
+    return _newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), np.minimum.reduce(corners),
+                   np.maximum.reduce(corners), s0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +417,15 @@ def _chain_weights(flow, attempts):
         yield g, np.diag(w)
 
 
-def _definite(M):
-    """Whether the symmetric M is positive definite with margin 1e-10
-    relative to its largest eigenvalue."""
-    ev = np.linalg.eigvalsh(M)
+def _margin(ev):
+    """Whether the ascending eigenvalues ev of a symmetric matrix make it
+    positive definite with margin 1e-10 relative to the largest one."""
     return ev[0] > 1e-10 * max(1.0, ev[-1])
+
+
+def _definite(M):
+    """Whether the symmetric M is strictly positive definite (`_margin`)."""
+    return _margin(np.linalg.eigvalsh(M))
 
 
 def _lyapunov_solutions(flow, sgn, attempts):
@@ -368,7 +439,8 @@ def _lyapunov_solutions(flow, sgn, attempts):
     r_i + r_j != 0 since the rates of one factor share a sign.  N is
     nilpotent, so the Neumann series in T -> N^T T + T N ends after
     2 * max(chain_pos) terms of O(d^2) shifts, and G is exactly symmetric.
-    Tiny rates on long chains overflow; such a G is not finite.
+    Tiny rates on long chains overflow; such a G is not finite, and its
+    series stops at the first term that is not.
     """
     pos = flow.chain_pos
     link = pos[1:] == pos[:-1] + 1  # coordinate i + 1 follows i on its chain
@@ -382,24 +454,29 @@ def _lyapunov_solutions(flow, sgn, attempts):
                 L[:, 1:] += T[:, :-1] * link  # T N
                 T = -inv * L
                 G = G + T
+                if not np.isfinite(T).all():  # G is not finite, and stays so
+                    break
         yield g, G
 
 
 def _lyapunov_metric(flow, stable, attempts=8):
-    """Metric G with monotone norms along the factor flow: the first of
-    `_lyapunov_solutions`, over chain weights of growing gap, whose first
-    and second derivative forms of |Phi_t x|_G^2 are strictly definite."""
-    if flow.dim == 0:
-        return np.zeros((0, 0)), {"attempts": 0, "gap": None}
-    A = flow.generator_matrix()
+    """The norm profile of a metric G with monotone norms along the factor
+    flow: the first of `_lyapunov_solutions`, over chain weights of growing
+    gap, whose first and second derivative forms S and C of |Phi_t x|_G^2
+    are strictly definite, with those same forms."""
     sgn = 1.0 if stable else -1.0  # the norm decreases (stable) or increases
+    if flow.dim == 0:
+        Z = np.zeros((0, 0))
+        return _NormProfile(flow, Z, Z, Z, -sgn, (None, None)), {"attempts": 0, "gap": None}
+    A = flow.generator_matrix()
     for k, (g, G) in enumerate(_lyapunov_solutions(flow, sgn, attempts)):
         if not np.all(np.isfinite(G)):
             continue
-        B = -sgn * (G @ A + A.T @ G)
-        C = G @ (A @ A) + 2.0 * (A.T @ G @ A) + (A.T @ A.T) @ G
-        if all(_definite(M) for M in (G, B, C)):
-            return G, {"attempts": k + 1, "gap": g}
+        S = G @ A + A.T @ G
+        C = A.T @ S + S @ A
+        ranges = _slope_ranges(G, S, C, -sgn)
+        if ranges is not None:
+            return _NormProfile(flow, G, S, C, -sgn, ranges), {"attempts": k + 1, "gap": g}
     raise DefinitenessCheckFailed(
         "no chain weight up to gap 2^%d produced strictly definite derivative forms" % k
     )
@@ -440,19 +517,20 @@ def build_pw_conj_hyperbolic(spec):
     if dims.central:
         raise PreconditionViolated("hyperbolic generator required")
     d, dS = spec.dim, dims.stable
+    source = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
     # spec blocks are sorted by growth rate, so the stable coordinates come
     # first, and the image saddle keeps both factors where they are
-    factors = []  # stable, unstable: (norm profile, flow, metric, coordinates)
+    factors = []  # stable, unstable: (norm profile, coordinates)
     infos = []
     for stable, coords in ((True, slice(0, dS)), (False, slice(dS, d))):
-        part = subspec(spec, "stable" if stable else "unstable")
-        ev = FlowEvaluator.from_spec(part, guard=_INTERNAL_GUARD)
-        G, info = _lyapunov_metric(ev, stable=stable)
+        ev = FlowEvaluator([b for b in source.blocks if (b[1] < 0) == stable],
+                           guard=_INTERNAL_GUARD)
         # the stable norm strictly decreases along the flow, the unstable one
         # strictly increases, and both are strictly convex in time
-        factors.append((_NormProfile(ev, G, -1.0 if stable else 1.0), ev, G, coords))
+        prof, info = _lyapunov_metric(ev, stable=stable)
+        factors.append((prof, coords))
         infos.append(info)
-    (pS, evS, GS, _), (pU, evU, GU, _) = factors
+    (pS, _), (pU, _) = factors
     stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     tinysq = 1e-28  # squared relative threshold below which a factor is absent
@@ -462,8 +540,8 @@ def build_pw_conj_hyperbolic(spec):
         total, the pure-stable and pure-unstable row masks, the mixed mask
         and the zero mask."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        parts = [X[:, c] for *_, c in factors]
-        norms = [np.einsum("ni,ij,nj->n", P, G, P) for P, (_, _, G, _) in zip(parts, factors)]
+        parts = [X[:, c] for _, c in factors]
+        norms = [np.einsum("ni,ij,nj->n", P, p.G, P) for P, (p, _) in zip(parts, factors)]
         total = norms[0] + norms[1]
         if not np.all(np.isfinite(total)):
             raise PreconditionViolated("pw-hyp map: a point's norm is beyond the float range")
@@ -483,12 +561,12 @@ def build_pw_conj_hyperbolic(spec):
         underflowed the float range."""
         if Y.all():  # the common case: no zero coordinate at all
             return Y
-        for (_, ev, _, c), rows in zip(factors, pure):
+        for (prof, c), rows in zip(factors, pure):
             rows = rows | mixed
             if not rows.any():
                 continue
             A = np.abs(X[rows, c])
-            starts = ev.offsets[:-1]
+            starts = prof.flow.offsets[:-1]
             top = tinysq**0.5 * A.max(axis=1, keepdims=True)
             present = np.maximum.reduceat(A, starts, axis=1) > top
             if np.any(present & ~np.logical_or.reduceat(Y[rows, c] != 0, starts, axis=1)):
@@ -500,8 +578,8 @@ def build_pw_conj_hyperbolic(spec):
         # V, V', V'' of the full norm; factor U runs at the same times
         return [a + b for a, b in zip(pS.forms(ts, Y, k), pU.forms(ts, Z, k))]
 
-    def _min_time(Y, Z, shift):
-        return _solve_min_time(pS, pU, Y, Z, shift, stats)
+    def _min_time(Y, Z, shift, start=None):
+        return _solve_min_time(pS, pU, Y, Z, shift, stats, start)
 
     def _cone(Y, Z, n2):
         """Time T of the minimum full norm mu^2 along each mixed trajectory,
@@ -515,24 +593,24 @@ def build_pw_conj_hyperbolic(spec):
     def forward_batch(X):
         X, parts, _, n2, pure, mixed, _ = _split(X)
         W = np.zeros_like(X)
-        for (prof, ev, _, c), P, rows in zip(factors, parts, pure):
+        for (prof, c), P, rows in zip(factors, parts, pure):
             if rows.any():
                 T = _solve_norm_time(prof, P[rows], stats)
-                W[rows, c] = np.sqrt(n2[rows])[:, None] * ev.apply_batch(T, P[rows])
+                W[rows, c] = np.sqrt(n2[rows])[:, None] * prof.flow.apply_batch(T, P[rows])
         if mixed.any():
             Q, n2 = [P[mixed] for P in parts], n2[mixed]
             T, mu4, rad = _cone(*Q, n2)
-            for (prof, ev, _, c), P in zip(factors, Q):
+            for (prof, c), P in zip(factors, Q):
                 c2 = 0.5 * _stable_side(n2, rad, -prof.sign * np.sign(T), mu4)
                 T1 = _solve_norm_time(prof, P, stats)
-                W[mixed, c] = np.sqrt(c2)[:, None] * ev.apply_batch(T1, P)
+                W[mixed, c] = np.sqrt(c2)[:, None] * prof.flow.apply_batch(T1, P)
         return _kept(X, _finite(W), pure, mixed)
 
     def tau_batch(X, ts):
         ts = np.asarray(ts, dtype=float)
         X, parts, _, n2, pure, mixed, zero = _split(X)
         out = np.zeros(len(ts))
-        for (prof, *_), P, rows in zip(factors, parts, pure):
+        for (prof, _), P, rows in zip(factors, parts, pure):
             if rows.any():
                 Vt = prof.forms(ts[rows], P[rows], 1)[0]
                 # log of the ratio that grows with t: the stable norm decays
@@ -552,33 +630,63 @@ def build_pw_conj_hyperbolic(spec):
     def inverse_batch(W):
         W, parts, norms, nw2, pure, mixed, _ = _split(W)
         X = np.zeros_like(W)
-        for (prof, ev, _, c), P, q2, rows in zip(factors, parts, norms, pure):
+        for (prof, c), P, q2, rows in zip(factors, parts, norms, pure):
             if rows.any():
                 ph = P[rows] / np.sqrt(q2[rows])[:, None]
-                X[rows, c] = ev.apply_batch(_solve_norm_time(prof, ph, stats, q2[rows]), ph)
+                X[rows, c] = prof.flow.apply_batch(_solve_norm_time(prof, ph, stats, q2[rows]), ph)
         if mixed.any():
             nu, nv = (np.sqrt(q2[mixed]) for q2 in norms)
             uh, vh = (P[mixed] / q[:, None] for P, q in zip(parts, (nu, nv)))
             logmu2 = np.log(2.0 * nu * nv)
+            # each inner minimum starts from the row's previous outer step,
+            # moved as the balance point moves with delta
+            s_prev, d_prev = np.full(len(nu), np.nan), np.zeros(len(nu))
+            (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
+            lean = (cU0 + cU1) / (cU0 + cU1 + cS0 + cS1)
 
             def outer(deltas, r):
                 # log of min_s V(s, delta) against log mu^2; by the envelope
                 # theorem d/d delta min_s V = <S_U z, z> at the minimiser
-                s = _min_time(uh[r], vh[r], deltas)
+                start = s_prev[r] - lean * (deltas - d_prev[r])
+                s = s_prev[r] = _min_time(uh[r], vh[r], deltas, start)
+                d_prev[r] = deltas
                 Vs = pS.forms(s, uh[r], 1)[0]
                 Vu, dVu = pU.forms(s + deltas, vh[r], 2)
                 with np.errstate(all="ignore"):
                     return np.log(Vs + Vu) - logmu2[r], dVu / (Vs + Vu)
 
-            delta = _newton(outer, len(nu), stats)
-            s_star = _min_time(uh, vh, delta)
-            qS = evS.apply_batch(s_star, uh)
-            qU = evU.apply_batch(s_star + delta, vh)
+            # at the minimiser -V_S' = V_U', so the slope is the harmonic
+            # combination 1 / (1 / r_U + 1 / |r_S|) of the two factor rates
+            (rS0, rS1), (rU0, rU1) = pS.rates, pU.rates
+            slopes = (1.0 / (1.0 / rU0 - 1.0 / rS1), 1.0 / (1.0 / rU1 - 1.0 / rS0))
+            delta = _newton(outer, np.zeros(len(nu)), stats, slopes)
+            s_star = _min_time(uh, vh, delta, s_prev - lean * (delta - d_prev))
+            qS = pS.flow.apply_batch(s_star, uh)
+            qU = pU.flow.apply_batch(s_star + delta, vh)
 
             # slide along the trajectory of the cone point until the full
-            # metric norm matches |w|; the side is set by which factor wins
+            # metric norm matches |w|; the side is set by which factor wins.
+            # The winner alone takes the norm to |w|^2 within the time its
+            # slowest rate needs.  The slide starts where the two factors,
+            # each at its log-rate at the cone point, would reach |w|^2: two
+            # fixed-point steps on the winner's share, no flow evaluated
             side = np.sign(nu - nv)
-            lognw2 = np.log(nw2[mixed])
+            nw2m = nw2[mixed]
+            lognw2 = np.log(nw2m)
+            cone = []  # each factor's V and V'/V at the cone point
+            for prof, q in ((pS, qS), (pU, qU)):
+                V0, dV0 = (np.einsum("ni,ij,nj->n", q, M, q) for M in (prof.G, prof.S))
+                cone.append((V0, dV0 / V0))
+            (VS, kS), (VU, kU) = cone
+            win = side > 0  # V and V'/V of the winning and the losing factor
+            Vw, kw, Vl, kl = (np.where(win, p, q)
+                              for p, q in ((VS, VU), (kS, kU), (VU, VS), (kU, kS)))
+            with np.errstate(all="ignore"):
+                far = (lognw2 - np.log(Vw) + _F_PAD) / (np.where(win, rS1, rU0) * (1.0 - _SLACK))
+                start = (lognw2 - np.log(Vw)) / kw
+                for _ in range(2):
+                    start = np.log((nw2m - Vl * np.exp(kl * start)) / Vw) / kw
+            far, start = (np.where(side == 0, 0.0, v) for v in (far, start))
 
             def slide(sig, r):
                 # increasing toward the dominant factor's past/future
@@ -586,11 +694,9 @@ def build_pw_conj_hyperbolic(spec):
                 with np.errstate(all="ignore"):
                     return side[r] * (lognw2[r] - np.log(Vf)), -side[r] * dVf / Vf
 
-            lo = np.where(side > 0, -1.0, 0.0)
-            sig = _newton(slide, len(nu), stats, lo, lo + 1.0)
-            sig = np.where(side == 0, 0.0, sig)
-            for (_, ev, _, c), q in zip(factors, (qS, qU)):
-                X[mixed, c] = ev.apply_batch(sig, q)
+            sig = _newton(slide, start, stats, lo=np.minimum(far, 0.0), hi=np.maximum(far, 0.0))
+            for (prof, c), q in zip(factors, (qS, qU)):
+                X[mixed, c] = prof.flow.apply_batch(sig, q)
         return _kept(W, _finite(X), pure, mixed)
 
     target_spec = GeneratorSpec(
@@ -598,7 +704,7 @@ def build_pw_conj_hyperbolic(spec):
     )
     return HomeoMap(
         name="pw-hyp",
-        source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
+        source_flow=source,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
@@ -608,8 +714,8 @@ def build_pw_conj_hyperbolic(spec):
         metadata={
             "stable_coords": list(range(dS)),
             "unstable_coords": list(range(dS, d)),
-            "stable_metric": GS.tolist(),
-            "unstable_metric": GU.tolist(),
+            "stable_metric": pS.G.tolist(),
+            "unstable_metric": pU.G.tolist(),
             "metric_retries": {"stable": infos[0], "unstable": infos[1]},
             "norm": "factor-wise Lyapunov metric; the image saddle preserves it",
             "solver": stats,
@@ -638,20 +744,24 @@ def build_rotation_unwind_map(size, growth, rotation):
     A = src.generator_matrix()
     # diagonal chain metric; double the gap until the norm is monotone
     for g, G in _chain_weights(src, 40):
-        if _definite(np.sign(a) * (G @ A + A.T @ G)):
+        S = G @ A + A.T @ G
+        if _definite(np.sign(a) * S):
             break
     else:
         raise MonotonicityNotAchieved(
             "no diagonal chain metric made the norm strictly monotone"
         )
 
-    prof = _NormProfile(src, G, np.sign(a))
+    prof = _NormProfile(src, G, S, None, np.sign(a), _slope_ranges(G, S, None, np.sign(a)))
     stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     def _map(X, sgn):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
-        nz = np.einsum("ni,ni->n", X, X) > 0
+        norm2 = np.einsum("ni,ij,nj->n", X, G, X)
+        if not np.all(np.isfinite(norm2)):
+            raise PreconditionViolated("unwind map: a point's norm is beyond the float range")
+        nz = norm2 > 0
         if np.any(nz):
             T = _solve_norm_time(prof, X[nz], stats)
             theta = sgn * b * T

@@ -26,6 +26,8 @@ from linflow.flows import FlowEvaluator
 from linflow.invariants import subspec
 from linflow.probes import _sample_points
 
+import grown_brackets
+from grown_brackets import fresh_stats
 from conftest import random_hyperbolic_spec
 
 
@@ -307,10 +309,6 @@ def test_unwind_preconditions():
 # safeguarded Newton root solves against independent scalar oracles
 
 
-def _fresh_stats():
-    return dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
-
-
 def _oracle_root(f):
     """brentq on a scalar increasing f, bracketed by doubling [-1, 1]."""
     lo, hi = -1.0, 1.0
@@ -328,8 +326,8 @@ def _expm_norm_sq(A, G, s, x):
 
 def _factor_profile(blocks, stable):
     ev = FlowEvaluator(blocks, guard=1e9)
-    G, _ = homeos._lyapunov_metric(ev, stable=stable)
-    return homeos._NormProfile(ev, G, -1.0 if stable else 1.0), ev.generator_matrix(), G
+    prof, _ = homeos._lyapunov_metric(ev, stable=stable)
+    return prof, ev.generator_matrix(), prof.G
 
 
 def _directions(rng, n, d, radii):
@@ -353,7 +351,7 @@ def test_norm_time_solve_matches_brentq(rng, blocks, stable):
     prof, A, G = _factor_profile(blocks, stable)
     X = _directions(rng, 10, A.shape[0], RADII)
     targets = np.resize([1.0, 0.04, 25.0], len(X))
-    stats = _fresh_stats()
+    stats = fresh_stats()
     got = homeos._solve_norm_time(prof, X, stats, targets)
     for x, t, s in zip(X, targets, got):
         want = _oracle_root(lambda u: prof.sign * np.log(_expm_norm_sq(A, G, u, x) / t))
@@ -369,7 +367,7 @@ def test_min_time_solve_matches_brentq(rng):
     Y = _directions(rng, n, 2, RADII)
     Z = _directions(rng, n, 3, RADII[::-1])
     shift = rng.uniform(-3.0, 3.0, n)
-    stats = _fresh_stats()
+    stats = fresh_stats()
     got = homeos._solve_min_time(pS, pU, Y, Z, shift, stats)
 
     def dV(u, y, z, dt):
@@ -386,9 +384,11 @@ def test_unwind_hit_time_matches_brentq(rng, growth):
     hm = build_rotation_unwind_map(2, growth, 1.5)
     A = hm.source_flow.generator_matrix()
     G = np.diag(hm.metadata["metric_diagonal"] * 2)
-    prof = homeos._NormProfile(hm.source_flow, G, np.sign(growth))
+    S = G @ A + A.T @ G
+    ranges = homeos._slope_ranges(G, S, None, np.sign(growth))
+    prof = homeos._NormProfile(hm.source_flow, G, S, None, np.sign(growth), ranges)
     X = _directions(rng, 10, 4, RADII)
-    stats = _fresh_stats()
+    stats = fresh_stats()
     got = homeos._solve_norm_time(prof, X, stats)
     for x, s in zip(X, got):
         want = _oracle_root(lambda u: np.sign(growth) * np.log(_expm_norm_sq(A, G, u, x)))
@@ -423,8 +423,8 @@ def test_newton_bisects_through_a_useless_derivative(bad):
     def fg(x, rows):
         return x - roots[rows], np.full(len(rows), bad)
 
-    stats = _fresh_stats()
-    got = homeos._newton(fg, len(roots), stats)
+    stats = fresh_stats()
+    got = homeos._newton(fg, np.zeros(len(roots)), stats, slopes=(1.0, 1.0))
     assert np.allclose(got, roots, rtol=1e-12, atol=1e-12)
     assert stats["bisect_steps"] == stats["iterations"] > 0
 
@@ -433,15 +433,15 @@ def test_newton_iteration_cap_is_an_internal_error():
     def fg(x, rows):
         return x - 0.3, np.full(len(rows), np.nan)
 
-    stats = _fresh_stats()
+    stats = fresh_stats()
     with pytest.raises(InternalCheckError):
-        homeos._newton(fg, 3, stats, cap=5)
+        homeos._newton(fg, np.zeros(3), stats, slopes=(1.0, 1.0), cap=5)
 
 
 def test_solver_counters_accumulate_on_the_map():
     hm = build_pw_conj_hyperbolic(S((2, -1, 1), (2, Fraction(1, 2), 0)))
     stats = hm.metadata["solver"]
-    assert stats == _fresh_stats()
+    assert stats == fresh_stats()
     verify_conjugacy(hm, times=np.linspace(-4, 4, 9))
     first = dict(stats)
     # Newton steps on closed-form derivatives: about 4 per root here, and
@@ -453,3 +453,171 @@ def test_solver_counters_accumulate_on_the_map():
     unwind = build_rotation_unwind_map(2, -1.0, 1.0)
     unwind.forward(np.array([0.5, -1.0, 2.0, 0.25]))
     assert unwind.metadata["solver"]["solves"] == 1
+
+
+# ---------------------------------------------------------------------------
+# certified brackets: slope bounds, the grown-bracket oracle, stiff inputs
+
+
+def test_newton_evaluates_only_inside_the_certified_bracket():
+    # slopes in [1/2, 3]: one evaluation at x0 = 0 places each root, and no
+    # later evaluation leaves x0 - f(x0) / [1/2, 3] (up to the slack)
+    roots = np.array([0.3, -5.0, 17.25, 1e4, 0.0])
+    seen = []
+
+    def fg(x, rows):
+        seen.append((x.copy(), rows.copy()))
+        k = 0.5 + 2.5 * np.exp(-np.abs(x - roots[rows]))  # slope within [1/2, 3]
+        return (x - roots[rows]) * k, k
+
+    got = homeos._newton(fg, np.zeros(len(roots)), fresh_stats(), slopes=(0.5, 3.0))
+    assert np.allclose(got, roots, rtol=1e-12, atol=1e-12)
+    first, rows = seen[0]
+    assert np.array_equal(first, np.zeros(len(roots)))
+    assert np.array_equal(rows, np.arange(len(roots)))
+    f0 = 3.0 * (0.0 - roots)
+    lo, hi = np.minimum(-f0 / 0.5, -f0 / 3.0), np.maximum(-f0 / 0.5, -f0 / 3.0)
+    for x, rows in seen[1:]:
+        w = 0.02 * (hi[rows] - lo[rows]) + 1e-9
+        assert np.all((x >= lo[rows] - w) & (x <= hi[rows] + w))
+    assert not hasattr(homeos, "_grow_bracket")
+
+
+def test_newton_without_a_finite_bracket_is_a_precondition_error():
+    def fg(x, rows):
+        return np.full(len(rows), np.inf), np.full(len(rows), np.nan)
+
+    with pytest.raises(PreconditionViolated, match="bracket could not be established"):
+        homeos._newton(fg, np.zeros(2), fresh_stats(), slopes=(1.0, 2.0))
+
+
+def test_newton_stopping_at_a_jump_is_a_precondition_error():
+    # f jumps over zero at x = 1, as a flow past the float range does
+    def fg(x, rows):
+        return np.where(x < 1.0, -0.5, np.inf), np.full(len(rows), np.nan)
+
+    with pytest.raises(PreconditionViolated, match="beyond the float range"):
+        homeos._newton(fg, np.zeros(1), fresh_stats(), lo=0.0, hi=4.0)
+
+
+def test_pencil_ranges_bound_the_solved_slopes(rng):
+    # the generalized eigenvalues of (S, G) and (C, sign S) from scipy, and
+    # the slopes V'/V and V''/(sign V') along sampled trajectories
+    from scipy.linalg import eigh
+
+    for _ in range(12):
+        spec = random_hyperbolic_spec(rng, max_dim=6)
+        for stable in (True, False):
+            part = subspec(spec, "stable" if stable else "unstable")
+            ev = FlowEvaluator.from_spec(part, guard=1e9)
+            if ev.dim == 0:
+                continue
+            prof, _ = homeos._lyapunov_metric(ev, stable=stable)
+            pencils = ((prof.S, prof.G), (prof.quads[2][0], prof.sign * prof.S))
+            for got, (M, P) in zip((prof.rates, prof.curvatures), pencils):
+                want = eigh(M, P, eigvals_only=True)
+                assert np.allclose(got, (want[0], want[-1]), rtol=1e-10, atol=0), (spec, stable)
+            X = _directions(rng, 16, ev.dim, RADII)
+            for t in (-2.0, 0.0, 1.5):
+                V, dV, d2V = prof.forms(np.full(len(X), t), X, 3)
+                r, c = dV / V, d2V / (prof.sign * dV)
+                for q, (lo, hi) in ((r, prof.rates), (c, prof.curvatures)):
+                    tol = 1e-12 * max(abs(lo), abs(hi))
+                    assert np.all((q >= lo - tol) & (q <= hi + tol)), (spec, stable, t)
+
+
+def _rel(got, want):
+    scale = np.maximum(np.linalg.norm(np.atleast_2d(want), axis=-1), 1e-300)
+    return float(np.max(np.linalg.norm(np.atleast_2d(got - want), axis=-1) / scale))
+
+
+def test_roots_match_the_grown_bracket_oracle(rng):
+    for _ in range(16):
+        spec = random_hyperbolic_spec(rng, max_dim=6)
+        if not spec.blocks[0].re < 0 < spec.blocks[-1].re:
+            continue
+        oracle = grown_brackets.PwHypOracle(spec)
+        pS, pU = oracle.prof
+        Y, Z = (_directions(rng, 12, p.flow.dim, RADII) for p in (pS, pU))
+        shift = rng.uniform(-3.0, 3.0, len(Y))
+        for prof, P in ((pS, Y), (pU, Z)):
+            targets = np.resize([1.0, 0.04, 25.0], len(P))
+            got = homeos._solve_norm_time(prof, P, fresh_stats(), targets)
+            want = grown_brackets.solve_norm_time(prof, P, fresh_stats(), targets)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
+        for start in (None, shift + rng.uniform(-1.0, 1.0, len(Y))):
+            got = homeos._solve_min_time(pS, pU, Y, Z, shift, fresh_stats(), start)
+            want = grown_brackets.solve_min_time(pS, pU, Y, Z, shift, fresh_stats())
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
+
+
+def test_pw_conj_maps_match_the_grown_bracket_oracle():
+    # verify-style pools: |growth| in [1/4, 4], d <= 6, the A08 points and
+    # times, with pure-stable and pure-unstable rows beside the mixed ones
+    rng = np.random.default_rng(1307)
+    ts = np.resize(np.linspace(-5.0, 5.0, 7), 12)
+    for _ in range(24):
+        spec = random_hyperbolic_spec(rng, max_dim=6)
+        hm = build_pw_conj_hyperbolic(spec)
+        oracle = grown_brackets.PwHypOracle(spec)
+        X = _sample_points(spec.dim, 12, int(rng.integers(1 << 30)))
+        X[0, :oracle.cut] = 0.0
+        X[1, oracle.cut:] = 0.0
+        X = X[np.any(X != 0, axis=1)]
+        W = hm.forward_batch(X)
+        assert _rel(W, oracle.forward(X)) <= 1e-12, spec
+        assert _rel(hm.inverse_batch(W), oracle.inverse(W)) <= 1e-12, spec
+        tau, want = hm.tau_batch(X, ts[:len(X)]), oracle.tau(X, ts[:len(X)])
+        assert np.all(np.abs(tau - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
+
+
+@pytest.mark.parametrize("block", [(1, -0.5, 1.25), (2, 0.75, -2.0), (3, -1.5, 0.5)])
+def test_unwind_map_matches_the_grown_bracket_oracle(block):
+    m, a, b = block
+    hm = build_rotation_unwind_map(m, a, b)
+    G = np.diag(hm.metadata["metric_diagonal"] * 2)
+    A = hm.source_flow.generator_matrix()
+    S = G @ A + A.T @ G
+    prof = homeos._NormProfile(hm.source_flow, G, S, None, np.sign(a),
+                               homeos._slope_ranges(G, S, None, np.sign(a)))
+    X = _sample_points(2 * m, 32, m, radii=(1e-3, 1e3))
+    T = grown_brackets.solve_norm_time(prof, X, fresh_stats())
+    U, V = X[:, :m], X[:, m:]
+    c, s = np.cos(b * T)[:, None], np.sin(b * T)[:, None]
+    assert _rel(hm.forward_batch(X), np.hstack([c * U - s * V, s * U + c * V])) <= 1e-12
+
+
+def _stiff_spec(rng):
+    """Two or three blocks of size 1..4 with growth rates +-k/16, k in
+    1..64, each rotating at k/16 with probability 0.4."""
+    blocks = []
+    for _ in range(int(rng.integers(2, 4))):
+        m = int(rng.integers(1, 5))
+        re = Fraction(int(rng.integers(1, 65)), 16) * (1 if rng.random() < 0.5 else -1)
+        im = Fraction(int(rng.integers(1, 65)), 16) if rng.random() < 0.4 else 0
+        blocks.append(JordanBlock(m, re, im))
+    return GeneratorSpec(tuple(blocks))
+
+
+def test_pw_conj_stiff_sweep_maps_every_batch():
+    # slow and fast rates side by side, long chains and wide radii: a wide
+    # certified bracket must never evaluate a flow into an error, and a
+    # warm start that overflows must recover.  A spec whose metric search
+    # fails is the builder's honest answer and is skipped.
+    rng = np.random.default_rng(13)
+    specs = [S((4, -1, 0), (2, Fraction(-1, 16), Fraction(5, 4)), (1, Fraction(31, 16), 0))]
+    specs += [_stiff_spec(rng) for _ in range(40)]
+    built = 0
+    for k, spec in enumerate(specs):
+        try:
+            hm = build_pw_conj_hyperbolic(spec)
+        except DefinitenessCheckFailed:
+            continue
+        built += 1
+        for radii in ((1e-8, 1e8), (1e-3, 1e3)):
+            X = _sample_points(spec.dim, 24, 1000 + k, radii=radii)
+            back = hm.inverse_batch(hm.forward_batch(X))
+            assert np.all(np.isfinite(hm.tau_batch(X, np.full(len(X), 0.75)))), spec
+            rt = np.max(np.linalg.norm(back - X, axis=1) / np.linalg.norm(X, axis=1))
+            assert rt <= 1e-8, (spec, radii, rt)
+    assert built >= 36
