@@ -177,7 +177,7 @@ def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=
 
 
 def _slope_ranges(G, S, C, sign):
-    """The ranges of V'/V = <S z, z> / <G z, z> and, unless C is None, of
+    """The ranges of V'/V = <S z, z> / <G z, z> and of
     V''/(sign V') = <C z, z> / <sign S z, z> over z != 0: the extreme
     eigenvalues of the pencils (S, G) and (C, sign S).  None unless G,
     sign S and C are strictly definite.  One eigh call certifies G and
@@ -187,9 +187,6 @@ def _slope_ranges(G, S, C, sign):
     if not (_margin(w[0]) and _margin(w[1])):
         return None
     R = (U / np.sqrt(w)[:, None, :]) @ U.transpose(0, 2, 1)
-    if C is None:
-        ev = np.linalg.eigvalsh(R[0] @ S @ R[0])
-        return (ev[0], ev[-1]), None
     ev = np.linalg.eigvalsh(np.array((R[0] @ S @ R[0], R[1] @ C @ R[1], C)))
     if not _margin(ev[2]):
         return None
@@ -752,7 +749,10 @@ def build_rotation_unwind_map(size, growth, rotation):
             "no diagonal chain metric made the norm strictly monotone"
         )
 
-    prof = _NormProfile(src, G, S, None, np.sign(a), _slope_ranges(G, S, None, np.sign(a)))
+    # the pencil (S, G) of the diagonal G: the spectrum of G^(-1/2) S G^(-1/2)
+    d = 1.0 / np.sqrt(np.diag(G))
+    ev = np.linalg.eigvalsh(S * np.outer(d, d))
+    prof = _NormProfile(src, G, S, None, np.sign(a), ((ev[0], ev[-1]), None))
     stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     def _map(X, sgn):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import eigh, expm, solve_continuous_lyapunov
 from scipy.optimize import brentq
 
 from linflow import (
@@ -379,14 +379,22 @@ def test_min_time_solve_matches_brentq(rng):
         assert abs(s - want) <= 1e-10 * max(1.0, abs(want)), (s, want)
 
 
-@pytest.mark.parametrize("growth", [-1.0, 0.75])
-def test_unwind_hit_time_matches_brentq(rng, growth):
-    hm = build_rotation_unwind_map(2, growth, 1.5)
+def _unwind_profile(hm, growth):
+    """The norm profile of an unwind map, rebuilt from its metric, with the
+    range of the pencil (S, G) from scipy's generalized eigh."""
     A = hm.source_flow.generator_matrix()
     G = np.diag(hm.metadata["metric_diagonal"] * 2)
     S = G @ A + A.T @ G
-    ranges = homeos._slope_ranges(G, S, None, np.sign(growth))
-    prof = homeos._NormProfile(hm.source_flow, G, S, None, np.sign(growth), ranges)
+    ev = eigh(S, G, eigvals_only=True)
+    rates = (ev[0], ev[-1])
+    return homeos._NormProfile(hm.source_flow, G, S, None, np.sign(growth), (rates, None))
+
+
+@pytest.mark.parametrize("growth", [-1.0, 0.75])
+def test_unwind_hit_time_matches_brentq(rng, growth):
+    hm = build_rotation_unwind_map(2, growth, 1.5)
+    prof = _unwind_profile(hm, growth)
+    A, G = hm.source_flow.generator_matrix(), prof.G
     X = _directions(rng, 10, 4, RADII)
     stats = fresh_stats()
     got = homeos._solve_norm_time(prof, X, stats)
@@ -503,8 +511,6 @@ def test_newton_stopping_at_a_jump_is_a_precondition_error():
 def test_pencil_ranges_bound_the_solved_slopes(rng):
     # the generalized eigenvalues of (S, G) and (C, sign S) from scipy, and
     # the slopes V'/V and V''/(sign V') along sampled trajectories
-    from scipy.linalg import eigh
-
     for _ in range(12):
         spec = random_hyperbolic_spec(rng, max_dim=6)
         for stable in (True, False):
@@ -575,13 +581,8 @@ def test_pw_conj_maps_match_the_grown_bracket_oracle():
 def test_unwind_map_matches_the_grown_bracket_oracle(block):
     m, a, b = block
     hm = build_rotation_unwind_map(m, a, b)
-    G = np.diag(hm.metadata["metric_diagonal"] * 2)
-    A = hm.source_flow.generator_matrix()
-    S = G @ A + A.T @ G
-    prof = homeos._NormProfile(hm.source_flow, G, S, None, np.sign(a),
-                               homeos._slope_ranges(G, S, None, np.sign(a)))
     X = _sample_points(2 * m, 32, m, radii=(1e-3, 1e3))
-    T = grown_brackets.solve_norm_time(prof, X, fresh_stats())
+    T = grown_brackets.solve_norm_time(_unwind_profile(hm, a), X, fresh_stats())
     U, V = X[:, :m], X[:, m:]
     c, s = np.cos(b * T)[:, None], np.sin(b * T)[:, None]
     assert _rel(hm.forward_batch(X), np.hstack([c * U - s * V, s * U + c * V])) <= 1e-12
