@@ -468,23 +468,24 @@ def test_solver_counters_accumulate_on_the_map():
 
 
 def test_newton_evaluates_only_inside_the_certified_bracket():
-    # slopes in [1/2, 3]: one evaluation at x0 = 0 places each root, and no
-    # later evaluation leaves x0 - f(x0) / [1/2, 3] (up to the slack)
+    # f = 2 (x - r) + sin(x - r) has slopes in [1, 3]: one evaluation at
+    # x0 = 0 places each root, and no later evaluation leaves
+    # x0 - f(x0) / [1, 3] (up to the slack)
     roots = np.array([0.3, -5.0, 17.25, 1e4, 0.0])
     seen = []
 
     def fg(x, rows):
         seen.append((x.copy(), rows.copy()))
-        k = 0.5 + 2.5 * np.exp(-np.abs(x - roots[rows]))  # slope within [1/2, 3]
-        return (x - roots[rows]) * k, k
+        u = x - roots[rows]
+        return 2.0 * u + np.sin(u), 2.0 + np.cos(u)
 
-    got = homeos._newton(fg, np.zeros(len(roots)), fresh_stats(), slopes=(0.5, 3.0))
+    got = homeos._newton(fg, np.zeros(len(roots)), fresh_stats(), slopes=(1.0, 3.0))
     assert np.allclose(got, roots, rtol=1e-12, atol=1e-12)
     first, rows = seen[0]
     assert np.array_equal(first, np.zeros(len(roots)))
     assert np.array_equal(rows, np.arange(len(roots)))
-    f0 = 3.0 * (0.0 - roots)
-    lo, hi = np.minimum(-f0 / 0.5, -f0 / 3.0), np.maximum(-f0 / 0.5, -f0 / 3.0)
+    f0 = -2.0 * roots - np.sin(roots)
+    lo, hi = np.minimum(-f0 / 1.0, -f0 / 3.0), np.maximum(-f0 / 1.0, -f0 / 3.0)
     for x, rows in seen[1:]:
         w = 0.02 * (hi[rows] - lo[rows]) + 1e-9
         assert np.all((x >= lo[rows] - w) & (x <= hi[rows] + w))
