@@ -12,10 +12,13 @@ rotation formula, vectorized over sample points.
 An evaluator turns the block layout (see `blocks`) into a plan when it is
 built: each coordinate's growth rate and chain position, the (destination,
 source) indices of each power K^j, and the (u, v, rate) rotating pairs.  A
-call then runs one series over the powers, one cos/sin and one growth step.
+call then runs one series over the powers, one cos/sin (only when the layout
+has rotating pairs) and one growth step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -97,8 +100,9 @@ class FlowEvaluator:
         if ts.shape != (X.shape[0],):
             raise PreconditionViolated("need one time per point")
         tmax = self._check_t(ts)
-        # t^j / j! <= e^|t|, so the series stays finite where the growth does
-        if tmax * max(1.0, self.top_rate) <= _EXP_SAFE:
+        # t^j / j! <= e^|t|, so entries stay below 2 e^reach max|x|; NaN fails
+        reach = tmax * (1.0 + self.top_rate)
+        if reach <= _EXP_SAFE and np.abs(X).max(initial=0.0) <= math.exp(_EXP_SAFE - reach):
             return np.exp(ts[:, None] * self.rates) * self._unscaled(ts, X)
         with np.errstate(over="ignore", invalid="ignore"):  # a term may be inf, and inf * 0 NaN
             P = self._unscaled(ts, X)
@@ -112,12 +116,13 @@ class FlowEvaluator:
         # the series starts from 0 + x, so a -0 entry comes out +0 (the
         # float golden file pins the sign)
         P = 0.0 + X
-        tp = np.ones_like(ts)
+        tp = 1.0
         for j, (dst, src) in enumerate(self._shifts, 1):
             tp = tp * ts / j
             P[:, dst] += tp[:, None] * X[:, src]
-        U, V = P[:, self._rot_u], P[:, self._rot_v]
-        P[:, self._rot_u], P[:, self._rot_v] = _rotate_pairs(ts[:, None] * self._rot_rates, U, V)
+        if self._rot_u.size:
+            u, v = self._rot_u, self._rot_v
+            P[:, u], P[:, v] = _rotate_pairs(ts[:, None] * self._rot_rates, P[:, u], P[:, v])
         return P
 
     def apply(self, t, x):

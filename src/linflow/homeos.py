@@ -15,7 +15,9 @@ Every root has a certified bracket, and no bracket is grown: the slopes
 of the solved log profiles are Rayleigh quotients of fixed matrix
 pencils, whose ranges each factor computes once at build time, so one
 evaluation at the start places the root.  The mixed pw-hyp inverse starts
-each inner minimum from the previous outer step.
+each inner minimum from the previous outer step.  A factor's forms G, S
+and C are one stacked product, and each pw-hyp and unwind batch map runs
+under one np.errstate (`_quiet`), so no solver step enters one.
 
 Each concept has one routine that every builder shares: `_newton` solves
 every root (`_solve_norm_time` for a norm level, `_solve_min_time` for a
@@ -60,10 +62,17 @@ _INTERNAL_GUARD = 1e9  # internal evaluators are not time-limited
 _SOLVE_CAP = 300  # bisection alone needs ~100 steps across the time guard
 _SLACK = 1e-2  # relative widening of the slope bounds behind a certified bracket
 _F_PAD = 1e-10  # rounding allowance on a log value that places a certified bracket
+_PADS = np.array([-_F_PAD, _F_PAD])
 
 
 def _same_time(X, ts):
     return np.asarray(ts, dtype=float)
+
+
+def _quiet(batch_map, *args):
+    """batch_map(*args) under one np.errstate; the maps check every result."""
+    with np.errstate(all="ignore"):
+        return batch_map(*args)
 
 
 @dataclass
@@ -102,10 +111,9 @@ def _bracket(x, f, kmin, kmax):
     """[lo, hi] holding the root of an increasing function with value f at
     x whose slope lies in [kmin, kmax] > 0: x - f / [kmin, kmax] in interval
     arithmetic, with the slopes widened by _SLACK and f by _F_PAD."""
-    with np.errstate(all="ignore"):
-        q = [(f + e) / k for e in (-_F_PAD, _F_PAD)
-             for k in (kmin * (1.0 - _SLACK), kmax * (1.0 + _SLACK))]
-    return x - np.maximum.reduce(q), x - np.minimum.reduce(q)
+    k = np.array([kmin * (1.0 - _SLACK), kmax * (1.0 + _SLACK)])
+    q = ((f + _PADS[:, None, None]) / k[:, None]).reshape(4, -1)  # by pad, then slope
+    return x - q.max(axis=0), x - q.min(axis=0)
 
 
 def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=_SOLVE_CAP):
@@ -129,9 +137,9 @@ def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=
     flow left the float range, not at a root.
     """
     n = len(x)
-    lo, hi = (np.array(np.broadcast_to(b, (n,)), dtype=float) for b in (lo, hi))
+    lo, hi = (np.full(n, b, dtype=float) for b in (lo, hi))
     x = np.clip(np.asarray(x, dtype=float), lo, hi)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise PreconditionViolated("monotone time bracket could not be established")
     out = np.empty(n)
     step_old = step = np.full(n, np.inf)
@@ -144,33 +152,36 @@ def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=
                 a, b = _bracket(x, f, *slopes)
                 ok = np.isfinite(f)
                 lo, hi = np.where(ok, np.maximum(lo, a), lo), np.where(ok, np.minimum(hi, b), hi)
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
                 raise PreconditionViolated("monotone time bracket could not be established")
         neg = f < 0
         lo, hi = np.where(neg, np.maximum(lo, x), lo), np.where(neg, hi, np.minimum(hi, x))
-        with np.errstate(all="ignore"):
-            dn = f / np.where(np.isfinite(df) & (df > 0), df, np.nan)
+        dn = f / np.where(np.isfinite(df) & (df > 0), df, np.nan)
+        adn = np.abs(dn)
         xn = x - dn
         tol = 1e-13 * np.maximum(1.0, np.abs(x))
         # a step within tolerance is taken even when rounding puts it on
         # the bracket's end
-        newton = (np.abs(dn) <= tol) | (
-            (xn > lo) & (xn < hi) & (2.0 * np.abs(dn) <= np.abs(step_old))
-        )
+        newton = (adn <= tol) | ((xn > lo) & (xn < hi) & (2.0 * adn <= np.abs(step_old)))
         mid = 0.5 * (lo + hi)
         if it == 0 and restart is not None:
             mid = np.where((restart > lo) & (restart < hi), restart, mid)
         step_old, step = step, np.where(newton, dn, x - mid)
         x = np.where(newton, xn, mid)
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
-        if not np.all(np.abs(f[done]) <= 1e7 * tol[done]):
+        if (done > (np.abs(f) <= 1e7 * tol)).any():  # a point stopped away from its root
             raise PreconditionViolated("a root of a norm profile lies beyond the float range")
         stats["iterations"] += rows.size
-        stats["bisect_steps"] += int(np.count_nonzero(~newton))
-        out[rows[done]] = x[done]
-        if done.all():
+        stats["bisect_steps"] += rows.size - int(np.count_nonzero(newton))
+        n_done = np.count_nonzero(done)
+        if n_done == rows.size:
+            out[rows] = x
             return out
-        rows, x, lo, hi, step, step_old = (a[~done] for a in (rows, x, lo, hi, step, step_old))
+        if n_done:
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows = rows[keep]
+            x, lo, hi, step, step_old = np.array((x, lo, hi, step, step_old))[:, keep]
     raise InternalCheckError(
         "root solve did not converge in %d iterations (%d points)" % (cap, rows.size)
     )
@@ -206,21 +217,23 @@ class _NormProfile:
 
     def __init__(self, flow, G, S, C, sign, ranges):
         self.flow, self.G, self.S, self.sign = flow, G, S, sign
-        # a row that overflows reads as the value its definite form tends to
-        self.quads = ((G, np.inf), (S, sign * np.inf), (C, np.inf))
+        # (G, S, C) stacked, and the value of each definite form on a row that overflows
+        self.mats = np.array((G, S) if C is None else (G, S, C))
+        self.overflow = np.array([np.inf, sign * np.inf, np.inf])[:len(self.mats), None]
         self.rates, self.curvatures = ranges
 
     def forms(self, ts, X, k):
-        """[V, V', V''][:k] at times ts, from one flow evaluation, or none
-        when every time is 0."""
-        Z = self.flow.apply_batch(ts, X) if np.any(ts) else X
-        bad = ~np.all(np.isfinite(Z), axis=1)
-        out = []
-        with np.errstate(all="ignore"):
-            for M, overflow in self.quads[:k]:
-                q = np.einsum("ni,ij,nj->n", Z, M, Z)
-                out.append(np.where(bad | ~np.isfinite(q), overflow, q))
-        return out
+        """[V, V', V''][:k] at times ts as one (k, n) array, from one flow
+        evaluation, or none when every time is 0.  A row of Phi_t x that is
+        not finite gives forms that are not finite, as each form is definite.
+        einsum sums a single row of stacked 2 x 2 forms in another order than
+        one form alone, so a single row takes the forms one at a time."""
+        Z = self.flow.apply_batch(ts, X) if ts.any() else X
+        if len(Z) == 1:
+            q = np.array([np.einsum("ni,ij,nj->n", Z, M, Z) for M in self.mats[:k]])
+        else:
+            q = np.einsum("ni,kij,nj->kn", Z, self.mats[:k], Z)
+        return np.where(np.isfinite(q), q, self.overflow[:k])
 
     def log_speed(self, X):
         """log |V'(0)| at the points X, on max-abs-scaled rows so that it
@@ -237,14 +250,13 @@ def _solve_norm_time(prof, X, stats, targets=1.0):
 
     def fg(s, r):
         V, dV = prof.forms(s, X[r], 2)
-        with np.errstate(all="ignore"):
-            return prof.sign * (np.log(V) - logt[r]), prof.sign * dV / V
+        return prof.sign * (np.log(V) - logt[r]), prof.sign * dV / V
 
     slopes = np.sort(prof.sign * np.array(prof.rates))
     return _newton(fg, np.zeros(X.shape[0]), stats, slopes)
 
 
-def _solve_min_time(pS, pU, Y, Z, shift, stats, start=None):
+def _solve_min_time(pS, pU, Y, Z, shift, stats, start=None, speeds=None):
     """Argmin s of the strictly convex V_S(s) + V_U(s + shift) with stable
     pS and unstable pU, where the growth V_U' > 0 meets the decay -V_S' > 0;
     solved in log V_U' - log(-V_S'), increasing with slope in the sum of
@@ -253,29 +265,26 @@ def _solve_min_time(pS, pU, Y, Z, shift, stats, start=None):
     The two logs move from their values L_U, L_S at time 0 at mean slopes
     k_U, k_S within the curvature ranges, so the root is a balance point
     (L_S - L_U - k_U shift) / (k_U + k_S), bracketed by the corners of
-    those ranges.  s starts at `start` where that is finite and restarts at
-    the balance point of the midpoints where f(start) is not; without a
-    start, it starts there."""
-    LS, LU = pS.log_speed(Y), pU.log_speed(Z)
+    those ranges.  `speeds` gives (L_S, L_U) where the caller has them.  s
+    starts at `start` where that is finite and restarts at the balance
+    point of the midpoints where f(start) is not; without a start, it
+    starts there."""
+    LS, LU = (pS.log_speed(Y), pU.log_speed(Z)) if speeds is None else speeds
     (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
-
-    def balance(kU, kS, e=0.0):
-        return (LS - LU + e - kU * shift) / (kU + kS)
-
-    corners = [balance(kU, kS, e) for e in (-_F_PAD, _F_PAD)
-               for kU in (cU0 * (1.0 - _SLACK), cU1 * (1.0 + _SLACK))
-               for kS in (cS0 * (1.0 - _SLACK), cS1 * (1.0 + _SLACK))]
-    s0 = balance(0.5 * (cU0 + cU1), 0.5 * (cS0 + cS1))
+    # the corners, ordered by pad, then k_U, then k_S
+    kU = np.array([cU0 * (1.0 - _SLACK), cU1 * (1.0 + _SLACK)])[:, None, None]
+    kS = np.array([cS0 * (1.0 - _SLACK), cS1 * (1.0 + _SLACK)])[:, None]
+    corners = ((LS - LU + _PADS[:, None, None, None] - kU * shift) / (kU + kS)).reshape(8, -1)
+    s0 = (LS - LU - 0.5 * (cU0 + cU1) * shift) / (0.5 * (cU0 + cU1) + 0.5 * (cS0 + cS1))
     x0 = s0 if start is None else np.where(np.isfinite(start), start, s0)
 
     def fg(ts, r):
         _, dVs, d2Vs = pS.forms(ts, Y[r], 3)
         _, dVu, d2Vu = pU.forms(ts + shift[r], Z[r], 3)
-        with np.errstate(all="ignore"):
-            return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
+        return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
 
-    return _newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), np.minimum.reduce(corners),
-                   np.maximum.reduce(corners), s0)
+    return _newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), corners.min(axis=0),
+                   corners.max(axis=0), s0)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +582,18 @@ def build_pw_conj_hyperbolic(spec):
 
     def _vfull(ts, Y, Z, k=1):
         # V, V', V'' of the full norm; factor U runs at the same times
-        return [a + b for a, b in zip(pS.forms(ts, Y, k), pU.forms(ts, Z, k))]
+        return pS.forms(ts, Y, k) + pU.forms(ts, Z, k)
 
-    def _min_time(Y, Z, shift, start=None):
-        return _solve_min_time(pS, pU, Y, Z, shift, stats, start)
+    def _min_time(Y, Z, shift, start=None, speeds=None):
+        return _solve_min_time(pS, pU, Y, Z, shift, stats, start, speeds)
 
     def _cone(Y, Z, n2):
         """Time T of the minimum full norm mu^2 along each mixed trajectory,
         mu^4, and sqrt(n2^2 - mu^4) for the squared norms n2 at time 0."""
         T = _min_time(Y, Z, np.zeros(len(Y)))
         mu2 = _vfull(T, Y, Z)[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # mu^4 may overflow; _finite checks
-            mu4 = mu2 * mu2
-            return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
+        mu4 = mu2 * mu2  # may overflow; _finite checks
+        return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
 
     def forward_batch(X):
         X, parts, _, n2, pure, mixed, _ = _split(X)
@@ -616,8 +624,7 @@ def build_pw_conj_hyperbolic(spec):
             Q, n2, tm = [P[mixed] for P in parts], n2[mixed], ts[mixed]
             T, mu4, rad0 = _cone(*Q, n2)
             Vt = _vfull(tm, *Q)[0]
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _cone
-                radt = np.sqrt(np.maximum(Vt * Vt - mu4, 0.0))
+            radt = np.sqrt(np.maximum(Vt * Vt - mu4, 0.0))
             num = _stable_side(n2, rad0, np.sign(T), mu4)
             den = _stable_side(Vt, radt, np.sign(T - tm), mu4)
             out[mixed] = 0.5 * np.log(num / den)
@@ -635,6 +642,7 @@ def build_pw_conj_hyperbolic(spec):
             nu, nv = (np.sqrt(q2[mixed]) for q2 in norms)
             uh, vh = (P[mixed] / q[:, None] for P, q in zip(parts, (nu, nv)))
             logmu2 = np.log(2.0 * nu * nv)
+            speeds = np.array((pS.log_speed(uh), pU.log_speed(vh)))
             # each inner minimum starts from the row's previous outer step,
             # moved as the balance point moves with delta
             s_prev, d_prev = np.full(len(nu), np.nan), np.zeros(len(nu))
@@ -645,19 +653,18 @@ def build_pw_conj_hyperbolic(spec):
                 # log of min_s V(s, delta) against log mu^2; by the envelope
                 # theorem d/d delta min_s V = <S_U z, z> at the minimiser
                 start = s_prev[r] - lean * (deltas - d_prev[r])
-                s = s_prev[r] = _min_time(uh[r], vh[r], deltas, start)
+                s = s_prev[r] = _min_time(uh[r], vh[r], deltas, start, speeds[:, r])
                 d_prev[r] = deltas
                 Vs = pS.forms(s, uh[r], 1)[0]
                 Vu, dVu = pU.forms(s + deltas, vh[r], 2)
-                with np.errstate(all="ignore"):
-                    return np.log(Vs + Vu) - logmu2[r], dVu / (Vs + Vu)
+                return np.log(Vs + Vu) - logmu2[r], dVu / (Vs + Vu)
 
             # at the minimiser -V_S' = V_U', so the slope is the harmonic
             # combination 1 / (1 / r_U + 1 / |r_S|) of the two factor rates
             (rS0, rS1), (rU0, rU1) = pS.rates, pU.rates
             slopes = (1.0 / (1.0 / rU0 - 1.0 / rS1), 1.0 / (1.0 / rU1 - 1.0 / rS0))
             delta = _newton(outer, np.zeros(len(nu)), stats, slopes)
-            s_star = _min_time(uh, vh, delta, s_prev - lean * (delta - d_prev))
+            s_star = _min_time(uh, vh, delta, s_prev - lean * (delta - d_prev), speeds)
             qS = pS.flow.apply_batch(s_star, uh)
             qU = pU.flow.apply_batch(s_star + delta, vh)
 
@@ -678,18 +685,16 @@ def build_pw_conj_hyperbolic(spec):
             win = side > 0  # V and V'/V of the winning and the losing factor
             Vw, kw, Vl, kl = (np.where(win, p, q)
                               for p, q in ((VS, VU), (kS, kU), (VU, VS), (kU, kS)))
-            with np.errstate(all="ignore"):
-                far = (lognw2 - np.log(Vw) + _F_PAD) / (np.where(win, rS1, rU0) * (1.0 - _SLACK))
-                start = (lognw2 - np.log(Vw)) / kw
-                for _ in range(2):
-                    start = np.log((nw2m - Vl * np.exp(kl * start)) / Vw) / kw
+            far = (lognw2 - np.log(Vw) + _F_PAD) / (np.where(win, rS1, rU0) * (1.0 - _SLACK))
+            start = (lognw2 - np.log(Vw)) / kw
+            for _ in range(2):
+                start = np.log((nw2m - Vl * np.exp(kl * start)) / Vw) / kw
             far, start = (np.where(side == 0, 0.0, v) for v in (far, start))
 
             def slide(sig, r):
                 # increasing toward the dominant factor's past/future
                 Vf, dVf = _vfull(sig, qS[r], qU[r], 2)
-                with np.errstate(all="ignore"):
-                    return side[r] * (lognw2[r] - np.log(Vf)), -side[r] * dVf / Vf
+                return side[r] * (lognw2[r] - np.log(Vf)), -side[r] * dVf / Vf
 
             sig = _newton(slide, start, stats, lo=np.minimum(far, 0.0), hi=np.maximum(far, 0.0))
             for (prof, c), q in zip(factors, (qS, qU)):
@@ -703,9 +708,9 @@ def build_pw_conj_hyperbolic(spec):
         name="pw-hyp",
         source_flow=source,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
-        forward_batch=forward_batch,
-        inverse_batch=inverse_batch,
-        tau_batch=tau_batch,
+        forward_batch=lambda X: _quiet(forward_batch, X),
+        inverse_batch=lambda W: _quiet(inverse_batch, W),
+        tau_batch=lambda X, ts: _quiet(tau_batch, X, ts),
         source_spec=spec,
         target_spec=target_spec,
         metadata={
@@ -776,8 +781,8 @@ def build_rotation_unwind_map(size, growth, rotation):
         name="unwind",
         source_flow=src,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
-        forward_batch=lambda X: _map(X, 1.0),
-        inverse_batch=lambda W: _map(W, -1.0),
+        forward_batch=lambda X: _quiet(_map, X, 1.0),
+        inverse_batch=lambda W: _quiet(_map, W, -1.0),
         source_spec=GeneratorSpec([JordanBlock(m, fa, abs(Fraction(b)))]),
         target_spec=target_spec,
         metadata={

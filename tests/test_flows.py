@@ -199,3 +199,23 @@ def test_apply_batch_is_byte_identical_to_the_per_block_loop(rng):
         with np.errstate(all="ignore"):
             got = ev.apply_batch(ts, X)
         assert got.tobytes() == _reference_apply_batch(ev, ts, X).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("blocks", [[(2, -1.0, 0.0)], [(1, 0.5, 2.0), (3, -0.25, 0.0)],
+                                    [(2, 3.0, -1.5)]])
+def test_apply_batch_on_huge_or_non_finite_points_is_quiet(blocks):
+    # points near the float maximum or not finite at small times: the
+    # series may overflow or meet inf * 0, which must not warn, and the
+    # values are those of the per-block loop
+    ev = FlowEvaluator(blocks, guard=1e9)
+    first, last = np.eye(ev.dim)[[0, -1]] == 1
+    X = np.array([np.full(ev.dim, 1e308), np.full(ev.dim, -1e308), np.full(ev.dim, np.inf),
+                  np.where(first, np.inf, 0.0), np.full(ev.dim, np.nan),
+                  np.where(last, 1e300, 0.0)])
+    for t in (0.0, 1.0, -2.0):
+        ts = np.full(len(X), t)
+        got = ev.apply_batch(ts, X)
+        with np.errstate(all="ignore"):
+            want = _reference_apply_batch(ev, ts, X)
+        assert got.tobytes() == want.tobytes(), t

@@ -205,6 +205,31 @@ def test_pw_conj_large_norms_round_trip_or_raise(scale):
         assert np.max(np.abs(back - x)) <= 1e-9 * scale, (scale, x)
 
 
+def _finite_or_raise(batch_map, X):
+    try:
+        out = batch_map(X)
+    except PreconditionViolated:
+        return
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e80, 1e150, 1e300])
+def test_direct_map_calls_on_large_norms_are_quiet(scale):
+    # each batch map, called without verify_conjugacy, runs its solves
+    # under its own errstate: finite values or the typed error, no warning
+    maps = [build_pw_conj_hyperbolic(S((2, -1, 1), (2, Fraction(1, 2), 0))),
+            build_pw_conj_hyperbolic(S((1, Fraction(1, 4), Fraction(9, 4)), (1, 2, 0))),
+            build_rotation_unwind_map(2, 0.75, -2.0), build_rotation_unwind_map(1, -0.5, 1.25)]
+    for hm in maps:
+        d = hm.source_flow.dim
+        X = np.vstack([np.full(d, scale), np.eye(d) * scale, _sample_points(d, 4, 7) * scale])
+        for batch_map in (hm.forward_batch, hm.inverse_batch):
+            _finite_or_raise(batch_map, X)
+            for x in X:
+                _finite_or_raise(batch_map, x[None, :])
+
+
 @pytest.mark.parametrize("x", [[1e40, 0, 0], [0, 1e60, 1e60], [1e-200, 0, 0], [0, 0, 1e-200]])
 def test_pw_conj_blocks_of_unequal_growth_round_trip_or_raise(x):
     # all unstable, rates 1/4 and 2: the norm-time solves need growth far
@@ -520,7 +545,7 @@ def test_pencil_ranges_bound_the_solved_slopes(rng):
             if ev.dim == 0:
                 continue
             prof, _ = homeos._lyapunov_metric(ev, stable=stable)
-            pencils = ((prof.S, prof.G), (prof.quads[2][0], prof.sign * prof.S))
+            pencils = ((prof.S, prof.G), (prof.mats[2], prof.sign * prof.S))
             for got, (M, P) in zip((prof.rates, prof.curvatures), pencils):
                 want = eigh(M, P, eigvals_only=True)
                 assert np.allclose(got, (want[0], want[-1]), rtol=1e-10, atol=0), (spec, stable)
