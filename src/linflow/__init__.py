@@ -7,113 +7,47 @@ between two such flows, produces canonical forms and invariants, builds
 the explicit homeomorphisms realizing selected verdicts, and validates
 everything numerically through closed-form flow evaluation.
 
-The exact layer (blocks, classifier, invariants, similarity) loads numpy
-only inside the float helpers of matrix ingestion.  The names of the float
-layer (flows, homeos, probes) resolve on first access, so work on block
-multisets that never touches them does not load numpy.  The float layer
-needs nothing beyond numpy.
+Every public name resolves on first access: `import linflow` loads none
+of its submodules, and the first use of a name imports the module that
+defines it (and what that module imports).  The exact layer (blocks,
+classifier, invariants, similarity) loads numpy only inside the float
+helpers of matrix ingestion, so work on block multisets that never touches
+the float layer (flows, homeos, probes) does not load numpy.  The float
+layer needs nothing beyond numpy.  The public types are value types built
+by `_record`, not dataclasses.
 """
 
 import importlib
 
-from .blocks import (
-    ApproxSpec,
-    GeneratorSpec,
-    JordanBlock,
-    RationalMatrix,
-    materialize,
-    parse_matrix,
-    parse_rational,
-    parse_spec,
-    realify,
-    scale_spec,
-    serialize_matrix,
-    serialize_spec,
-    spec_from_matrix,
-    time_reverse,
-)
-from .classifier import (
-    IMPLICATION_EDGES,
-    AuditReport,
-    CatalogEntry,
-    CoincidenceReport,
-    Decision,
-    Relation,
-    TraceEntry,
-    Verdict,
-    catalog2d,
-    class_coincidence,
-    classify,
-    implication_audit,
-)
-from .errors import (
-    ClusterAmbiguity,
-    DefinitenessCheckFailed,
-    DimMismatch,
-    InternalCheckError,
-    LinFlowError,
-    LyapunovSolveFailed,
-    MonotonicityNotAchieved,
-    NotBounded,
-    NotStable,
-    PreconditionViolated,
-    RangeGuard,
-    SnapFailure,
-    SpecParseError,
-)
-from .invariants import (
-    DistortionSubspace,
-    GrowthProfile,
-    PartitionDims,
-    distortion_subspace,
-    growth_profile,
-    is_bounded,
-    is_generic,
-    lyapunov_spectrum,
-    max_block_size_at,
-    minimal_period,
-    partition_dims,
-    refined_dim,
-    rotation_decouple,
-    semisimple_collapse,
-    subspec,
-    top_rate,
-    top_size,
-)
-from .similarity import (
-    ScalingCertificate,
-    find_scaling,
-    kinematic_similar,
-    lipschitz_similar,
-    lipschitz_similar_by_parts,
-    lyapunov_similar,
-    scaling_candidates,
-    similar,
-)
-
-# float-layer names, imported on first access (PEP 562 module __getattr__)
+# every public name, by the module that defines it; each module is imported
+# the first time one of its names is used (PEP 562 module __getattr__)
 _LAZY = {
+    "blocks": ("ApproxSpec", "GeneratorSpec", "JordanBlock", "RationalMatrix",
+               "materialize", "parse_matrix", "parse_rational", "parse_spec", "realify",
+               "scale_spec", "serialize_matrix", "serialize_spec", "spec_from_matrix",
+               "time_reverse"),
+    "classifier": ("IMPLICATION_EDGES", "AuditReport", "CatalogEntry", "CoincidenceReport",
+                   "Decision", "Relation", "TraceEntry", "Verdict", "catalog2d",
+                   "class_coincidence", "classify", "implication_audit"),
+    "errors": ("ClusterAmbiguity", "DefinitenessCheckFailed", "DimMismatch",
+               "InternalCheckError", "LinFlowError", "LyapunovSolveFailed",
+               "MonotonicityNotAchieved", "NotBounded", "NotStable", "PreconditionViolated",
+               "RangeGuard", "SnapFailure", "SpecParseError"),
+    "invariants": ("DistortionSubspace", "GrowthProfile", "PartitionDims",
+                   "distortion_subspace", "growth_profile", "is_bounded", "is_generic",
+                   "lyapunov_spectrum", "max_block_size_at", "minimal_period",
+                   "partition_dims", "refined_dim", "rotation_decouple",
+                   "semisimple_collapse", "subspec", "top_rate", "top_size"),
+    "similarity": ("ScalingCertificate", "find_scaling", "kinematic_similar",
+                   "lipschitz_similar", "lipschitz_similar_by_parts", "lyapunov_similar",
+                   "scaling_candidates", "similar"),
     "flows": ("FLOW_TIME_GUARD", "FlowEvaluator", "flow_apply"),
-    "homeos": (
-        "HomeoMap",
-        "build_parabola_shear",
-        "build_pw_conj_hyperbolic",
-        "build_rotation_unwind_map",
-        "build_spiral_map",
-        "build_uniform_exponent_map",
-    ),
-    "probes": (
-        "ConjugacyReport",
-        "DecayReport",
-        "DistortionReport",
-        "LipschitzReport",
-        "PeriodReport",
-        "decay_rate_probe",
-        "distortion_probe",
-        "lipschitz_probe",
-        "period_probe",
-        "verify_conjugacy",
-    ),
+    "homeos": ("HomeoMap", "build_parabola_shear", "build_pw_conj_hyperbolic",
+               "build_rotation_unwind_map", "build_spiral_map",
+               "build_uniform_exponent_map"),
+    "probes": ("ConjugacyReport", "DecayReport", "DistortionReport", "LipschitzReport",
+               "PeriodReport", "decay_rate_probe", "distortion_probe", "lipschitz_probe",
+               "period_probe", "verify_conjugacy"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -133,88 +67,4 @@ def __dir__():
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ApproxSpec",
-    "GeneratorSpec",
-    "JordanBlock",
-    "RationalMatrix",
-    "materialize",
-    "parse_matrix",
-    "parse_rational",
-    "parse_spec",
-    "realify",
-    "scale_spec",
-    "serialize_matrix",
-    "serialize_spec",
-    "spec_from_matrix",
-    "time_reverse",
-    "IMPLICATION_EDGES",
-    "AuditReport",
-    "CatalogEntry",
-    "CoincidenceReport",
-    "Decision",
-    "Relation",
-    "TraceEntry",
-    "Verdict",
-    "catalog2d",
-    "class_coincidence",
-    "classify",
-    "implication_audit",
-    "ClusterAmbiguity",
-    "DefinitenessCheckFailed",
-    "DimMismatch",
-    "InternalCheckError",
-    "LinFlowError",
-    "LyapunovSolveFailed",
-    "MonotonicityNotAchieved",
-    "NotBounded",
-    "NotStable",
-    "PreconditionViolated",
-    "RangeGuard",
-    "SnapFailure",
-    "SpecParseError",
-    "FLOW_TIME_GUARD",
-    "FlowEvaluator",
-    "flow_apply",
-    "HomeoMap",
-    "build_parabola_shear",
-    "build_pw_conj_hyperbolic",
-    "build_rotation_unwind_map",
-    "build_spiral_map",
-    "build_uniform_exponent_map",
-    "DistortionSubspace",
-    "GrowthProfile",
-    "PartitionDims",
-    "distortion_subspace",
-    "growth_profile",
-    "is_bounded",
-    "is_generic",
-    "lyapunov_spectrum",
-    "max_block_size_at",
-    "minimal_period",
-    "partition_dims",
-    "refined_dim",
-    "rotation_decouple",
-    "semisimple_collapse",
-    "subspec",
-    "top_rate",
-    "top_size",
-    "ConjugacyReport",
-    "DecayReport",
-    "DistortionReport",
-    "LipschitzReport",
-    "PeriodReport",
-    "decay_rate_probe",
-    "distortion_probe",
-    "lipschitz_probe",
-    "period_probe",
-    "verify_conjugacy",
-    "ScalingCertificate",
-    "find_scaling",
-    "kinematic_similar",
-    "lipschitz_similar",
-    "lipschitz_similar_by_parts",
-    "lyapunov_similar",
-    "scaling_candidates",
-    "similar",
-]
+__all__ = list(_LAZY_MODULE)

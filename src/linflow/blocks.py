@@ -24,13 +24,11 @@ entries for matrices.  Rationals are integers or "p/q" strings.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _ratlinalg as rl
+from ._record import DERIVED, record
 from .errors import (
     ClusterAmbiguity,
     PreconditionViolated,
@@ -104,7 +102,7 @@ def _load_json(text, what):
 # core types
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class JordanBlock:
     """One real Jordan block: size, growth rate, rotation rate (>= 0).
 
@@ -133,13 +131,13 @@ class JordanBlock:
         return (self.re, self.im, self.size)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GeneratorSpec:
     """Canonically ordered multiset of blocks; equality is similarity."""
 
     blocks: tuple
     # real dimension, fixed at construction; not part of eq, hash or repr
-    dim: int = field(init=False, compare=False, repr=False)
+    dim: int = DERIVED
 
     def __post_init__(self):
         blocks = tuple(sorted(self.blocks, key=JordanBlock.sort_key))
@@ -156,7 +154,7 @@ class GeneratorSpec:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
+@record
 class RationalMatrix:
     """Dense square matrix with Fraction entries."""
 
@@ -196,10 +194,12 @@ class RationalMatrix:
             for row in self.rows
         )
         payload = f'{{"dim": {len(self.rows)}, "rows": [{rows}]}}'
+        import hashlib
+
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@record
 class ApproxSpec:
     """A generator recovered from a matrix, with its certification data.
 
@@ -443,6 +443,8 @@ def _float_roots_squarefree(chi, D):
     """
     import numpy as np
 
+    from . import _ratlinalg as rl
+
     sf = rl.squarefree(chi)
     e = len(sf) - 1
     powers = [1]  # D^0 .. D^e
@@ -486,6 +488,8 @@ def _real_factor(D, re, im):
 
 def _exact_tier(chi, D, tol, max_denominator):
     """Return (eigs, residual) or None; eigs maps (re, im>=0) -> multiplicity."""
+    from . import _ratlinalg as rl
+
     roots = _float_roots_squarefree(chi, D)
     # candidate rational eigenvalues, conjugates identified
     cands = []
@@ -648,6 +652,10 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
             f"need a finite tol > 0 and max_denominator >= 1, got tol={tol}, "
             f"max_denominator={max_denominator}"
         )
+    # imported here, as only matrix input needs it; calls go through the module
+    # attributes, so a wrapper set on rl.charpoly or rl.rank_sequence sees them
+    from . import _ratlinalg as rl
+
     B, D = rl.integer_matrix(matrix.rows)
     exact = _exact_tier(rl.charpoly(B), D, tol, max_denominator)
     if exact is not None:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .blocks import GeneratorSpec, JordanBlock, scale_spec, serialize_spec
 from .errors import DimMismatch, InternalCheckError
 from .invariants import _part, _spectrum, _triples, _unrotated
@@ -70,7 +70,7 @@ class Decision(enum.Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
+@record
 class TraceEntry:
     step: str
     outcome: str
@@ -80,7 +80,7 @@ class TraceEntry:
         return {"step": self.step, "outcome": self.outcome, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     relation: Relation
     decision: Decision
@@ -329,7 +329,7 @@ def _classify(relation, pair):
 # Planar catalog
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     row: str
     representative: GeneratorSpec
@@ -388,7 +388,7 @@ _TOP_REPS = {
 # Class coincidence for generic generators
 
 
-@dataclass(frozen=True)
+@record
 class CoincidenceReport:
     generic: bool
     real_spectrum: Optional[bool]
@@ -443,7 +443,7 @@ IMPLICATION_EDGES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     verdicts: dict
     violations: tuple

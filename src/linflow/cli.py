@@ -3,7 +3,9 @@
 Subcommands: classify, invariants, transform, catalog2d, simulate, verify,
 audit.  Every generator argument is a JSON file holding either a block
 multiset ({"blocks": [...]}) or a rational matrix ({"dim": d, "rows":
-[...]}); matrices are ingested through the exact normal-form recovery.
+[...]}); matrices are ingested through the exact normal-form recovery,
+and one whose spectrum only its numeric tier could snap is refused unless
+--allow-uncertified is given.
 
 Exit codes: 0 success, 1 usage error, 2 parse or ingestion failure,
 3 precondition violation, 4 Undecided under --strict, 141 stdout closed
@@ -14,6 +16,7 @@ that a closed pipe ended).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -27,37 +30,20 @@ from .blocks import (
     scale_spec,
     serialize_spec,
     spec_from_matrix,
-    time_reverse,
-    realify,
-)
-from .classifier import (
-    Decision,
-    Relation,
-    catalog2d,
-    class_coincidence,
-    classify,
-    implication_audit,
 )
 from .errors import (
     InternalCheckError,
     NotStable,
     PreconditionViolated,
+    SnapFailure,
     SpecParseError,
 )
-from .invariants import (
-    distortion_subspace,
-    growth_profile,
-    is_bounded,
-    is_generic,
-    lyapunov_spectrum,
-    minimal_period,
-    partition_dims,
-    rotation_decouple,
-    semisimple_collapse,
-)
 
-# numpy and the float layer (flows, homeos, probes) are imported inside the
-# subcommands that compute in floats, so the exact ones never load them
+# Every launch compiles what it imports, so each subcommand imports only the
+# modules it runs: `classifier` (and with it `similarity`) and `invariants`
+# inside the exact subcommands that use them, numpy and the float layer
+# (flows, homeos, probes) inside the ones that compute in floats, and
+# matrix ingestion its `_ratlinalg` kernel only for matrix input.
 
 # Caps on the sizes the CLI allocates from its own arguments: sample points
 # (--points), grid times (--t-range N) and the unwind block size (unwind:M).
@@ -85,7 +71,10 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _load_generator(path, tol, max_denominator):
+def _load_generator(path, args):
+    """The generator in the JSON file at path.  A matrix whose spectrum only
+    the numeric tier of `spec_from_matrix` could snap is refused with
+    SnapFailure, unless --allow-uncertified, which warns on stderr."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -94,7 +83,13 @@ def _load_generator(path, tol, max_denominator):
     doc = _load_json(text, path)
     if isinstance(doc, dict) and "rows" in doc:
         matrix = parse_matrix(doc)
-        approx = spec_from_matrix(matrix, tol=tol, max_denominator=max_denominator)
+        approx = spec_from_matrix(matrix, tol=args.tol, max_denominator=args.max_denominator)
+        if not approx.exact:
+            what = (f"{path}: the spectrum was snapped by the numeric tier, not certified "
+                    f"exactly (residual {approx.residual:.3e}, tol {approx.tol:g})")
+            if not args.allow_uncertified:
+                raise SnapFailure(what + "; pass --allow-uncertified to use it anyway")
+            print(f"warning: {what}", file=sys.stderr)
         return approx.spec
     return parse_spec(doc)
 
@@ -139,8 +134,10 @@ def _time_grid(args, default_span=5.0, default_n=11):
 
 
 def _cmd_classify(args):
-    a = _load_generator(args.left, args.tol, args.max_denominator)
-    b = _load_generator(args.right, args.tol, args.max_denominator)
+    from .classifier import Decision, Relation, classify
+
+    a = _load_generator(args.left, args)
+    b = _load_generator(args.right, args)
     relation = Relation.from_string(args.relation)
     verdict = classify(relation, a, b)
     _emit(verdict.to_json())
@@ -150,7 +147,18 @@ def _cmd_classify(args):
 
 
 def _cmd_invariants(args):
-    spec = _load_generator(args.spec, args.tol, args.max_denominator)
+    from .classifier import class_coincidence
+    from .invariants import (
+        distortion_subspace,
+        growth_profile,
+        is_bounded,
+        is_generic,
+        lyapunov_spectrum,
+        minimal_period,
+        partition_dims,
+    )
+
+    spec = _load_generator(args.spec, args)
     out = {
         "dim": spec.dim,
         "partition": partition_dims(spec).to_json(),
@@ -171,22 +179,24 @@ def _cmd_invariants(args):
     return EXIT_OK
 
 
+# transform name -> (module, function), imported when the transform runs
 _TRANSFORMS = {
-    "collapse": semisimple_collapse,
-    "decouple": rotation_decouple,
-    "reverse": time_reverse,
-    "realify": realify,
+    "collapse": ("invariants", "semisimple_collapse"),
+    "decouple": ("invariants", "rotation_decouple"),
+    "reverse": ("blocks", "time_reverse"),
+    "realify": ("blocks", "realify"),
 }
 
 
 def _cmd_transform(args):
-    spec = _load_generator(args.spec, args.tol, args.max_denominator)
+    spec = _load_generator(args.spec, args)
     op = args.op
     if op.startswith("scale:"):
         alpha = parse_rational(op.split(":", 1)[1], "scale factor")
         result = scale_spec(spec, alpha)
     elif op in _TRANSFORMS:
-        result = _TRANSFORMS[op](spec)
+        module, name = _TRANSFORMS[op]
+        result = getattr(importlib.import_module(f".{module}", __package__), name)(spec)
     else:
         raise SpecParseError(
             f"unknown transform {op!r}; expected collapse, decouple, reverse, "
@@ -197,7 +207,9 @@ def _cmd_transform(args):
 
 
 def _cmd_catalog2d(args):
-    spec = _load_generator(args.spec, args.tol, args.max_denominator)
+    from .classifier import catalog2d
+
+    spec = _load_generator(args.spec, args)
     rows = catalog2d(spec)
     _emit({name: entry.to_json() for name, entry in rows.items()})
     return EXIT_OK
@@ -208,7 +220,7 @@ def _cmd_simulate(args):
 
     from .flows import FlowEvaluator
 
-    spec = _load_generator(args.spec, args.tol, args.max_denominator)
+    spec = _load_generator(args.spec, args)
     x = np.array([_parse_float(p, "--point") for p in args.point.split(",") if p.strip()])
     if x.shape != (spec.dim,):
         raise PreconditionViolated(
@@ -247,12 +259,12 @@ def _build_construction(token, args):
     if token == "uniform":
         if not args.spec:
             raise SpecParseError("construction 'uniform' needs a generator file")
-        spec = _load_generator(args.spec, args.tol, args.max_denominator)
+        spec = _load_generator(args.spec, args)
         return build_uniform_exponent_map(spec), 20.0
     if token == "pw-hyp":
         if not args.spec:
             raise SpecParseError("construction 'pw-hyp' needs a generator file")
-        spec = _load_generator(args.spec, args.tol, args.max_denominator)
+        spec = _load_generator(args.spec, args)
         return build_pw_conj_hyperbolic(spec), 5.0
     if token.startswith("unwind:"):
         parts = token.split(":", 1)[1].split(",")
@@ -288,8 +300,10 @@ def _cmd_verify(args):
 
 
 def _cmd_audit(args):
-    a = _load_generator(args.left, args.tol, args.max_denominator)
-    b = _load_generator(args.right, args.tol, args.max_denominator)
+    from .classifier import implication_audit
+
+    a = _load_generator(args.left, args)
+    b = _load_generator(args.right, args)
     report = implication_audit(a, b)
     _emit(report.to_json())
     return EXIT_OK
@@ -305,6 +319,11 @@ def _add_common(p):
         type=int,
         default=1024,
         help="largest denominator tried when snapping matrix eigendata",
+    )
+    p.add_argument(
+        "--allow-uncertified",
+        action="store_true",
+        help="accept a matrix whose spectrum only the numeric tier snapped (warns on stderr)",
     )
 
 

@@ -33,12 +33,12 @@ mixed rows of the forward map and of tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import factory, record
 from .blocks import GeneratorSpec, JordanBlock, _layout
 from .errors import (
     DefinitenessCheckFailed,
@@ -75,7 +75,7 @@ def _quiet(batch_map, *args):
         return batch_map(*args)
 
 
-@dataclass
+@record(frozen=False)
 class HomeoMap:
     """A homeomorphism between the phase spaces of two linear flows.
 
@@ -91,7 +91,7 @@ class HomeoMap:
     tau_batch: Callable = _same_time
     source_spec: Optional[GeneratorSpec] = None
     target_spec: Optional[GeneratorSpec] = None
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = factory(dict)
 
     def forward(self, x):
         return self.forward_batch(x)[0]
@@ -222,18 +222,20 @@ class _NormProfile:
         self.overflow = np.array([np.inf, sign * np.inf, np.inf])[:len(self.mats), None]
         self.rates, self.curvatures = ranges
 
-    def forms(self, ts, X, k):
-        """[V, V', V''][:k] at times ts as one (k, n) array, from one flow
-        evaluation, or none when every time is 0.  A row of Phi_t x that is
-        not finite gives forms that are not finite, as each form is definite.
-        einsum sums a single row of stacked 2 x 2 forms in another order than
-        one form alone, so a single row takes the forms one at a time."""
+    def forms(self, ts, X, k, first=0):
+        """[V, V', V''][first:k] at times ts as one (k - first, n) array,
+        from one flow evaluation, or none when every time is 0.  A row of
+        Phi_t x that is not finite gives forms that are not finite, as each
+        form is definite.  einsum sums a single row of stacked 2 x 2 forms in
+        another order than one form alone, so a single row takes the forms
+        one at a time."""
         Z = self.flow.apply_batch(ts, X) if ts.any() else X
+        mats = self.mats[first:k]
         if len(Z) == 1:
-            q = np.array([np.einsum("ni,ij,nj->n", Z, M, Z) for M in self.mats[:k]])
+            q = np.array([np.einsum("ni,ij,nj->n", Z, M, Z) for M in mats])
         else:
-            q = np.einsum("ni,kij,nj->kn", Z, self.mats[:k], Z)
-        return np.where(np.isfinite(q), q, self.overflow[:k])
+            q = np.einsum("ni,kij,nj->kn", Z, mats, Z)
+        return np.where(np.isfinite(q), q, self.overflow[first:k])
 
     def log_speed(self, X):
         """log |V'(0)| at the points X, on max-abs-scaled rows so that it
@@ -279,8 +281,8 @@ def _solve_min_time(pS, pU, Y, Z, shift, stats, start=None, speeds=None):
     x0 = s0 if start is None else np.where(np.isfinite(start), start, s0)
 
     def fg(ts, r):
-        _, dVs, d2Vs = pS.forms(ts, Y[r], 3)
-        _, dVu, d2Vu = pU.forms(ts + shift[r], Z[r], 3)
+        dVs, d2Vs = pS.forms(ts, Y[r], 3, 1)
+        dVu, d2Vu = pU.forms(ts + shift[r], Z[r], 3, 1)
         return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
 
     return _newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), corners.min(axis=0),

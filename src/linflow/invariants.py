@@ -14,10 +14,10 @@ them.  `_inverse_gcd` is the one gcd of rational rates, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 
+from ._record import record
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
 from .blocks import GeneratorSpec, JordanBlock, _layout
 
@@ -55,7 +55,7 @@ _PARTS = {
 PARTS = tuple(_PARTS)
 
 
-@dataclass(frozen=True)
+@record
 class PartitionDims:
     """Dimensions of the six canonical invariant subspaces."""
 
@@ -194,7 +194,7 @@ def top_size(spec):
     return max_block_size_at(spec, top_rate(spec))
 
 
-@dataclass(frozen=True)
+@record
 class GrowthProfile:
     """Tabulated growth filtration of a generator.
 
@@ -255,7 +255,7 @@ def growth_profile(spec):
 # with rate exactly L.
 
 
-@dataclass(frozen=True)
+@record
 class DistortionSubspace:
     dim: int
     coords: tuple  # global coordinate indices in block layout

@@ -16,11 +16,11 @@ time grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lgamma, pi
 
 import numpy as np
 
+from ._record import factory, record
 from .blocks import _layout
 from .errors import LinFlowError, NotStable, PreconditionViolated
 from .flows import FlowEvaluator
@@ -67,7 +67,7 @@ def _sample_points(dim, n, seed, radii=(0.25, 4.0)):
 # conjugacy / equivalence residual
 
 
-@dataclass(frozen=True)
+@record
 class ConjugacyReport:
     name: str
     residual: float
@@ -157,7 +157,7 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
 # Lipschitz behaviour across shrinking scales
 
 
-@dataclass(frozen=True)
+@record
 class LipschitzReport:
     name: str
     radii: tuple
@@ -233,14 +233,14 @@ def lipschitz_probe(hmap, n_scales=24, pairs=16, seed=0):
 # distortion of relative distances under time reparametrization
 
 
-@dataclass(frozen=True)
+@record
 class DistortionReport:
     member: bool
     branch: str
     estimate: float
     threshold: float
     passed: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict = factory(dict)
 
     def to_json(self):
         return {
@@ -385,7 +385,7 @@ def distortion_probe(
 # growth-rate and polynomial-degree recovery
 
 
-@dataclass(frozen=True)
+@record
 class DecayReport:
     rate_fit: float
     degree_fit: float
@@ -451,7 +451,7 @@ def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
 # period recovery for bounded flows
 
 
-@dataclass(frozen=True)
+@record
 class PeriodReport:
     period: float
     predicted: float

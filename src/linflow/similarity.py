@@ -25,9 +25,9 @@ calls them; they stay as the independent oracle its tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .blocks import rational_to_json, scale_spec, serialize_spec
 from .errors import DimMismatch
 from .invariants import (
@@ -185,7 +185,7 @@ def scaling_candidates(a, b):
     return tuple(sorted(cands, key=lambda f: (abs(f), f < 0)))
 
 
-@dataclass(frozen=True)
+@record
 class ScalingCertificate:
     """A verified alpha: predicate(a, scale_spec(b, alpha)) held."""
 

@@ -182,6 +182,60 @@ def test_matrix_entry_beyond_float_range_exits_2(capsys, tmp_path):
 
 
 @pytest.fixture
+def near_third_files(tmp_path):
+    # 333333333334/10^12 has a denominator above the bound, so only the
+    # numeric tier snaps it, to 1/3 (residual 6.7e-13); the two matrices
+    # are not similar
+    near = write_json(tmp_path, "near.json",
+                      {"dim": 2, "rows": [["333333333334/1000000000000", 0], [0, -1]]})
+    third = write_json(tmp_path, "third.json", {"dim": 2, "rows": [["1/3", 0], [0, -1]]})
+    return near, third
+
+
+def test_uncertified_matrix_is_refused(capsys, near_third_files):
+    near, third = near_third_files
+    code, out, err = run_cli(capsys, "classify", "LinConj", near, third, "--strict")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (f"error: {near}: the spectrum was snapped by the numeric tier, not certified "
+                   "exactly (residual 6.667e-13, tol 1e-09); pass --allow-uncertified to use "
+                   "it anyway\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "{near}"],
+    ["audit", "{third}", "{near}"],
+    ["transform", "reverse", "{near}"],
+    ["catalog2d", "{near}"],
+    ["simulate", "{near}", "--point", "1,0"],
+    ["verify", "pw-hyp", "{near}"],
+])
+def test_every_subcommand_refuses_an_uncertified_matrix(capsys, near_third_files, argv):
+    near, third = near_third_files
+    code, out, err = run_cli(capsys, *(a.format(near=near, third=third) for a in argv))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error:") and "numeric tier" in err and err.count("\n") == 1
+
+
+def test_allow_uncertified_keeps_the_snapped_verdict_and_warns(capsys, near_third_files):
+    near, third = near_third_files
+    code, out, err = run_cli(capsys, "classify", "LinConj", near, third, "--strict",
+                             "--allow-uncertified")
+    spec = linflow.spec_from_matrix(linflow.parse_matrix(Path(near).read_text())).spec
+    assert code == EXIT_OK
+    assert json.loads(out) == linflow.classify("LinConj", spec, spec).to_json()
+    assert err == (f"warning: {near}: the spectrum was snapped by the numeric tier, not "
+                   "certified exactly (residual 6.667e-13, tol 1e-09)\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--allow-uncertified"]])
+def test_certified_matrix_output_is_unchanged(capsys, tmp_path, shear_file, extra):
+    matrix = write_json(tmp_path, "matrix.json", {"dim": 2, "rows": [["-1", "1"], ["0", "-1"]]})
+    code, out, err = run_cli(capsys, "classify", "LipEquiv", matrix, shear_file, *extra)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == run_cli(capsys, "classify", "LipEquiv", shear_file, shear_file)[1]
+
+
+@pytest.fixture
 def jordan_matrix_file(tmp_path):
     return write_json(tmp_path, "matrix.json", {"dim": 2, "rows": [["-1", "1"], ["0", "-1"]]})
 

@@ -2,7 +2,7 @@
 and no module defines a private top-level name that nothing references.
 
 No linter is part of the toolchain, so these stdlib `ast` checks stand in
-for one.  For imports, `__init__.py` is exempt: its imports are the public
+for one.  One more rule keeps `dataclasses` out of the package.  For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
 at the top level of a module counts as referenced when any module of the
@@ -43,6 +43,28 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """Top-level names of every module that source imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    # value types come from `_record`; dataclasses would load inspect at every launch
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_the_check_sees_dataclasses_imports():
+    source = "def f():\n    from dataclasses import dataclass\nimport dataclasses.x\n"
+    assert imported_modules(source) == {"dataclasses"}
 
 
 def test_the_check_sees_unused_imports():

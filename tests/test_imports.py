@@ -6,6 +6,12 @@ leave both out of sys.modules; `verify` loads numpy, and never scipy: not
 even the pw-hyp map, whose Lyapunov metrics have a closed form.  The
 package's lazily resolved names must still all resolve, and
 `from linflow import *` must still work.
+
+Launches also keep out what they do not run: `dataclasses` (and the
+`inspect` it imports) everywhere, `hashlib` and the integer kernel
+`_ratlinalg` unless the input is a matrix, and `classifier` and
+`similarity` from `transform`.  A bare `import linflow` loads none of its
+submodules.
 """
 
 import json
@@ -38,15 +44,20 @@ def run_fresh(code, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_main(argv, cwd):
-    """Exit code of linflow.cli.main(argv) and the float modules it left loaded."""
+def run_main(argv, cwd, watch=None):
+    """Exit code of linflow.cli.main(argv) and the float modules it left
+    loaded; with watch, instead the modules of watch that it left loaded."""
+    report = (
+        "'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules"
+        if watch is None
+        else f"'loaded': [m for m in {list(watch)!r} if m in sys.modules]"
+    )
     code = (
         "import contextlib, io, json, sys\n"
         "import linflow, linflow.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = linflow.cli.main({argv!r})\n"
-        "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules,"
-        " 'scipy': 'scipy' in sys.modules}))\n"
+        f"print(json.dumps({{'rc': rc, {report}}}))\n"
     )
     return run_fresh(code, cwd)
 
@@ -55,6 +66,9 @@ def run_main(argv, cwd):
 def spec_dir(tmp_path):
     for name, doc in SPECS.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "matrix.json").write_text(
+        json.dumps({"dim": 2, "rows": [["-1", "1"], ["0", "-1"]]}), encoding="utf-8"
+    )
     return tmp_path
 
 
@@ -119,3 +133,60 @@ def test_star_import_binds_every_public_name(spec_dir):
         spec_dir,
     )
     assert out == []
+
+
+# stdlib modules the exact launches do without (`dataclasses` imports
+# `inspect`), and the integer kernel that only matrix input needs
+LEAN = ("dataclasses", "inspect", "hashlib", "linflow._ratlinalg")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "LipEquiv", "shear.json", "scalar.json"],
+        ["audit", "shear.json", "scalar.json"],
+        ["transform", "collapse", "spiral.json"],
+        ["invariants", "saddle.json"],
+    ],
+)
+def test_exact_subcommands_on_blocks_stay_lean(spec_dir, argv):
+    assert run_main(argv, spec_dir, LEAN) == {"rc": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("op", ["collapse", "decouple", "reverse", "realify", "scale:2"])
+def test_transform_loads_neither_classifier_nor_similarity(spec_dir, op):
+    out = run_main(["transform", op, "saddle.json"], spec_dir,
+                   ("linflow.classifier", "linflow.similarity") + LEAN)
+    assert out == {"rc": 0, "loaded": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "LipEquiv", "matrix.json", "shear.json"],
+        ["invariants", "matrix.json"],
+        ["transform", "reverse", "matrix.json"],
+    ],
+)
+def test_matrix_input_loads_the_integer_kernel(spec_dir, argv):
+    out = run_main(argv, spec_dir, ("linflow._ratlinalg", "hashlib", "dataclasses"))
+    assert out == {"rc": 0, "loaded": ["linflow._ratlinalg", "hashlib"]}
+
+
+def test_bare_import_loads_no_submodule(spec_dir):
+    out = run_fresh(
+        "import json, sys, linflow\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('linflow.'))))\n",
+        spec_dir,
+    )
+    assert out == []
+
+
+def test_a_name_loads_only_its_module_and_what_that_imports(spec_dir):
+    out = run_fresh(
+        "import json, sys, linflow\n"
+        "linflow.JordanBlock(1, 0, 0)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('linflow.'))))\n",
+        spec_dir,
+    )
+    assert out == ["linflow._record", "linflow.blocks", "linflow.errors"]
