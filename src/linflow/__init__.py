@@ -30,17 +30,17 @@ _LAZY = {
                    "Decision", "Relation", "TraceEntry", "Verdict", "catalog2d",
                    "class_coincidence", "classify", "implication_audit"),
     "errors": ("ClusterAmbiguity", "DefinitenessCheckFailed", "DimMismatch",
-               "InternalCheckError", "LinFlowError", "LyapunovSolveFailed",
-               "MonotonicityNotAchieved", "NotBounded", "NotStable", "PreconditionViolated",
-               "RangeGuard", "SnapFailure", "SpecParseError"),
+               "InternalCheckError", "LinFlowError", "MonotonicityNotAchieved",
+               "NotBounded", "NotStable", "PreconditionViolated", "RangeGuard", "SnapFailure",
+               "SpecParseError"),
     "invariants": ("DistortionSubspace", "GrowthProfile", "PartitionDims",
                    "distortion_subspace", "growth_profile", "is_bounded", "is_generic",
                    "lyapunov_spectrum", "max_block_size_at", "minimal_period",
                    "partition_dims", "refined_dim", "rotation_decouple",
                    "semisimple_collapse", "subspec", "top_rate", "top_size"),
-    "similarity": ("ScalingCertificate", "find_scaling", "kinematic_similar",
-                   "lipschitz_similar", "lipschitz_similar_by_parts", "lyapunov_similar",
-                   "scaling_candidates", "similar"),
+    "similarity": ("ScalingCertificate", "kinematic_similar", "lipschitz_similar",
+                   "lipschitz_similar_by_parts", "lyapunov_similar", "scaling_candidates",
+                   "similar"),
     "flows": ("FLOW_TIME_GUARD", "FlowEvaluator", "flow_apply"),
     "homeos": ("HomeoMap", "build_parabola_shear", "build_pw_conj_hyperbolic",
                "build_rotation_unwind_map", "build_spiral_map",

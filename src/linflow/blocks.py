@@ -20,12 +20,20 @@ The JSON wire format is::
 
 for generators, and ``{"dim": d, "rows": [[...], ...]}`` with rational
 entries for matrices.  Rationals are integers or "p/q" strings.
+
+Reports print as JSON here too: ``to_json = _fields_to_json`` writes a
+record's fields in field order, each by `_wire`: a GeneratorSpec through
+`serialize_spec`, a value with ``to_json`` through it, an Enum as its value,
+a tuple or list item by item, a Fraction as ``str(q)``, anything else as is.
+`AuditReport` (keyed by relation) writes its own; `GrowthProfile` (keyed
+rows) and `ScalingCertificate` (alpha 2, not "2") amend these fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from enum import Enum
 from fractions import Fraction
 
 from ._record import DERIVED, record
@@ -272,6 +280,22 @@ def serialize_spec(spec):
             for b in spec.blocks
         ]
     }
+
+
+def _wire(value):
+    if isinstance(value, GeneratorSpec):
+        return serialize_spec(value)
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_wire(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _fields_to_json(self):
+    return {name: _wire(getattr(self, name)) for name in self.__match_args__}
 
 
 def parse_matrix(source):

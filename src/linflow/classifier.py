@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import record
-from .blocks import GeneratorSpec, JordanBlock, scale_spec, serialize_spec
+from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, scale_spec, serialize_spec
 from .errors import DimMismatch, InternalCheckError
 from .invariants import _part, _spectrum, _triples, _unrotated
 from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
@@ -75,9 +75,7 @@ class TraceEntry:
     step: str
     outcome: str
     detail: str
-
-    def to_json(self):
-        return {"step": self.step, "outcome": self.outcome, "detail": self.detail}
+    to_json = _fields_to_json
 
 
 @record
@@ -88,16 +86,7 @@ class Verdict:
     right: GeneratorSpec
     scaling: Optional[ScalingCertificate] = None
     trace: tuple = ()
-
-    def to_json(self):
-        return {
-            "relation": self.relation.value,
-            "decision": self.decision.value,
-            "left": serialize_spec(self.left),
-            "right": serialize_spec(self.right),
-            "scaling": None if self.scaling is None else self.scaling.to_json(),
-            "trace": [e.to_json() for e in self.trace],
-        }
+    to_json = _fields_to_json
 
 
 # Forms T(spec) whose equality up to time scaling decides a grade, as
@@ -335,14 +324,7 @@ class CatalogEntry:
     representative: GeneratorSpec
     scaling: Optional[Fraction]
     label: Optional[str] = None
-
-    def to_json(self):
-        return {
-            "row": self.row,
-            "representative": serialize_spec(self.representative),
-            "scaling": None if self.scaling is None else str(self.scaling),
-            "label": self.label,
-        }
+    to_json = _fields_to_json
 
 
 def _spectrum_spec(spec):
@@ -394,14 +376,7 @@ class CoincidenceReport:
     real_spectrum: Optional[bool]
     smooth_class_equals_lipschitz: Optional[bool]
     lipschitz_class_equals_hoelder: Optional[bool]
-
-    def to_json(self):
-        return {
-            "generic": self.generic,
-            "real_spectrum": self.real_spectrum,
-            "smooth_class_equals_lipschitz": self.smooth_class_equals_lipschitz,
-            "lipschitz_class_equals_hoelder": self.lipschitz_class_equals_hoelder,
-        }
+    to_json = _fields_to_json
 
 
 def class_coincidence(spec):

@@ -8,9 +8,10 @@ and one whose spectrum only its numeric tier could snap is refused unless
 --allow-uncertified is given.
 
 Exit codes: 0 success, 1 usage error, 2 parse or ingestion failure,
-3 precondition violation, 4 Undecided under --strict, 141 stdout closed
-before the output was written (128 + SIGPIPE, as a shell reports a tool
-that a closed pipe ended).
+3 precondition violation or failed internal cross-check (its stderr line
+starts "internal check failed:", every other failure's "error:"),
+4 Undecided under --strict, 141 stdout closed before the output was
+written (128 + SIGPIPE, as a shell reports a tool that a closed pipe ended).
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_UNDECIDED = 4
 EXIT_BROKEN_PIPE = 141
+
+# failure type -> (exit code, stderr prefix); main maps each exception by
+# the most specific of these types that it is an instance of
+_FAILURES = {
+    ValueError: (EXIT_USAGE, "error"),
+    SpecParseError: (EXIT_PARSE, "error"),
+    PreconditionViolated: (EXIT_PRECONDITION, "error"),
+    InternalCheckError: (EXIT_PRECONDITION, "internal check failed"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -397,18 +407,10 @@ def main(argv=None):
         # cannot fail again (the Python docs' "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ CLI) can map failures to stable exit codes:
 * parse / ingestion problems  -> SpecParseError and its subclasses
 * violated preconditions      -> PreconditionViolated and its subclasses
 * internal cross-checks       -> InternalCheckError (a bug, never expected)
+
+`LyapunovSolveFailed` is gone from the API: the pw-hyp metrics have a
+closed form, so nothing raised it.
 """
 
 __all__ = [
@@ -18,7 +21,6 @@ __all__ = [
     "NotStable",
     "NotBounded",
     "RangeGuard",
-    "LyapunovSolveFailed",
     "DefinitenessCheckFailed",
     "MonotonicityNotAchieved",
     "InternalCheckError",
@@ -61,11 +63,6 @@ class NotBounded(PreconditionViolated):
 
 class RangeGuard(PreconditionViolated):
     """A simulation time outside the guarded range was requested."""
-
-
-class LyapunovSolveFailed(PreconditionViolated):
-    """The Lyapunov equation solve returned no usable symmetric solution.
-    The pw-hyp metrics now have a closed form, so no builder raises it."""
 
 
 class DefinitenessCheckFailed(PreconditionViolated):

@@ -19,7 +19,7 @@ from math import gcd, inf, lcm
 
 from ._record import record
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
-from .blocks import GeneratorSpec, JordanBlock, _layout
+from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout
 
 __all__ = [
     "PartitionDims",
@@ -65,16 +65,7 @@ class PartitionDims:
     hyperbolic: int
     semisimple: int
     defective: int
-
-    def to_json(self):
-        return {
-            "stable": self.stable,
-            "central": self.central,
-            "unstable": self.unstable,
-            "hyperbolic": self.hyperbolic,
-            "semisimple": self.semisimple,
-            "defective": self.defective,
-        }
+    to_json = _fields_to_json
 
 
 def _triples(spec):
@@ -209,16 +200,11 @@ class GrowthProfile:
     top_rate: Fraction
     top_size: int
 
-    def to_json(self):
+    def to_json(self):  # the fields, with the rows as keyed objects
         return {
-            "dim": self.dim,
-            "breakpoints": [str(s) for s in self.breakpoints],
-            "table": [
-                {"m": m, "s": str(s), "dim": d} for (m, s, d) in self.table
-            ],
+            **_fields_to_json(self),
+            "table": [{"m": m, "s": str(s), "dim": d} for (m, s, d) in self.table],
             "max_size_at": [{"s": str(s), "m": m} for (s, m) in self.max_size_at],
-            "top_rate": str(self.top_rate),
-            "top_size": self.top_size,
         }
 
 
@@ -261,14 +247,7 @@ class DistortionSubspace:
     coords: tuple  # global coordinate indices in block layout
     top_rate: Fraction
     top_size: int
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "coords": list(self.coords),
-            "top_rate": str(self.top_rate),
-            "top_size": self.top_size,
-        }
+    to_json = _fields_to_json
 
 
 def distortion_subspace(spec):

@@ -21,7 +21,7 @@ from math import lgamma, pi
 import numpy as np
 
 from ._record import factory, record
-from .blocks import _layout
+from .blocks import _fields_to_json, _layout
 from .errors import LinFlowError, NotStable, PreconditionViolated
 from .flows import FlowEvaluator
 from .invariants import (
@@ -75,16 +75,7 @@ class ConjugacyReport:
     n_points: int
     times: tuple
     worst_time: float
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "round_trip": self.round_trip,
-            "n_points": self.n_points,
-            "times": list(self.times),
-            "worst_time": self.worst_time,
-        }
+    to_json = _fields_to_json
 
 
 def _conjugacy_grid(hmap, X, times, budget):
@@ -165,16 +156,7 @@ class LipschitzReport:
     pointwise_ratios: tuple
     uniform_trend: str
     pointwise_trend: str
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "radii": list(self.radii),
-            "uniform_ratios": list(self.uniform_ratios),
-            "pointwise_ratios": list(self.pointwise_ratios),
-            "uniform_trend": self.uniform_trend,
-            "pointwise_trend": self.pointwise_trend,
-        }
+    to_json = _fields_to_json
 
 
 def _trend(values):
@@ -241,16 +223,7 @@ class DistortionReport:
     threshold: float
     passed: bool
     detail: dict = factory(dict)
-
-    def to_json(self):
-        return {
-            "member": self.member,
-            "branch": self.branch,
-            "estimate": self.estimate,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+    to_json = _fields_to_json
 
 
 def _choose_witness_block(spec):
@@ -394,17 +367,7 @@ class DecayReport:
     expected_rate: float
     expected_degree: int
     match: bool
-
-    def to_json(self):
-        return {
-            "rate_fit": self.rate_fit,
-            "degree_fit": self.degree_fit,
-            "rate": self.rate,
-            "degree": self.degree,
-            "expected_rate": self.expected_rate,
-            "expected_degree": self.expected_degree,
-            "match": self.match,
-        }
+    to_json = _fields_to_json
 
 
 def _expected_decay(spec, x):
@@ -457,14 +420,7 @@ class PeriodReport:
     predicted: float
     residual: float
     match: bool
-
-    def to_json(self):
-        return {
-            "period": self.period,
-            "predicted": self.predicted,
-            "residual": self.residual,
-            "match": self.match,
-        }
+    to_json = _fields_to_json
 
 
 def period_probe(spec, x, t_max=None, tol=1e-9):
@@ -518,5 +474,5 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
         t_star, resid = min(tried, key=lambda p: p[1])
         return PeriodReport(float(t_star), predicted, resid, False)
     resid = float(np.linalg.norm(flow.apply(period, x) - x))
-    match = abs(period - predicted) <= 1e-6 * max(1.0, predicted)
+    match = bool(abs(period - predicted) <= 1e-6 * max(1.0, predicted))
     return PeriodReport(float(period), predicted, resid, match)

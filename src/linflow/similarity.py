@@ -14,12 +14,13 @@ integer vector; only its sign is left, and the key takes the smaller form
 over +c and -c.  The forms themselves, and the transforms and parts the
 predicates below compare, are defined once in `invariants`.
 
-`scaling_candidates` and `find_scaling` are the older scan over a finite
-list of alphas: any usable alpha must match either a ratio of nonzero
-growth rates (the spectra must align) or a ratio of nonzero rotation rates
-(the central parts must align); when neither side has such data, scaling
-acts trivially and alpha = 1 stands in for all.  The classifier no longer
-calls them; they stay as the independent oracle its tests compare against.
+`scaling_candidates` is the older scan's finite list of alphas: any usable
+alpha must match either a ratio of nonzero growth rates (the spectra must
+align) or a ratio of nonzero rotation rates (the central parts must align);
+when neither side has such data, scaling acts trivially and alpha = 1
+stands in for all.  The classifier no longer calls it; it stays public as
+the candidate list of the independent oracle its tests compare against,
+the scan `find_scaling`, which lives with the tests.
 `normalising_scalings`, the unit-size normaliser, serves `catalog2d`.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .blocks import rational_to_json, scale_spec, serialize_spec
+from .blocks import _fields_to_json, rational_to_json
 from .errors import DimMismatch
 from .invariants import (
     _inverse_gcd,
@@ -49,7 +50,6 @@ __all__ = [
     "normalising_scalings",
     "canonical_key",
     "scaling_candidates",
-    "find_scaling",
 ]
 
 
@@ -193,32 +193,6 @@ class ScalingCertificate:
     predicate: str
     witness: dict
 
-    def to_json(self):
-        return {
-            "alpha": rational_to_json(self.alpha),
-            "predicate": self.predicate,
-            "witness": self.witness,
-        }
+    def to_json(self):  # the fields, with alpha as an int or "p/q"
+        return {**_fields_to_json(self), "alpha": rational_to_json(self.alpha)}
 
-
-def find_scaling(a, b, predicate, name="predicate"):
-    """First scaling candidate (by the documented order) passing predicate.
-
-    predicate is called as predicate(a, scaled_b).  Returns None when no
-    candidate passes; by the completeness argument this means no nonzero
-    alpha passes at all, for every predicate the classifier uses.  This is
-    the reference scan: the classifier decides by canonical keys and does
-    not call it, and the tests check the two against each other.
-    """
-    for alpha in scaling_candidates(a, b):
-        scaled = scale_spec(b, alpha)
-        if predicate(a, scaled):
-            return ScalingCertificate(
-                alpha=alpha,
-                predicate=name,
-                witness={
-                    "scaled_right_generator": serialize_spec(scaled),
-                    "left_generator": serialize_spec(a),
-                },
-            )
-    return None

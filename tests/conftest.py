@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: flows are
 checked against scipy's matrix exponential, block structure against numpy
 rank computations on floats, and periods against a grid-plus-refine search
-on simulated trajectories.
+on simulated trajectories.  `find_scaling` is the reference scan over
+`scaling_candidates` that the classifier's canonical keys replaced.
 """
 
 import numpy as np
@@ -12,7 +13,15 @@ from fractions import Fraction
 
 from scipy.linalg import expm
 
-from linflow import GeneratorSpec, JordanBlock, materialize
+from linflow import (
+    GeneratorSpec,
+    JordanBlock,
+    ScalingCertificate,
+    materialize,
+    scale_spec,
+    scaling_candidates,
+    serialize_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +88,28 @@ def rng():
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def find_scaling(a, b, predicate, name="predicate"):
+    """First scaling candidate (by the documented order) passing predicate.
+
+    predicate is called as predicate(a, scaled_b).  Returns None when no
+    candidate passes; by the completeness argument of `linflow.similarity`
+    this means no nonzero alpha passes at all, for every predicate the
+    classifier uses.
+    """
+    for alpha in scaling_candidates(a, b):
+        scaled = scale_spec(b, alpha)
+        if predicate(a, scaled):
+            return ScalingCertificate(
+                alpha=alpha,
+                predicate=name,
+                witness={
+                    "scaled_right_generator": serialize_spec(scaled),
+                    "left_generator": serialize_spec(a),
+                },
+            )
+    return None
 
 
 def expm_flow(spec, t, x):

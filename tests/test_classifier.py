@@ -16,7 +16,6 @@ from linflow import (
     catalog2d,
     class_coincidence,
     classify,
-    find_scaling,
     implication_audit,
     kinematic_similar,
     lipschitz_similar,
@@ -34,7 +33,7 @@ from linflow import similarity
 from linflow.classifier import _topological_label_2d
 from linflow.errors import DimMismatch, InternalCheckError
 
-from conftest import random_spec
+from conftest import find_scaling, random_spec
 
 
 def S(*blks):
@@ -500,11 +499,11 @@ def test_classifier_no_longer_calls_the_scan(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the classifier called the reference scan")
 
-    # rebind every linflow module's name for the scan helpers
-    for fn in (similarity.scaling_candidates, similarity.find_scaling):
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "linflow" and getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, refuse)
+    # rebind every linflow module's name for the scan's candidate list
+    fn = similarity.scaling_candidates
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "linflow" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, refuse)
     a = S((1, -1, 2), (1, 2, 0), (1, 0, 1))
     for b in (scale_spec(a, Fraction(-3, 2)), semisimple_collapse(a), S((1, 0, 2), (2, 1, 0))):
         report = implication_audit(a, b)

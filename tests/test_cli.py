@@ -13,6 +13,7 @@ import pytest
 
 import linflow
 
+from linflow import cli
 from linflow.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_OK,
@@ -22,6 +23,7 @@ from linflow.cli import (
     EXIT_USAGE,
     main,
 )
+from linflow.errors import InternalCheckError
 
 
 def spec_doc(*rows):
@@ -670,3 +672,16 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_internal_check_failure_exits_3_with_its_own_prefix(
+    capsys, monkeypatch, shear_file, scalar_file
+):
+    def disagree(args):
+        raise InternalCheckError("the two routes disagree")
+
+    monkeypatch.setattr(cli, "_cmd_classify", disagree)
+    code, out, err = run_cli(capsys, "classify", "LipEquiv", shear_file, scalar_file)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err == "internal check failed: the two routes disagree\n"

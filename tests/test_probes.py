@@ -1,5 +1,6 @@
 """Numerical probes: conjugacy defect, Lipschitz trends, distortion, decay, period."""
 
+import json
 import re
 
 import numpy as np
@@ -438,3 +439,19 @@ def test_period_probe_fixed_point():
 def test_period_probe_needs_bounded_flow():
     with pytest.raises(NotBounded):
         period_probe(S((1, -1, 0)), np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# every report is plain JSON (no numpy scalar in any field)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0, 1.0], n_points=4),
+    lambda: lipschitz_probe(build_spiral_map(1.0), n_scales=6, pairs=4),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0])),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0])),
+    lambda: period_probe(S((1, 0, 1)), np.ones(2)),
+], ids=["conjugacy", "lipschitz", "distortion", "decay", "period"])
+def test_every_probe_report_dumps_as_json(make):
+    rep = make()
+    assert json.loads(json.dumps(rep.to_json())) == rep.to_json()

@@ -10,7 +10,6 @@ from linflow import (
     DimMismatch,
     GeneratorSpec,
     JordanBlock,
-    find_scaling,
     kinematic_similar,
     lipschitz_similar,
     lipschitz_similar_by_parts,
@@ -20,6 +19,8 @@ from linflow import (
     similar,
 )
 from linflow.similarity import canonical_key, normalising_scalings
+
+from conftest import find_scaling
 
 
 def S(*blks):

@@ -5,18 +5,29 @@ linflow builds its value types with its own `_record` decorator instead of
 same fields and options, the behaviour the types had when they were
 dataclasses; repr, ==, hash and the constructor's signature must agree with
 it, and instances must survive pickle, copy and deepcopy.
+
+The types whose JSON is their field list get ``to_json`` from one encoder,
+`blocks._fields_to_json`; its output must equal, byte for byte, that of the
+hand-written methods it replaced (`hand_encoders`), on these instances and
+on a seeded pool of verdicts, invariants, catalog rows and probe reports.
 """
 
 import copy
+import json
 import pickle
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import linflow
 from linflow import Decision, Relation
+from linflow.blocks import _fields_to_json
 from linflow.homeos import _same_time
+
+from conftest import random_spec
+from hand_encoders import GENERATED, REFERENCE, reference_json
 
 # the mirrors below take the names of the types, so these use linflow.X
 F = Fraction
@@ -348,3 +359,58 @@ def test_slotted_types_have_no_instance_dict(name):
     ours, _, _ = pair(name)
     assert not hasattr(ours[0], "__dict__")
     assert type(ours[0]).__slots__ == MIRRORS[name].__slots__
+
+
+# ---------------------------------------------------------------------------
+# the field encoder against the hand-written methods it replaced
+
+
+def test_the_encoder_serves_exactly_the_field_list_types():
+    generated = {n for n in MIRRORS if vars(getattr(linflow, n)).get("to_json") is _fields_to_json}
+    assert generated == set(GENERATED)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_encoder_matches_the_reference_on_the_mirror_instances(name):
+    for obj in pair(name)[0]:
+        assert json.dumps(obj.to_json()) == json.dumps(reference_json(obj))
+
+
+def _seeded_reports(seed=16, n=150):
+    """Verdicts of every relation, invariants and planar catalog rows over
+    random specs and related partners, and a report of each probe."""
+    rng = np.random.default_rng(seed)
+    S = lambda *b: linflow.GeneratorSpec(tuple(linflow.JordanBlock(*x) for x in b))
+    for i in range(n):
+        a = random_spec(rng, max_dim=2 if i % 4 == 0 else 6, re_pool=(F(-1), F(-1, 2), 0, F(2)))
+        b = (linflow.scale_spec(a, F(-3, 2)), linflow.semisimple_collapse(a),
+             random_spec(rng, max_dim=a.dim))[i % 3]
+        for rel in Relation:
+            yield linflow.classify(rel, a, b)
+        yield linflow.partition_dims(a)
+        yield linflow.growth_profile(a)
+        yield linflow.class_coincidence(a)
+        if all(blk.re < 0 for blk in a.blocks):
+            yield linflow.distortion_subspace(a)
+        if a.dim == 2:
+            yield from linflow.catalog2d(a).values()
+    spiral = linflow.build_spiral_map(1.0)
+    yield linflow.verify_conjugacy(spiral, times=[0.0, 1.0], n_points=4)
+    yield linflow.lipschitz_probe(spiral, n_scales=6, pairs=4)
+    yield linflow.distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]))
+    yield linflow.distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]))
+    yield linflow.decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]))
+    yield linflow.period_probe(S((1, 0, 1)), np.ones(2))
+    yield linflow.period_probe(S((1, 0, 1)), np.zeros(2))
+
+
+def test_encoder_matches_the_reference_on_a_seeded_pool():
+    seen = set()
+    for obj in _seeded_reports():
+        parts = [obj, *getattr(obj, "trace", ())]
+        if isinstance(getattr(obj, "scaling", None), linflow.ScalingCertificate):
+            parts.append(obj.scaling)
+        for part in parts:
+            seen.add(type(part).__name__)
+            assert json.dumps(part.to_json()) == json.dumps(reference_json(part))
+    assert seen == set(REFERENCE)
