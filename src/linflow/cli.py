@@ -25,6 +25,7 @@ import sys
 from .blocks import (
     _floats,
     _load_json,
+    _wire,
     parse_matrix,
     parse_rational,
     parse_spec,
@@ -172,15 +173,13 @@ def _cmd_invariants(args):
     out = {
         "dim": spec.dim,
         "partition": partition_dims(spec).to_json(),
-        "spectrum": [str(v) for v in lyapunov_spectrum(spec)],
+        "spectrum": _wire(lyapunov_spectrum(spec)),
         "growth": growth_profile(spec).to_json(),
         "generic": is_generic(spec),
         "bounded": is_bounded(spec),
         "coincidence": class_coincidence(spec).to_json(),
     }
-    out["minimal_period_over_two_pi"] = (
-        str(minimal_period(spec)) if is_bounded(spec) else None
-    )
+    out["minimal_period_over_two_pi"] = _wire(minimal_period(spec) if is_bounded(spec) else None)
     try:
         out["distortion_subspace"] = distortion_subspace(spec).to_json()
     except NotStable:
@@ -300,11 +299,8 @@ def _cmd_verify(args):
         hmap, times=times, n_points=args.points, seed=args.seed
     )
     out = report.to_json()
-    out["map"] = {
-        "name": hmap.name,
-        "source": None if hmap.source_spec is None else serialize_spec(hmap.source_spec),
-        "target": None if hmap.target_spec is None else serialize_spec(hmap.target_spec),
-    }
+    out["map"] = {"name": hmap.name, "source": _wire(hmap.source_spec),
+                  "target": _wire(hmap.target_spec)}
     _emit(out)
     return EXIT_OK
 

@@ -6,29 +6,24 @@ Each builder returns a HomeoMap h with a time change tau such that
 
 where Phi is the source flow and Psi the target flow.  Conjugacies have
 tau(x, t) = t.  All maps come with inverses and vectorized variants; the
-only numerics involved are monotone or convex one-dimensional root solves
-on closed-form norm profiles, solved by safeguarded Newton steps on their
-closed-form derivatives to machine-level tolerance.  The Lyapunov
-metrics of the pw-hyp map are closed forms too, with no matrix solver.
+only numerics involved are root solves on closed-form norm profiles, by
+safeguarded Newton steps on their closed-form derivatives to machine-level
+tolerance.  The Lyapunov metrics of the pw-hyp map are closed forms too.
 
 Every root has a certified bracket, and no bracket is grown: the slopes
 of the solved log profiles are Rayleigh quotients of fixed matrix
-pencils, whose ranges each factor computes once at build time, so one
-evaluation at the start places the root.  The mixed pw-hyp inverse starts
-each inner minimum from the previous outer step.  A factor's forms G, S
-and C are one stacked product, and each pw-hyp and unwind batch map runs
-under one np.errstate (`_quiet`), so no solver step enters one.
-
-Each concept has one routine that every builder shares: `_newton` solves
-every root (`_solve_norm_time` for a norm level, `_solve_min_time` for a
-minimum), `_NormProfile` gives a factor's norm, its derivatives and
-their slope ranges, `_turn_planes` does the log-spiral turning of the
-spiral and uniform-exponent maps, and `_chain_weights` with `_definite`
-drives the metric searches of the pw-hyp and unwind maps.  Inside the
-pw-hyp map, one `_split` sorts the rows of a batch into zero,
-pure-stable, pure-unstable and mixed, one loop over the (stable,
-unstable) factors serves both pure kinds, and one `_cone` serves the
-mixed rows of the forward map and of tau.
+pencils, whose ranges each factor computes once at build time.  One loop,
+`_iterate`, runs every solve: `_newton` for one unknown (a norm level in
+`_solve_norm_time`, a minimum in `_solve_min_time`, the slide), and
+`_solve_cone_point` for the mixed pw-hyp inverse, one Newton iteration on
+the time s and the shift delta of the cone point together, each in a
+certified box.  `_NormProfile` gives a factor's norm and derivatives as one
+stacked product, with their slope ranges; `_turn_planes` turns the planes
+of the spiral and uniform maps, and `_chain_weights` with `_definite`
+drives the metric searches.  In the pw-hyp map, `_split` sorts a batch
+into zero, pure-stable, pure-unstable and mixed rows, one `_cone` serves
+the mixed rows of forward and tau, and each batch map runs under one
+np.errstate (`_quiet`).
 """
 
 from __future__ import annotations
@@ -63,6 +58,7 @@ _SOLVE_CAP = 300  # bisection alone needs ~100 steps across the time guard
 _SLACK = 1e-2  # relative widening of the slope bounds behind a certified bracket
 _F_PAD = 1e-10  # rounding allowance on a log value that places a certified bracket
 _PADS = np.array([-_F_PAD, _F_PAD])
+_BIG, _TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
 def _same_time(X, ts):
@@ -113,45 +109,67 @@ def _bracket(x, f, kmin, kmax):
     arithmetic, with the slopes widened by _SLACK and f by _F_PAD."""
     k = np.array([kmin * (1.0 - _SLACK), kmax * (1.0 + _SLACK)])
     q = ((f + _PADS[:, None, None]) / k[:, None]).reshape(4, -1)  # by pad, then slope
-    return x - q.max(axis=0), x - q.min(axis=0)
+    # an infinite f keeps only its sign, and f NaN gives NaN ends
+    lo, hi = x - q.max(axis=0), x - q.min(axis=0)
+    return np.where(f == -np.inf, x, lo), np.where(f == np.inf, x, hi)
 
 
-def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=_SOLVE_CAP):
+def _iterate(advance, state, k, stats, cap):
+    """The loop of every solve: state = (k roots, then the rest) holds an
+    array per quantity, and advance(it, rows, *state) -> (state, newton,
+    done) runs one iteration on those rows of the batch.  Returns the (k, n)
+    roots; a point still running after `cap` iterations is a bug."""
+    rows = np.arange(len(state[0]))
+    out = np.empty((k, rows.size))
+    stats["solves"] += rows.size
+    for it in range(cap):
+        state, newton, done = advance(it, rows, *state)
+        stats["iterations"] += rows.size
+        stats["bisect_steps"] += rows.size - int(np.count_nonzero(newton))
+        n_done = np.count_nonzero(done)
+        if n_done == rows.size:
+            out[:, rows] = state[:k]
+            return out
+        if n_done:
+            for o, x in zip(out, state[:k]):
+                o[rows[done]] = x[done]
+            keep = ~done
+            rows = rows[keep]
+            state = np.array(state)[:, keep]
+    raise InternalCheckError("root solve did not converge in %d iterations (%d points)"
+                             % (cap, rows.size))
+
+
+def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, cap=_SOLVE_CAP):
     """Roots of len(x) elementwise increasing functions, started at x;
     fg(x, rows) -> (f, f') for the given rows of the batch.
 
     The roots lie in [lo, hi].  With slopes = (kmin, kmax) bounding f',
     the first evaluation at x narrows that to the certified
     `_bracket(x, f(x), kmin, kmax)`, so no bracket is ever grown; a point
-    whose f(x) is not finite keeps [lo, hi] and moves to `restart` where
-    that lies inside, else bisects.  A start, or a bracket after the first
-    evaluation, that is not finite cannot be used.
+    whose f(x) is not finite keeps [lo, hi] and bisects.  A start, or a
+    bracket after the first evaluation, that is not finite cannot be used.
 
     Safeguarded Newton (rtsafe, Press et al., Numerical Recipes): keep the
     bracket, take the Newton step only if it lands inside it and, from the
     third step on, is at most half the step before last; bisect otherwise.
     A point stops once its step or its bracket is within
-    1e-13 * max(1, |x|); one still running after `cap` iterations is a
-    bug, never a result.  Every f here is a difference of logs, so a point
-    that stops with |f| above 1e-6 * max(1, |x|) stopped at a jump, where a
-    flow left the float range, not at a root.
+    1e-13 * max(1, |x|), within `cap` iterations.  Every f here is a
+    difference of logs, so a point that stops with |f| above
+    1e-6 * max(1, |x|) stopped at a jump, where a flow left the float range.
     """
     n = len(x)
     lo, hi = (np.full(n, b, dtype=float) for b in (lo, hi))
     x = np.clip(np.asarray(x, dtype=float), lo, hi)
     if not np.isfinite(x).all():
         raise PreconditionViolated("monotone time bracket could not be established")
-    out = np.empty(n)
-    step_old = step = np.full(n, np.inf)
-    rows = np.arange(n)
-    stats["solves"] += n
-    for it in range(cap):
+
+    def advance(it, rows, x, lo, hi, step, step_old):
         f, df = fg(x, rows)
         if it == 0:
             if slopes is not None:
                 a, b = _bracket(x, f, *slopes)
-                ok = np.isfinite(f)
-                lo, hi = np.where(ok, np.maximum(lo, a), lo), np.where(ok, np.minimum(hi, b), hi)
+                lo, hi = np.fmax(lo, a), np.fmin(hi, b)
             if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
                 raise PreconditionViolated("monotone time bracket could not be established")
         neg = f < 0
@@ -164,27 +182,14 @@ def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, restart=None, cap=
         # the bracket's end
         newton = (adn <= tol) | ((xn > lo) & (xn < hi) & (2.0 * adn <= np.abs(step_old)))
         mid = 0.5 * (lo + hi)
-        if it == 0 and restart is not None:
-            mid = np.where((restart > lo) & (restart < hi), restart, mid)
         step_old, step = step, np.where(newton, dn, x - mid)
         x = np.where(newton, xn, mid)
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
         if (done > (np.abs(f) <= 1e7 * tol)).any():  # a point stopped away from its root
             raise PreconditionViolated("a root of a norm profile lies beyond the float range")
-        stats["iterations"] += rows.size
-        stats["bisect_steps"] += rows.size - int(np.count_nonzero(newton))
-        n_done = np.count_nonzero(done)
-        if n_done == rows.size:
-            out[rows] = x
-            return out
-        if n_done:
-            out[rows[done]] = x[done]
-            keep = ~done
-            rows = rows[keep]
-            x, lo, hi, step, step_old = np.array((x, lo, hi, step, step_old))[:, keep]
-    raise InternalCheckError(
-        "root solve did not converge in %d iterations (%d points)" % (cap, rows.size)
-    )
+        return (x, lo, hi, step, step_old), newton, done
+
+    return _iterate(advance, (x, lo, hi, *np.full((2, n), np.inf)), 1, stats, cap)[0]
 
 
 def _slope_ranges(G, S, C, sign):
@@ -258,35 +263,97 @@ def _solve_norm_time(prof, X, stats, targets=1.0):
     return _newton(fg, np.zeros(X.shape[0]), stats, slopes)
 
 
-def _solve_min_time(pS, pU, Y, Z, shift, stats, start=None, speeds=None):
-    """Argmin s of the strictly convex V_S(s) + V_U(s + shift) with stable
-    pS and unstable pU, where the growth V_U' > 0 meets the decay -V_S' > 0;
-    solved in log V_U' - log(-V_S'), increasing with slope in the sum of
-    the curvature ranges since V'' > 0.
-
-    The two logs move from their values L_U, L_S at time 0 at mean slopes
-    k_U, k_S within the curvature ranges, so the root is a balance point
-    (L_S - L_U - k_U shift) / (k_U + k_S), bracketed by the corners of
-    those ranges.  `speeds` gives (L_S, L_U) where the caller has them.  s
-    starts at `start` where that is finite and restarts at the balance
-    point of the midpoints where f(start) is not; without a start, it
-    starts there."""
-    LS, LU = (pS.log_speed(Y), pU.log_speed(Z)) if speeds is None else speeds
+def _balance(pS, pU, L, shift):
+    """The argmin s of V_S(s) + V_U(s + shift) from L = L_S - L_U, the log
+    speeds at time 0, which move at mean slopes k_U, k_S within the
+    curvature ranges: (L - k_U shift) / (k_U + k_S) at the midpoints, and
+    its least and largest value over the corners of the ranges."""
     (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
     # the corners, ordered by pad, then k_U, then k_S
     kU = np.array([cU0 * (1.0 - _SLACK), cU1 * (1.0 + _SLACK)])[:, None, None]
     kS = np.array([cS0 * (1.0 - _SLACK), cS1 * (1.0 + _SLACK)])[:, None]
-    corners = ((LS - LU + _PADS[:, None, None, None] - kU * shift) / (kU + kS)).reshape(8, -1)
-    s0 = (LS - LU - 0.5 * (cU0 + cU1) * shift) / (0.5 * (cU0 + cU1) + 0.5 * (cS0 + cS1))
-    x0 = s0 if start is None else np.where(np.isfinite(start), start, s0)
+    corners = ((L + _PADS[:, None, None, None] - kU * shift) / (kU + kS)).reshape(8, -1)
+    s0 = (L - 0.5 * (cU0 + cU1) * shift) / (0.5 * (cU0 + cU1) + 0.5 * (cS0 + cS1))
+    return s0, corners.min(axis=0), corners.max(axis=0)
+
+
+def _solve_min_time(pS, pU, Y, Z, shift, stats):
+    """Argmin s of the strictly convex V_S(s) + V_U(s + shift) with stable
+    pS and unstable pU, where the growth V_U' > 0 meets the decay -V_S' > 0;
+    solved in log V_U' - log(-V_S'), increasing with slope in the sum of
+    the curvature ranges since V'' > 0, from the `_balance` point."""
+    (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
 
     def fg(ts, r):
         dVs, d2Vs = pS.forms(ts, Y[r], 3, 1)
         dVu, d2Vu = pU.forms(ts + shift[r], Z[r], 3, 1)
         return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
 
-    return _newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), corners.min(axis=0),
-                   corners.max(axis=0), s0)
+    s0, lo, hi = _balance(pS, pU, pS.log_speed(Y) - pU.log_speed(Z), shift)
+    return _newton(fg, s0, stats, (cS0 + cU0, cS1 + cU1), lo, hi)
+
+
+def _solve_cone_point(pS, pU, Y, Z, logmu2, stats, cap=_SOLVE_CAP):
+    """The root (s, d) of F1 = log V_U'(s + d) - log(-V_S'(s)) and
+    F2 = log V - log mu^2, V = V_S(s) + V_U(s + d): s is the argmin of V
+    at shift d, as in `_solve_min_time`, and mu^2 its least value.
+
+    Safeguarded Newton steps on both unknowns, each in a certified box.
+    s lies in the `_balance` bracket at d, narrowed to s - F1 / (c_S + c_U)
+    by each evaluation.  g(d) = log min V - log mu^2 rises at the harmonic
+    rate 1 / (1 / r_U + 1 / |r_S|) and lies between F2 and the log of a
+    lower bound on min V (the tangent of V at s over the s box, or
+    min(V_S, V_U) at s), which narrows the box of d by `_bracket`.  The
+    joint step must land in both boxes and be at most half the step before
+    last.  Else d bisects its box where g(d) has a sign or s is settled,
+    s at its linear prediction; else s steps on F1 alone or bisects.  A
+    point stops, or stops at a jump, under the rules of `_newton`."""
+    (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
+    (rS0, rS1), (rU0, rU1) = pS.rates, pU.rates
+    slopes = (1.0 / (1.0 / rU0 - 1.0 / rS1), 1.0 / (1.0 / rU1 - 1.0 / rS0))
+    L = pS.log_speed(Y) - pU.log_speed(Z)
+
+    def advance(it, rows, s, d, slo, shi, dlo, dhi, step, step_old):
+        (VS, dVS, d2VS), (VU, dVU, d2VU) = pS.forms(s, Y[rows], 3), pU.forms(s + d, Z[rows], 3)
+        V, dV = VS + VU, dVS + dVU
+        F1, F2 = np.log(dVU) - np.log(-dVS), np.log(V) - logmu2[rows]
+        a, b = _bracket(s, F1, cS0 + cU0, cS1 + cU1)
+        slo, shi = np.fmax(slo, a), np.fmin(shi, b)
+        # a form that overflowed is at least _BIG
+        glo = np.fmax(np.log(np.minimum(np.minimum(VS, VU), _BIG)),
+                      np.log(V + np.minimum(dV * (slo - s), dV * (shi - s)))) - logmu2[rows]
+        a, b = _bracket(np.concatenate((d, d)), np.concatenate((F2, glo)), *slopes)
+        dlo, dhi = np.fmax(dlo, a[:len(d)]), np.fmin(dhi, b[len(d):])
+        if it == 0 and not (np.isfinite(dlo).all() and np.isfinite(dhi).all()):
+            raise PreconditionViolated("monotone time bracket could not be established")
+        cU, cS = d2VU / dVU, d2VS / -dVS
+        j1, j2 = dV / V, dVU / V
+        det = (cU + cS) * j2 - cU * j1
+        ds, dd = (cU * F2 - j2 * F1) / det, (j1 * F1 - (cU + cS) * F2) / det
+        tol_s, tol_d = 1e-13 * np.maximum(1.0, np.abs((s, d)))
+        tiny = (np.abs(ds) <= tol_s) & (np.abs(dd) <= tol_d)
+        mlo, mhi = _balance(pS, pU, L[rows], d + dd)[1:]
+        newton = tiny | ((d + dd > dlo) & (d + dd < dhi) & (s + ds > mlo) & (s + ds < mhi)
+                         & (2.0 * np.maximum(np.abs(ds), np.abs(dd)) <= step_old))
+        x = np.array((s + ds, d + dd))
+        if newton.all():
+            slo, shi = mlo, mhi
+        else:
+            dm = np.where((glo > 0) | (F2 < 0) | (shi - slo <= tol_s), 0.5 * (dlo + dhi), d)
+            blo, bhi = np.where(dm == d, (slo, shi), _balance(pS, pU, L[rows], dm)[1:])
+            s1 = s - (F1 + cU * (dm - d)) / (cU + cS)
+            s1 = np.where((s1 > blo) & (s1 < bhi)
+                          & ((dm != d) | (2.0 * np.abs(s1 - s) <= step_old)), s1, 0.5 * (blo + bhi))
+            x = np.where(newton, x, (s1, dm))
+            slo, shi = np.where(newton, (mlo, mhi), (blo, bhi))
+        done = tiny | ((shi - slo <= tol_s) & (dhi - dlo <= tol_d))
+        if (done > ((np.abs(F1) <= 1e7 * tol_s) & (np.abs(F2) <= 1e7 * tol_d))).any():
+            raise PreconditionViolated("a root of a norm profile lies beyond the float range")
+        return (*x, slo, shi, dlo, dhi, np.abs(x - (s, d)).max(axis=0), step), newton, done
+
+    zero, inf = np.zeros(len(L)), np.full(len(L), np.inf)
+    s0, lo, hi = _balance(pS, pU, L, zero)
+    return _iterate(advance, (s0, zero, lo, hi, -inf, inf, inf, inf), 2, stats, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +585,8 @@ def build_pw_conj_hyperbolic(spec):
     every compact set away from nothing (piecewise Lipschitz globally).
     A point whose norm, image, preimage or time change leaves the float
     range raises PreconditionViolated, also when it underflows: a norm that
-    squares to zero, or a block of the image or preimage that comes out all
-    zero.
+    squares to zero, or a block of the image or preimage that comes out
+    subnormal or zero.
     """
     dims = partition_dims(spec)
     if dims.central:
@@ -563,36 +630,32 @@ def build_pw_conj_hyperbolic(spec):
         return X, parts, norms, total, pure, ~taken, zero
 
     def _kept(X, Y, pure, mixed):
-        """Y, unless a block of X is all zero in Y although its factor was
+        """Y, unless a block of X lost its image although its factor was
         mapped and the block is not absent within it (its largest entry
-        above sqrt(tinysq) times the factor's): the block's exact image
-        underflowed the float range."""
-        if Y.all():  # the common case: no zero coordinate at all
+        above sqrt(tinysq) times the factor's): every entry of the block's
+        image is subnormal or zero, below the float range."""
+        if (np.abs(Y) >= _TINY).all():  # the common case: no such coordinate at all
             return Y
         for (prof, c), rows in zip(factors, pure):
             rows = rows | mixed
-            if not rows.any():
-                continue
-            A = np.abs(X[rows, c])
-            starts = prof.flow.offsets[:-1]
-            top = tinysq**0.5 * A.max(axis=1, keepdims=True)
-            present = np.maximum.reduceat(A, starts, axis=1) > top
-            if np.any(present & ~np.logical_or.reduceat(Y[rows, c] != 0, starts, axis=1)):
-                raise PreconditionViolated(
-                    "pw-hyp map: a block of a point's image is below the float range")
+            if rows.any():
+                A, B = np.abs(X[rows, c]), np.abs(Y[rows, c])
+                starts = prof.flow.offsets[:-1]
+                top = tinysq**0.5 * A.max(axis=1, keepdims=True)
+                if np.any((np.maximum.reduceat(A, starts, axis=1) > top)
+                          & (np.maximum.reduceat(B, starts, axis=1) < _TINY)):
+                    raise PreconditionViolated(
+                        "pw-hyp map: a block of a point's image is below the float range")
         return Y
 
     def _vfull(ts, Y, Z, k=1):
         # V, V', V'' of the full norm; factor U runs at the same times
         return pS.forms(ts, Y, k) + pU.forms(ts, Z, k)
 
-    def _min_time(Y, Z, shift, start=None, speeds=None):
-        return _solve_min_time(pS, pU, Y, Z, shift, stats, start, speeds)
-
     def _cone(Y, Z, n2):
         """Time T of the minimum full norm mu^2 along each mixed trajectory,
         mu^4, and sqrt(n2^2 - mu^4) for the squared norms n2 at time 0."""
-        T = _min_time(Y, Z, np.zeros(len(Y)))
+        T = _solve_min_time(pS, pU, Y, Z, np.zeros(len(Y)), stats)
         mu2 = _vfull(T, Y, Z)[0]
         mu4 = mu2 * mu2  # may overflow; _finite checks
         return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
@@ -643,54 +706,31 @@ def build_pw_conj_hyperbolic(spec):
         if mixed.any():
             nu, nv = (np.sqrt(q2[mixed]) for q2 in norms)
             uh, vh = (P[mixed] / q[:, None] for P, q in zip(parts, (nu, nv)))
-            logmu2 = np.log(2.0 * nu * nv)
-            speeds = np.array((pS.log_speed(uh), pU.log_speed(vh)))
-            # each inner minimum starts from the row's previous outer step,
-            # moved as the balance point moves with delta
-            s_prev, d_prev = np.full(len(nu), np.nan), np.zeros(len(nu))
-            (cS0, cS1), (cU0, cU1) = pS.curvatures, pU.curvatures
-            lean = (cU0 + cU1) / (cU0 + cU1 + cS0 + cS1)
-
-            def outer(deltas, r):
-                # log of min_s V(s, delta) against log mu^2; by the envelope
-                # theorem d/d delta min_s V = <S_U z, z> at the minimiser
-                start = s_prev[r] - lean * (deltas - d_prev[r])
-                s = s_prev[r] = _min_time(uh[r], vh[r], deltas, start, speeds[:, r])
-                d_prev[r] = deltas
-                Vs = pS.forms(s, uh[r], 1)[0]
-                Vu, dVu = pU.forms(s + deltas, vh[r], 2)
-                return np.log(Vs + Vu) - logmu2[r], dVu / (Vs + Vu)
-
-            # at the minimiser -V_S' = V_U', so the slope is the harmonic
-            # combination 1 / (1 / r_U + 1 / |r_S|) of the two factor rates
-            (rS0, rS1), (rU0, rU1) = pS.rates, pU.rates
-            slopes = (1.0 / (1.0 / rU0 - 1.0 / rS1), 1.0 / (1.0 / rU1 - 1.0 / rS0))
-            delta = _newton(outer, np.zeros(len(nu)), stats, slopes)
-            s_star = _min_time(uh, vh, delta, s_prev - lean * (delta - d_prev), speeds)
-            qS = pS.flow.apply_batch(s_star, uh)
-            qU = pU.flow.apply_batch(s_star + delta, vh)
+            s_star, delta = _solve_cone_point(pS, pU, uh, vh, np.log(2.0 * nu * nv), stats)
+            (_, rS1), (rU0, _) = pS.rates, pU.rates
+            qS, qU = pS.flow.apply_batch(s_star, uh), pU.flow.apply_batch(s_star + delta, vh)
 
             # slide along the trajectory of the cone point until the full
-            # metric norm matches |w|; the side is set by which factor wins.
-            # The winner alone takes the norm to |w|^2 within the time its
-            # slowest rate needs.  The slide starts where the two factors,
-            # each at its log-rate at the cone point, would reach |w|^2: two
-            # fixed-point steps on the winner's share, no flow evaluated
+            # metric norm matches |w|, toward the factor that wins, which
+            # alone reaches |w|^2 within the time its slowest rate needs.
+            # Start where both factors, each at its log-rate at the cone
+            # point, would: Newton steps on that model from the winner's
+            # time alone, which cannot overshoot as the model is convex.  The
+            # model is exact on 1-dimensional factors, where eight steps
+            # leave the slide a single evaluation on the verify pools
             side = np.sign(nu - nv)
-            nw2m = nw2[mixed]
-            lognw2 = np.log(nw2m)
-            cone = []  # each factor's V and V'/V at the cone point
-            for prof, q in ((pS, qS), (pU, qU)):
-                V0, dV0 = (np.einsum("ni,ij,nj->n", q, M, q) for M in (prof.G, prof.S))
-                cone.append((V0, dV0 / V0))
-            (VS, kS), (VU, kU) = cone
-            win = side > 0  # V and V'/V of the winning and the losing factor
-            Vw, kw, Vl, kl = (np.where(win, p, q)
-                              for p, q in ((VS, VU), (kS, kU), (VU, VS), (kU, kS)))
+            lognw2 = np.log(nw2[mixed])
+            # each factor's V and V'/V at the cone point
+            (VS, dVS), (VU, dVU) = (p.forms(0.0 * nu, q, 2) for p, q in ((pS, qS), (pU, qU)))
+            kS, kU = dVS / VS, dVU / VU
+            win = side > 0  # V and V'/V of the winning factor
+            Vw, kw = np.where(win, VS, VU), np.where(win, kS, kU)
             far = (lognw2 - np.log(Vw) + _F_PAD) / (np.where(win, rS1, rU0) * (1.0 - _SLACK))
             start = (lognw2 - np.log(Vw)) / kw
-            for _ in range(2):
-                start = np.log((nw2m - Vl * np.exp(kl * start)) / Vw) / kw
+            for _ in range(8):
+                eS, eU = VS * np.exp(kS * start), VU * np.exp(kU * start)
+                start = start - (np.log(eS + eU) - lognw2) * (eS + eU) / (kS * eS + kU * eU)
+            start = np.where(np.isfinite(start), start, far)
             far, start = (np.where(side == 0, 0.0, v) for v in (far, start))
 
             def slide(sig, r):

@@ -11,7 +11,8 @@ every grid time, scale or partner, and cut the stack only into chunks of
 whole grid items under a fixed budget of `_ROWS` rows per call.  Every map
 and flow treats its rows independently, so the batching moves no bit of
 any report.  The decay and period probes flow one point over one capped
-time grid.
+time grid, and the period probe refines its candidate times together,
+one flow call per bisection step.
 """
 
 from __future__ import annotations
@@ -447,32 +448,30 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     A = flow.generator_matrix()
 
     def dgap(t):
-        z = flow.apply(t, x)
-        return float((z - x) @ (A @ z))
+        # the derivative of |Phi_t x - x|^2 / 2 at the times t, one flow call
+        Z = flow.apply_batch(t, np.tile(x, (len(t), 1)))
+        return np.einsum("ni,ni->n", Z - x, Z @ A.T)
 
-    period = None
-    order = np.argsort(gap)
-    tried = []
-    for idx in order[:12]:
-        lo = ts[max(0, idx - 1)]
-        hi = ts[min(n - 1, idx + 1)]
-        if dgap(lo) >= 0 or dgap(hi) <= 0:
-            t_star = ts[idx]
-        else:
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                if dgap(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_star = 0.5 * (lo + hi)
-        resid = float(np.linalg.norm(flow.apply(t_star, x) - x))
-        tried.append((t_star, resid))
-        if resid <= tol * (1.0 + nx):
-            period = min(period, t_star) if period is not None else t_star
-    if period is None:
-        t_star, resid = min(tried, key=lambda p: p[1])
-        return PeriodReport(float(t_star), predicted, resid, False)
+    # the 12 closest grid times, each refined by bisection on the sign of
+    # dgap between its neighbours where that changes sign, all together
+    idx = np.argsort(gap)[:12]
+    lo, hi = ts[np.maximum(idx - 1, 0)], ts[np.minimum(idx + 1, n - 1)]
+    ends = dgap(np.concatenate([lo, hi]))
+    sign_change = ~((ends[:len(idx)] >= 0) | (ends[len(idx):] <= 0))
+    lo, hi = lo[sign_change], hi[sign_change]
+    for _ in range(90 if sign_change.any() else 0):
+        mid = 0.5 * (lo + hi)
+        neg = dgap(mid) < 0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    t_star = ts[idx]
+    t_star[sign_change] = 0.5 * (lo + hi)
+    Z = flow.apply_batch(t_star, np.tile(x, (len(idx), 1)))
+    resid = np.array([float(np.linalg.norm(z - x)) for z in Z])
+    close = resid <= tol * (1.0 + nx)
+    if not close.any():
+        k = int(np.argmin(resid))
+        return PeriodReport(float(t_star[k]), predicted, float(resid[k]), False)
+    period = float(t_star[close].min())
     resid = float(np.linalg.norm(flow.apply(period, x) - x))
     match = bool(abs(period - predicted) <= 1e-6 * max(1.0, predicted))
     return PeriodReport(float(period), predicted, resid, match)

@@ -27,8 +27,10 @@ from linflow.invariants import subspec
 from linflow.probes import _sample_points
 
 import grown_brackets
+import nested_inverse
 from grown_brackets import fresh_stats
 from conftest import random_hyperbolic_spec
+from nested_inverse import nested_route
 
 
 def S(*blks):
@@ -242,6 +244,27 @@ def test_pw_conj_blocks_of_unequal_growth_round_trip_or_raise(x):
     except PreconditionViolated:
         return
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+
+
+def test_pw_conj_subnormal_image_block_raises():
+    # stable rates -27/8 and -1/16: near radius 2e5 the fast block's image
+    # is subnormal but not zero, with ~31 bits or fewer left; that block is
+    # lost to the float range as an all-zero one is
+    hm = build_pw_conj_hyperbolic(S((1, Fraction(-27, 8), 0), (1, Fraction(-1, 16), 0)))
+    prof = homeos._lyapunov_metric(hm.source_flow, stable=True)[0]
+    x = np.array([1.0, 1.0])
+    with np.errstate(all="ignore"):
+        for r in np.geomspace(1e3, 1e9, 600):
+            P = r * x[None, :]
+            T = homeos._solve_norm_time(prof, P, fresh_stats())
+            image = np.sqrt(np.einsum("ni,ij,nj->n", P, prof.G, P)) * prof.flow.apply_batch(T, P)[0]
+            if 0 < abs(image[0]) < np.finfo(float).tiny:
+                break
+        else:
+            pytest.fail("no radius gives a subnormal image block")
+    with pytest.raises(PreconditionViolated, match="image is below the float range"):
+        hm.forward(r * x)
+    assert np.all(np.abs(hm.forward(0.5 * r * x)) >= np.finfo(float).tiny)
 
 
 def test_pw_conj_inverse_of_a_norm_beyond_the_float_range_raises():
@@ -577,10 +600,9 @@ def test_roots_match_the_grown_bracket_oracle(rng):
             got = homeos._solve_norm_time(prof, P, fresh_stats(), targets)
             want = grown_brackets.solve_norm_time(prof, P, fresh_stats(), targets)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
-        for start in (None, shift + rng.uniform(-1.0, 1.0, len(Y))):
-            got = homeos._solve_min_time(pS, pU, Y, Z, shift, fresh_stats(), start)
-            want = grown_brackets.solve_min_time(pS, pU, Y, Z, shift, fresh_stats())
-            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
+        got = homeos._solve_min_time(pS, pU, Y, Z, shift, fresh_stats())
+        want = grown_brackets.solve_min_time(pS, pU, Y, Z, shift, fresh_stats())
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
 
 
 def test_pw_conj_maps_match_the_grown_bracket_oracle():
@@ -601,6 +623,76 @@ def test_pw_conj_maps_match_the_grown_bracket_oracle():
         assert _rel(hm.inverse_batch(W), oracle.inverse(W)) <= 1e-12, spec
         tau, want = hm.tau_batch(X, ts[:len(X)]), oracle.tau(X, ts[:len(X)])
         assert np.all(np.abs(tau - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), spec
+
+
+def _mixed_pool(seed, count):
+    """count seeded hyperbolic specs with a stable and an unstable part,
+    each with the generator that drew it."""
+    rng = np.random.default_rng(seed)
+    while count:
+        spec = random_hyperbolic_spec(rng, max_dim=6)
+        if spec.blocks[0].re < 0 < spec.blocks[-1].re:
+            count -= 1
+            yield spec, rng
+
+
+def _cone_inputs(spec, rng, n=12):
+    """The factor profiles, n directions of unit metric norm on each, and
+    log mu^2 from -14 to 14."""
+    profs = grown_brackets.PwHypOracle(spec).prof
+    units = []
+    for p in profs:
+        P = _directions(rng, n, p.flow.dim, (1.0,))
+        units.append(P / np.sqrt(np.einsum("ni,ij,nj->n", P, p.G, P))[:, None])
+    return (*profs, *units, rng.uniform(-14.0, 14.0, n))
+
+
+def test_cone_point_matches_the_nested_solve():
+    # the joint (s, delta) root against the outer Newton on delta that runs
+    # a whole minimum solve at every step
+    for spec, rng in _mixed_pool(2917, 16):
+        args = _cone_inputs(spec, rng)
+        with np.errstate(all="ignore"):
+            got = homeos._solve_cone_point(*args, fresh_stats())
+            want = nested_inverse.solve_cone_point(*args, fresh_stats())
+        for x, y in zip(got, want):
+            assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y))), spec
+
+
+def _row_rel(got, want):
+    return np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+
+
+def test_pw_conj_inverse_matches_the_nested_and_grown_oracles():
+    # mixed, pure-stable and pure-unstable rows at the A08 radii and wider.
+    # A row may differ from an oracle by more than 1e-12 only where the two
+    # oracles differ from each other by more than that (the row is that
+    # ill-conditioned), and then its round trip is no worse than theirs
+    wide = 0
+    for spec, rng in _mixed_pool(3301, 24):
+        hm = build_pw_conj_hyperbolic(spec)
+        grown = grown_brackets.PwHypOracle(spec)
+        for radii in ((0.25, 4.0), (1e-3, 1e3)):
+            X = _sample_points(spec.dim, 24, int(rng.integers(1 << 30)), radii=radii)
+            W = hm.forward_batch(X)
+            got = hm.inverse_batch(W)
+            with nested_route():
+                nested = build_pw_conj_hyperbolic(spec).inverse_batch(W)
+            oracles = (nested, grown.inverse(W))
+            spread = _row_rel(*oracles)
+            worst = np.maximum(*(_row_rel(want, X) for want in oracles))
+            for want in oracles:
+                far = _row_rel(got, want) > 1e-12
+                assert np.all(spread[far] > 1e-12), (spec, radii)
+                assert np.all(_row_rel(got, X)[far] <= worst[far]), (spec, radii)
+                wide += np.count_nonzero(far)
+    assert wide <= 2
+
+
+def test_cone_point_iteration_cap_is_an_internal_error():
+    args = _cone_inputs(S((2, -1, 1), (2, Fraction(1, 2), 0)), np.random.default_rng(5))
+    with np.errstate(all="ignore"), pytest.raises(InternalCheckError, match="in 2 iterations"):
+        homeos._solve_cone_point(*args, fresh_stats(), cap=2)
 
 
 @pytest.mark.parametrize("block", [(1, -0.5, 1.25), (2, 0.75, -2.0), (3, -1.5, 0.5)])
@@ -634,6 +726,8 @@ def test_pw_conj_stiff_sweep_maps_every_batch():
     rng = np.random.default_rng(13)
     specs = [S((4, -1, 0), (2, Fraction(-1, 16), Fraction(5, 4)), (1, Fraction(31, 16), 0))]
     specs += [_stiff_spec(rng) for _ in range(40)]
+    # a batch that a joint (s, delta) Newton without the boxes fails on
+    specs.append(S((2, Fraction(-5, 16), 0), (2, Fraction(1, 16), 0), (1, Fraction(13, 8), 0)))
     built = 0
     for k, spec in enumerate(specs):
         try:

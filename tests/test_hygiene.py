@@ -1,5 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and no module defines a private top-level name that nothing references.
+The oracle modules under tests/ (every helper module that is neither a
+test file nor conftest) import no unused name either, and each is
+imported by at least one test file, so that the oracle of a retired
+route cannot stay behind unused.
 
 No linter is part of the toolchain, so these stdlib `ast` checks stand in
 for one.  One more rule keeps `dataclasses` out of the package.  For imports, `__init__.py` is exempt: its imports are the public
@@ -136,3 +140,26 @@ def test_the_check_sees_unreferenced_privates():
     other = "from m import _elsewhere\n"
     assert unreferenced_privates(source, [other]) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left")]
     assert unreferenced_privates(source) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left"), (9, "_elsewhere")]
+
+
+TESTS = Path(__file__).resolve().parent
+ORACLES = sorted(p for p in TESTS.glob("*.py")
+                 if not p.name.startswith("test_") and p.name != "conftest.py")
+
+
+def test_the_oracle_modules_are_found():
+    names = {p.name for p in ORACLES}
+    assert {"unstacked_solver.py", "grown_brackets.py", "hand_encoders.py",
+            "nested_inverse.py"} <= names
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
+def test_oracle_module_imports_only_names_it_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
+def test_oracle_module_is_imported_by_a_test(path):
+    users = [p.name for p in TESTS.glob("test_*.py")
+             if path.stem in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users, path.name

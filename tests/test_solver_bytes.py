@@ -82,24 +82,21 @@ def test_unwind_forms_match_the_separate_products(rng):
                     assert _same(prof.forms(ts, X, k), unstacked_solver.forms(prof, ts, X, k))
 
 
-def _roots(pS, pU, Y, Z, shift, starts):
-    """Norm times of both factors and minimum times from each start, with
-    the counters of every solve."""
+def _roots(pS, pU, Y, Z, shift):
+    """Norm times of both factors and minimum times, with the counters of
+    every solve."""
     out = []
     for prof, P in ((pS, Y), (pU, Z)):
         stats = fresh_stats()
         targets = np.resize([1.0, 0.04, 25.0], len(P))
         out.append((homeos._solve_norm_time(prof, P, stats, targets), stats))
-    for start in starts:
-        stats = fresh_stats()
-        out.append((homeos._solve_min_time(pS, pU, Y, Z, shift, stats, start), stats))
+    stats = fresh_stats()
+    out.append((homeos._solve_min_time(pS, pU, Y, Z, shift, stats), stats))
     return out
 
 
 def test_roots_and_counters_match_the_unstacked_solver(rng):
-    # starts at the balance point, near the root, and at a time where a
-    # flow leaves the float range, so that the solve restarts
-    checked = restarts = 0
+    checked = 0
     for spec in SPECS + [random_hyperbolic_spec(rng, max_dim=6) for _ in range(12)]:
         profs = _profiles(spec)
         if len(profs) < 2:
@@ -109,18 +106,13 @@ def test_roots_and_counters_match_the_unstacked_solver(rng):
             Y = _sample_points(pS.flow.dim, n, int(rng.integers(1 << 30)), radii=(1e-3, 1e3))
             Z = _sample_points(pU.flow.dim, n, int(rng.integers(1 << 30)), radii=(1e-3, 1e3))
             shift = rng.uniform(-3.0, 3.0, n)
-            far = np.full(n, 1e4)
-            starts = (None, shift + rng.uniform(-1.0, 1.0, n), far)
-            with np.errstate(all="ignore"):
-                f_far = np.log(pU.forms(far + shift, Z, 2)[1]) - np.log(-pS.forms(far, Y, 2)[1])
-            restarts += np.count_nonzero(~np.isfinite(f_far))
-            got = _roots(pS, pU, Y, Z, shift, starts)
+            got = _roots(pS, pU, Y, Z, shift)
             with unstacked_route():
-                want = _roots(pS, pU, Y, Z, shift, starts)
+                want = _roots(pS, pU, Y, Z, shift)
             for (a, sa), (b, sb) in zip(got, want):
                 assert _same(a, b) and sa == sb, spec
             checked += 1
-    assert checked >= 10 and restarts > 0
+    assert checked >= 10
 
 
 def _pw_hyp_run(spec, X, ts):

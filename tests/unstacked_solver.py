@@ -143,8 +143,8 @@ def solve_min_time(pS, pU, Y, Z, shift, stats, start=None, speeds=None):
         with np.errstate(all="ignore"):
             return np.log(dVu) - np.log(-dVs), d2Vu / dVu - d2Vs / dVs
 
-    return homeos._newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), np.minimum.reduce(corners),
-                          np.maximum.reduce(corners), s0)
+    return newton(fg, x0, stats, (cS0 + cU0, cS1 + cU1), np.minimum.reduce(corners),
+                  np.maximum.reduce(corners), s0)
 
 
 def unscaled(self, ts, X):
