@@ -6,8 +6,9 @@ layout with its own running offset: ``apply_batch`` on signed-rotation
 batches with zero and negative-zero entries and growth past the float
 range, ``generator_matrix``, the chain-weighted Lyapunov metrics of the
 pw-hyp and unwind maps, the forward, inverse and tau maps of the spiral,
-uniform, unwind and pw-hyp constructions, the distortion, decay and period
-probe reports, and the exact distortion subspaces and minimal periods.
+uniform, unwind and pw-hyp constructions (pw-hyp also on single rows),
+the distortion, decay and period probe reports, and the exact distortion
+subspaces and minimal periods.
 Any changed bit, sign of zero or NaN fails here.
 
 Record again (only when a change of output is intended) with
@@ -140,6 +141,15 @@ def _pw_hyp():
         X[1, dS:] = 0.0  # pure stable
         X[2, :dS] = 0.0  # pure unstable
         out[name] = _map_record(build_pw_conj_hyperbolic(spec), X)
+    # one row a batch, on an unstable factor of dimension 2: the form
+    # products of a single row take their own summation order, and the
+    # mixed and pure-unstable rows here come out otherwise without it
+    spec = S((2, -1, 1), (2, Fraction(1, 2), 0))
+    X = _points(spec.dim, 3, 13)
+    X[1, 4:] = 0.0  # pure stable
+    X[2, :4] = 0.0  # pure unstable
+    hm = build_pw_conj_hyperbolic(spec)
+    out["single"] = [_map_record(hm, X[k:k + 1]) for k in range(len(X))]
     return out
 
 
