@@ -170,3 +170,20 @@ def test_a_jump_row_raises_as_in_the_unstacked_solver():
             solve(fg, np.zeros(2), stats, lo=0.0, hi=4.0)
         raised.append((str(err.value), stats))
     assert raised[0] == raised[1]
+
+
+def test_infinite_start_values_match_the_unstacked_solver():
+    # f overflows to +-inf more than 1 away from each root, as a flow past
+    # the float range does: the first evaluation keeps only its sign
+    roots = np.array([0.3, -2.0, 3.5, 0.9])
+
+    def fg(x, rows):
+        u = x - roots[rows]
+        return np.where(u > 1.0, np.inf, np.where(u < -1.0, -np.inf, u)), np.ones(len(rows))
+
+    got = []
+    for solve in (homeos._newton, unstacked_solver.newton):
+        stats = fresh_stats()
+        got.append((solve(fg, np.zeros(len(roots)), stats, (1.0, 1.0), -10.0, 10.0), stats))
+    assert _same(got[0][0], got[1][0]) and got[0][1] == got[1][1]
+    assert np.allclose(got[0][0], roots, rtol=0, atol=1e-12)
