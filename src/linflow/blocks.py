@@ -515,13 +515,17 @@ def _exact_tier(chi, D, tol, max_denominator):
     from . import _ratlinalg as rl
 
     roots = _float_roots_squarefree(chi, D)
-    # candidate rational eigenvalues, conjugates identified
+    # candidate rational eigenvalues, conjugates identified, and the largest snap
+    # distance: a root nearer another candidate would trip _check_cluster_separation
     cands = []
+    residual = 0.0
     for z in roots:
         re_hat = _snap(z.real, max_denominator)
         im_hat = _snap(abs(z.imag), max_denominator)
-        if abs(complex(z.real, abs(z.imag)) - complex(re_hat, im_hat)) > tol:
+        dist = abs(complex(z.real, abs(z.imag)) - complex(re_hat, im_hat))
+        if dist > tol:
             return None
+        residual = max(residual, dist)
         pair = (re_hat, im_hat)
         if pair not in cands:
             cands.append(pair)
@@ -543,14 +547,6 @@ def _exact_tier(chi, D, tol, max_denominator):
         eigs[(re_hat, im_hat)] = mult
     if len(remaining) != 1:
         return None
-    # residual: distance from every float root to its claimed rational
-    residual = 0.0
-    for z in roots:
-        zc = complex(z.real, abs(z.imag))
-        best = min(
-            abs(zc - complex(re_hat, im_hat)) for re_hat, im_hat in eigs
-        )
-        residual = max(residual, best)
     return eigs, residual
 
 

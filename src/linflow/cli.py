@@ -5,7 +5,14 @@ audit.  Every generator argument is a JSON file holding either a block
 multiset ({"blocks": [...]}) or a rational matrix ({"dim": d, "rows":
 [...]}); matrices are ingested through the exact normal-form recovery,
 and one whose spectrum only its numeric tier could snap is refused unless
---allow-uncertified is given.
+--allow-uncertified is given.  A generator's dimension is capped at
+MAX_DIM, checked right after parsing, before any arithmetic.
+
+One table, `_COMMANDS`, names each subcommand's handler, help text and own
+arguments, and builds the parser.  A handler maps the parsed arguments to
+(payload, exit code) and never writes stdout: `main` alone does, a JSON
+object as indented JSON, and simulate's CSV line by line as its rows are
+formatted.
 
 Exit codes: 0 success, 1 usage error, 2 parse or ingestion failure,
 3 precondition violation or failed internal cross-check (its stderr line
@@ -17,7 +24,7 @@ written (128 + SIGPIPE, as a shell reports a tool that a closed pipe ended).
 from __future__ import annotations
 
 import argparse
-import importlib
+import itertools
 import json
 import os
 import sys
@@ -47,11 +54,13 @@ from .errors import (
 # (flows, homeos, probes) inside the ones that compute in floats, and
 # matrix ingestion its `_ratlinalg` kernel only for matrix input.
 
-# Caps on the sizes the CLI allocates from its own arguments: sample points
-# (--points), grid times (--t-range N) and the unwind block size (unwind:M).
+# Caps on the sizes the CLI allocates from its input: sample points
+# (--points), grid times (--t-range N), the unwind block size (unwind:M)
+# and the dimension of a loaded generator.
 MAX_POINTS = 10**5
 MAX_TIMES = 10**5
 MAX_UNWIND_SIZE = 64
+MAX_DIM = 512
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,9 +86,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _public(name):  # the package's lazy table imports its module on first use
+    return getattr(sys.modules[__package__], name)
+
+
+def _check_cap(value, cap, what):
+    if value > cap:
+        raise PreconditionViolated(f"{what} is capped at {cap}, got {value}")
+    return value
 
 
 def _load_generator(path, args):
@@ -92,17 +106,19 @@ def _load_generator(path, args):
     except OSError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
     doc = _load_json(text, path)
-    if isinstance(doc, dict) and "rows" in doc:
-        matrix = parse_matrix(doc)
-        approx = spec_from_matrix(matrix, tol=args.tol, max_denominator=args.max_denominator)
-        if not approx.exact:
-            what = (f"{path}: the spectrum was snapped by the numeric tier, not certified "
-                    f"exactly (residual {approx.residual:.3e}, tol {approx.tol:g})")
-            if not args.allow_uncertified:
-                raise SnapFailure(what + "; pass --allow-uncertified to use it anyway")
-            print(f"warning: {what}", file=sys.stderr)
-        return approx.spec
-    return parse_spec(doc)
+    is_matrix = isinstance(doc, dict) and "rows" in doc
+    parsed = parse_matrix(doc) if is_matrix else parse_spec(doc)
+    _check_cap(parsed.dim, MAX_DIM, f"{path}: dimension")
+    if not is_matrix:
+        return parsed
+    approx = spec_from_matrix(parsed, tol=args.tol, max_denominator=args.max_denominator)
+    if not approx.exact:
+        what = (f"{path}: the spectrum was snapped by the numeric tier, not certified "
+                f"exactly (residual {approx.residual:.3e}, tol {approx.tol:g})")
+        if not args.allow_uncertified:
+            raise SnapFailure(what + "; pass --allow-uncertified to use it anyway")
+        print(f"warning: {what}", file=sys.stderr)
+    return approx.spec
 
 
 def _parse_float(text, what):
@@ -116,18 +132,12 @@ def _parse_int(text, what):
         raise SpecParseError(f"{what}: malformed integer {text!r}")
 
 
-def _check_cap(value, cap, what):
-    if value > cap:
-        raise PreconditionViolated(f"{what} is capped at {cap}, got {value}")
-    return value
-
-
-def _time_grid(args, default_span=5.0, default_n=11):
+def _time_grid(args, default_span, default_n):
     import numpy as np
 
-    if getattr(args, "times", None):
+    if args.times:
         return np.array([_parse_float(p, "--times") for p in args.times.split(",") if p.strip()])
-    if getattr(args, "t_range", None):
+    if args.t_range:
         parts = args.t_range.split(",")
         if len(parts) != 3:
             raise SpecParseError("--t-range expects LO,HI,N")
@@ -141,7 +151,7 @@ def _time_grid(args, default_span=5.0, default_n=11):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, exit code)
 
 
 def _cmd_classify(args):
@@ -149,12 +159,9 @@ def _cmd_classify(args):
 
     a = _load_generator(args.left, args)
     b = _load_generator(args.right, args)
-    relation = Relation.from_string(args.relation)
-    verdict = classify(relation, a, b)
-    _emit(verdict.to_json())
-    if args.strict and verdict.decision is Decision.UNDECIDED:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    verdict = classify(Relation.from_string(args.relation), a, b)
+    undecided = args.strict and verdict.decision is Decision.UNDECIDED
+    return verdict.to_json(), EXIT_UNDECIDED if undecided else EXIT_OK
 
 
 def _cmd_invariants(args):
@@ -178,50 +185,40 @@ def _cmd_invariants(args):
         "generic": is_generic(spec),
         "bounded": is_bounded(spec),
         "coincidence": class_coincidence(spec).to_json(),
+        "minimal_period_over_two_pi": _wire(minimal_period(spec) if is_bounded(spec) else None),
     }
-    out["minimal_period_over_two_pi"] = _wire(minimal_period(spec) if is_bounded(spec) else None)
     try:
         out["distortion_subspace"] = distortion_subspace(spec).to_json()
     except NotStable:
         out["distortion_subspace"] = None
-    _emit(out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-# transform name -> (module, function), imported when the transform runs
-_TRANSFORMS = {
-    "collapse": ("invariants", "semisimple_collapse"),
-    "decouple": ("invariants", "rotation_decouple"),
-    "reverse": ("blocks", "time_reverse"),
-    "realify": ("blocks", "realify"),
-}
+# transform name -> the public name of its function
+_TRANSFORMS = {"collapse": "semisimple_collapse", "decouple": "rotation_decouple",
+               "reverse": "time_reverse", "realify": "realify"}
 
 
 def _cmd_transform(args):
     spec = _load_generator(args.spec, args)
     op = args.op
     if op.startswith("scale:"):
-        alpha = parse_rational(op.split(":", 1)[1], "scale factor")
-        result = scale_spec(spec, alpha)
+        result = scale_spec(spec, parse_rational(op.split(":", 1)[1], "scale factor"))
     elif op in _TRANSFORMS:
-        module, name = _TRANSFORMS[op]
-        result = getattr(importlib.import_module(f".{module}", __package__), name)(spec)
+        result = _public(_TRANSFORMS[op])(spec)
     else:
         raise SpecParseError(
             f"unknown transform {op!r}; expected collapse, decouple, reverse, "
             "realify or scale:ALPHA"
         )
-    _emit(serialize_spec(result))
-    return EXIT_OK
+    return serialize_spec(result), EXIT_OK
 
 
 def _cmd_catalog2d(args):
     from .classifier import catalog2d
 
-    spec = _load_generator(args.spec, args)
-    rows = catalog2d(spec)
-    _emit({name: entry.to_json() for name, entry in rows.items()})
-    return EXIT_OK
+    rows = catalog2d(_load_generator(args.spec, args))
+    return {name: entry.to_json() for name, entry in rows.items()}, EXIT_OK
 
 
 def _cmd_simulate(args):
@@ -232,77 +229,61 @@ def _cmd_simulate(args):
     spec = _load_generator(args.spec, args)
     x = np.array([_parse_float(p, "--point") for p in args.point.split(",") if p.strip()])
     if x.shape != (spec.dim,):
-        raise PreconditionViolated(
-            f"--point needs {spec.dim} coordinates, got {len(x)}"
-        )
+        raise PreconditionViolated(f"--point needs {spec.dim} coordinates, got {len(x)}")
     ts = _time_grid(args, default_span=10.0, default_n=101)
-    flow = FlowEvaluator.from_spec(spec)
-    Z = flow.apply_batch(ts, np.tile(x, (len(ts), 1)))
+    Z = FlowEvaluator.from_spec(spec).apply_batch(ts, np.tile(x, (len(ts), 1)))
     bad = ~np.all(np.isfinite(Z), axis=1)
     if bad.any():
-        raise PreconditionViolated(
-            f"the orbit leaves the float range at t = {ts[bad.argmax()]:g}"
-        )
-    writer = sys.stdout
-    writer.write("t," + ",".join(f"x{i+1}" for i in range(spec.dim)) + "\n")
-    for t, row in zip(ts, Z):
-        writer.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
-    return EXIT_OK
+        raise PreconditionViolated(f"the orbit leaves the float range at t = {ts[bad.argmax()]:g}")
+    header = "t," + ",".join(f"x{i+1}" for i in range(spec.dim))
+    rows = (f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row) for t, row in zip(ts, Z))
+    return itertools.chain([header], rows), EXIT_OK
 
 
-def _build_construction(token, args):
-    from .homeos import (
-        build_parabola_shear,
-        build_pw_conj_hyperbolic,
-        build_rotation_unwind_map,
-        build_spiral_map,
-        build_uniform_exponent_map,
-    )
+def _spiral_rate(text):
+    rate = parse_rational(text, "spiral rate")
+    _floats([rate], "spiral rate")  # range check; the map keeps the exact rate
+    return (rate,)
 
-    if token.startswith("spiral:"):
-        rate = parse_rational(token[7:], "spiral rate")
-        _floats([rate], "spiral rate")  # range check; the map keeps the exact rate
-        return build_spiral_map(rate), 20.0
-    if token.startswith("shear:"):
-        return build_parabola_shear(_parse_float(token[6:], "shear shift")), 20.0
-    if token == "uniform":
-        if not args.spec:
-            raise SpecParseError("construction 'uniform' needs a generator file")
-        spec = _load_generator(args.spec, args)
-        return build_uniform_exponent_map(spec), 20.0
-    if token == "pw-hyp":
-        if not args.spec:
-            raise SpecParseError("construction 'pw-hyp' needs a generator file")
-        spec = _load_generator(args.spec, args)
-        return build_pw_conj_hyperbolic(spec), 5.0
-    if token.startswith("unwind:"):
-        parts = token.split(":", 1)[1].split(",")
-        if len(parts) != 3:
-            raise SpecParseError("construction 'unwind' expects unwind:M,A,B")
-        m = _check_cap(_parse_int(parts[0], "unwind size"), MAX_UNWIND_SIZE, "unwind size")
-        a = _parse_float(parts[1], "unwind growth")
-        b = _parse_float(parts[2], "unwind rotation")
-        return build_rotation_unwind_map(m, a, b), 10.0
-    raise SpecParseError(
-        f"unknown construction {token!r}; expected spiral:RATE, shear:SHIFT, "
-        "uniform, pw-hyp or unwind:M,A,B"
-    )
+
+def _unwind_args(text):
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise SpecParseError("construction 'unwind' expects unwind:M,A,B")
+    return (_check_cap(_parse_int(parts[0], "unwind size"), MAX_UNWIND_SIZE, "unwind size"),
+            _parse_float(parts[1], "unwind growth"), _parse_float(parts[2], "unwind rotation"))
+
+
+# construction -> (public name of its builder, parser of the token's text
+# after "NAME:", or None for a builder of the generator file; default time span)
+_CONSTRUCTIONS = {
+    "spiral": ("build_spiral_map", _spiral_rate, 20.0),
+    "shear": ("build_parabola_shear", lambda text: (_parse_float(text, "shear shift"),), 20.0),
+    "uniform": ("build_uniform_exponent_map", None, 20.0),
+    "pw-hyp": ("build_pw_conj_hyperbolic", None, 5.0),
+    "unwind": ("build_rotation_unwind_map", _unwind_args, 10.0),
+}
 
 
 def _cmd_verify(args):
     from .probes import verify_conjugacy
 
     _check_cap(args.points, MAX_POINTS, "--points")
-    hmap, span = _build_construction(args.construction, args)
-    times = _time_grid(args, default_span=span, default_n=11)
-    report = verify_conjugacy(
-        hmap, times=times, n_points=args.points, seed=args.seed
-    )
-    out = report.to_json()
-    out["map"] = {"name": hmap.name, "source": _wire(hmap.source_spec),
-                  "target": _wire(hmap.target_spec)}
-    _emit(out)
-    return EXIT_OK
+    name, colon, text = args.construction.partition(":")
+    builder, parse, span = _CONSTRUCTIONS.get(name, (None, None, None))
+    if builder is None or bool(colon) != (parse is not None):
+        raise SpecParseError(
+            f"unknown construction {args.construction!r}; expected spiral:RATE, shear:SHIFT, "
+            "uniform, pw-hyp or unwind:M,A,B"
+        )
+    if parse is None and not args.spec:
+        raise SpecParseError(f"construction {name!r} needs a generator file")
+    build_args = parse(text) if parse else (_load_generator(args.spec, args),)
+    hmap = _public(builder)(*build_args)
+    report = verify_conjugacy(hmap, times=_time_grid(args, default_span=span, default_n=11),
+                              n_points=args.points, seed=args.seed)
+    made = {"name": hmap.name, "source": _wire(hmap.source_spec), "target": _wire(hmap.target_spec)}
+    return {**report.to_json(), "map": made}, EXIT_OK
 
 
 def _cmd_audit(args):
@@ -310,98 +291,78 @@ def _cmd_audit(args):
 
     a = _load_generator(args.left, args)
     b = _load_generator(args.right, args)
-    report = implication_audit(a, b)
-    _emit(report.to_json())
-    return EXIT_OK
+    return implication_audit(a, b).to_json(), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+# the parser
 
 
-def _add_common(p):
-    p.add_argument("--tol", type=float, default=1e-9, help="matrix ingestion tolerance")
-    p.add_argument(
-        "--max-denominator",
-        type=int,
-        default=1024,
-        help="largest denominator tried when snapping matrix eigendata",
-    )
-    p.add_argument(
-        "--allow-uncertified",
-        action="store_true",
-        help="accept a matrix whose spectrum only the numeric tier snapped (warns on stderr)",
-    )
+def _arg(*flags, **options):
+    return flags, options
+
+
+_TIMES = (_arg("--times", help="comma-separated times"),
+          _arg("--t-range", help="LO,HI,N evenly spaced times"))
+
+# matrix ingestion options, appended to every subcommand
+_COMMON = (
+    _arg("--tol", type=float, default=1e-9, help="matrix ingestion tolerance"),
+    _arg("--max-denominator", type=int, default=1024,
+         help="largest denominator tried when snapping matrix eigendata"),
+    _arg("--allow-uncertified", action="store_true",
+         help="accept a matrix whose spectrum only the numeric tier snapped (warns on stderr)"),
+)
+
+# subcommand -> (handler, help, own arguments)
+_COMMANDS = {
+    "classify": (_cmd_classify, "decide one relation between two generators", (
+        _arg("relation", help="relation name, e.g. LipEquiv or PwLipConj"),
+        _arg("left"), _arg("right"),
+        _arg("--strict", action="store_true", help="exit 4 on Undecided"))),
+    "invariants": (_cmd_invariants, "print the full invariant summary", (_arg("spec"),)),
+    "transform": (_cmd_transform, "apply a structural transform", (
+        _arg("op", help="collapse | decouple | reverse | realify | scale:ALPHA"),
+        _arg("spec"))),
+    "catalog2d": (_cmd_catalog2d, "planar normal forms at four coarseness levels",
+                  (_arg("spec"),)),
+    "simulate": (_cmd_simulate, "print an orbit as CSV", (
+        _arg("spec"),
+        _arg("--point", required=True, help="comma-separated coordinates"), *_TIMES)),
+    "verify": (_cmd_verify, "build a map and measure its conjugacy defect", (
+        _arg("construction", help="spiral:RATE | shear:SHIFT | uniform | pw-hyp | unwind:M,A,B"),
+        _arg("spec", nargs="?", help="generator file for uniform / pw-hyp"),
+        _arg("--seed", type=int, default=0),
+        _arg("--points", type=int, default=32), *_TIMES)),
+    "audit": (_cmd_audit, "decide every relation and check implications",
+              (_arg("left"), _arg("right"))),
+}
 
 
 def build_parser():
     parser = _Parser(prog="linflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="decide one relation between two generators")
-    p.add_argument("relation", help="relation name, e.g. LipEquiv or PwLipConj")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--strict", action="store_true", help="exit 4 on Undecided")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("invariants", help="print the full invariant summary")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("transform", help="apply a structural transform")
-    p.add_argument("op", help="collapse | decouple | reverse | realify | scale:ALPHA")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("catalog2d", help="planar normal forms at four coarseness levels")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=_cmd_catalog2d)
-
-    p = sub.add_parser("simulate", help="print an orbit as CSV")
-    p.add_argument("spec")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--times", help="comma-separated times")
-    p.add_argument("--t-range", dest="t_range", help="LO,HI,N evenly spaced times")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("verify", help="build a map and measure its conjugacy defect")
-    p.add_argument(
-        "construction",
-        help="spiral:RATE | shear:SHIFT | uniform | pw-hyp | unwind:M,A,B",
-    )
-    p.add_argument("spec", nargs="?", help="generator file for uniform / pw-hyp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=32)
-    p.add_argument("--times", help="comma-separated times")
-    p.add_argument("--t-range", dest="t_range", help="LO,HI,N evenly spaced times")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("audit", help="decide every relation and check implications")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-    p.set_defaults(func=_cmd_audit)
-
+    for name, (handler, text, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flags, options in own + _COMMON:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = sys.stdout
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader gone early shows here at the latest
+        payload, code = args.handler(args)
+        for line in [json.dumps(payload, indent=2)] if isinstance(payload, dict) else payload:
+            out.write(line + "\n")
+        out.flush()  # a reader gone early shows here at the latest
         return code
     except BrokenPipeError:
         # end quietly; stdout now points at devnull, so the flush at exit
         # cannot fail again (the Python docs' "Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return EXIT_BROKEN_PIPE
     except tuple(_FAILURES) as exc:
         code, prefix = next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)

@@ -13,7 +13,6 @@ import pytest
 
 import linflow
 
-from linflow import cli
 from linflow.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_OK,
@@ -677,10 +676,11 @@ def test_unknown_subcommand_is_a_usage_error():
 def test_internal_check_failure_exits_3_with_its_own_prefix(
     capsys, monkeypatch, shear_file, scalar_file
 ):
-    def disagree(args):
+    # the classify handler imports classify when it runs, so it meets the stand-in
+    def disagree(*args):
         raise InternalCheckError("the two routes disagree")
 
-    monkeypatch.setattr(cli, "_cmd_classify", disagree)
+    monkeypatch.setattr("linflow.classifier.classify", disagree)
     code, out, err = run_cli(capsys, "classify", "LipEquiv", shear_file, scalar_file)
     assert code == EXIT_PRECONDITION
     assert out == ""

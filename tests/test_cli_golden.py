@@ -46,6 +46,10 @@ FILES = {
     "near.json": {"dim": 2, "rows": [["333333333334/1000000000000", 0], [0, -1]]},
     "third.json": {"dim": 2, "rows": [["1/3", 0], [0, -1]]},
     "bad.json": "{oops",
+    # the dimension cap, cli.MAX_DIM = 512
+    "at-cap.json": spec_doc((512, "-1", "0")),
+    "huge.json": spec_doc((10**20, "-1", "0"), (1, "1", "0")),
+    "wide.json": {"dim": 513, "rows": [[0] * 513] * 513},
 }
 
 HELP = ["", "classify", "invariants", "transform", "catalog2d", "simulate", "verify", "audit"]
@@ -100,6 +104,9 @@ CASES = {
     "verify-t-range-count": ["verify", "spiral:1", "--t-range", "0,1,x"],
     "verify-rate-range": ["verify", "spiral:1e400"],
     "audit": ["audit", "shear.json", "scalar.json"],
+    "dimension-at-cap": ["transform", "reverse", "at-cap.json"],
+    "dimension-cap-spec": ["verify", "pw-hyp", "huge.json"],
+    "dimension-cap-matrix": ["invariants", "wide.json"],
 }
 
 # cases run with linflow.classifier.classify replaced by one that fails its cross-check

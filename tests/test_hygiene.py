@@ -6,8 +6,10 @@ imported by at least one test file, so that the oracle of a retired
 route cannot stay behind unused.
 
 No linter is part of the toolchain, so these stdlib `ast` checks stand in
-for one.  One more rule keeps `dataclasses` out of the package.  For imports, `__init__.py` is exempt: its imports are the public
-re-exports.  A name counts as used when it is read anywhere in the module
+for one.  Two more rules keep `dataclasses` out of the package and let
+only `cli.main` write stdout: no other code of the package references
+`sys.stdout` or calls `print` without a file.  For imports, `__init__.py`
+is exempt: its imports are the public re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
 at the top level of a module counts as referenced when any module of the
 package reads it, imports it or reaches it as an attribute; a leftover
@@ -140,6 +142,52 @@ def test_the_check_sees_unreferenced_privates():
     other = "from m import _elsewhere\n"
     assert unreferenced_privates(source, [other]) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left")]
     assert unreferenced_privates(source) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left"), (9, "_elsewhere")]
+
+
+def stdout_writers(source):
+    """(line, enclosing top-level name or None) of each use of stdout in
+    source: a `sys.stdout` reference, `from sys import stdout`, or a
+    `print` call without a file argument."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (
+                (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                 and isinstance(node.value, ast.Name) and node.value.id == "sys")
+                or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and any(alias.name == "stdout" for alias in node.names))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                    and not any(k.arg == "file" for k in node.keywords))
+            ):
+                out.append((node.lineno, owner))
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_only_cli_main_writes_stdout(path):
+    # handlers return (payload, exit code); one writer keeps every output
+    # format in one place, and lets a caller such as a batch loop reuse them
+    found = stdout_writers(path.read_text(encoding="utf-8"))
+    allowed = {"main"} if path.name == "cli.py" else set()
+    assert [(line, owner) for line, owner in found if owner not in allowed] == []
+
+
+def test_the_check_sees_stdout_writers():
+    source = (
+        "import sys\n"
+        "from sys import stdout, stderr\n"
+        "def main():\n"
+        "    sys.stdout.write('x')\n"
+        "def _cmd(args):\n"
+        "    print('x')\n"
+        "    print('x', file=sys.stderr)\n"
+        "class C:\n"
+        "    def main(self):\n"
+        "        sys.stdout.flush()\n"
+    )
+    assert stdout_writers(source) == [(2, None), (4, "main"), (6, "_cmd"), (10, "C")]
 
 
 TESTS = Path(__file__).resolve().parent
