@@ -17,7 +17,7 @@ from typing import Optional
 from ._record import record
 from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, scale_spec, serialize_spec
 from .errors import DimMismatch, InternalCheckError
-from .invariants import _part, _spectrum, _triples, _unrotated
+from .invariants import _part, _spectrum, _unrotated
 from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
 from .similarity import (
     ScalingCertificate,
@@ -121,8 +121,10 @@ def _kinematic_form(triples):
 _LIPSCHITZ = (_lipschitz_collapse_form, _lipschitz_parts_form)
 
 # relation -> (forms, scaled?, predicate name).  Equivalences allow any
-# nonzero time scaling, conjugacies only alpha = 1.  For PwLipEquiv and
-# TopEquiv outside their complete criteria the row is only sufficient.
+# nonzero time scaling, conjugacies only alpha = 1, and the same key decides
+# both: form(a) == form(b) gives c_a == c_b with the same tie-broken sign.
+# For PwLipEquiv and TopEquiv outside their complete criteria the row is
+# only sufficient.
 _TABLE = {
     Relation.LIN_EQUIV: ((_linear_form,), True, "linear"),
     Relation.DIFF_EQUIV: ((_linear_form,), True, "linear"),
@@ -149,16 +151,16 @@ class _Pair:
     """The two generators of one decision and the data its relations share.
 
     Each part is computed on first use and kept for the pair's lifetime
-    only: the partition dims, each spec's own block triples and projective
-    data (see `similarity._projective`), and the alpha of every route
-    already taken.  Certificates are built per verdict, never shared.
+    only: the partition dims, each spec's projective data (see
+    `similarity._projective`), and the keyed alpha of every form already
+    compared.  Certificates are built per verdict, never shared.
     """
 
-    __slots__ = ("a", "b", "_dims", "_own", "_projective", "_alphas")
+    __slots__ = ("a", "b", "_dims", "_projective", "_alphas")
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-        self._dims = self._own = self._projective = None
+        self._dims = self._projective = None
         self._alphas = {}
 
     def dims(self):
@@ -166,37 +168,24 @@ class _Pair:
             self._dims = partition_dims(self.a), partition_dims(self.b)
         return self._dims
 
-    def alpha(self, form, scaled):
-        """An alpha with form(a) == form(alpha * b), or None."""
-        route = (form, scaled)
-        if route not in self._alphas:
-            self._alphas[route] = self._scaled(form) if scaled else self._unscaled(form)
-        return self._alphas[route]
-
-    def _unscaled(self, form):
-        if form is _linear_form:
-            same = self.a.blocks == self.b.blocks
-        else:
-            if self._own is None:
-                self._own = _triples(self.a), _triples(self.b)
-            same = form(self._own[0]) == form(self._own[1])
-        return Fraction(1) if same else None
-
-    def _scaled(self, form):
-        if self._projective is None:
-            self._projective = _projective(self.a), _projective(self.b)
-        (key_a, c_a), (key_b, c_b) = (_projective_key(p, form) for p in self._projective)
-        return c_b / c_a if key_a == key_b else None
+    def alpha(self, form):
+        """c_b / c_a, an alpha with form(a) == form(alpha * b), or None."""
+        if form not in self._alphas:
+            if self._projective is None:
+                self._projective = _projective(self.a), _projective(self.b)
+            (key_a, c_a), (key_b, c_b) = (_projective_key(p, form) for p in self._projective)
+            self._alphas[form] = c_b / c_a if key_a == key_b else None
+        return self._alphas[form]
 
 
 def _decide_by_keys(pair, forms, scaled, name, trace):
-    alphas = [pair.alpha(form, scaled) for form in forms]
+    alphas = [pair.alpha(form) for form in forms]
     if len(set(alphas)) > 1:
         raise InternalCheckError(
             f"{name} criteria disagree: collapse route gives alpha = {alphas[0]},"
             f" spectrum-plus-defective route gives alpha = {alphas[1]}"
         )
-    alpha = alphas[0]
+    alpha = alphas[0] if scaled or alphas[0] == 1 else None
     what = "canonical scaled keys" if scaled else "forms at alpha = 1"
     routes = ", both routes" if len(forms) > 1 else ""
     if alpha is None:
@@ -442,9 +431,10 @@ class AuditReport:
 def implication_audit(a, b):
     """Decide every relation for the pair and check the implication lattice.
 
-    All eleven decisions share one pair, so each spec's keys are computed
-    once.  Edges with an Undecided endpoint are skipped; a violation is a
-    premise decided Yes whose conclusion is decided No.
+    All eleven decisions share one pair, so each spec's key of each form is
+    computed once, and a conjugacy reuses its equivalence's alpha.  Edges
+    with an Undecided endpoint are skipped; a violation is a premise decided
+    Yes whose conclusion is decided No.
     """
     pair = _Pair(a, b)
     verdicts = {rel: _classify(rel, pair) for rel in Relation}

@@ -6,7 +6,8 @@ multiset ({"blocks": [...]}) or a rational matrix ({"dim": d, "rows":
 [...]}); matrices are ingested through the exact normal-form recovery,
 and one whose spectrum only its numeric tier could snap is refused unless
 --allow-uncertified is given.  A generator's dimension is capped at
-MAX_DIM, checked right after parsing, before any arithmetic.
+MAX_DIM, checked before any arithmetic: a matrix's integer "dim" before
+its entries are parsed, a spec's right after parsing.
 
 One table, `_COMMANDS`, names each subcommand's handler, help text and own
 arguments, and builds the parser.  A handler maps the parsed arguments to
@@ -107,6 +108,9 @@ def _load_generator(path, args):
         raise SpecParseError(f"{path}: {exc}") from exc
     doc = _load_json(text, path)
     is_matrix = isinstance(doc, dict) and "rows" in doc
+    dim = doc.get("dim") if is_matrix else None
+    if isinstance(dim, int) and not isinstance(dim, bool):  # before d * d entries are parsed
+        _check_cap(dim, MAX_DIM, f"{path}: dimension")
     parsed = parse_matrix(doc) if is_matrix else parse_spec(doc)
     _check_cap(parsed.dim, MAX_DIM, f"{path}: dimension")
     if not is_matrix:
@@ -123,6 +127,16 @@ def _load_generator(path, args):
 
 def _parse_float(text, what):
     return _floats([parse_rational(text, what)], what)[0]
+
+
+def _seed(text):  # the --seed type: numpy's generators take non-negative ints
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _parse_int(text, what):
@@ -332,7 +346,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, "build a map and measure its conjugacy defect", (
         _arg("construction", help="spiral:RATE | shear:SHIFT | uniform | pw-hyp | unwind:M,A,B"),
         _arg("spec", nargs="?", help="generator file for uniform / pw-hyp"),
-        _arg("--seed", type=int, default=0),
+        _arg("--seed", type=_seed, default=0),
         _arg("--points", type=int, default=32), *_TIMES)),
     "audit": (_cmd_audit, "decide every relation and check implications",
               (_arg("left"), _arg("right"))),

@@ -49,6 +49,12 @@ _PROBE_GUARD = 1e9
 _ROWS = 1 << 14  # rows per map or flow call, unless one grid item has more
 
 
+def _at_least(value, least, what):
+    """A count or seed argument must be an int >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise PreconditionViolated(f"need {what} >= {least}, got {value!r}")
+
+
 def _chunks(count, rows_each, budget):
     """Consecutive slices of range(count), each as many items of rows_each
     rows as fit in budget rows, and at least one."""
@@ -124,13 +130,17 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
     max over points and grid times of |lhs - rhs| / (1 + |rhs|).  A round
     trip or residual that is not finite raises PreconditionViolated.
     """
-    if n_points < 1:
-        raise PreconditionViolated(f"need n_points >= 1, got {n_points}")
+    _at_least(n_points, 1, "n_points")
+    _at_least(seed, 0, "seed")
     if times is None:
         times = np.linspace(-5.0, 5.0, 11)
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise PreconditionViolated(f"times must be one-dimensional, got shape {times.shape}")
     if times.size == 0:
         raise PreconditionViolated("need at least one time")
+    if not 0 < radii[0] <= radii[1] < np.inf:
+        raise PreconditionViolated(f"need radii (lo, hi) with 0 < lo <= hi < inf, got {radii}")
     X = _sample_points(hmap.source_flow.dim, n_points, seed, radii)
     try:
         round_trip, residuals = _conjugacy_grid(hmap, X, times, _ROWS)
@@ -182,6 +192,9 @@ def lipschitz_probe(hmap, n_scales=24, pairs=16, seed=0):
     separate Lipschitz maps (bounded) from merely log-Lipschitz ones
     (growing as the scale shrinks).
     """
+    _at_least(n_scales, 1, "n_scales")
+    _at_least(pairs, 0, "pairs")
+    _at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     d = hmap.source_flow.dim
     # coordinate-aligned base/offset pairs catch maps whose quotient only
@@ -264,6 +277,8 @@ def distortion_probe(
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise PreconditionViolated(f"point must have shape ({spec.dim},)")
+    _at_least(n_grid, 1, "n_grid")
+    _at_least(seed, 0, "seed")
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     inside = set(sub.coords)
     member = all(
@@ -395,6 +410,10 @@ def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise PreconditionViolated(f"point must have shape ({spec.dim},)")
+    _at_least(n, 3, "n")  # samples for the 3 fitted parameters
+    window = tuple(float(w) for w in window)
+    if len(window) != 2 or not 0 < window[0] < window[1] < np.inf:
+        raise PreconditionViolated(f"need a window (lo, hi) with 0 < lo < hi < inf, got {window}")
     exp_rate, exp_deg = _expected_decay(spec, x)
     flow = FlowEvaluator.from_spec(spec, guard=_PROBE_GUARD)
     ts = np.linspace(window[0], window[1], n)

@@ -3,7 +3,8 @@
 Similarity of block-diagonal generators is multiset equality, so all four
 predicates reduce to comparisons of (transformed) block multisets.  The
 classifier decides "form(a) == form(alpha * b) for some alpha != 0" by
-comparing `canonical_key`s.  Such an alpha carries the rate vector of b
+comparing `canonical_key`s, and a conjugacy, form(a) == form(b), by the
+same keys with alpha = 1.  Such an alpha carries the rate vector of b
 onto that of a, so it exists only when the two are projectively equal.
 The one normaliser, `_projective`, picks a representative of that
 projective class: it clears the denominators of the nonzero growth rates

@@ -523,3 +523,35 @@ def test_lipschitz_routes_are_cross_checked(monkeypatch, rel):
     monkeypatch.setitem(classifier._TABLE, rel, (broken, scaled, name))
     with pytest.raises(InternalCheckError, match="lipschitz criteria disagree"):
         classify(rel, S((2, -1, 0)), S((1, -1, 0), (1, -1, 0)))
+
+
+def test_each_form_runs_once_per_sign_on_projective_triples(monkeypatch):
+    # a conjugacy is the equivalence key at alpha = 1, so an audit evaluates
+    # each form only on the +c and -c triples of `similarity._projective`,
+    # at most twice per spec, and never on a spec's own triples
+    from linflow import classifier
+
+    calls = {}
+
+    def counted(form):
+        def wrapper(triples):
+            calls.setdefault(form, []).append(triples)
+            return form(triples)
+        return wrapper
+
+    wrapped = {}
+    for rel, (forms, scaled, name) in list(classifier._TABLE.items()):
+        forms = tuple(wrapped.setdefault(form, counted(form)) for form in forms)
+        monkeypatch.setitem(classifier._TABLE, rel, (forms, scaled, name))
+    # c = 2 for a and c = 6 for b, so no spec's own triples are projective
+    a = S((1, Fraction(-1, 2), 2), (2, Fraction(3, 2), 0), (1, 0, Fraction(1, 3)))
+    for b in (a, scale_spec(a, Fraction(1, 3)), scale_spec(a, Fraction(-1, 3))):
+        calls.clear()
+        report = implication_audit(a, b)
+        assert report.clean
+        projective = [similarity._projective(spec) for spec in (a, b)]
+        allowed = [t for _, triples, negated in projective for t in (triples, negated)]
+        assert set(calls) == set(wrapped)
+        for form, seen in calls.items():
+            assert len(seen) <= 4, form.__name__
+            assert all(triples in allowed for triples in seen), form.__name__

@@ -532,6 +532,26 @@ def test_verify_bad_number_arguments_end_in_typed_errors(capsys, argv, code, mes
     assert message in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_verify_seed_is_a_non_negative_int_flag(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "spiral:1", "--seed", seed])
+    assert exc.value.code == EXIT_USAGE
+    assert f"error: argument --seed: expected a non-negative integer, got '{seed}'\n" in capsys.readouterr().err
+
+
+def test_matrix_dimension_is_capped_before_its_entries_are_parsed(capsys, monkeypatch, tmp_path):
+    wide = write_json(tmp_path, "wide.json", {"dim": 513, "rows": [[0] * 513] * 513})
+
+    def parse_matrix(doc):
+        pytest.fail("the 513 x 513 entries were parsed before the dimension cap")
+
+    monkeypatch.setattr("linflow.cli.parse_matrix", parse_matrix)
+    code, out, err = run_cli(capsys, "invariants", wide)
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == f"error: {wide}: dimension is capped at 512, got 513\n"
+
+
 def test_simulate_point_beyond_float_range_exits_2(capsys, saddle_file):
     code, _, err = run_cli(capsys, "simulate", saddle_file, "--point", "1e400,0")
     assert code == EXIT_PARSE

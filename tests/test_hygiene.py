@@ -6,10 +6,12 @@ imported by at least one test file, so that the oracle of a retired
 route cannot stay behind unused.
 
 No linter is part of the toolchain, so these stdlib `ast` checks stand in
-for one.  Two more rules keep `dataclasses` out of the package and let
-only `cli.main` write stdout: no other code of the package references
-`sys.stdout` or calls `print` without a file.  For imports, `__init__.py`
-is exempt: its imports are the public re-exports.  A name counts as used when it is read anywhere in the module
+for one.  Three more rules keep `dataclasses` out of the package, keep
+`assert` statements out of it (`python -O` strips them, so no validation
+may rest on one), and let only `cli.main` write stdout: no other code of
+the package references `sys.stdout` or calls `print` without a file.
+For imports, `__init__.py` is exempt: its imports are the public
+re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
 at the top level of a module counts as referenced when any module of the
 package reads it, imports it or reaches it as an attribute; a leftover
@@ -142,6 +144,22 @@ def test_the_check_sees_unreferenced_privates():
     other = "from m import _elsewhere\n"
     assert unreferenced_privates(source, [other]) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left")]
     assert unreferenced_privates(source) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left"), (9, "_elsewhere")]
+
+
+def assert_lines(source):
+    """Line of each assert statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_validates_without_assert(path):
+    # python -O strips assert statements, and validation must survive it
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_assert_statements():
+    source = "assert x\ndef f(y):\n    if y:\n        assert y > 0, 'y'\n    return y\n"
+    assert assert_lines(source) == [1, 4]
 
 
 def stdout_writers(source):

@@ -405,6 +405,39 @@ def test_decay_probe_validation():
         decay_rate_probe(S((1, -1, 0)), np.zeros(1))
 
 
+# Each of these used to end in a ValueError, TypeError or OverflowError from
+# numpy, a RuntimeWarning (log 0), or a fit from too few samples.
+@pytest.mark.parametrize("call", [
+    lambda: lipschitz_probe(build_spiral_map(1.0), n_scales=4, pairs=-1),
+    lambda: lipschitz_probe(build_spiral_map(1.0), n_scales=0),
+    lambda: lipschitz_probe(build_spiral_map(1.0), n_scales=4, pairs=2.5),
+    lambda: lipschitz_probe(build_spiral_map(1.0), n_scales=4, seed=-1),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), n_grid=0),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), n_grid=0),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), seed=-1),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]), n=0),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]), n=2),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]), window=(0, 1)),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]), window=(3, 3)),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]), window=(1, np.inf)),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, 1.0]), window=(1, 2, 3)),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0, 1.0], n_points=4, seed=-1),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[[0.0, 1.0]], n_points=4),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=2.0, n_points=4),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=True),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(0, 1)),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(2, 1)),
+], ids=["lipschitz-pairs", "lipschitz-scales", "lipschitz-float-pairs", "lipschitz-seed",
+        "distortion-grid-member", "distortion-grid-outside", "distortion-seed",
+        "decay-no-samples", "decay-two-samples", "decay-log-zero", "decay-empty-window",
+        "decay-infinite-window", "decay-three-ends", "conjugacy-seed", "conjugacy-2d-times",
+        "conjugacy-scalar-times", "conjugacy-bool-points", "conjugacy-zero-radius",
+        "conjugacy-reversed-radii"])
+def test_hostile_probe_arguments_raise_precondition_violated(call):
+    with pytest.raises(PreconditionViolated):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # period probe
 
