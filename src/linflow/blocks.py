@@ -437,7 +437,8 @@ def materialize(spec):
 # roots of the square-free part of chi_A; a limit_denominator snap of each
 # root within tol; certification of each snapped eigenvalue by integer
 # synthetic division of chi_B; block sizes from integer ranks of the powers
-# of each eigenvalue's real factor of B.  If the spectrum is not exactly
+# of each repeated eigenvalue's real factor of B (a simple eigenvalue is one
+# block of size 1, and needs no rank).  If the spectrum is not exactly
 # rational at the denominator bound, a numeric tier clusters float
 # eigenvalues and measures ranks by SVD; either tier aborts with SnapFailure
 # / ClusterAmbiguity rather than guess.
@@ -684,6 +685,10 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
         what = "rank sequence"
 
         def ranks(re, im, mult):
+            # a simple eigenvalue has one block, of size 1, since 1 <= geometric
+            # <= algebraic multiplicity: no elimination can add to that
+            if mult == 1:
+                return [len(B), len(B) - 1]
             return rl.rank_sequence(B, D * re, D * im, mult)
 
     else:

@@ -17,7 +17,8 @@ one flow call per bisection step.
 
 from __future__ import annotations
 
-from math import lgamma, pi
+from math import inf, lgamma, pi
+from numbers import Real
 
 import numpy as np
 
@@ -53,6 +54,12 @@ def _at_least(value, least, what):
     """A count or seed argument must be an int >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise PreconditionViolated(f"need {what} >= {least}, got {value!r}")
+
+
+def _above(value, least, what):
+    """A horizon or tolerance must be a finite real number > least."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not least < value < inf:
+        raise PreconditionViolated(f"need a finite {what} > {least:.6g}, got {value!r}")
 
 
 def _chunks(count, rows_each, budget):
@@ -271,7 +278,8 @@ def distortion_probe(
     reporting the max ratio |Phi_s x - Phi_rho y| / |Phi_rho y| over a log
     grid on [1, t_max] (plus the rotation-aligned subsequence when the
     witness block rotates).  Outside the subspace it checks that the ratio
-    at equal times dies off on shrinking balls around x.
+    at equal times dies off on shrinking balls around x.  Either grid needs
+    a finite t_max > 1.
     """
     sub = distortion_subspace(spec)  # raises NotStable on non-stable input
     x = np.asarray(x, dtype=float)
@@ -279,6 +287,7 @@ def distortion_probe(
         raise PreconditionViolated(f"point must have shape ({spec.dim},)")
     _at_least(n_grid, 1, "n_grid")
     _at_least(seed, 0, "seed")
+    _above(t_max, 1.0, "t_max")  # the grid starts at 1
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     inside = set(sub.coords)
     member = all(
@@ -445,23 +454,31 @@ class PeriodReport:
 
 def period_probe(spec, x, t_max=None, tol=1e-9):
     """Recovers the minimal period of the orbit of x by grid search plus
-    derivative-sign refinement, and compares with the exact prediction."""
+    derivative-sign refinement, and compares with the exact prediction.
+
+    The grid runs from 0.45 times the fastest carrier period to t_max
+    (default 1.25 times the predicted period), so a t_max given must be
+    finite and past that start; tol must be finite and > 0."""
     x = np.asarray(x, dtype=float)
     q = minimal_period(spec, x)  # raises NotBounded on unbounded input
+    _above(tol, 0.0, "tol")
+    rates = [abs(float(b.im)) for b in spec.blocks if b.im != 0]
+    # the minimal period is at least the fastest carrier period, so the
+    # search may skip the initial stretch where the orbit has barely moved
+    carrier = 2.0 * pi / max(rates) if rates else 0.0
+    start = 0.45 * carrier
+    if t_max is not None:
+        _above(t_max, start, "t_max")
     predicted = float(q) * 2.0 * pi
     flow = FlowEvaluator.from_spec(spec, guard=_PROBE_GUARD)
     nx = float(np.linalg.norm(x))
     if q == 0:
         drift = float(np.linalg.norm(flow.apply(0.7, x) - x))
         return PeriodReport(0.0, 0.0, drift, drift <= tol * (1.0 + nx))
-    rates = [abs(float(b.im)) for b in spec.blocks if b.im != 0]
-    fastest = max(rates)
     horizon = t_max if t_max is not None else 1.25 * predicted
-    step = (2.0 * pi / fastest) / 64.0
+    step = carrier / 64.0
     n = min(1 << 16, max(64, int(np.ceil(horizon / step))))
-    # the minimal period is at least the fastest carrier period, so the
-    # search may skip the initial stretch where the orbit has barely moved
-    ts = np.linspace(0.45 * (2.0 * pi / fastest), horizon, n)
+    ts = np.linspace(start, horizon, n)
     Z = flow.apply_batch(ts, np.tile(x, (n, 1)))
     gap = np.linalg.norm(Z - x[None, :], axis=1)
     A = flow.generator_matrix()

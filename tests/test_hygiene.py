@@ -6,10 +6,13 @@ imported by at least one test file, so that the oracle of a retired
 route cannot stay behind unused.
 
 No linter is part of the toolchain, so these stdlib `ast` checks stand in
-for one.  Three more rules keep `dataclasses` out of the package, keep
+for one.  Four more rules keep `dataclasses` out of the package, keep
 `assert` statements out of it (`python -O` strips them, so no validation
-may rest on one), and let only `cli.main` write stdout: no other code of
-the package references `sys.stdout` or calls `print` without a file.
+may rest on one), let only `cli.main` write stdout: no other code of
+the package references `sys.stdout` or calls `print` without a file, and
+keep the exact integer kernels of `_ratlinalg` free of generator-expression
+product sums (`sum(x * y for x, y in zip(a, b))`), whose per-item bytecode
+costs about twice `sum(map(mul, a, b))`.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -206,6 +209,33 @@ def test_the_check_sees_stdout_writers():
         "        sys.stdout.flush()\n"
     )
     assert stdout_writers(source) == [(2, None), (4, "main"), (6, "_cmd"), (10, "C")]
+
+
+def product_sums(source):
+    """Line of each `sum` over a generator expression whose item is a
+    product, as in `sum(x * y for x, y in zip(a, b))`."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "sum" and node.args
+        and isinstance(node.args[0], ast.GeneratorExp)
+        and isinstance(node.args[0].elt, ast.BinOp) and isinstance(node.args[0].elt.op, ast.Mult)
+    ]
+
+
+def test_ratlinalg_sums_products_in_c():
+    # the integer kernels' dot products are sum(map(mul, a, b))
+    assert product_sums((PACKAGE / "_ratlinalg.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_product_sums():
+    source = (
+        "def f(a, b, c):\n"
+        "    s = sum(x * y for x, y in zip(a, b))\n"
+        "    t = sum(map(mul, a, b)) + sum(x + y for x, y in zip(a, b))\n"
+        "    return [sum(c[i - j] * b[j] for j in range(i)) for i in range(3)]\n"
+    )
+    assert product_sums(source) == [2, 4]
 
 
 TESTS = Path(__file__).resolve().parent

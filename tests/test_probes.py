@@ -427,12 +427,36 @@ def test_decay_probe_validation():
     lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=True),
     lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(0, 1)),
     lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(2, 1)),
+    # a negative "period" -0.028
+    lambda: period_probe(S((1, 0, 1)), np.ones(2), t_max=-1),
+    # OverflowError from numpy (an infinite grid length)
+    lambda: period_probe(S((1, 0, 1)), np.ones(2), t_max=np.inf),
+    # ValueError from numpy
+    lambda: period_probe(S((1, 0, 1)), np.ones(2), t_max=np.nan),
+    # before the grid start 0.45 * 2 pi
+    lambda: period_probe(S((1, 0, 1)), np.ones(2), t_max=2.0),
+    lambda: period_probe(S((1, 0, 1)), np.ones(2), tol=0.0),
+    lambda: period_probe(S((1, 0, 1)), np.ones(2), tol=np.nan),
+    lambda: period_probe(S((1, 0, 1)), np.zeros(2), tol=-1.0),
+    lambda: period_probe(S((1, 0, 1)), np.zeros(2), t_max=np.inf),
+    # a log grid run backwards from 1 to 0.5, reported as passed
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), t_max=0.5),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), t_max=0.5),
+    # a RuntimeWarning from geomspace before the range guard
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), t_max=np.inf),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), t_max=np.inf),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), t_max=np.nan),
 ], ids=["lipschitz-pairs", "lipschitz-scales", "lipschitz-float-pairs", "lipschitz-seed",
         "distortion-grid-member", "distortion-grid-outside", "distortion-seed",
         "decay-no-samples", "decay-two-samples", "decay-log-zero", "decay-empty-window",
         "decay-infinite-window", "decay-three-ends", "conjugacy-seed", "conjugacy-2d-times",
         "conjugacy-scalar-times", "conjugacy-bool-points", "conjugacy-zero-radius",
-        "conjugacy-reversed-radii"])
+        "conjugacy-reversed-radii", "period-negative-horizon", "period-infinite-horizon",
+        "period-nan-horizon", "period-horizon-before-grid", "period-zero-tol",
+        "period-nan-tol", "period-fixed-point-negative-tol",
+        "period-fixed-point-infinite-horizon", "distortion-backward-grid-member",
+        "distortion-backward-grid-outside", "distortion-infinite-horizon-member",
+        "distortion-infinite-horizon-outside", "distortion-nan-horizon"])
 def test_hostile_probe_arguments_raise_precondition_violated(call):
     with pytest.raises(PreconditionViolated):
         call()
@@ -467,6 +491,13 @@ def test_period_probe_fixed_point():
     rep = period_probe(S((1, 0, 1)), np.zeros(2))
     assert rep.match
     assert rep.period == 0.0
+
+
+def test_period_probe_horizon_just_past_the_grid_start():
+    # the grid starts at 0.45 of the fastest carrier period, 2 pi here
+    rep = period_probe(S((1, 0, 1)), np.ones(2), t_max=0.45 * 2 * np.pi + 1e-9)
+    assert not rep.match
+    assert period_probe(S((1, 0, 1)), np.ones(2), t_max=8).match
 
 
 def test_period_probe_needs_bounded_flow():

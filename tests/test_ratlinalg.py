@@ -6,6 +6,10 @@ matrices, ``rank_sequence`` against exact ranks over Q(i) of the complex
 powers (A - (re + i*im) I)^k that the kernel never forms, ``squarefree``
 against ``sqf_part`` and ``factor_list`` on monic integer polynomials with
 and without repeated factors, and ``divmod_monic`` against ``div``.
+``charpoly`` and ``rank_sequence`` are checked again on entries of 40 and
+more digits.  For the simple eigenvalues of dense P J P^-1 matrices the
+oracle confirms the ranks [d, d - 1] that ingestion takes without an
+elimination, and ``spec_from_matrix`` returns the spec it started from.
 """
 
 from datetime import timedelta
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linflow import GeneratorSpec, JordanBlock, materialize
+from linflow import GeneratorSpec, JordanBlock, RationalMatrix, materialize, spec_from_matrix
 from linflow import _ratlinalg as rl
 from linflow.errors import InternalCheckError
 
@@ -153,6 +157,89 @@ def test_rank_sequence_matches_sympy(case):
     # not an eigenvalue: full rank throughout
     for re, im in ((Fraction(7, 3), Fraction(0)), (Fraction(7, 3), Fraction(1, 5))):
         assert rl.rank_sequence(B, D * re, D * im, 2) == [spec.dim] * 3
+
+
+def _simple_spec(rng, d, repeated):
+    """Distinct simple real eigenvalues and pairs, total dimension d, and
+    when repeated also one defective real eigenvalue of multiplicity 3."""
+    blocks = [(2, Fraction(-5, 4), 0), (1, Fraction(-5, 4), 0)] if repeated else []
+    seen = {(Fraction(-5, 4), Fraction(0))}
+    dim = 3 if repeated else 0
+    while dim < d:
+        pair = d - dim >= 2 and rng.random() < 0.5
+        re = Fraction(int(rng.integers(-12, 13)), int(rng.choice((1, 2, 3))))
+        im = Fraction(int(rng.integers(1, 9)), int(rng.choice((1, 2)))) if pair else Fraction(0)
+        if (re, im) not in seen:
+            seen.add((re, im))
+            blocks.append((1, re, im))
+            dim += 2 if pair else 1
+    return _spec(*blocks)
+
+
+@pytest.mark.parametrize("d, repeated", [(4, False), (6, True), (8, False), (9, True),
+                                         (12, False), (12, True)])
+def test_simple_eigenvalue_ranks_need_no_elimination(d, repeated, monkeypatch):
+    # a simple eigenvalue is one block of size 1: complex ranks [d, d - 1],
+    # which ingestion takes without calling rank_sequence
+    rng = np.random.default_rng([d, repeated])
+    spec = _simple_spec(rng, d, repeated)
+    assert spec.dim == d
+    rows = _conjugate(rng, spec)
+    B, D = rl.integer_matrix(rows)
+    mult = _multiplicities(spec)
+    for (re, im), m in mult.items():
+        if m == 1:
+            assert rl.rank_sequence(B, D * re, D * im, 1) == [d, d - 1]
+            assert _oracle_ranks(rows, re, im, 1) == [d, d - 1]
+    calls = []
+    rank_sequence = rl.rank_sequence
+
+    def counted(*args):
+        calls.append(args)
+        return rank_sequence(*args)
+
+    monkeypatch.setattr(rl, "rank_sequence", counted)
+    rec = spec_from_matrix(RationalMatrix(rows))
+    assert rec.exact and rec.spec == spec
+    assert len(calls) == sum(m >= 2 for m in mult.values())
+
+
+def _big(rng):
+    """A random integer of 41 to 43 digits, either sign."""
+    sign = int(rng.choice((-1, 1)))
+    return sign * (10**40 + int.from_bytes(rng.bytes(18), "big") % 10**42)
+
+
+def test_charpoly_matches_sympy_on_40_digit_entries():
+    rng = np.random.default_rng(40)
+    rows = tuple(
+        tuple(Fraction(_big(rng), int(rng.choice((1, 7, 10**3 + 9)))) for _ in range(8))
+        for _ in range(8)
+    )
+    assert all(abs(x.numerator) >= 10**39 for row in rows for x in row)
+    expected = [_to_fraction(c) for c in reversed(_sympy_matrix(rows).charpoly(X).all_coeffs())]
+    B, D = rl.integer_matrix(rows)
+    chi = rl.charpoly(B)
+    assert chi[-1] == 1
+    assert [Fraction(c, D ** (8 - k)) for k, c in enumerate(chi)] == expected
+
+
+def test_rank_sequence_matches_sympy_on_40_digit_entries():
+    # P J P^-1 with a dense P of 40-digit entries, so every product in the
+    # kernel, the B^2 of the pair included, runs on big integers
+    rng = np.random.default_rng(41)
+    spec = _spec((2, "1/2", 0), (1, "1/2", 0), (2, "-1/3", "5/2"), (1, 3, 0))
+    d = spec.dim
+    P = sympy.Matrix(d, d, [_big(rng) for _ in range(d * d)])
+    A = P * _sympy_matrix(materialize(spec).rows) * P.inv()
+    rows = tuple(tuple(_to_fraction(A[i, j]) for j in range(d)) for i in range(d))
+    B, D = rl.integer_matrix(rows)
+    assert all(abs(x) >= 10**39 for row in B for x in row)
+    for (re, im), mult in _multiplicities(spec).items():
+        assert rl.rank_sequence(B, D * re, D * im, mult) == _oracle_ranks(rows, re, im, mult)
+    assert rl.charpoly(B) == [
+        int(c) for c in reversed(_sympy_matrix([[Fraction(x) for x in r] for r in B]).charpoly(X).all_coeffs())
+    ]
 
 
 def test_rank_sequence_kmax_zero_is_just_the_dimension():
