@@ -1,10 +1,15 @@
-"""Exact linear algebra for matrix ingestion, done over the integers.
+"""Matrix ingestion: the block multiset of a rational matrix, by an exact
+tier over the integers or else a numeric one.
 
-Matrices arrive as tuples of tuples of Fraction.  Ingestion clears the
-denominators once, B = D*A with D the lcm of A's denominators
-(``integer_matrix``), and every kernel then works on B with integers only,
-so no step pays for a Fraction gcd.  The eigenvalues of A are those of B
-divided by D, with the same Jordan structure.
+Only matrix input needs this module.  ``blocks.spec_from_matrix`` checks
+its arguments, imports this module inside the call and calls ``ingest``;
+no other module imports it.  Either tier raises SnapFailure or
+ClusterAmbiguity rather than guess.
+
+The exact tier clears the denominators of A once, B = D*A with D their lcm
+(``integer_matrix``), and then works on B with integers only, so no step
+pays for a Fraction gcd.  The eigenvalues of A are those of B divided by
+D, with the same Jordan structure.
 
 * ``charpoly`` runs Berkowitz's division-free algorithm on B and returns
   the monic integer chi_B; chi_A(x) = D^-d chi_B(D x).
@@ -16,41 +21,46 @@ divided by D, with the same Jordan structure.
   So a gcd of 1 mod p proves chi square-free.  Only when the test fails
   is gcd(chi, chi') taken over Z, by the primitive polynomial remainder
   sequence (Brown 1971, "On Euclid's algorithm and the computation of
-  polynomial greatest common divisors").
-* ``divmod_monic`` divides by a monic integer polynomial synthetically,
-  which certifies eigenvalues.  By the rational-root theorem a rational
-  eigenvalue of B is an integer c, with factor x - c; by Gauss's lemma a
-  pair a +- bi (b != 0) has the monic integer factor x^2 - 2a x + a^2 + b^2.
-  A candidate whose factor is not in Z[x] is therefore no eigenvalue.
-* ``rank_sequence`` takes ranks of the powers of an integer multiple of the
-  real factor p(B) of an eigenvalue re + i*im, with p = x - re or
-  (x - re)^2 + im^2, by Bareiss fraction-free elimination (Bareiss 1968,
-  "Sylvester's identity and multistep integer-preserving Gaussian
-  elimination").  For a complex pair the Jordan blocks m_j of re + i*im
-  recur at re - i*im, so dim ker p(B)^k = 2 * sum_j min(k, m_j) and the
-  complex rank of (B - re - i*im)^k is (d + rank p(B)^k) / 2.  Ingestion
-  calls it only at an eigenvalue of multiplicity 2 or more: a simple
-  eigenvalue, its multiplicity 1 certified by the divisions above, is one
-  Jordan block of size 1 (1 <= geometric <= algebraic multiplicity), with
-  the ranks [d, d - 1] without any elimination.
+  polynomial greatest common divisors").  Its float roots, scaled to A
+  and polished by Newton steps, are each snapped to a rational within tol.
+* ``_real_factor`` builds the monic integer factor of each snapped
+  eigenvalue once, and ``divmod_monic`` divides chi_B by it, which
+  certifies the eigenvalue and its multiplicity.  By the rational-root
+  theorem a rational eigenvalue of B is an integer c, with factor x - c;
+  by Gauss's lemma a pair a +- bi (b != 0) has the monic integer factor
+  x^2 - 2a x + a^2 + b^2.  A candidate whose factor is not in Z[x] is
+  therefore no eigenvalue.
+* ``rank_sequence`` takes the same factor p and the ranks of the powers
+  of p(B) by Bareiss fraction-free elimination (Bareiss 1968, "Sylvester's
+  identity and multistep integer-preserving Gaussian elimination"); block
+  sizes follow.  For a pair the Jordan blocks m_j of a + bi recur at
+  a - bi, so dim ker p(B)^k = 2 * sum_j min(k, m_j) and the complex rank
+  of (B - a - bi)^k is (d + rank p(B)^k) / 2.  A simple eigenvalue needs
+  no elimination: its certified multiplicity 1 makes it one block of
+  size 1 (1 <= geometric <= algebraic multiplicity), ranks [d, d - 1].
+
+When the spectrum is not exactly rational at the denominator bound, the
+numeric tier clusters A's float eigenvalues within tol, snaps each
+cluster, and takes ranks of the float powers by SVD.
 
 Dot products are ``sum(map(mul, row, v))``, which multiplies and adds the
 exact integers in C: the same result as a generator expression, at about
-0.6 of its time on a 12 x 12 integer mat-vec.
-
-Polynomials are lists of integer coefficients, lowest degree first, with no
-trailing zeros; the zero polynomial is the empty list.
+0.6 of its time on a 12 x 12 integer mat-vec.  Polynomials are lists of
+integer coefficients, lowest degree first, with no trailing zeros; the
+zero polynomial is the empty list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import mul
 
-from .errors import InternalCheckError
+from .blocks import GeneratorSpec, JordanBlock
+from .errors import ClusterAmbiguity, InternalCheckError, SnapFailure
 
 __all__ = [
+    "ingest",
     "integer_matrix",
     "charpoly",
     "squarefree",
@@ -61,6 +71,244 @@ __all__ = [
 # any prime proves a monic polynomial square-free; a large one makes an
 # inconclusive test (p dividing the discriminant) rare
 _PRIME = 2**61 - 1
+
+
+def ingest(matrix, tol, max_denominator):
+    """(spec, residual, exact) of a RationalMatrix, by the exact tier if it
+    certifies the spectrum, else the numeric one.  charpoly and
+    rank_sequence are called by their module names, so a wrapper set on
+    either attribute sees every call."""
+    B, D = integer_matrix(matrix.rows)
+    exact = _exact_tier(charpoly(B), D, tol, max_denominator)
+    if exact is not None:
+        eigs, residual, factors = exact
+        _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
+        what = "rank sequence"
+
+        def ranks(re, im, mult):
+            # a simple eigenvalue has one block, of size 1, since 1 <= geometric
+            # <= algebraic multiplicity: no elimination can add to that
+            if mult == 1:
+                return [len(B), len(B) - 1]
+            return rank_sequence(B, factors[re, im], mult)
+
+    else:
+        eigs, residual, ranks = _numeric_tier(matrix, tol, max_denominator)
+        what = "numeric rank sequence"
+    return _structure(eigs, ranks, what), residual, exact is not None
+
+
+# ---------------------------------------------------------------------------
+# exact tier
+
+
+def _horner(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _float_roots_squarefree(chi, D):
+    """Polished float roots of the square-free part of chi_A, from chi = chi_B.
+
+    sf_A(x) = D^-e sf_B(D x) for sf_B of degree e, so the coefficient of
+    x^k is sf_B[k] / D^(e-k), rounded once by int / int true division: the
+    same correctly rounded float as float() of the Fraction.
+    """
+    import numpy as np
+
+    sf = squarefree(chi)
+    e = len(sf) - 1
+    powers = [1]  # D^0 .. D^e
+    for _ in range(e):
+        powers.append(powers[-1] * D)
+    try:
+        coeffs = [c / powers[e - k] for k, c in enumerate(sf)]  # lowest degree first
+        dcoeffs = [k * c / powers[e - k] for k, c in enumerate(sf) if k]
+    except OverflowError:
+        raise SnapFailure("characteristic polynomial coefficient beyond the float range") from None
+    roots = np.roots(coeffs[::-1])
+    polished = []
+    for z in roots:
+        z = complex(z)
+        for _ in range(4):
+            dz = _horner(dcoeffs, z)
+            if dz == 0:
+                break
+            z = z - _horner(coeffs, z) / dz
+        polished.append(z)
+    return polished
+
+
+def _snap(x, max_denominator):
+    if not isfinite(x):
+        raise SnapFailure(f"eigenvalue estimate {x} is not finite")
+    return Fraction(x).limit_denominator(max_denominator)
+
+
+def _real_factor(D, re, im):
+    """Monic real factor over Z of the eigenvalue D*(re + i*im) of B, or None
+    when it has non-integer coefficients and so divides no monic chi_B."""
+    factor = [-D * re, 1] if im == 0 else [D * D * (re * re + im * im), -2 * D * re, 1]
+    if any(c.denominator != 1 for c in factor[:-1]):
+        return None
+    return [int(c) for c in factor]
+
+
+def _exact_tier(chi, D, tol, max_denominator):
+    """(eigs, residual, factors) or None: eigs maps (re, im >= 0) to the
+    multiplicity, factors to the monic integer factor that certified it."""
+    roots = _float_roots_squarefree(chi, D)
+    # candidate rational eigenvalues, conjugates identified, and the largest snap
+    # distance: a root nearer another candidate would trip _check_cluster_separation
+    cands = []
+    residual = 0.0
+    for z in roots:
+        re_hat = _snap(z.real, max_denominator)
+        im_hat = _snap(abs(z.imag), max_denominator)
+        dist = abs(complex(z.real, abs(z.imag)) - complex(re_hat, im_hat))
+        if dist > tol:
+            return None
+        residual = max(residual, dist)
+        pair = (re_hat, im_hat)
+        if pair not in cands:
+            cands.append(pair)
+    remaining = chi
+    eigs = {}
+    factors = {}
+    for pair in cands:
+        factor = _real_factor(D, *pair)
+        if factor is None:
+            return None
+        mult = 0
+        while True:
+            q, r = divmod_monic(remaining, factor)
+            if r:
+                break
+            remaining = q
+            mult += 1
+        if mult == 0:
+            return None
+        eigs[pair] = mult
+        factors[pair] = factor
+    if len(remaining) != 1:
+        return None
+    return eigs, residual, factors
+
+
+def _check_cluster_separation(pts, tol):
+    """ClusterAmbiguity if two distinct eigenvalues (exact tier) or cluster
+    centres (numeric tier) lie closer than 2 tol, where a snap within tol
+    could not tell them apart."""
+    for i, z in enumerate(pts):
+        for w in pts[i + 1 :]:
+            if abs(z - w) < 2 * tol:
+                raise ClusterAmbiguity(
+                    f"eigenvalues {z:.12g} and {w:.12g} are closer than twice tol={tol}"
+                )
+
+
+def _sizes_from_ranks(ranks, total):
+    """Block size counts from the rank sequence of powers.
+
+    ranks[k] = rank((A - z)^k); blocks of size >= k number ranks[k-1] - ranks[k].
+    """
+    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    sizes = []
+    for k in range(1, len(geq) + 1):
+        count = geq[k - 1] - (geq[k] if k < len(geq) else 0)
+        if count < 0:
+            return None
+        sizes.extend([k] * count)
+    if sum(sizes) != total:
+        return None
+    return sizes
+
+
+def _structure(eigs, ranks, what):
+    """The blocks of both tiers: at each eigenvalue (re, im) of multiplicity
+    mult, sizes from ranks(re, im, mult), the rank sequence [rank((A - z)^k)
+    for k = 0..mult] measured by that tier; what names it in the error."""
+    blocks = []
+    for (re_hat, im_hat), mult in eigs.items():
+        sizes = _sizes_from_ranks(ranks(re_hat, im_hat, mult), mult)
+        if sizes is None:
+            raise SnapFailure(f"inconsistent {what} at eigenvalue ({re_hat}, {im_hat})")
+        blocks.extend(JordanBlock(m, re_hat, im_hat) for m in sizes)
+    return GeneratorSpec(tuple(blocks))
+
+
+# ---------------------------------------------------------------------------
+# numeric tier
+
+
+def _numeric_tier(matrix, tol, max_denominator):
+    """(eigs, residual, ranks) from float eigenvalues clustered within tol
+    and snapped, with SVD ranks of the float powers."""
+    import numpy as np
+
+    Mf = matrix.to_float()
+    d = matrix.dim
+    eigs = np.linalg.eigvals(Mf)
+    pts = [complex(z.real, abs(z.imag)) for z in eigs]
+    # greedy union clustering at distance tol
+    clusters = []
+    for z in pts:
+        for cl in clusters:
+            if any(abs(z - w) <= tol for w in cl):
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    centers = [sum(cl) / len(cl) for cl in clusters]
+    _check_cluster_separation(centers, tol)
+    residual = 0.0
+    parsed = {}
+    for cl, z in zip(clusters, centers):
+        re_hat = _snap(z.real, max_denominator)
+        im_hat = abs(_snap(z.imag, max_denominator))
+        snapped = complex(re_hat, im_hat)
+        err = max(abs(w - snapped) for w in cl)
+        if err > tol:
+            raise SnapFailure(
+                f"no rational with denominator <= {max_denominator} within "
+                f"tol={tol} of eigenvalue {z:.12g} (best miss {err:.3e})"
+            )
+        residual = max(residual, err)
+        key = (re_hat, im_hat)
+        parsed[key] = parsed.get(key, 0) + len(cl)
+    # pts folded both members of a conjugate pair onto the upper half plane,
+    # so a count is the multiplicity over C for im == 0 and twice the number
+    # of pairs for im > 0; halve the latter
+    total = 0
+    for (re_hat, im_hat), mult in list(parsed.items()):
+        total += mult
+        if im_hat > 0:
+            if mult % 2:
+                raise SnapFailure(
+                    f"odd conjugate count at eigenvalue ({re_hat}, {im_hat})"
+                )
+            parsed[(re_hat, im_hat)] = mult // 2
+    if total != d:
+        raise SnapFailure("eigenvalue multiplicities do not sum to the dimension")
+
+    def ranks(re_hat, im_hat, mult):
+        S = Mf.astype(complex) - complex(re_hat, im_hat) * np.eye(d)
+        P = np.eye(d, dtype=complex)
+        out = [d]
+        for _ in range(mult):
+            P = P @ S
+            sv = np.linalg.svd(P, compute_uv=False)
+            thresh = tol * max(1.0, sv[0] if len(sv) else 0.0)
+            out.append(int(np.sum(sv > thresh)))
+        return out
+
+    return parsed, residual, ranks
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: matrices, rank sequences, characteristic polynomials
 
 
 def integer_matrix(A):
@@ -102,33 +350,29 @@ def _row_basis(vecs):
     return out
 
 
-def rank_sequence(B, re, im, kmax):
-    """Ranks of (B - (re + i*im) I)^k over C for k = 0..kmax.
+def rank_sequence(B, factor, kmax):
+    """Complex ranks of (B - z I)^k for k = 0..kmax, at a root z of factor.
 
-    B is an integer matrix, re and im are rational, and kmax is at least
-    the algebraic multiplicity of re + i*im, the eigenvalue's own
-    multiplicity being what ingestion passes.  The ranks then cannot fall
-    below d - width*kmax (width 2 for a pair, else 1), and once they reach
-    it or repeat they stay, so the elimination stops there and the sequence
-    is padded.
+    B is an integer matrix and factor the monic integer polynomial of z
+    that certified it: x - c for a real z = c, or x^2 + u x + c for a pair
+    z, conj(z) (u^2 < 4c).  kmax is at least the algebraic multiplicity of
+    z, the eigenvalue's own multiplicity being what ingestion passes.  The
+    ranks then cannot fall below d - width*kmax, width = len(factor) - 1,
+    and once they reach it or repeat they stay, so the elimination stops
+    there and the sequence is padded.
     """
     d = len(B)
-    re = Fraction(re)
-    im = Fraction(im)
-    if im == 0:
-        # re.denominator * (B - re I)
-        width = 1
-        s, c = re.denominator, re.numerator
-        M = [[s * b - (c if i == j else 0) for j, b in enumerate(row)] for i, row in enumerate(B)]
+    width = len(factor) - 1
+    c = factor[0]
+    if width == 1:
+        # B + c I
+        M = [[b + (c if i == j else 0) for j, b in enumerate(row)] for i, row in enumerate(B)]
     else:
-        # s * (B^2 - 2 re B + (re^2 + im^2) I)
-        width = 2
-        c1, c0 = 2 * re, re * re + im * im
-        s = lcm(c1.denominator, c0.denominator)
-        u, c = int(s * c1), int(s * c0)
+        # B^2 + u B + c I
+        u = factor[1]
         cols = list(zip(*B))
         M = [
-            [s * sum(map(mul, row, col)) - u * b + (c if i == j else 0)
+            [sum(map(mul, row, col)) + u * b + (c if i == j else 0)
              for j, (b, col) in enumerate(zip(row, cols))]
             for i, row in enumerate(B)
         ]
@@ -145,10 +389,6 @@ def rank_sequence(B, re, im, kmax):
     if width == 2:
         ranks = [(d + r) // 2 for r in ranks]
     return ranks
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial and integer polynomials
 
 
 def charpoly(B):

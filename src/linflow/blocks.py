@@ -27,6 +27,9 @@ record's fields in field order, each by `_wire`: a GeneratorSpec through
 a tuple or list item by item, a Fraction as ``str(q)``, anything else as is.
 `AuditReport` (keyed by relation) writes its own; `GrowthProfile` (keyed
 rows) and `ScalingCertificate` (alpha 2, not "2") amend these fields.
+
+`spec_from_matrix` checks its arguments here; the ingestion itself lives
+in `_ratlinalg`, which only matrix input imports.
 """
 
 from __future__ import annotations
@@ -37,12 +40,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ._record import DERIVED, record
-from .errors import (
-    ClusterAmbiguity,
-    PreconditionViolated,
-    SnapFailure,
-    SpecParseError,
-)
+from .errors import PreconditionViolated, SnapFailure, SpecParseError
 
 __all__ = [
     "JordanBlock",
@@ -430,18 +428,6 @@ def materialize(spec):
 
 # ---------------------------------------------------------------------------
 # matrix -> spec ingestion
-#
-# Exact tier, over the integers after one denominator clearing B = D*A (see
-# _ratlinalg): the monic integer chi_B and its square-free part, proved
-# square-free modulo a prime or else divided by a gcd over Z; polished float
-# roots of the square-free part of chi_A; a limit_denominator snap of each
-# root within tol; certification of each snapped eigenvalue by integer
-# synthetic division of chi_B; block sizes from integer ranks of the powers
-# of each repeated eigenvalue's real factor of B (a simple eigenvalue is one
-# block of size 1, and needs no rank).  If the spectrum is not exactly
-# rational at the denominator bound, a numeric tier clusters float
-# eigenvalues and measures ranks by SVD; either tier aborts with SnapFailure
-# / ClusterAmbiguity rather than guess.
 
 
 def _floats(values, what):
@@ -452,213 +438,6 @@ def _floats(values, what):
         raise SnapFailure(f"{what} beyond the float range") from None
 
 
-def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _float_roots_squarefree(chi, D):
-    """Polished float roots of the square-free part of chi_A, from chi = chi_B.
-
-    sf_A(x) = D^-e sf_B(D x) for sf_B of degree e, so the coefficient of
-    x^k is sf_B[k] / D^(e-k), rounded once by int / int true division: the
-    same correctly rounded float as float() of the Fraction.
-    """
-    import numpy as np
-
-    from . import _ratlinalg as rl
-
-    sf = rl.squarefree(chi)
-    e = len(sf) - 1
-    powers = [1]  # D^0 .. D^e
-    for _ in range(e):
-        powers.append(powers[-1] * D)
-    try:
-        coeffs = [c / powers[e - k] for k, c in enumerate(sf)]  # lowest degree first
-        dcoeffs = [k * c / powers[e - k] for k, c in enumerate(sf) if k]
-    except OverflowError:
-        raise SnapFailure("characteristic polynomial coefficient beyond the float range") from None
-    roots = np.roots(coeffs[::-1])
-    polished = []
-    for z in roots:
-        z = complex(z)
-        for _ in range(4):
-            dz = _horner(dcoeffs, z)
-            if dz == 0:
-                break
-            z = z - _horner(coeffs, z) / dz
-        polished.append(z)
-    return polished
-
-
-def _snap(x, max_denominator):
-    if not math.isfinite(x):
-        raise SnapFailure(f"eigenvalue estimate {x} is not finite")
-    return Fraction(x).limit_denominator(max_denominator)
-
-
-def _real_factor(D, re, im):
-    """Monic real factor over Z of the eigenvalue D*(re + i*im) of B, or None
-    when it has non-integer coefficients and so divides no monic chi_B."""
-    if im == 0:
-        factor = [-D * re, 1]
-    else:
-        factor = [D * D * (re * re + im * im), -2 * D * re, 1]
-    if any(c.denominator != 1 for c in factor[:-1]):
-        return None
-    return [int(c) for c in factor]
-
-
-def _exact_tier(chi, D, tol, max_denominator):
-    """Return (eigs, residual) or None; eigs maps (re, im>=0) -> multiplicity."""
-    from . import _ratlinalg as rl
-
-    roots = _float_roots_squarefree(chi, D)
-    # candidate rational eigenvalues, conjugates identified, and the largest snap
-    # distance: a root nearer another candidate would trip _check_cluster_separation
-    cands = []
-    residual = 0.0
-    for z in roots:
-        re_hat = _snap(z.real, max_denominator)
-        im_hat = _snap(abs(z.imag), max_denominator)
-        dist = abs(complex(z.real, abs(z.imag)) - complex(re_hat, im_hat))
-        if dist > tol:
-            return None
-        residual = max(residual, dist)
-        pair = (re_hat, im_hat)
-        if pair not in cands:
-            cands.append(pair)
-    remaining = chi
-    eigs = {}
-    for re_hat, im_hat in cands:
-        factor = _real_factor(D, re_hat, im_hat)
-        if factor is None:
-            return None
-        mult = 0
-        while True:
-            q, r = rl.divmod_monic(remaining, factor)
-            if r:
-                break
-            remaining = q
-            mult += 1
-        if mult == 0:
-            return None
-        eigs[(re_hat, im_hat)] = mult
-    if len(remaining) != 1:
-        return None
-    return eigs, residual
-
-
-def _check_cluster_separation(pts, tol):
-    """ClusterAmbiguity if two distinct eigenvalues (exact tier) or cluster
-    centres (numeric tier) lie closer than 2 tol, where a snap within tol
-    could not tell them apart."""
-    for i, z in enumerate(pts):
-        for w in pts[i + 1 :]:
-            if abs(z - w) < 2 * tol:
-                raise ClusterAmbiguity(
-                    f"eigenvalues {z:.12g} and {w:.12g} are closer than twice tol={tol}"
-                )
-
-
-def _sizes_from_ranks(ranks, total):
-    """Block size counts from the rank sequence of powers.
-
-    ranks[k] = rank((A - z)^k); blocks of size >= k number ranks[k-1] - ranks[k].
-    """
-    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    sizes = []
-    for k in range(1, len(geq) + 1):
-        count = geq[k - 1] - (geq[k] if k < len(geq) else 0)
-        if count < 0:
-            return None
-        sizes.extend([k] * count)
-    if sum(sizes) != total:
-        return None
-    return sizes
-
-
-def _structure(eigs, ranks, what):
-    """The blocks of both tiers: at each eigenvalue (re, im) of multiplicity
-    mult, sizes from ranks(re, im, mult), the rank sequence [rank((A - z)^k)
-    for k = 0..mult] measured by that tier; what names it in the error."""
-    blocks = []
-    for (re_hat, im_hat), mult in eigs.items():
-        sizes = _sizes_from_ranks(ranks(re_hat, im_hat, mult), mult)
-        if sizes is None:
-            raise SnapFailure(f"inconsistent {what} at eigenvalue ({re_hat}, {im_hat})")
-        blocks.extend(JordanBlock(m, re_hat, im_hat) for m in sizes)
-    return GeneratorSpec(tuple(blocks))
-
-
-def _numeric_tier(matrix, tol, max_denominator):
-    """(eigs, residual, ranks) from float eigenvalues clustered within tol
-    and snapped, with SVD ranks of the float powers."""
-    import numpy as np
-
-    Mf = matrix.to_float()
-    d = matrix.dim
-    eigs = np.linalg.eigvals(Mf)
-    pts = [complex(z.real, abs(z.imag)) for z in eigs]
-    # greedy union clustering at distance tol
-    clusters = []
-    for z in pts:
-        for cl in clusters:
-            if any(abs(z - w) <= tol for w in cl):
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    centers = [sum(cl) / len(cl) for cl in clusters]
-    _check_cluster_separation(centers, tol)
-    residual = 0.0
-    parsed = {}
-    for cl, z in zip(clusters, centers):
-        re_hat = _snap(z.real, max_denominator)
-        im_hat = _snap(z.imag, max_denominator)
-        if im_hat < 0:
-            im_hat = -im_hat
-        snapped = complex(re_hat, im_hat)
-        err = max(abs(w - snapped) for w in cl)
-        if err > tol:
-            raise SnapFailure(
-                f"no rational with denominator <= {max_denominator} within "
-                f"tol={tol} of eigenvalue {z:.12g} (best miss {err:.3e})"
-            )
-        residual = max(residual, err)
-        key = (re_hat, im_hat)
-        parsed[key] = parsed.get(key, 0) + len(cl)
-    # pts folded both members of a conjugate pair onto the upper half plane,
-    # so a count is the multiplicity over C for im == 0 and twice the number
-    # of pairs for im > 0; halve the latter
-    total = 0
-    for (re_hat, im_hat), mult in list(parsed.items()):
-        total += mult
-        if im_hat > 0:
-            if mult % 2:
-                raise SnapFailure(
-                    f"odd conjugate count at eigenvalue ({re_hat}, {im_hat})"
-                )
-            parsed[(re_hat, im_hat)] = mult // 2
-    if total != d:
-        raise SnapFailure("eigenvalue multiplicities do not sum to the dimension")
-
-    def ranks(re_hat, im_hat, mult):
-        S = Mf.astype(complex) - complex(re_hat, im_hat) * np.eye(d)
-        P = np.eye(d, dtype=complex)
-        out = [d]
-        for _ in range(mult):
-            P = P @ S
-            sv = np.linalg.svd(P, compute_uv=False)
-            thresh = tol * max(1.0, sv[0] if len(sv) else 0.0)
-            out.append(int(np.sum(sv > thresh)))
-        return out
-
-    return parsed, residual, ranks
-
-
 def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     """Recover the block multiset of a rational matrix, with certification.
 
@@ -666,38 +445,16 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     certified rational eigenvalues, exact rank sequences); falls back to a
     numeric route for matrices whose spectrum is only approximately rational
     at the denominator bound.  Raises SnapFailure or ClusterAmbiguity rather
-    than return a guess.
+    than return a guess.  Both routes live in `_ratlinalg`, the one module
+    of matrix ingestion.
     """
     if not (0 < tol < math.inf and max_denominator >= 1):
         raise PreconditionViolated(
             f"need a finite tol > 0 and max_denominator >= 1, got tol={tol}, "
             f"max_denominator={max_denominator}"
         )
-    # imported here, as only matrix input needs it; calls go through the module
-    # attributes, so a wrapper set on rl.charpoly or rl.rank_sequence sees them
-    from . import _ratlinalg as rl
+    # imported here, so that only matrix input loads it
+    from . import _ratlinalg
 
-    B, D = rl.integer_matrix(matrix.rows)
-    exact = _exact_tier(rl.charpoly(B), D, tol, max_denominator)
-    if exact is not None:
-        eigs, residual = exact
-        _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
-        what = "rank sequence"
-
-        def ranks(re, im, mult):
-            # a simple eigenvalue has one block, of size 1, since 1 <= geometric
-            # <= algebraic multiplicity: no elimination can add to that
-            if mult == 1:
-                return [len(B), len(B) - 1]
-            return rl.rank_sequence(B, D * re, D * im, mult)
-
-    else:
-        eigs, residual, ranks = _numeric_tier(matrix, tol, max_denominator)
-        what = "numeric rank sequence"
-    return ApproxSpec(
-        spec=_structure(eigs, ranks, what),
-        residual=float(residual),
-        tol=float(tol),
-        source=matrix.fingerprint(),
-        exact=exact is not None,
-    )
+    spec, residual, exact = _ratlinalg.ingest(matrix, tol, max_denominator)
+    return ApproxSpec(spec, float(residual), float(tol), matrix.fingerprint(), exact)

@@ -377,6 +377,18 @@ def _turn_planes(planes):
     return (lambda X: turn(X, 1.0)), (lambda W: turn(W, -1.0))
 
 
+def _require_finite(**scalars):
+    """PreconditionViolated unless float() of each named builder argument
+    is finite."""
+    for name, value in scalars.items():
+        try:
+            finite = np.isfinite(float(value))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise PreconditionViolated(f"need a finite {name}, got {value!r}")
+
+
 def build_spiral_map(rate):
     """Logarithmic spiral h(y) = R(rate * log|y|) y on the plane.
 
@@ -384,6 +396,7 @@ def build_spiral_map(rate):
     to the radial flow with growth -1; Lipschitz with constant 1 + |rate|
     on the unit ball, and a homeomorphism globally.
     """
+    _require_finite(rate=rate)
     # the spec records the rate as given; a float rate records its binary value
     exact_rate = abs(Fraction(rate))
     rate = float(rate)
@@ -416,6 +429,7 @@ def build_spiral_map(rate):
 def build_parabola_shear(shift):
     """Self-equivalence (x1, x2) -> (x1 + shift * x2^2, x2) of the node
     flow diag(-2, -1); exact conjugacy, maps the x2-axis to a parabola."""
+    _require_finite(shift=shift)
     c = float(shift)
 
     def fwd(X, s):
@@ -777,6 +791,7 @@ def build_rotation_unwind_map(size, growth, rotation):
     of two real blocks of the same size and growth.  T(x) is the metric
     unit-sphere hitting time; since the unwinding acts by rotations it is
     a Euclidean isometry pointwise, yet only log-Lipschitz overall."""
+    _require_finite(size=size, growth=growth, rotation=rotation)
     m = int(size)
     a = float(growth)
     b = float(rotation)

@@ -12,7 +12,8 @@ whole grid items under a fixed budget of `_ROWS` rows per call.  Every map
 and flow treats its rows independently, so the batching moves no bit of
 any report.  The decay and period probes flow one point over one capped
 time grid, and the period probe refines its candidate times together,
-one flow call per bisection step.
+one flow call per bisection step.  The distortion, decay and period
+probes take their point through `_point`: shape (dim,), entries finite.
 """
 
 from __future__ import annotations
@@ -57,9 +58,22 @@ def _at_least(value, least, what):
 
 
 def _above(value, least, what):
-    """A horizon or tolerance must be a finite real number > least."""
+    """A horizon, tolerance, distance or bound must be a finite real number > least."""
     if isinstance(value, bool) or not isinstance(value, Real) or not least < value < inf:
         raise PreconditionViolated(f"need a finite {what} > {least:.6g}, got {value!r}")
+
+
+def _point(spec, x):
+    """x as a float array of shape (spec.dim,), every entry finite."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise PreconditionViolated("point must be an array of real numbers") from None
+    if x.shape != (spec.dim,):
+        raise PreconditionViolated(f"point must have shape ({spec.dim},)")
+    if not np.isfinite(x).all():
+        raise PreconditionViolated(f"point must be finite, got {x.tolist()}")
+    return x
 
 
 def _chunks(count, rows_each, budget):
@@ -279,15 +293,16 @@ def distortion_probe(
     grid on [1, t_max] (plus the rotation-aligned subsequence when the
     witness block rotates).  Outside the subspace it checks that the ratio
     at equal times dies off on shrinking balls around x.  Either grid needs
-    a finite t_max > 1.
+    a finite t_max > 1; eps and both bounds must be finite and > 0.
     """
     sub = distortion_subspace(spec)  # raises NotStable on non-stable input
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise PreconditionViolated(f"point must have shape ({spec.dim},)")
+    x = _point(spec, x)
     _at_least(n_grid, 1, "n_grid")
     _at_least(seed, 0, "seed")
     _above(t_max, 1.0, "t_max")  # the grid starts at 1
+    for value, what in ((eps, "eps"), (member_bound, "member_bound"),
+                        (outside_bound, "outside_bound")):
+        _above(value, 0.0, what)
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     inside = set(sub.coords)
     member = all(
@@ -416,9 +431,7 @@ def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
     and compared with the structural prediction."""
     if any(b.re >= 0 for b in spec.blocks):
         raise NotStable("decay probe requires a stable generator")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise PreconditionViolated(f"point must have shape ({spec.dim},)")
+    x = _point(spec, x)
     _at_least(n, 3, "n")  # samples for the 3 fitted parameters
     window = tuple(float(w) for w in window)
     if len(window) != 2 or not 0 < window[0] < window[1] < np.inf:
@@ -459,7 +472,7 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     The grid runs from 0.45 times the fastest carrier period to t_max
     (default 1.25 times the predicted period), so a t_max given must be
     finite and past that start; tol must be finite and > 0."""
-    x = np.asarray(x, dtype=float)
+    x = _point(spec, x)
     q = minimal_period(spec, x)  # raises NotBounded on unbounded input
     _above(tol, 0.0, "tol")
     rates = [abs(float(b.im)) for b in spec.blocks if b.im != 0]

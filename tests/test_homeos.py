@@ -353,6 +353,22 @@ def test_unwind_preconditions():
         build_rotation_unwind_map(2, Fraction(-1), Fraction(0))
 
 
+@pytest.mark.parametrize("build, args", [
+    (build_spiral_map, (np.nan,)),  # a ValueError from Fraction
+    (build_spiral_map, (np.inf,)),  # an OverflowError from Fraction
+    (build_spiral_map, (10**400,)),
+    (build_parabola_shear, (np.nan,)),  # a map whose forward returned nan
+    (build_parabola_shear, (-np.inf,)),
+    (build_rotation_unwind_map, (2, np.nan, 1)),  # a LinAlgError from numpy
+    (build_rotation_unwind_map, (2, -1, np.inf)),  # a RuntimeWarning
+    (build_rotation_unwind_map, (np.nan, -1, 1)),
+], ids=["spiral-nan", "spiral-inf", "spiral-huge", "shear-nan", "shear-inf",
+        "unwind-nan-growth", "unwind-inf-rotation", "unwind-nan-size"])
+def test_builders_refuse_scalars_that_are_not_finite(build, args):
+    with pytest.raises(PreconditionViolated, match="need a finite"):
+        build(*args)
+
+
 # ---------------------------------------------------------------------------
 # safeguarded Newton root solves against independent scalar oracles
 

@@ -12,7 +12,9 @@ may rest on one), let only `cli.main` write stdout: no other code of
 the package references `sys.stdout` or calls `print` without a file, and
 keep the exact integer kernels of `_ratlinalg` free of generator-expression
 product sums (`sum(x * y for x, y in zip(a, b))`), whose per-item bytecode
-costs about twice `sum(map(mul, a, b))`.
+costs about twice `sum(map(mul, a, b))`.  Matrix ingestion stays behind
+one module: no module imports `_ratlinalg` but `blocks`, and `blocks` only
+inside `spec_from_matrix`, so only matrix input loads it.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -236,6 +238,52 @@ def test_the_check_sees_product_sums():
         "    return [sum(c[i - j] * b[j] for j in range(i)) for i in range(3)]\n"
     )
     assert product_sums(source) == [2, 4]
+
+
+def ratlinalg_imports(source):
+    """(line, enclosing top-level name or None) of each import statement in
+    source that names `_ratlinalg`, as a module or as an imported name."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            else:
+                continue
+            if "_ratlinalg" in names:
+                out.append((node.lineno, owner))
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_only_spec_from_matrix_imports_ratlinalg(path):
+    # matrix ingestion lives in one module, which only matrix input loads
+    found = ratlinalg_imports(path.read_text(encoding="utf-8"))
+    allowed = {"spec_from_matrix"} if path.name == "blocks.py" else set()
+    assert [(line, owner) for line, owner in found if owner not in allowed] == []
+
+
+def test_the_check_sees_ratlinalg_imports():
+    source = (
+        "from . import _ratlinalg\n"
+        "from ._ratlinalg import charpoly\n"
+        "import linflow._ratlinalg as rl\n"
+        "from linflow import blocks, _ratlinalg\n"
+        "def spec_from_matrix(m):\n"
+        "    from . import _ratlinalg\n"
+        "def other(m):\n"
+        "    from .blocks import _floats\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        from .. import _ratlinalg\n"
+    )
+    assert ratlinalg_imports(source) == [
+        (1, None), (2, None), (3, None), (4, None), (6, "spec_from_matrix"), (11, "C")]
+    blocks = (PACKAGE / "blocks.py").read_text(encoding="utf-8")
+    assert [owner for _, owner in ratlinalg_imports(blocks)] == ["spec_from_matrix"]
 
 
 TESTS = Path(__file__).resolve().parent

@@ -446,6 +446,28 @@ def test_decay_probe_validation():
     lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), t_max=np.inf),
     lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), t_max=np.inf),
     lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), t_max=np.nan),
+    # eps 0 and -1 reported passed=True; nan a ValueError from numpy, inf a RuntimeWarning
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), eps=0.0),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), eps=-1.0),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), eps=np.nan),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), eps=np.inf),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), member_bound=0.0),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), member_bound=np.nan),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([1.0, 0.0]), member_bound=np.inf),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), outside_bound=-1.0),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), outside_bound=np.nan),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, 1.0]), outside_bound=np.inf),
+    # points that are not finite, or not a vector of the spec's dimension
+    lambda: distortion_probe(S((2, -1, 0)), np.array([np.nan, 0.0])),
+    lambda: distortion_probe(S((2, -1, 0)), np.array([0.0, np.inf])),
+    lambda: distortion_probe(S((2, -1, 0)), np.ones(3)),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([0.0, np.nan])),
+    lambda: decay_rate_probe(S((2, -1, 0)), np.array([np.inf, 1.0])),
+    lambda: decay_rate_probe(S((2, -1, 0)), [[0.0, 1.0]]),
+    lambda: period_probe(S((1, 0, 1)), np.array([np.nan, 1.0])),
+    lambda: period_probe(S((1, 0, 1)), np.array([np.inf, 1.0])),
+    lambda: period_probe(S((1, 0, 1)), np.ones(3)),
+    lambda: period_probe(S((1, 0, 1)), ["a", 1.0]),
 ], ids=["lipschitz-pairs", "lipschitz-scales", "lipschitz-float-pairs", "lipschitz-seed",
         "distortion-grid-member", "distortion-grid-outside", "distortion-seed",
         "decay-no-samples", "decay-two-samples", "decay-log-zero", "decay-empty-window",
@@ -456,7 +478,15 @@ def test_decay_probe_validation():
         "period-nan-tol", "period-fixed-point-negative-tol",
         "period-fixed-point-infinite-horizon", "distortion-backward-grid-member",
         "distortion-backward-grid-outside", "distortion-infinite-horizon-member",
-        "distortion-infinite-horizon-outside", "distortion-nan-horizon"])
+        "distortion-infinite-horizon-outside", "distortion-nan-horizon",
+        "distortion-zero-eps", "distortion-negative-eps", "distortion-nan-eps",
+        "distortion-infinite-eps", "distortion-zero-member-bound",
+        "distortion-nan-member-bound", "distortion-infinite-member-bound",
+        "distortion-negative-outside-bound", "distortion-nan-outside-bound",
+        "distortion-infinite-outside-bound", "distortion-nan-point",
+        "distortion-infinite-point", "distortion-long-point", "decay-nan-point",
+        "decay-infinite-point", "decay-2d-point", "period-nan-point",
+        "period-infinite-point", "period-long-point", "period-string-point"])
 def test_hostile_probe_arguments_raise_precondition_violated(call):
     with pytest.raises(PreconditionViolated):
         call()

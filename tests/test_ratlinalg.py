@@ -2,8 +2,9 @@
 
 sympy is a test-only dependency: these tests skip when it is missing.
 ``charpoly`` is checked against ``sympy.Matrix.charpoly`` on dense rational
-matrices, ``rank_sequence`` against exact ranks over Q(i) of the complex
-powers (A - (re + i*im) I)^k that the kernel never forms, ``squarefree``
+matrices, ``rank_sequence``, given the monic integer factor from
+``_real_factor``, against exact ranks over Q(i) of the complex powers
+(A - (re + i*im) I)^k that the kernel never forms, ``squarefree``
 against ``sqf_part`` and ``factor_list`` on monic integer polynomials with
 and without repeated factors, and ``divmod_monic`` against ``div``.
 ``charpoly`` and ``rank_sequence`` are checked again on entries of 40 and
@@ -152,11 +153,30 @@ def test_rank_sequence_matches_sympy(case):
             if kmax < mult:
                 continue
             # the eigenvalues of B = D A are D times those of A
-            ranks = rl.rank_sequence(B, D * re, D * im, kmax)
+            ranks = rl.rank_sequence(B, rl._real_factor(D, re, im), kmax)
             assert ranks == _oracle_ranks(rows, re, im, kmax)
-    # not an eigenvalue: full rank throughout
+    # not an eigenvalue: full rank throughout.  7/3 and 7/3 + i/5, scaled by
+    # 15 D, have integer factors over B (the roots 35 D and 35 D + 3 D i),
+    # and neither divides chi_B
+    chi = rl.charpoly(B)
     for re, im in ((Fraction(7, 3), Fraction(0)), (Fraction(7, 3), Fraction(1, 5))):
-        assert rl.rank_sequence(B, D * re, D * im, 2) == [spec.dim] * 3
+        factor = rl._real_factor(15 * D, re, im)
+        assert rl.divmod_monic(chi, factor)[1]
+        assert rl.rank_sequence(B, factor, 2) == [spec.dim] * 3
+
+
+@pytest.mark.parametrize("D, re, im, factor", [
+    (1, 3, 0, [-3, 1]),
+    (4, Fraction(-5, 4), 0, [5, 1]),
+    (1, Fraction(1, 2), 0, None),  # B has no eigenvalue 1/2: chi_B is monic in Z[x]
+    (2, Fraction(1, 2), Fraction(1, 2), [2, -2, 1]),  # 1 +- i
+    (1, Fraction(1, 2), Fraction(3, 2), None),  # x^2 - x + 5/2
+    (1, Fraction(1, 2), Fraction(1, 2), None),  # x^2 - x + 1/2
+])
+def test_real_factor_is_monic_over_z_or_none(D, re, im, factor):
+    got = rl._real_factor(D, Fraction(re), Fraction(im))
+    assert got == factor
+    assert got is None or all(type(c) is int for c in got)
 
 
 def _simple_spec(rng, d, repeated):
@@ -189,7 +209,7 @@ def test_simple_eigenvalue_ranks_need_no_elimination(d, repeated, monkeypatch):
     mult = _multiplicities(spec)
     for (re, im), m in mult.items():
         if m == 1:
-            assert rl.rank_sequence(B, D * re, D * im, 1) == [d, d - 1]
+            assert rl.rank_sequence(B, rl._real_factor(D, re, im), 1) == [d, d - 1]
             assert _oracle_ranks(rows, re, im, 1) == [d, d - 1]
     calls = []
     rank_sequence = rl.rank_sequence
@@ -236,7 +256,9 @@ def test_rank_sequence_matches_sympy_on_40_digit_entries():
     B, D = rl.integer_matrix(rows)
     assert all(abs(x) >= 10**39 for row in B for x in row)
     for (re, im), mult in _multiplicities(spec).items():
-        assert rl.rank_sequence(B, D * re, D * im, mult) == _oracle_ranks(rows, re, im, mult)
+        assert rl.rank_sequence(B, rl._real_factor(D, re, im), mult) == _oracle_ranks(
+            rows, re, im, mult
+        )
     assert rl.charpoly(B) == [
         int(c) for c in reversed(_sympy_matrix([[Fraction(x) for x in r] for r in B]).charpoly(X).all_coeffs())
     ]
@@ -244,7 +266,7 @@ def test_rank_sequence_matches_sympy_on_40_digit_entries():
 
 def test_rank_sequence_kmax_zero_is_just_the_dimension():
     B, _ = rl.integer_matrix(materialize(_spec((2, 1, 0))).rows)
-    assert rl.rank_sequence(B, 1, 0, 0) == [2]
+    assert rl.rank_sequence(B, [-1, 1], 0) == [2]
 
 
 # ---------------------------------------------------------------------------
