@@ -35,12 +35,12 @@ in `_ratlinalg`, which only matrix input imports.
 from __future__ import annotations
 
 import json
-import math
 from enum import Enum
 from fractions import Fraction
+from numbers import Integral
 
 from ._record import DERIVED, record
-from .errors import PreconditionViolated, SnapFailure, SpecParseError
+from .errors import PreconditionViolated, SnapFailure, SpecParseError, _above, _at_least
 
 __all__ = [
     "JordanBlock",
@@ -121,8 +121,10 @@ class JordanBlock:
     im: Fraction
 
     def __post_init__(self):
-        if isinstance(self.size, bool) or not isinstance(self.size, int):
-            raise SpecParseError("block size must be an integer")
+        if type(self.size) is not int:  # an integer of another type, such as numpy's, is an int
+            if isinstance(self.size, bool) or not isinstance(self.size, Integral):
+                raise SpecParseError("block size must be an integer")
+            object.__setattr__(self, "size", int(self.size))
         if self.size < 1:
             raise SpecParseError(f"block size must be >= 1, got {self.size}")
         object.__setattr__(self, "re", Fraction(self.re))
@@ -372,7 +374,6 @@ def realify(blocks):
             m, re, im = blk.size, blk.re, blk.im
         else:
             m, re, im = blk
-        m = int(m)
         re = Fraction(re)
         im = Fraction(im)
         if im == 0:
@@ -448,11 +449,14 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     than return a guess.  Both routes live in `_ratlinalg`, the one module
     of matrix ingestion.
     """
-    if not (0 < tol < math.inf and max_denominator >= 1):
+    try:
+        _above(tol, 0.0, "tol")
+        max_denominator = _at_least(max_denominator, 1, "max_denominator")  # numpy's as an int
+    except PreconditionViolated:
         raise PreconditionViolated(
             f"need a finite tol > 0 and max_denominator >= 1, got tol={tol}, "
             f"max_denominator={max_denominator}"
-        )
+        ) from None
     # imported here, so that only matrix input loads it
     from . import _ratlinalg
 

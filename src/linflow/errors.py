@@ -7,9 +7,15 @@ CLI) can map failures to stable exit codes:
 * violated preconditions      -> PreconditionViolated and its subclasses
 * internal cross-checks       -> InternalCheckError (a bug, never expected)
 
-`LyapunovSolveFailed` is gone from the API: the pw-hyp metrics have a
-closed form, so nothing raised it.
+Every layer imports this module, so it also holds the one set of argument
+checks, each raising PreconditionViolated: `_at_least` for a size, count or
+seed (an int, not a bool), `_above` for a rate, horizon, tolerance or bound
+(a real, not a bool, whose float is finite) and `_point` for a point or any
+other list of finite reals.  int and float are tried before the slow ABCs.
 """
+
+from math import inf, isfinite
+from numbers import Integral, Real
 
 __all__ = [
     "LinFlowError",
@@ -75,3 +81,42 @@ class MonotonicityNotAchieved(PreconditionViolated):
 
 class InternalCheckError(LinFlowError):
     """Two routes that must agree disagreed.  Always a bug; please report."""
+
+
+def _at_least(value, least, what):
+    """value as an int, if it is an int (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
+        raise PreconditionViolated(f"need an integer {what}, got {value!r}")
+    if value < least:
+        raise PreconditionViolated(f"need {what} >= {least}, got {value!r}")
+    return int(value)
+
+
+def _above(value, least, what):
+    """float(value), if value is a real number (not a bool) whose float is
+    finite and > least; a least of -inf accepts any finite real."""
+    try:
+        (f,) = _point((value,), 1)
+    except PreconditionViolated:
+        f = inf
+    if not least < f < inf:
+        bound = f" > {least:.6g}" if least > -inf else ""
+        raise PreconditionViolated(f"need a finite {what}{bound}, got {value!r}")
+    return f
+
+
+def _point(x, dim, what="a point"):
+    """x as a list of floats: dim entries (any number when dim is None),
+    each a real number (not a bool) whose float is finite."""
+    try:
+        x = x.tolist() if hasattr(x, "tolist") else list(x)  # numpy's entries as Python numbers
+        if (dim is None or len(x) == dim) and not any(
+            isinstance(v, bool) or not isinstance(v, (float, int, Real)) for v in x
+        ):
+            out = list(map(float, x))
+            if all(map(isfinite, out)):
+                return out
+    except (TypeError, OverflowError):  # not a sequence; a real beyond the float range
+        pass
+    count = "" if dim is None else f"{dim} "
+    raise PreconditionViolated(f"need {what} of {count}finite real numbers, got {x!r}")

@@ -23,11 +23,12 @@ import math
 import numpy as np
 
 from .blocks import GeneratorSpec, _block_entries, _layout
-from .errors import PreconditionViolated, RangeGuard
+from .errors import PreconditionViolated, RangeGuard, _at_least
 
 __all__ = ["FlowEvaluator", "flow_apply", "FLOW_TIME_GUARD"]
 
 FLOW_TIME_GUARD = 1e3
+_INTERNAL_GUARD = 1e9  # the guard of the evaluators inside maps and probes: no time limit
 _EXP_SAFE = 700.0  # e^x is finite for every x up to this
 
 
@@ -46,10 +47,8 @@ class FlowEvaluator:
     """
 
     def __init__(self, blocks, guard=FLOW_TIME_GUARD):
-        self.blocks = tuple((int(m), float(a), float(b)) for (m, a, b) in blocks)
-        for m, _, _ in self.blocks:
-            if m < 1:
-                raise PreconditionViolated("block size must be >= 1")
+        self.blocks = tuple((_at_least(m, 1, "block size"), float(a), float(b))
+                            for m, a, b in blocks)
         self.guard = float(guard)
         layout = _layout(self.blocks)
         rates, pos, u, v, rot = ([] for _ in range(5))

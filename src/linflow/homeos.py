@@ -23,7 +23,7 @@ of the spiral and uniform maps, and `_chain_weights` with `_definite`
 drives the metric searches.  In the pw-hyp map, `_split` sorts a batch
 into zero, pure-stable, pure-unstable and mixed rows, one `_cone` serves
 the mixed rows of forward and tau, and each batch map runs under one
-np.errstate (`_quiet`).
+np.errstate, as its decorator.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .errors import (
     InternalCheckError,
     MonotonicityNotAchieved,
     PreconditionViolated,
+    _above,
 )
-from .flows import FlowEvaluator, _rotate_pairs
+from .flows import _INTERNAL_GUARD, FlowEvaluator, _rotate_pairs
 from .invariants import partition_dims
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "build_rotation_unwind_map",
 ]
 
-_INTERNAL_GUARD = 1e9  # internal evaluators are not time-limited
 _SOLVE_CAP = 300  # bisection alone needs ~100 steps across the time guard
 _SLACK = 1e-2  # relative widening of the slope bounds behind a certified bracket
 _F_PAD = 1e-10  # rounding allowance on a log value that places a certified bracket
@@ -63,12 +63,6 @@ _BIG, _TINY = np.finfo(float).max, np.finfo(float).tiny
 
 def _same_time(X, ts):
     return np.asarray(ts, dtype=float)
-
-
-def _quiet(batch_map, *args):
-    """batch_map(*args) under one np.errstate; the maps check every result."""
-    with np.errstate(all="ignore"):
-        return batch_map(*args)
 
 
 @record(frozen=False)
@@ -377,18 +371,6 @@ def _turn_planes(planes):
     return (lambda X: turn(X, 1.0)), (lambda W: turn(W, -1.0))
 
 
-def _require_finite(**scalars):
-    """PreconditionViolated unless float() of each named builder argument
-    is finite."""
-    for name, value in scalars.items():
-        try:
-            finite = np.isfinite(float(value))
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
-            raise PreconditionViolated(f"need a finite {name}, got {value!r}")
-
-
 def build_spiral_map(rate):
     """Logarithmic spiral h(y) = R(rate * log|y|) y on the plane.
 
@@ -396,10 +378,8 @@ def build_spiral_map(rate):
     to the radial flow with growth -1; Lipschitz with constant 1 + |rate|
     on the unit ball, and a homeomorphism globally.
     """
-    _require_finite(rate=rate)
     # the spec records the rate as given; a float rate records its binary value
-    exact_rate = abs(Fraction(rate))
-    rate = float(rate)
+    rate, exact_rate = _above(rate, -np.inf, "rate"), abs(Fraction(rate))
     forward_batch, inverse_batch = _turn_planes([((0, 1), rate)])
     node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
     target = FlowEvaluator.from_spec(node_spec, guard=_INTERNAL_GUARD)
@@ -429,8 +409,7 @@ def build_spiral_map(rate):
 def build_parabola_shear(shift):
     """Self-equivalence (x1, x2) -> (x1 + shift * x2^2, x2) of the node
     flow diag(-2, -1); exact conjugacy, maps the x2-axis to a parabola."""
-    _require_finite(shift=shift)
-    c = float(shift)
+    c = _above(shift, -np.inf, "shift")
 
     def fwd(X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -674,6 +653,7 @@ def build_pw_conj_hyperbolic(spec):
         mu4 = mu2 * mu2  # may overflow; _finite checks
         return T, mu4, np.sqrt(np.maximum(n2 * n2 - mu4, 0.0))
 
+    @np.errstate(all="ignore")  # the maps check every result
     def forward_batch(X):
         X, parts, _, n2, pure, mixed, _ = _split(X)
         W = np.zeros_like(X)
@@ -690,6 +670,7 @@ def build_pw_conj_hyperbolic(spec):
                 W[mixed, c] = np.sqrt(c2)[:, None] * prof.flow.apply_batch(T1, P)
         return _kept(X, _finite(W), pure, mixed)
 
+    @np.errstate(all="ignore")
     def tau_batch(X, ts):
         ts = np.asarray(ts, dtype=float)
         X, parts, _, n2, pure, mixed, zero = _split(X)
@@ -710,6 +691,7 @@ def build_pw_conj_hyperbolic(spec):
         out[zero] = ts[zero]
         return _finite(out)
 
+    @np.errstate(all="ignore")
     def inverse_batch(W):
         W, parts, norms, nw2, pure, mixed, _ = _split(W)
         X = np.zeros_like(W)
@@ -764,9 +746,9 @@ def build_pw_conj_hyperbolic(spec):
         name="pw-hyp",
         source_flow=source,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
-        forward_batch=lambda X: _quiet(forward_batch, X),
-        inverse_batch=lambda W: _quiet(inverse_batch, W),
-        tau_batch=lambda X, ts: _quiet(tau_batch, X, ts),
+        forward_batch=forward_batch,
+        inverse_batch=inverse_batch,
+        tau_batch=tau_batch,
         source_spec=spec,
         target_spec=target_spec,
         metadata={
@@ -791,15 +773,13 @@ def build_rotation_unwind_map(size, growth, rotation):
     of two real blocks of the same size and growth.  T(x) is the metric
     unit-sphere hitting time; since the unwinding acts by rotations it is
     a Euclidean isometry pointwise, yet only log-Lipschitz overall."""
-    _require_finite(size=size, growth=growth, rotation=rotation)
-    m = int(size)
-    a = float(growth)
-    b = float(rotation)
-    if m < 1:
-        raise PreconditionViolated("block size must be >= 1")
+    _above(size, -np.inf, "size")  # not finite is refused before not an integer
+    a = _above(growth, -np.inf, "growth")
+    b = _above(rotation, -np.inf, "rotation")
+    src = FlowEvaluator([(size, a, b)], guard=_INTERNAL_GUARD)  # checks the size
+    m = src.blocks[0][0]
     if a == 0 or b == 0:
         raise PreconditionViolated("unwinding needs nonzero growth and rotation")
-    src = FlowEvaluator([(m, a, b)], guard=_INTERNAL_GUARD)
     A = src.generator_matrix()
     # diagonal chain metric; double the gap until the norm is monotone
     for g, G in _chain_weights(src, 40):
@@ -817,6 +797,7 @@ def build_rotation_unwind_map(size, growth, rotation):
     prof = _NormProfile(src, G, S, None, np.sign(a), ((ev[0], ev[-1]), None))
     stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
+    @np.errstate(all="ignore")  # the map checks every result
     def _map(X, sgn):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
@@ -838,8 +819,8 @@ def build_rotation_unwind_map(size, growth, rotation):
         name="unwind",
         source_flow=src,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
-        forward_batch=lambda X: _quiet(_map, X, 1.0),
-        inverse_batch=lambda W: _quiet(_map, W, -1.0),
+        forward_batch=lambda X: _map(X, 1.0),
+        inverse_batch=lambda W: _map(W, -1.0),
         source_spec=GeneratorSpec([JordanBlock(m, fa, abs(Fraction(b)))]),
         target_spec=target_spec,
         metadata={

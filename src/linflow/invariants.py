@@ -19,6 +19,7 @@ from math import gcd, inf, lcm
 
 from ._record import record
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
+from .errors import _at_least, _point
 from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout
 
 __all__ = [
@@ -156,8 +157,7 @@ def partition_dims(spec):
 
 def refined_dim(spec, m, s):
     # m == 0 is the degenerate row: only the strictly-slower part survives.
-    if m < 0:
-        raise PreconditionViolated(f"refined_dim needs a degree index m >= 0, got {m}")
+    _at_least(m, 0, "degree index m")
     s = Fraction(s)
     total = 0
     for b in spec.blocks:
@@ -329,13 +329,13 @@ def minimal_period(spec, x=None):
     """
     if not is_bounded(spec):
         raise NotBounded("minimal period needs a bounded flow")
-    if x is not None and len(x) != spec.dim:
-        raise PreconditionViolated(f"x has length {len(x)}, expected {spec.dim}")
+    if x is not None:
+        x = _point(x, spec.dim)
     rates = []
     layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
     for b, halves in zip(spec.blocks, layout):
         supported = x is None or any(
-            float(x[h + i]) != 0.0 for h in halves for i in range(b.size)
+            x[h + i] != 0.0 for h in halves for i in range(b.size)
         )
         if supported and b.im != 0:
             rates.append(b.im)

@@ -13,20 +13,20 @@ and flow treats its rows independently, so the batching moves no bit of
 any report.  The decay and period probes flow one point over one capped
 time grid, and the period probe refines its candidate times together,
 one flow call per bisection step.  The distortion, decay and period
-probes take their point through `_point`: shape (dim,), entries finite.
+probes take their point through `errors._point`: dim entries, each a finite
+real number.
 """
 
 from __future__ import annotations
 
-from math import inf, lgamma, pi
-from numbers import Real
+from math import lgamma, pi
 
 import numpy as np
 
 from ._record import factory, record
 from .blocks import _fields_to_json, _layout
-from .errors import LinFlowError, NotStable, PreconditionViolated
-from .flows import FlowEvaluator
+from .errors import LinFlowError, NotStable, PreconditionViolated, _above, _at_least, _point
+from .flows import _INTERNAL_GUARD, FlowEvaluator
 from .invariants import (
     distortion_subspace,
     minimal_period,
@@ -47,33 +47,7 @@ __all__ = [
     "period_probe",
 ]
 
-_PROBE_GUARD = 1e9
 _ROWS = 1 << 14  # rows per map or flow call, unless one grid item has more
-
-
-def _at_least(value, least, what):
-    """A count or seed argument must be an int >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise PreconditionViolated(f"need {what} >= {least}, got {value!r}")
-
-
-def _above(value, least, what):
-    """A horizon, tolerance, distance or bound must be a finite real number > least."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not least < value < inf:
-        raise PreconditionViolated(f"need a finite {what} > {least:.6g}, got {value!r}")
-
-
-def _point(spec, x):
-    """x as a float array of shape (spec.dim,), every entry finite."""
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise PreconditionViolated("point must be an array of real numbers") from None
-    if x.shape != (spec.dim,):
-        raise PreconditionViolated(f"point must have shape ({spec.dim},)")
-    if not np.isfinite(x).all():
-        raise PreconditionViolated(f"point must be finite, got {x.tolist()}")
-    return x
 
 
 def _chunks(count, rows_each, budget):
@@ -153,16 +127,13 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
     """
     _at_least(n_points, 1, "n_points")
     _at_least(seed, 0, "seed")
-    if times is None:
-        times = np.linspace(-5.0, 5.0, 11)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise PreconditionViolated(f"times must be one-dimensional, got shape {times.shape}")
+    times = np.linspace(-5.0, 5.0, 11) if times is None else np.array(_point(times, None, "times"))
     if times.size == 0:
         raise PreconditionViolated("need at least one time")
-    if not 0 < radii[0] <= radii[1] < np.inf:
-        raise PreconditionViolated(f"need radii (lo, hi) with 0 < lo <= hi < inf, got {radii}")
-    X = _sample_points(hmap.source_flow.dim, n_points, seed, radii)
+    lo, hi = _point(radii, 2, "radii")
+    if not 0 < lo <= hi:
+        raise PreconditionViolated(f"need radii (lo, hi) with 0 < lo <= hi, got {radii}")
+    X = _sample_points(hmap.source_flow.dim, n_points, seed, (lo, hi))
     try:
         round_trip, residuals = _conjugacy_grid(hmap, X, times, _ROWS)
     except LinFlowError:
@@ -296,7 +267,7 @@ def distortion_probe(
     a finite t_max > 1; eps and both bounds must be finite and > 0.
     """
     sub = distortion_subspace(spec)  # raises NotStable on non-stable input
-    x = _point(spec, x)
+    x = np.array(_point(x, spec.dim))
     _at_least(n_grid, 1, "n_grid")
     _at_least(seed, 0, "seed")
     _above(t_max, 1.0, "t_max")  # the grid starts at 1
@@ -308,7 +279,7 @@ def distortion_probe(
     member = all(
         abs(x[i]) <= 1e-12 * scale for i in range(spec.dim) if i not in inside
     )
-    flow = FlowEvaluator.from_spec(spec, guard=_PROBE_GUARD)
+    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
     lam = abs(float(top_rate(spec)))
     M = top_size(spec)
     blk, halves = _choose_witness_block(spec)
@@ -431,14 +402,14 @@ def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
     and compared with the structural prediction."""
     if any(b.re >= 0 for b in spec.blocks):
         raise NotStable("decay probe requires a stable generator")
-    x = _point(spec, x)
+    x = np.array(_point(x, spec.dim))
     _at_least(n, 3, "n")  # samples for the 3 fitted parameters
-    window = tuple(float(w) for w in window)
-    if len(window) != 2 or not 0 < window[0] < window[1] < np.inf:
-        raise PreconditionViolated(f"need a window (lo, hi) with 0 < lo < hi < inf, got {window}")
+    lo, hi = _point(window, 2, "a window")
+    if not 0 < lo < hi:
+        raise PreconditionViolated(f"need a window (lo, hi) with 0 < lo < hi, got {window}")
     exp_rate, exp_deg = _expected_decay(spec, x)
-    flow = FlowEvaluator.from_spec(spec, guard=_PROBE_GUARD)
-    ts = np.linspace(window[0], window[1], n)
+    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
+    ts = np.linspace(lo, hi, n)
     Z = flow.apply_batch(ts, np.tile(x, (n, 1)))
     vals = np.log(np.linalg.norm(Z, axis=1))
     design = np.column_stack([ts, np.log(ts), np.ones(n)])
@@ -472,7 +443,7 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     The grid runs from 0.45 times the fastest carrier period to t_max
     (default 1.25 times the predicted period), so a t_max given must be
     finite and past that start; tol must be finite and > 0."""
-    x = _point(spec, x)
+    x = np.array(_point(x, spec.dim))
     q = minimal_period(spec, x)  # raises NotBounded on unbounded input
     _above(tol, 0.0, "tol")
     rates = [abs(float(b.im)) for b in spec.blocks if b.im != 0]
@@ -483,7 +454,7 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     if t_max is not None:
         _above(t_max, start, "t_max")
     predicted = float(q) * 2.0 * pi
-    flow = FlowEvaluator.from_spec(spec, guard=_PROBE_GUARD)
+    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
     nx = float(np.linalg.norm(x))
     if q == 0:
         drift = float(np.linalg.norm(flow.apply(0.7, x) - x))

@@ -15,13 +15,12 @@ integer vector; only its sign is left, and the key takes the smaller form
 over +c and -c.  The forms themselves, and the transforms and parts the
 predicates below compare, are defined once in `invariants`.
 
-`scaling_candidates` is the older scan's finite list of alphas: any usable
-alpha must match either a ratio of nonzero growth rates (the spectra must
-align) or a ratio of nonzero rotation rates (the central parts must align);
-when neither side has such data, scaling acts trivially and alpha = 1
-stands in for all.  The classifier no longer calls it; it stays public as
-the candidate list of the independent oracle its tests compare against,
-the scan `find_scaling`, which lives with the tests.
+`scaling_candidates` is the finite list of alphas of the reference scan
+`find_scaling`, the independent oracle of the classifier that lives with
+the tests.  Any usable alpha must match either a ratio of nonzero growth
+rates (the spectra must align) or a ratio of nonzero rotation rates (the
+central parts must align); when neither side has such data, scaling acts
+trivially and alpha = 1 stands in for all.
 `normalising_scalings`, the unit-size normaliser, serves `catalog2d`.
 """
 

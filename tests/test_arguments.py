@@ -1,0 +1,147 @@
+"""The argument contract of the exact and constructive entry points.
+
+Sizes, counts, finite scalars and points are checked by the three helpers
+of `errors`: a block size or degree index must be an int (not a bool), a
+rate or tolerance a real number whose float is finite, and a point a
+sequence of the spec's dimension of finite reals.  Each refused call below
+used to truncate its size, answer for a point that is not finite, accept a
+bool as a number, or end in a raw ValueError, TypeError or IndexError.
+Integers and floats of numpy, and Fractions, stay accepted and give what
+the plain Python numbers give.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from linflow import (
+    FlowEvaluator,
+    GeneratorSpec,
+    JordanBlock,
+    PreconditionViolated,
+    SnapFailure,
+    SpecParseError,
+    build_parabola_shear,
+    build_rotation_unwind_map,
+    build_spiral_map,
+    decay_rate_probe,
+    minimal_period,
+    parse_matrix,
+    period_probe,
+    realify,
+    refined_dim,
+    spec_from_matrix,
+    verify_conjugacy,
+)
+
+
+def S(*blks):
+    return GeneratorSpec(tuple(JordanBlock(m, re, im) for m, re, im in blks))
+
+
+TWO_CARRIERS = S((1, 0, 2), (1, 0, 3))
+MATRIX = parse_matrix('{"dim": 2, "rows": [[0, "-1/4"], [1, 0]]}')
+IRRATIONAL = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')  # eigenvalues +-i/sqrt 3
+
+
+@pytest.mark.parametrize("error, call", [
+    (PreconditionViolated, lambda: FlowEvaluator([(2.7, -1.0, 1.0)])),  # size 2
+    (PreconditionViolated, lambda: FlowEvaluator([(True, -1.0, 1.0)])),  # size 1
+    (PreconditionViolated, lambda: FlowEvaluator([("2", -1.0, 1.0)])),  # size 2
+    (PreconditionViolated, lambda: build_rotation_unwind_map(2.7, -1, 1)),  # size 2
+    (PreconditionViolated, lambda: build_rotation_unwind_map(True, -1, 1)),  # size 1
+    (PreconditionViolated, lambda: build_rotation_unwind_map("2", -1, 1)),  # size 2
+    (PreconditionViolated, lambda: build_spiral_map(True)),  # rate 1
+    (PreconditionViolated, lambda: build_parabola_shear(False)),  # shift 0
+    (SpecParseError, lambda: realify([(1.5, 0, 1)])),  # a block of size 1
+    (PreconditionViolated, lambda: minimal_period(TWO_CARRIERS, [math.nan, 0, 0, 0])),  # 1/2
+    (PreconditionViolated, lambda: minimal_period(TWO_CARRIERS, [math.inf, 0, 0, 0])),  # 1/2
+    (PreconditionViolated, lambda: minimal_period(S((1, 0, 2)), "ab")),  # ValueError
+    (PreconditionViolated, lambda: minimal_period(S((1, 0, 2)), 5)),  # TypeError
+    (PreconditionViolated, lambda: minimal_period(S((1, 0, 2)), [None, 1])),  # TypeError
+    (PreconditionViolated, lambda: refined_dim(S((2, -1, 0)), 1.5, 0)),  # 2
+    (PreconditionViolated, lambda: spec_from_matrix(MATRIX, tol="1")),  # TypeError
+    (PreconditionViolated, lambda: spec_from_matrix(MATRIX, max_denominator=1.5)),  # a spec
+    (PreconditionViolated, lambda: spec_from_matrix(MATRIX, max_denominator=True)),  # a spec
+], ids=["flow-fractional-size", "flow-bool-size", "flow-string-size", "unwind-fractional-size",
+        "unwind-bool-size", "unwind-string-size", "spiral-bool-rate", "shear-bool-shift",
+        "realify-fractional-size", "period-nan-point", "period-infinite-point",
+        "period-string-point", "period-scalar-point", "period-none-entry",
+        "refined-fractional-degree", "ingest-string-tol", "ingest-fractional-denominator",
+        "ingest-bool-denominator"])
+def test_entry_points_refuse_arguments_outside_their_domain(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_ingest_keeps_its_one_message():
+    want = ("need a finite tol > 0 and max_denominator >= 1, got tol=1e-09, "
+            "max_denominator=1.5")
+    with pytest.raises(PreconditionViolated) as info:
+        spec_from_matrix(MATRIX, max_denominator=1.5)
+    assert str(info.value) == want
+
+
+def _unwind_image(size, growth, rotation):
+    hmap = build_rotation_unwind_map(size, growth, rotation)
+    x = np.linspace(-1.0, 1.0, hmap.source_flow.dim)
+    return hmap.source_spec, hmap.forward(x).tolist()
+
+
+def _spiral(rate):
+    hmap = build_spiral_map(rate)
+    return hmap.source_spec, hmap.metadata, hmap.forward(np.array([0.3, -2.0])).tolist()
+
+
+def _shear(shift):
+    return build_parabola_shear(shift).forward(np.array([0.3, -2.0])).tolist()
+
+
+def _snap_failure(**bounds):
+    with pytest.raises(SnapFailure) as info:
+        spec_from_matrix(IRRATIONAL, **bounds)
+    return str(info.value)
+
+
+X4 = [0.5, 0.0, 0.0, -1.5]
+
+
+# (call with numpy integers and floats or Fractions, call with plain Python numbers)
+@pytest.mark.parametrize("given, plain", [
+    (lambda: FlowEvaluator([(np.int64(2), -1.0, 1.0)]).blocks,
+     lambda: FlowEvaluator([(2, -1.0, 1.0)]).blocks),
+    (lambda: _unwind_image(np.int64(2), np.float64(-1.0), Fraction(1)),
+     lambda: _unwind_image(2, -1.0, 1.0)),
+    (lambda: realify([(np.int64(2), 0, 1), (np.int32(1), -1, 0)]),
+     lambda: realify([(2, 0, 1), (1, -1, 0)])),
+    (lambda: _spiral(np.float64(0.5)), lambda: _spiral(0.5)),
+    (lambda: _spiral(Fraction(1, 2)), lambda: _spiral(0.5)),
+    (lambda: _shear(np.float64(1.5)), lambda: _shear(1.5)),
+    (lambda: _shear(Fraction(3, 2)), lambda: _shear(1.5)),
+    (lambda: refined_dim(S((2, -1, 0)), np.int64(1), 0),
+     lambda: refined_dim(S((2, -1, 0)), 1, 0)),
+    (lambda: minimal_period(TWO_CARRIERS, np.array(X4)),
+     lambda: minimal_period(TWO_CARRIERS, X4)),
+    (lambda: minimal_period(TWO_CARRIERS, [np.float64(v) for v in X4]),
+     lambda: minimal_period(TWO_CARRIERS, X4)),
+    (lambda: period_probe(TWO_CARRIERS, [np.float64(v) for v in X4]),
+     lambda: period_probe(TWO_CARRIERS, X4)),
+    (lambda: decay_rate_probe(S((2, -1, 0)), [np.float64(0.0), Fraction(1)],
+                              window=(np.float64(5.0), 60)),
+     lambda: decay_rate_probe(S((2, -1, 0)), [0.0, 1.0], window=(5.0, 60.0))),
+    (lambda: verify_conjugacy(build_spiral_map(1.0), times=np.array([-1.0, 2.0]),
+                              n_points=np.int64(4), radii=(np.float64(0.25), Fraction(4))),
+     lambda: verify_conjugacy(build_spiral_map(1.0), times=[-1.0, 2.0], n_points=4)),
+    (lambda: spec_from_matrix(MATRIX, tol=np.float64(1e-9), max_denominator=np.int64(1024)),
+     lambda: spec_from_matrix(MATRIX)),
+    # a numpy bound made numpy integer Fractions, whose products overflowed
+    (lambda: _snap_failure(max_denominator=np.int64(1024)), lambda: _snap_failure()),
+], ids=["flow-numpy-size", "unwind-numpy-size-and-rates", "realify-numpy-sizes",
+        "spiral-numpy-rate", "spiral-fraction-rate", "shear-numpy-shift",
+        "shear-fraction-shift", "refined-numpy-degree", "period-numpy-point",
+        "period-numpy-entries", "period-probe-numpy-entries", "decay-numpy-entries",
+        "conjugacy-numpy-grid", "ingest-numpy-bounds", "ingest-numpy-bound-snap-failure"])
+def test_entry_points_accept_numpy_and_exact_numbers(given, plain):
+    assert given() == plain()

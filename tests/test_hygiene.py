@@ -14,7 +14,9 @@ keep the exact integer kernels of `_ratlinalg` free of generator-expression
 product sums (`sum(x * y for x, y in zip(a, b))`), whose per-item bytecode
 costs about twice `sum(map(mul, a, b))`.  Matrix ingestion stays behind
 one module: no module imports `_ratlinalg` but `blocks`, and `blocks` only
-inside `spec_from_matrix`, so only matrix input loads it.
+inside `spec_from_matrix`, so only matrix input loads it.  The argument
+checks live in one module too: no module but `errors` defines `_at_least`,
+`_above` or `_point`, and none defines the retired `_require_finite`.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -284,6 +286,44 @@ def test_the_check_sees_ratlinalg_imports():
         (1, None), (2, None), (3, None), (4, None), (6, "spec_from_matrix"), (11, "C")]
     blocks = (PACKAGE / "blocks.py").read_text(encoding="utf-8")
     assert [owner for _, owner in ratlinalg_imports(blocks)] == ["spec_from_matrix"]
+
+
+ARGUMENT_CHECKS = {"_at_least", "_above", "_point"}
+
+
+def defined_names(source):
+    """Every name that source defines by def, class or assignment, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_argument_checks_are_defined_only_in_errors(path):
+    # one module decides what counts as a size, a count, a bound or a point
+    banned = {"_require_finite"} | (set() if path.name == "errors.py" else ARGUMENT_CHECKS)
+    assert sorted(defined_names(path.read_text(encoding="utf-8")) & banned) == []
+
+
+def test_the_check_sees_argument_check_definitions():
+    source = (
+        "from .errors import _point\n"
+        "def _at_least(value, least, what):\n"
+        "    def _require_finite(**scalars): pass\n"
+        "class Probe:\n"
+        "    def _point(self, x): pass\n"
+        "_above = lambda value: value\n"
+        "_seen: int = 0\n"
+    )
+    assert defined_names(source) == {
+        "_at_least", "_require_finite", "Probe", "_point", "_above", "_seen"}
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    assert ARGUMENT_CHECKS <= defined_names(errors)
 
 
 TESTS = Path(__file__).resolve().parent

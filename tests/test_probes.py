@@ -427,6 +427,13 @@ def test_decay_probe_validation():
     lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=True),
     lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(0, 1)),
     lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(2, 1)),
+    # a ValueError, TypeError and IndexError
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=["a"], n_points=4),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=("a", 1)),
+    lambda: verify_conjugacy(build_spiral_map(1.0), times=[0.0], n_points=4, radii=(1,)),
+    # a ValueError and TypeError
+    lambda: decay_rate_probe(S((1, -1, 0)), [1.0], window=("a", 2)),
+    lambda: decay_rate_probe(S((1, -1, 0)), [1.0], window=5),
     # a negative "period" -0.028
     lambda: period_probe(S((1, 0, 1)), np.ones(2), t_max=-1),
     # OverflowError from numpy (an infinite grid length)
@@ -473,8 +480,9 @@ def test_decay_probe_validation():
         "decay-no-samples", "decay-two-samples", "decay-log-zero", "decay-empty-window",
         "decay-infinite-window", "decay-three-ends", "conjugacy-seed", "conjugacy-2d-times",
         "conjugacy-scalar-times", "conjugacy-bool-points", "conjugacy-zero-radius",
-        "conjugacy-reversed-radii", "period-negative-horizon", "period-infinite-horizon",
-        "period-nan-horizon", "period-horizon-before-grid", "period-zero-tol",
+        "conjugacy-reversed-radii", "conjugacy-string-times", "conjugacy-string-radius",
+        "conjugacy-one-radius", "decay-string-window", "decay-scalar-window",
+        "period-negative-horizon", "period-infinite-horizon", "period-nan-horizon", "period-horizon-before-grid", "period-zero-tol",
         "period-nan-tol", "period-fixed-point-negative-tol",
         "period-fixed-point-infinite-horizon", "distortion-backward-grid-member",
         "distortion-backward-grid-outside", "distortion-infinite-horizon-member",
