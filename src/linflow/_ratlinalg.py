@@ -35,8 +35,9 @@ D, with the same Jordan structure.
   identity and multistep integer-preserving Gaussian elimination"); block
   sizes follow.  For a pair the Jordan blocks m_j of a + bi recur at
   a - bi, so dim ker p(B)^k = 2 * sum_j min(k, m_j) and the complex rank
-  of (B - a - bi)^k is (d + rank p(B)^k) / 2.  A simple eigenvalue needs
-  no elimination: its certified multiplicity 1 makes it one block of
+  of (B - a - bi)^k is (d + rank p(B)^k) / 2.  Ranks are taken only
+  where the certified multiplicity does not already fix them (see
+  ``rank_sequence``); a simple eigenvalue needs none, being one block of
   size 1 (1 <= geometric <= algebraic multiplicity), ranks [d, d - 1].
 
 When the spectrum is not exactly rational at the denominator bound, the
@@ -350,16 +351,18 @@ def _row_basis(vecs):
     return out
 
 
-def rank_sequence(B, factor, kmax):
-    """Complex ranks of (B - z I)^k for k = 0..kmax, at a root z of factor.
+def rank_sequence(B, factor, mult):
+    """Complex ranks of (B - z I)^k for k = 0..mult, at a root z of factor.
 
     B is an integer matrix and factor the monic integer polynomial of z
     that certified it: x - c for a real z = c, or x^2 + u x + c for a pair
-    z, conj(z) (u^2 < 4c).  kmax is at least the algebraic multiplicity of
-    z, the eigenvalue's own multiplicity being what ingestion passes.  The
-    ranks then cannot fall below d - width*kmax, width = len(factor) - 1,
-    and once they reach it or repeat they stay, so the elimination stops
-    there and the sequence is padded.
+    z, conj(z) (u^2 < 4c); mult is z's certified algebraic multiplicity.
+    The ranks r_k of p(B)^k fall to the floor d - width*mult, width =
+    len(factor) - 1, by drops width * #{blocks of size >= k} that never
+    grow.  So at floor + width the next rank is the floor, and after a drop
+    of width the one block left drops by width per power to the floor: the
+    rest is filled in without elimination.  A rank that does not fall, or
+    falls below the floor, contradicts mult: InternalCheckError.
     """
     d = len(B)
     width = len(factor) - 1
@@ -376,16 +379,20 @@ def rank_sequence(B, factor, kmax):
              for j, (b, col) in enumerate(zip(row, cols))]
             for i, row in enumerate(B)
         ]
-    floor = d - width * kmax
+    floor = d - width * mult
     ranks = [d]
     vecs = [list(col) for col in zip(*M)]  # the image of M^1 is spanned by M's columns
-    while len(ranks) <= kmax:
+    # eliminate while the next rank is open: above floor + width, last drop > width
+    while ranks[-1] > floor + width and (len(ranks) == 1 or ranks[-2] - ranks[-1] > width):
+        if len(ranks) > 1:
+            vecs = [_mat_vec(M, v) for v in vecs]  # image of M^(k+1) = M (image of M^k)
         vecs = _row_basis(vecs)
+        if not floor <= len(vecs) < ranks[-1]:
+            raise InternalCheckError(f"ranks {ranks} then {len(vecs)} contradict mult {mult}")
         ranks.append(len(vecs))
-        if ranks[-1] == floor or ranks[-1] == ranks[-2]:
-            ranks += [ranks[-1]] * (kmax + 1 - len(ranks))
-            break
-        vecs = [_mat_vec(M, v) for v in vecs]  # image of M^(k+1) = M (image of M^k)
+    # one block is left at most: each power drops the rank by width to the floor
+    ranks += range(ranks[-1] - width, floor - 1, -width)
+    ranks += [floor] * (mult + 1 - len(ranks))
     if width == 2:
         ranks = [(d + r) // 2 for r in ranks]
     return ranks

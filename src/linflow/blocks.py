@@ -40,7 +40,7 @@ from fractions import Fraction
 from numbers import Integral
 
 from ._record import DERIVED, record
-from .errors import PreconditionViolated, SnapFailure, SpecParseError, _above, _at_least
+from .errors import PreconditionViolated, SnapFailure, SpecParseError, _above, _at_least, _rational
 
 __all__ = [
     "JordanBlock",
@@ -127,8 +127,8 @@ class JordanBlock:
             object.__setattr__(self, "size", int(self.size))
         if self.size < 1:
             raise SpecParseError(f"block size must be >= 1, got {self.size}")
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", abs(Fraction(self.im)))
+        object.__setattr__(self, "re", _rational(self.re, "growth rate", SpecParseError))
+        object.__setattr__(self, "im", abs(_rational(self.im, "rotation rate", SpecParseError)))
 
     @property
     def dim(self):
@@ -344,7 +344,7 @@ def scale_spec(spec, alpha):
     rates by |alpha| (a negative alpha also reverses orientation, which the
     normalized im absorbs).
     """
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha, "scaling factor")
     if alpha == 0:
         raise PreconditionViolated("scaling factor must be nonzero")
     return GeneratorSpec(
@@ -370,17 +370,10 @@ def realify(blocks):
     """
     out = []
     for blk in blocks:
-        if isinstance(blk, JordanBlock):
-            m, re, im = blk.size, blk.re, blk.im
-        else:
+        if not isinstance(blk, JordanBlock):
             m, re, im = blk
-        re = Fraction(re)
-        im = Fraction(im)
-        if im == 0:
-            out.append(JordanBlock(m, re, 0))
-            out.append(JordanBlock(m, re, 0))
-        else:
-            out.append(JordanBlock(m, re, abs(im)))
+            blk = JordanBlock(m, re, im)
+        out.extend((blk, blk) if blk.im == 0 else (blk,))
     return GeneratorSpec(tuple(out))
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._record import record
 from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, scale_spec, serialize_spec
-from .errors import DimMismatch, InternalCheckError
+from .errors import DimMismatch, InternalCheckError, PreconditionViolated
 from .invariants import _part, _spectrum, _unrotated
 from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
 from .similarity import (
@@ -159,6 +159,9 @@ class _Pair:
     __slots__ = ("a", "b", "_dims", "_projective", "_alphas")
 
     def __init__(self, a, b):
+        if not (isinstance(a, GeneratorSpec) and isinstance(b, GeneratorSpec)):
+            raise PreconditionViolated(
+                f"need two GeneratorSpecs, got {type(a).__name__} and {type(b).__name__}")
         self.a, self.b = a, b
         self._dims = self._projective = None
         self._alphas = {}

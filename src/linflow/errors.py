@@ -10,10 +10,14 @@ CLI) can map failures to stable exit codes:
 Every layer imports this module, so it also holds the one set of argument
 checks, each raising PreconditionViolated: `_at_least` for a size, count or
 seed (an int, not a bool), `_above` for a rate, horizon, tolerance or bound
-(a real, not a bool, whose float is finite) and `_point` for a point or any
-other list of finite reals.  int and float are tried before the slow ABCs.
+(a real, not a bool, whose float is finite), `_point` for a point or any
+other list of finite reals, and `_rational` for an exact rate or factor
+(anything Fraction takes: an int, a Rational, a finite float or a "p/q"
+string; a block's rates raise SpecParseError instead).  int and float are
+tried before the slow ABCs.
 """
 
+from fractions import Fraction
 from math import inf, isfinite
 from numbers import Integral, Real
 
@@ -120,3 +124,12 @@ def _point(x, dim, what="a point"):
         pass
     count = "" if dim is None else f"{dim} "
     raise PreconditionViolated(f"need {what} of {count}finite real numbers, got {x!r}")
+
+
+def _rational(value, what, error=PreconditionViolated):
+    """Fraction(value), if Fraction takes it; else error, so that a NaN, an
+    infinity or a malformed string never ends in a raw ValueError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise error(f"need a finite rational {what}, got {value!r}") from None

@@ -19,7 +19,7 @@ from math import gcd, inf, lcm
 
 from ._record import record
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
-from .errors import _at_least, _point
+from .errors import _at_least, _point, _rational
 from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout
 
 __all__ = [
@@ -158,7 +158,7 @@ def partition_dims(spec):
 def refined_dim(spec, m, s):
     # m == 0 is the degenerate row: only the strictly-slower part survives.
     _at_least(m, 0, "degree index m")
-    s = Fraction(s)
+    s = _rational(s, "growth rate s")
     total = 0
     for b in spec.blocks:
         if b.re < s:
@@ -171,7 +171,7 @@ def refined_dim(spec, m, s):
 
 def max_block_size_at(spec, s):
     """Largest block size among blocks with growth rate exactly s (0 if none)."""
-    s = Fraction(s)
+    s = _rational(s, "growth rate s")
     return max((b.size for b in spec.blocks if b.re == s), default=0)
 
 

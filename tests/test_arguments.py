@@ -1,13 +1,14 @@
 """The argument contract of the exact and constructive entry points.
 
-Sizes, counts, finite scalars and points are checked by the three helpers
-of `errors`: a block size or degree index must be an int (not a bool), a
-rate or tolerance a real number whose float is finite, and a point a
-sequence of the spec's dimension of finite reals.  Each refused call below
+Sizes, counts, finite scalars, points and exact rationals are checked by
+the four helpers of `errors`: a block size or degree index must be an int
+(not a bool), a rate or tolerance a real number whose float is finite, a
+point a sequence of the spec's dimension of finite reals, and an exact
+rate or scaling factor anything Fraction takes.  Each refused call below
 used to truncate its size, answer for a point that is not finite, accept a
-bool as a number, or end in a raw ValueError, TypeError or IndexError.
-Integers and floats of numpy, and Fractions, stay accepted and give what
-the plain Python numbers give.
+bool as a number, or end in a raw ValueError, TypeError, OverflowError,
+IndexError or AttributeError.  Integers and floats of numpy, and
+Fractions, stay accepted and give what the plain Python numbers give.
 """
 
 import math
@@ -26,12 +27,16 @@ from linflow import (
     build_parabola_shear,
     build_rotation_unwind_map,
     build_spiral_map,
+    classify,
     decay_rate_probe,
+    implication_audit,
+    max_block_size_at,
     minimal_period,
     parse_matrix,
     period_probe,
     realify,
     refined_dim,
+    scale_spec,
     spec_from_matrix,
     verify_conjugacy,
 )
@@ -42,6 +47,7 @@ def S(*blks):
 
 
 TWO_CARRIERS = S((1, 0, 2), (1, 0, 3))
+SADDLE = S((2, -1, 0))
 MATRIX = parse_matrix('{"dim": 2, "rows": [[0, "-1/4"], [1, 0]]}')
 IRRATIONAL = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')  # eigenvalues +-i/sqrt 3
 
@@ -65,12 +71,28 @@ IRRATIONAL = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')  # eigenv
     (PreconditionViolated, lambda: spec_from_matrix(MATRIX, tol="1")),  # TypeError
     (PreconditionViolated, lambda: spec_from_matrix(MATRIX, max_denominator=1.5)),  # a spec
     (PreconditionViolated, lambda: spec_from_matrix(MATRIX, max_denominator=True)),  # a spec
+    (SpecParseError, lambda: JordanBlock(1, math.nan, 0)),  # ValueError
+    (SpecParseError, lambda: JordanBlock(1, None, 0)),  # TypeError
+    (SpecParseError, lambda: JordanBlock(1, 0, math.inf)),  # OverflowError
+    (SpecParseError, lambda: JordanBlock(1, "1/0", 0)),  # ZeroDivisionError
+    (SpecParseError, lambda: realify([(1, math.nan, 1)])),  # ValueError
+    (PreconditionViolated, lambda: scale_spec(SADDLE, math.nan)),  # ValueError
+    (PreconditionViolated, lambda: scale_spec(SADDLE, math.inf)),  # OverflowError
+    (PreconditionViolated, lambda: scale_spec(SADDLE, "x")),  # ValueError
+    (PreconditionViolated, lambda: refined_dim(SADDLE, 1, math.nan)),  # ValueError
+    (PreconditionViolated, lambda: max_block_size_at(SADDLE, math.nan)),  # ValueError
+    (PreconditionViolated, lambda: classify("LinEquiv", SADDLE, 5)),  # AttributeError
+    (PreconditionViolated, lambda: classify("LinEquiv", MATRIX, SADDLE)),  # AttributeError
+    (PreconditionViolated, lambda: implication_audit(SADDLE, 5)),  # AttributeError
 ], ids=["flow-fractional-size", "flow-bool-size", "flow-string-size", "unwind-fractional-size",
         "unwind-bool-size", "unwind-string-size", "spiral-bool-rate", "shear-bool-shift",
         "realify-fractional-size", "period-nan-point", "period-infinite-point",
         "period-string-point", "period-scalar-point", "period-none-entry",
         "refined-fractional-degree", "ingest-string-tol", "ingest-fractional-denominator",
-        "ingest-bool-denominator"])
+        "ingest-bool-denominator", "block-nan-rate", "block-none-rate", "block-infinite-rate",
+        "block-zero-denominator", "realify-nan-rate", "scale-nan", "scale-infinite",
+        "scale-string", "refined-nan-rate", "max-size-nan-rate", "classify-int",
+        "classify-matrix", "audit-int"])
 def test_entry_points_refuse_arguments_outside_their_domain(error, call):
     with pytest.raises(error):
         call()
@@ -138,10 +160,27 @@ X4 = [0.5, 0.0, 0.0, -1.5]
      lambda: spec_from_matrix(MATRIX)),
     # a numpy bound made numpy integer Fractions, whose products overflowed
     (lambda: _snap_failure(max_denominator=np.int64(1024)), lambda: _snap_failure()),
+    (lambda: JordanBlock(1, np.float64(0.25), "-1/2"),
+     lambda: JordanBlock(1, Fraction(1, 4), Fraction(1, 2))),
+    (lambda: scale_spec(SADDLE, np.int64(-2)), lambda: scale_spec(SADDLE, -2)),
+    (lambda: scale_spec(SADDLE, "3/2"), lambda: scale_spec(SADDLE, 1.5)),
+    (lambda: refined_dim(SADDLE, 1, np.float64(-1.0)), lambda: refined_dim(SADDLE, 1, -1)),
+    (lambda: max_block_size_at(SADDLE, Fraction(-1)), lambda: max_block_size_at(SADDLE, -1)),
 ], ids=["flow-numpy-size", "unwind-numpy-size-and-rates", "realify-numpy-sizes",
         "spiral-numpy-rate", "spiral-fraction-rate", "shear-numpy-shift",
         "shear-fraction-shift", "refined-numpy-degree", "period-numpy-point",
         "period-numpy-entries", "period-probe-numpy-entries", "decay-numpy-entries",
-        "conjugacy-numpy-grid", "ingest-numpy-bounds", "ingest-numpy-bound-snap-failure"])
+        "conjugacy-numpy-grid", "ingest-numpy-bounds", "ingest-numpy-bound-snap-failure",
+        "block-numpy-and-string-rates", "scale-numpy-factor", "scale-string-factor",
+        "refined-numpy-rate", "max-size-fraction-rate"])
 def test_entry_points_accept_numpy_and_exact_numbers(given, plain):
     assert given() == plain()
+
+
+def test_rational_refusals_name_the_argument():
+    with pytest.raises(SpecParseError, match=r"need a finite rational growth rate, got nan"):
+        JordanBlock(1, math.nan, 0)
+    with pytest.raises(PreconditionViolated, match=r"need a finite rational scaling factor, got inf"):
+        scale_spec(SADDLE, math.inf)
+    with pytest.raises(PreconditionViolated, match=r"need two GeneratorSpecs, got GeneratorSpec and int"):
+        implication_audit(SADDLE, 5)

@@ -16,7 +16,8 @@ costs about twice `sum(map(mul, a, b))`.  Matrix ingestion stays behind
 one module: no module imports `_ratlinalg` but `blocks`, and `blocks` only
 inside `spec_from_matrix`, so only matrix input loads it.  The argument
 checks live in one module too: no module but `errors` defines `_at_least`,
-`_above` or `_point`, and none defines the retired `_require_finite`.
+`_above`, `_point` or `_rational`, and none defines the retired
+`_require_finite`.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -288,7 +289,7 @@ def test_the_check_sees_ratlinalg_imports():
     assert [owner for _, owner in ratlinalg_imports(blocks)] == ["spec_from_matrix"]
 
 
-ARGUMENT_CHECKS = {"_at_least", "_above", "_point"}
+ARGUMENT_CHECKS = {"_at_least", "_above", "_point", "_rational"}
 
 
 def defined_names(source):
@@ -319,9 +320,12 @@ def test_the_check_sees_argument_check_definitions():
         "    def _point(self, x): pass\n"
         "_above = lambda value: value\n"
         "_seen: int = 0\n"
+        "def scale(alpha):\n"
+        "    _rational = Fraction(alpha)\n"
     )
     assert defined_names(source) == {
-        "_at_least", "_require_finite", "Probe", "_point", "_above", "_seen"}
+        "_at_least", "_require_finite", "Probe", "_point", "_above", "_seen", "scale",
+        "_rational"}
     errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
     assert ARGUMENT_CHECKS <= defined_names(errors)
 
@@ -334,7 +338,7 @@ ORACLES = sorted(p for p in TESTS.glob("*.py")
 def test_the_oracle_modules_are_found():
     names = {p.name for p in ORACLES}
     assert {"unstacked_solver.py", "grown_brackets.py", "hand_encoders.py",
-            "nested_inverse.py"} <= names
+            "nested_inverse.py", "full_rank_sequence.py"} <= names
 
 
 @pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)

@@ -11,6 +11,11 @@ and without repeated factors, and ``divmod_monic`` against ``div``.
 more digits.  For the simple eigenvalues of dense P J P^-1 matrices the
 oracle confirms the ranks [d, d - 1] that ingestion takes without an
 elimination, and ``spec_from_matrix`` returns the spec it started from.
+``rank_sequence`` fills in the ranks that the certified multiplicity fixes;
+the full-elimination loop of ``full_rank_sequence`` checks those ranks on
+a seeded pool of over 1000 eigenvalues, sympy on every partition of
+multiplicity 2..6, and a count of ``_row_basis`` calls pins how few
+eliminations five small structures need.
 """
 
 from datetime import timedelta
@@ -25,6 +30,7 @@ from linflow import _ratlinalg as rl
 from linflow.errors import InternalCheckError
 
 from conftest import random_spec
+from full_rank_sequence import full_rank_sequence
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ_I  # noqa: E402
@@ -146,23 +152,19 @@ def test_rank_sequence_matches_sympy(case):
     rows = _conjugate(rng, spec)
     B, D = rl.integer_matrix(rows)
     for (re, im), mult in _multiplicities(spec).items():
-        largest = max(b.size for b in spec.blocks if (b.re, b.im) == (re, im))
-        # kmax = mult stops early whenever the largest block is shorter;
-        # kmax past both pads the tail after the ranks settle
-        for kmax in sorted({largest, mult, mult + 2}):
-            if kmax < mult:
-                continue
-            # the eigenvalues of B = D A are D times those of A
-            ranks = rl.rank_sequence(B, rl._real_factor(D, re, im), kmax)
-            assert ranks == _oracle_ranks(rows, re, im, kmax)
-    # not an eigenvalue: full rank throughout.  7/3 and 7/3 + i/5, scaled by
-    # 15 D, have integer factors over B (the roots 35 D and 35 D + 3 D i),
-    # and neither divides chi_B
+        # the eigenvalues of B = D A are D times those of A; the ranks run
+        # to k = mult, the certified multiplicity that ingestion passes
+        ranks = rl.rank_sequence(B, rl._real_factor(D, re, im), mult)
+        assert ranks == _oracle_ranks(rows, re, im, mult)
+    # not an eigenvalue: full rank, which contradicts any claimed multiplicity.
+    # 7/3 and 7/3 + i/5, scaled by 15 D, have integer factors over B (the
+    # roots 35 D and 35 D + 3 D i), and neither divides chi_B
     chi = rl.charpoly(B)
     for re, im in ((Fraction(7, 3), Fraction(0)), (Fraction(7, 3), Fraction(1, 5))):
         factor = rl._real_factor(15 * D, re, im)
         assert rl.divmod_monic(chi, factor)[1]
-        assert rl.rank_sequence(B, factor, 2) == [spec.dim] * 3
+        with pytest.raises(InternalCheckError):
+            rl.rank_sequence(B, factor, 2)
 
 
 @pytest.mark.parametrize("D, re, im, factor", [
@@ -267,6 +269,112 @@ def test_rank_sequence_matches_sympy_on_40_digit_entries():
 def test_rank_sequence_kmax_zero_is_just_the_dimension():
     B, _ = rl.integer_matrix(materialize(_spec((2, 1, 0))).rows)
     assert rl.rank_sequence(B, [-1, 1], 0) == [2]
+
+
+def _elementary_conjugate(rng, spec):
+    """E J E^-1 for E a product of 3d elementary integer matrices I + c e_i e_j^T,
+    c = +-1: a dense conjugate, exact over Q, without a matrix inverse."""
+    A = [list(row) for row in materialize(spec).rows]
+    d = len(A)
+    for _ in range(3 * d):
+        i, j = (int(v) for v in rng.choice(d, size=2, replace=False))
+        c = int(rng.choice((-1, 1)))
+        A[i] = [x + c * y for x, y in zip(A[i], A[j])]  # E A: row i += c row j
+        for row in A:  # (E A) E^-1: column j -= c column i
+            row[j] -= c * row[i]
+    return tuple(tuple(row) for row in A)
+
+
+def _repeated_spec(rng, max_dim):
+    """Blocks of sizes 1..4, each sharing an earlier eigenvalue with
+    probability 1/2, real or a pair, total dimension 2..max_dim."""
+    target = int(rng.integers(2, max_dim + 1))
+    blocks, eigs, dim = [], [], 0
+    while dim < target:
+        if eigs and rng.random() < 0.5:
+            re, im = eigs[int(rng.integers(len(eigs)))]
+        else:
+            re = Fraction(int(rng.integers(-8, 9)), int(rng.choice((1, 2, 4))))
+            im = Fraction(int(rng.integers(1, 7)), int(rng.choice((1, 2)))) if rng.random() < 0.4 else 0
+            eigs.append((re, im))
+        m = min(int(rng.integers(1, 5)), (target - dim) // (2 if im else 1))
+        if m:
+            blocks.append((m, re, im))
+            dim += m * (2 if im else 1)
+    return _spec(*blocks)
+
+
+def test_rank_sequence_matches_full_elimination_on_a_seeded_pool():
+    # every eigenvalue of 600 dense conjugates, d <= 12: the ranks that the
+    # stopping rule fills in are the ones each further elimination would find
+    rng = np.random.default_rng(23)
+    checked = repeated = 0
+    for _ in range(600):
+        spec = _repeated_spec(rng, 12)
+        B, D = rl.integer_matrix(_elementary_conjugate(rng, spec))
+        for (re, im), mult in _multiplicities(spec).items():
+            factor = rl._real_factor(D, re, im)
+            ranks = rl.rank_sequence(B, factor, mult)
+            assert ranks == full_rank_sequence(B, factor, mult)
+            sizes = sorted(b.size for b in spec.blocks if (b.re, b.im) == (re, im))
+            assert rl._sizes_from_ranks(ranks, mult) == sizes
+            checked += 1
+            repeated += mult > 1
+    assert checked >= 1000 and repeated >= 700
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for m in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - m, m):
+            yield (m,) + rest
+
+
+PARTITIONS = [p for n in range(2, 7) for p in _partitions(n)]
+
+
+@pytest.mark.parametrize("im", [0, Fraction(3, 2)], ids=["real", "pair"])
+@pytest.mark.parametrize("sizes", PARTITIONS, ids=lambda p: "+".join(map(str, p)))
+def test_rank_sequence_matches_sympy_on_every_partition(sizes, im):
+    # one eigenvalue with blocks `sizes`, beside a second eigenvalue
+    rng = np.random.default_rng(len(sizes) * 10 + sum(sizes))
+    re = Fraction(-1, 2)
+    spec = _spec(*((m, re, im) for m in sizes), (1, 2, 0))
+    rows = _elementary_conjugate(rng, spec)
+    B, D = rl.integer_matrix(rows)
+    mult = sum(sizes)
+    ranks = rl.rank_sequence(B, rl._real_factor(D, re, Fraction(im)), mult)
+    assert ranks == _oracle_ranks(rows, re, Fraction(im), mult)
+    assert rl._sizes_from_ranks(ranks, mult) == sorted(sizes)
+
+
+@pytest.mark.parametrize("im", [0, Fraction(3, 2)], ids=["real", "pair"])
+@pytest.mark.parametrize("sizes, eliminations", [
+    ((3,), 1), ((2, 1), 1), ((1, 1, 1), 1), ((3, 1), 2), ((2, 2), 2),
+], ids=["3", "2+1", "1+1+1", "3+1", "2+2"])
+def test_rank_sequence_takes_only_the_eliminations_it_needs(sizes, eliminations, im,
+                                                            monkeypatch):
+    # after the first elimination, [3] and [2, 1] drop by one block width
+    # to one width above the floor and [1, 1, 1] reaches it; [3, 1] and
+    # [2, 2] leave two blocks open and need the rank of the square
+    rng = np.random.default_rng(len(sizes))
+    re = Fraction(1, 3)
+    spec = _spec(*((m, re, im) for m in sizes), (2, -1, 0))
+    B, D = rl.integer_matrix(_elementary_conjugate(rng, spec))
+    calls = []
+    row_basis = rl._row_basis
+
+    def counted(vecs):
+        calls.append(len(vecs))
+        return row_basis(vecs)
+
+    monkeypatch.setattr(rl, "_row_basis", counted)
+    mult = sum(sizes)
+    ranks = rl.rank_sequence(B, rl._real_factor(D, re, Fraction(im)), mult)
+    assert rl._sizes_from_ranks(ranks, mult) == sorted(sizes)
+    assert len(calls) == eliminations
 
 
 # ---------------------------------------------------------------------------
