@@ -32,7 +32,7 @@ _LAZY = {
     "errors": ("ClusterAmbiguity", "DefinitenessCheckFailed", "DimMismatch",
                "InternalCheckError", "LinFlowError", "MonotonicityNotAchieved",
                "NotBounded", "NotStable", "PreconditionViolated", "RangeGuard", "SnapFailure",
-               "SpecParseError"),
+               "SpecParseError", "UnknownRelation"),
     "invariants": ("DistortionSubspace", "GrowthProfile", "PartitionDims",
                    "distortion_subspace", "growth_profile", "is_bounded", "is_generic",
                    "lyapunov_spectrum", "max_block_size_at", "minimal_period",

@@ -11,8 +11,16 @@ The exact tier clears the denominators of A once, B = D*A with D their lcm
 pays for a Fraction gcd.  The eigenvalues of A are those of B divided by
 D, with the same Jordan structure.
 
-* ``charpoly`` runs Berkowitz's division-free algorithm on B and returns
-  the monic integer chi_B; chi_A(x) = D^-d chi_B(D x).
+* ``_diagonal_blocks`` splits B along the connected components of its
+  symmetric nonzero pattern, a simultaneous row and column permutation
+  to block-diagonal form; a dense B is one component and stays whole.
+  chi_B is the product of the blocks' charpolys and every rank below the
+  sum of theirs, so the O(d^4) and elimination work is the blocks'.  The
+  square-free part, rooting, snapping and certification run once, on
+  the product.
+* ``charpoly`` runs Berkowitz's division-free algorithm on a block and
+  returns its monic integer characteristic polynomial; chi_A(x) =
+  D^-d chi_B(D x).
 * ``squarefree`` gives the monic square-free part of chi_B.  Most
   characteristic polynomials are square-free already, and that is proved
   modulo the prime p = 2^61 - 1: if chi had a repeated factor g^2 over Q,
@@ -22,7 +30,9 @@ D, with the same Jordan structure.
   is gcd(chi, chi') taken over Z, by the primitive polynomial remainder
   sequence (Brown 1971, "On Euclid's algorithm and the computation of
   polynomial greatest common divisors").  Its float roots, scaled to A
-  and polished by Newton steps, are each snapped to a rational within tol.
+  and polished by Newton steps, are each snapped to a rational within tol
+  by ``_snap``: the best approximation with a bounded denominator, from
+  the continued fraction of the float's exact ratio, in integers only.
 * ``_real_factor`` builds the monic integer factor of each snapped
   eigenvalue once, and ``divmod_monic`` divides chi_B by it, which
   certifies the eigenvalue and its multiplicity.  By the rational-root
@@ -39,6 +49,8 @@ D, with the same Jordan structure.
   where the certified multiplicity does not already fix them (see
   ``rank_sequence``); a simple eigenvalue needs none, being one block of
   size 1 (1 <= geometric <= algebraic multiplicity), ranks [d, d - 1].
+  Over diagonal blocks (``_summed_ranks``) the same holds per block, at
+  the multiplicity that p divides out of the block's charpoly.
 
 When the spectrum is not exactly rational at the denominator bound, the
 numeric tier clusters A's float eigenvalues within tol, snaps each
@@ -54,6 +66,7 @@ zero polynomial is the empty list.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isfinite, lcm
 from operator import mul
 
@@ -80,7 +93,9 @@ def ingest(matrix, tol, max_denominator):
     rank_sequence are called by their module names, so a wrapper set on
     either attribute sees every call."""
     B, D = integer_matrix(matrix.rows)
-    exact = _exact_tier(charpoly(B), D, tol, max_denominator)
+    parts = [(Bc, charpoly(Bc)) for Bc in _diagonal_blocks(B)]
+    chi = reduce(_poly_mul, (chi_c for _, chi_c in parts))
+    exact = _exact_tier(chi, D, tol, max_denominator)
     if exact is not None:
         eigs, residual, factors = exact
         _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
@@ -91,12 +106,57 @@ def ingest(matrix, tol, max_denominator):
             # <= algebraic multiplicity: no elimination can add to that
             if mult == 1:
                 return [len(B), len(B) - 1]
-            return rank_sequence(B, factors[re, im], mult)
+            if len(parts) == 1:
+                return rank_sequence(B, factors[re, im], mult)
+            return _summed_ranks(parts, factors[re, im], mult)
 
     else:
         eigs, residual, ranks = _numeric_tier(matrix, tol, max_denominator)
         what = "numeric rank sequence"
     return _structure(eigs, ranks, what), residual, exact is not None
+
+
+def _diagonal_blocks(B):
+    """B's principal submatrices on the connected components of its
+    symmetric nonzero pattern (i ~ j when B[i][j] or B[j][i] is nonzero),
+    each on ascending indices; [B] itself when the pattern is connected.
+
+    Permuting rows and columns alike to the components' order makes B
+    block-diagonal with these blocks.  The search stops once every index
+    is reached, so a dense B costs one pass over its first row and column.
+    """
+    left = set(range(len(B)))
+    comps = []
+    while left:
+        todo = [min(left)]
+        left.difference_update(todo)
+        comp = list(todo)
+        while todo and left:
+            i = todo.pop()
+            row = B[i]
+            new = [j for j in left if row[j] or B[j][i]]
+            left.difference_update(new)
+            todo += new
+            comp += new
+        comps.append(sorted(comp))
+    if len(comps) <= 1:
+        return [B]
+    return [[[B[i][j] for j in comp] for i in comp] for comp in comps]
+
+
+def _summed_ranks(parts, factor, mult):
+    """Complex ranks of (B - z I)^k for k = 0..mult, at a root z of factor
+    of certified multiplicity mult, as sums over B's diagonal blocks
+    (Bc, chi_c).  In a block that factor divides m times, m >= 2 takes
+    rank_sequence, m = 1 gives [n, n - 1] and m = 0 leaves the full size
+    n; each rank stays at its last value past k = m."""
+    total = [0] * (mult + 1)
+    for Bc, chi_c in parts:
+        m = _divide_out(chi_c, factor)[1]
+        r = rank_sequence(Bc, factor, m) if m > 1 else [len(Bc), len(Bc) - m]
+        for k in range(mult + 1):
+            total[k] += r[min(k, m)]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +203,31 @@ def _float_roots_squarefree(chi, D):
 
 
 def _snap(x, max_denominator):
+    """The rational nearest the float x with denominator <= max_denominator,
+    as Fraction(x).limit_denominator(max_denominator) finds it: the same
+    continued-fraction loop from x.as_integer_ratio(), whose last convergent
+    p1/q1 and semiconvergent p/q are compared by integer cross-multiplication,
+    with a tie to p1/q1.  Only the result becomes a Fraction."""
     if not isfinite(x):
         raise SnapFailure(f"eigenvalue estimate {x} is not finite")
-    return Fraction(x).limit_denominator(max_denominator)
+    num, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p/q - x|, both sides times q1 * q * den
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p, q)
 
 
 def _real_factor(D, re, im):
@@ -182,13 +264,7 @@ def _exact_tier(chi, D, tol, max_denominator):
         factor = _real_factor(D, *pair)
         if factor is None:
             return None
-        mult = 0
-        while True:
-            q, r = divmod_monic(remaining, factor)
-            if r:
-                break
-            remaining = q
-            mult += 1
+        remaining, mult = _divide_out(remaining, factor)
         if mult == 0:
             return None
         eigs[pair] = mult
@@ -196,6 +272,18 @@ def _exact_tier(chi, D, tol, max_denominator):
     if len(remaining) != 1:
         return None
     return eigs, residual, factors
+
+
+def _divide_out(poly, factor):
+    """(quotient, m): poly divided by the largest power factor^m that
+    divides it exactly, for a monic integer factor of degree >= 1."""
+    m = 0
+    while True:
+        q, r = divmod_monic(poly, factor)
+        if r:
+            return poly, m
+        poly = q
+        m += 1
 
 
 def _check_cluster_separation(pts, tol):
@@ -423,6 +511,15 @@ def charpoly(B):
         # Toeplitz product: entry i is sum_j col[i - j] v[j], j = 0..min(i, r)
         v = [sum(map(mul, col[i::-1], v)) for i in range(r + 2)]
     return v[::-1]
+
+
+def _poly_mul(a, b):
+    """Product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _trim(p):

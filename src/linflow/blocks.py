@@ -148,10 +148,15 @@ class GeneratorSpec:
     dim: int = DERIVED
 
     def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=JordanBlock.sort_key))
+        try:
+            blocks = list(self.blocks)
+        except TypeError:
+            raise SpecParseError("GeneratorSpec takes a sequence of JordanBlock entries") from None
         for b in blocks:
             if not isinstance(b, JordanBlock):
                 raise SpecParseError("GeneratorSpec takes JordanBlock entries")
+        blocks.sort(key=JordanBlock.sort_key)
+        blocks = tuple(blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "dim", sum(b.dim for b in blocks))
 
@@ -228,6 +233,15 @@ class ApproxSpec:
         return self.spec.dim
 
 
+def _require_spec(spec):
+    """spec, if it is a GeneratorSpec; else PreconditionViolated.  The one
+    check of the functions that take a spec and would otherwise fail on
+    its missing attributes."""
+    if not isinstance(spec, GeneratorSpec):
+        raise PreconditionViolated(f"need a GeneratorSpec, got {type(spec).__name__}")
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # parse / serialize
 
@@ -274,6 +288,7 @@ def parse_spec(source):
 
 
 def serialize_spec(spec):
+    _require_spec(spec)
     return {
         "blocks": [
             {"m": b.size, "re": rational_to_json(b.re), "im": rational_to_json(b.im)}
@@ -344,6 +359,7 @@ def scale_spec(spec, alpha):
     rates by |alpha| (a negative alpha also reverses orientation, which the
     normalized im absorbs).
     """
+    _require_spec(spec)
     alpha = _rational(alpha, "scaling factor")
     if alpha == 0:
         raise PreconditionViolated("scaling factor must be nonzero")
@@ -413,7 +429,7 @@ def materialize(spec):
     diagonal, ones on the superdiagonal.  With im = b > 0 the block is the
     2m x 2m matrix [[J, -b I], [b I, J]] acting on R^m x R^m.
     """
-    d = spec.dim
+    d = _require_spec(spec).dim
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i, j, v in _block_entries((b.size, b.re, b.im) for b in spec.blocks):
         rows[i][j] = v

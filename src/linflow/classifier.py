@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._record import record
 from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, scale_spec, serialize_spec
-from .errors import DimMismatch, InternalCheckError, PreconditionViolated
+from .errors import DimMismatch, InternalCheckError, PreconditionViolated, UnknownRelation
 from .invariants import _part, _spectrum, _unrotated
 from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
 from .similarity import (
@@ -61,7 +61,7 @@ class Relation(enum.Enum):
             if rel.value.lower() == text.strip().lower():
                 return rel
         names = ", ".join(r.value for r in cls)
-        raise ValueError(f"unknown relation {text!r}; expected one of {names}")
+        raise UnknownRelation(f"unknown relation {text!r}; expected one of {names}")
 
 
 class Decision(enum.Enum):

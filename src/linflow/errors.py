@@ -4,6 +4,7 @@ Everything raised on purpose derives from LinFlowError so callers (and the
 CLI) can map failures to stable exit codes:
 
 * parse / ingestion problems  -> SpecParseError and its subclasses
+* an unknown relation name    -> UnknownRelation, also a ValueError
 * violated preconditions      -> PreconditionViolated and its subclasses
 * internal cross-checks       -> InternalCheckError (a bug, never expected)
 
@@ -12,9 +13,9 @@ checks, each raising PreconditionViolated: `_at_least` for a size, count or
 seed (an int, not a bool), `_above` for a rate, horizon, tolerance or bound
 (a real, not a bool, whose float is finite), `_point` for a point or any
 other list of finite reals, and `_rational` for an exact rate or factor
-(anything Fraction takes: an int, a Rational, a finite float or a "p/q"
-string; a block's rates raise SpecParseError instead).  int and float are
-tried before the slow ABCs.
+(anything Fraction takes but a bool: an int, a Rational, a finite float or
+a "p/q" string; a block's rates raise SpecParseError instead).  int and
+float are tried before the slow ABCs.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ __all__ = [
     "DefinitenessCheckFailed",
     "MonotonicityNotAchieved",
     "InternalCheckError",
+    "UnknownRelation",
 ]
 
 
@@ -53,6 +55,11 @@ class SnapFailure(SpecParseError):
 class ClusterAmbiguity(SpecParseError):
     """Two distinct eigenvalue clusters sit closer than twice the tolerance,
     so their identification is ambiguous.  The ingester never guesses."""
+
+
+class UnknownRelation(LinFlowError, ValueError):
+    """A relation name that is none of the eleven.  It is a ValueError too,
+    so the CLI keeps its usage exit code for it."""
 
 
 class PreconditionViolated(LinFlowError):
@@ -127,8 +134,13 @@ def _point(x, dim, what="a point"):
 
 
 def _rational(value, what, error=PreconditionViolated):
-    """Fraction(value), if Fraction takes it; else error, so that a NaN, an
-    infinity or a malformed string never ends in a raw ValueError."""
+    """Fraction(value), if Fraction takes it and it is no bool; else error,
+    so that a NaN, an infinity or a malformed string never ends in a raw
+    ValueError.  A Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is bool:
+        raise error(f"need a finite rational {what}, got {value!r}")
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

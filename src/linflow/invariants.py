@@ -20,7 +20,7 @@ from math import gcd, inf, lcm
 from ._record import record
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
 from .errors import _at_least, _point, _rational
-from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout
+from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout, _require_spec
 
 __all__ = [
     "PartitionDims",
@@ -71,7 +71,7 @@ class PartitionDims:
 
 def _triples(spec):
     """The sorted (re, im, size) triples of a spec's blocks."""
-    return tuple(b.sort_key() for b in spec.blocks)
+    return tuple(b.sort_key() for b in _require_spec(spec).blocks)
 
 
 def _spec(triples):
@@ -122,7 +122,7 @@ def partition_dims(spec):
     The fast path of the `_PARTS` table: the tests check it against the
     dimensions of the subspecs."""
     stable = central = unstable = semisimple = 0
-    for b in spec.blocks:
+    for b in _require_spec(spec).blocks:
         d = b.dim
         sign = b.re.numerator
         if sign < 0:

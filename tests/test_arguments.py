@@ -4,10 +4,12 @@ Sizes, counts, finite scalars, points and exact rationals are checked by
 the four helpers of `errors`: a block size or degree index must be an int
 (not a bool), a rate or tolerance a real number whose float is finite, a
 point a sequence of the spec's dimension of finite reals, and an exact
-rate or scaling factor anything Fraction takes.  Each refused call below
-used to truncate its size, answer for a point that is not finite, accept a
-bool as a number, or end in a raw ValueError, TypeError, OverflowError,
-IndexError or AttributeError.  Integers and floats of numpy, and
+rate or scaling factor anything Fraction takes but a bool.  The functions
+that take a spec refuse anything else with PreconditionViolated, and a
+GeneratorSpec refuses entries that are not blocks with SpecParseError.
+Each refused call below used to truncate its size, answer for a point that
+is not finite, accept a bool as a number, or end in a raw ValueError,
+TypeError, OverflowError, IndexError or AttributeError.  Integers and floats of numpy, and
 Fractions, stay accepted and give what the plain Python numbers give.
 """
 
@@ -30,14 +32,20 @@ from linflow import (
     classify,
     decay_rate_probe,
     implication_audit,
+    lyapunov_spectrum,
+    materialize,
     max_block_size_at,
     minimal_period,
     parse_matrix,
+    partition_dims,
     period_probe,
     realify,
     refined_dim,
     scale_spec,
+    semisimple_collapse,
+    serialize_spec,
     spec_from_matrix,
+    time_reverse,
     verify_conjugacy,
 )
 
@@ -84,6 +92,13 @@ IRRATIONAL = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')  # eigenv
     (PreconditionViolated, lambda: classify("LinEquiv", SADDLE, 5)),  # AttributeError
     (PreconditionViolated, lambda: classify("LinEquiv", MATRIX, SADDLE)),  # AttributeError
     (PreconditionViolated, lambda: implication_audit(SADDLE, 5)),  # AttributeError
+    (SpecParseError, lambda: JordanBlock(1, True, 0)),  # re = 1
+    (SpecParseError, lambda: JordanBlock(1, 0, False)),  # im = 0
+    (PreconditionViolated, lambda: scale_spec(SADDLE, True)),  # SADDLE
+    (PreconditionViolated, lambda: refined_dim(SADDLE, 1, False)),  # 2
+    (PreconditionViolated, lambda: max_block_size_at(SADDLE, True)),  # 0
+    (SpecParseError, lambda: GeneratorSpec([(1, 0, 0)])),  # AttributeError
+    (SpecParseError, lambda: GeneratorSpec(5)),  # TypeError
 ], ids=["flow-fractional-size", "flow-bool-size", "flow-string-size", "unwind-fractional-size",
         "unwind-bool-size", "unwind-string-size", "spiral-bool-rate", "shear-bool-shift",
         "realify-fractional-size", "period-nan-point", "period-infinite-point",
@@ -92,7 +107,9 @@ IRRATIONAL = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')  # eigenv
         "ingest-bool-denominator", "block-nan-rate", "block-none-rate", "block-infinite-rate",
         "block-zero-denominator", "realify-nan-rate", "scale-nan", "scale-infinite",
         "scale-string", "refined-nan-rate", "max-size-nan-rate", "classify-int",
-        "classify-matrix", "audit-int"])
+        "classify-matrix", "audit-int", "block-bool-rate", "block-bool-rotation",
+        "scale-bool", "refined-bool-rate", "max-size-bool-rate", "spec-tuple-entry",
+        "spec-int"])
 def test_entry_points_refuse_arguments_outside_their_domain(error, call):
     with pytest.raises(error):
         call()
@@ -175,6 +192,18 @@ X4 = [0.5, 0.0, 0.0, -1.5]
         "refined-numpy-rate", "max-size-fraction-rate"])
 def test_entry_points_accept_numpy_and_exact_numbers(given, plain):
     assert given() == plain()
+
+
+@pytest.mark.parametrize("call", [
+    scale_spec, time_reverse, serialize_spec, materialize, partition_dims,
+    semisimple_collapse, lyapunov_spectrum,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("arg", [5, MATRIX, [JordanBlock(1, 0, 0)], None],
+                         ids=["int", "matrix", "block-list", "none"])
+def test_spec_functions_refuse_what_is_not_a_spec(call, arg):
+    args = (arg, 2) if call is scale_spec else (arg,)
+    with pytest.raises(PreconditionViolated, match=r"need a GeneratorSpec, got \w+$"):
+        call(*args)
 
 
 def test_rational_refusals_name_the_argument():

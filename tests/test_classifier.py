@@ -31,7 +31,7 @@ from linflow import (
 )
 from linflow import similarity
 from linflow.classifier import _topological_label_2d
-from linflow.errors import DimMismatch, InternalCheckError
+from linflow.errors import DimMismatch, InternalCheckError, LinFlowError, UnknownRelation
 
 from conftest import find_scaling, random_spec
 
@@ -55,6 +55,15 @@ def test_relation_from_string_is_forgiving():
     assert Relation.from_string("PwLipConj") is Relation.PW_LIP_CONJ
     with pytest.raises(ValueError):
         Relation.from_string("almostEquiv")
+
+
+def test_an_unknown_relation_is_a_typed_value_error():
+    # a LinFlowError for library callers, still a ValueError for the CLI's exit 1
+    with pytest.raises(UnknownRelation, match=r"unknown relation 'Nope'; expected one of LinEquiv") as info:
+        Relation.from_string("Nope")
+    assert isinstance(info.value, LinFlowError) and isinstance(info.value, ValueError)
+    with pytest.raises(UnknownRelation):
+        classify("Nope", S((1, -1, 0)), S((1, -1, 0)))
 
 
 def test_classify_accepts_relation_strings():

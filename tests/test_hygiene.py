@@ -17,7 +17,8 @@ one module: no module imports `_ratlinalg` but `blocks`, and `blocks` only
 inside `spec_from_matrix`, so only matrix input loads it.  The argument
 checks live in one module too: no module but `errors` defines `_at_least`,
 `_above`, `_point` or `_rational`, and none defines the retired
-`_require_finite`.
+`_require_finite`.  Snapping has one kernel, `_ratlinalg._snap`: no
+module reaches `limit_denominator`, as an attribute, a name or a string.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -351,3 +352,34 @@ def test_oracle_module_is_imported_by_a_test(path):
     users = [p.name for p in TESTS.glob("test_*.py")
              if path.stem in imported_modules(p.read_text(encoding="utf-8"))]
     assert users, path.name
+
+
+def limit_denominator_uses(source):
+    """Line of each reference to `limit_denominator` in source: an
+    attribute, a name, or a string that is that name (as getattr takes it)."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "limit_denominator")
+        or (isinstance(node, ast.Name) and node.id == "limit_denominator")
+        or (isinstance(node, ast.Constant) and node.value == "limit_denominator")
+    )
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_snapping_has_one_kernel(path):
+    # `_ratlinalg._snap` finds the best approximation with integers only
+    assert limit_denominator_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_limit_denominator():
+    source = (
+        "from fractions import Fraction\n"
+        "def snap(x, n):\n"
+        "    return Fraction(x).limit_denominator(n)\n"
+        "best = getattr(Fraction(1, 3), 'limit_denominator')\n"
+        "limit_denominator = Fraction.limit_denominator\n"
+        "def f(x):\n"
+        "    'the same as limit_denominator'\n"
+        "    return x\n"
+    )
+    assert limit_denominator_uses(source) == [3, 4, 5, 5]

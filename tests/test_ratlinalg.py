@@ -15,9 +15,17 @@ elimination, and ``spec_from_matrix`` returns the spec it started from.
 the full-elimination loop of ``full_rank_sequence`` checks those ranks on
 a seeded pool of over 1000 eigenvalues, sympy on every partition of
 multiplicity 2..6, and a count of ``_row_basis`` calls pins how few
-eliminations five small structures need.
+eliminations five small structures need.  A block-diagonal matrix under a
+random permutation is ingested one diagonal block at a time: the blocks'
+charpolys multiply to the whole matrix's, their summed ranks equal full
+elimination on the whole matrix, a normal form of several blocks never
+passes the whole matrix to ``charpoly`` or ``rank_sequence``, and a dense
+one passes it to ``charpoly`` once.  ``_snap`` gives the numerator and
+denominator of ``Fraction.limit_denominator`` on seeded floats, ties
+included, at four denominator bounds.
 """
 
+import math
 from datetime import timedelta
 from fractions import Fraction
 
@@ -27,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from linflow import GeneratorSpec, JordanBlock, RationalMatrix, materialize, spec_from_matrix
 from linflow import _ratlinalg as rl
-from linflow.errors import InternalCheckError
+from linflow.errors import InternalCheckError, SnapFailure
 
 from conftest import random_spec
 from full_rank_sequence import full_rank_sequence
@@ -375,6 +383,147 @@ def test_rank_sequence_takes_only_the_eliminations_it_needs(sizes, eliminations,
     ranks = rl.rank_sequence(B, rl._real_factor(D, re, Fraction(im)), mult)
     assert rl._sizes_from_ranks(ranks, mult) == sorted(sizes)
     assert len(calls) == eliminations
+
+
+# ---------------------------------------------------------------------------
+# diagonal blocks: a decomposable matrix is ingested one block at a time
+
+
+def _permuted_block_diagonal(rng, max_groups=4):
+    """(spec, rows): Q J Q^T for a random permutation Q and J block-diagonal
+    in 2..max_groups groups, each group the materialized blocks of a random
+    spec or a dense conjugate of them; eigenvalues recur across groups."""
+    groups = [_repeated_spec(rng, 4) for _ in range(int(rng.integers(2, max_groups + 1)))]
+    d = sum(g.dim for g in groups)
+    J = [[Fraction(0)] * d for _ in range(d)]
+    off = 0
+    for g in groups:
+        rows = _elementary_conjugate(rng, g) if rng.random() < 0.5 else materialize(g).rows
+        for i, row in enumerate(rows):
+            J[off + i][off:off + g.dim] = row
+        off += g.dim
+    perm = [int(v) for v in rng.permutation(d)]
+    rows = tuple(tuple(J[perm[i]][perm[j]] for j in range(d)) for i in range(d))
+    return GeneratorSpec(tuple(b for g in groups for b in g.blocks)), rows
+
+
+def test_permuted_block_diagonal_matrices_ingest_exactly():
+    # the spec comes back exact from every simultaneous row and column
+    # permutation of a block-diagonal matrix, some of whose blocks are dense
+    rng = np.random.default_rng(41)
+    split = 0
+    for _ in range(60):
+        spec, rows = _permuted_block_diagonal(rng)
+        rec = spec_from_matrix(RationalMatrix(rows))
+        assert rec.exact and rec.spec == spec
+        split += len(rl._diagonal_blocks(rl.integer_matrix(rows)[0])) > 1
+    assert split == 60
+
+
+def test_the_blocks_multiply_to_chi_and_sum_to_the_ranks():
+    # chi_B is the product of the blocks' charpolys, and the summed ranks at
+    # every eigenvalue are those of full elimination on the whole matrix
+    rng = np.random.default_rng(43)
+    across = 0
+    for _ in range(40):
+        spec, rows = _permuted_block_diagonal(rng)
+        B, D = rl.integer_matrix(rows)
+        parts = [(Bc, rl.charpoly(Bc)) for Bc in rl._diagonal_blocks(B)]
+        chi = parts[0][1]
+        for _, chi_c in parts[1:]:
+            chi = rl._poly_mul(chi, chi_c)
+        assert chi == rl.charpoly(B)
+        for (re, im), mult in _multiplicities(spec).items():
+            factor = rl._real_factor(D, re, im)
+            assert rl._summed_ranks(parts, factor, mult) == full_rank_sequence(B, factor, mult)
+            across += sum(rl._divide_out(chi_c, factor)[1] > 0 for _, chi_c in parts) > 1
+    assert across >= 20
+
+
+def test_materialized_blocks_are_the_components():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        spec = _repeated_spec(rng, 12)
+        rows = materialize(spec).rows
+        d = len(rows)
+        perm = [int(v) for v in rng.permutation(d)]
+        B, _ = rl.integer_matrix([[rows[perm[i]][perm[j]] for j in range(d)] for i in range(d)])
+        assert sorted(map(len, rl._diagonal_blocks(B))) == sorted(b.dim for b in spec.blocks)
+    # a connected pattern is B itself, not a copy
+    B, _ = rl.integer_matrix(_conjugate(rng, STRUCTURED[0]))
+    assert rl._diagonal_blocks(B)[0] is B and len(rl._diagonal_blocks(B)) == 1
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(rl, name)
+
+    def counted(B, *args):
+        calls.append(len(B))
+        return inner(B, *args)
+
+    monkeypatch.setattr(rl, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", [c for c, spec in enumerate(STRUCTURED) if len(spec) > 1])
+def test_decomposable_input_never_reaches_the_kernels_whole(case, monkeypatch):
+    # a normal form of two or more blocks passes only its diagonal blocks to
+    # charpoly and rank_sequence; a dense conjugate passes the whole B to
+    # charpoly, once
+    spec = STRUCTURED[case]
+    charpolys = _counting(monkeypatch, "charpoly")
+    ranks = _counting(monkeypatch, "rank_sequence")
+    assert spec_from_matrix(materialize(spec)).spec == spec
+    assert charpolys and max(charpolys + ranks) < spec.dim
+    assert sorted(charpolys) == sorted(b.dim for b in spec.blocks)
+    del charpolys[:], ranks[:]
+    rng = np.random.default_rng(case)
+    rows = _conjugate(rng, spec)
+    while not all(x for row in rows for x in row):  # dense: no zero entry
+        rows = _conjugate(rng, spec)
+    assert spec_from_matrix(RationalMatrix(rows)).spec == spec
+    assert charpolys == [spec.dim]
+    assert all(n == spec.dim for n in ranks)
+
+
+# ---------------------------------------------------------------------------
+# the snap kernel against Fraction.limit_denominator
+
+
+def _snap_inputs(bound):
+    rng = np.random.default_rng(bound)
+    ks = [int(k) for k in rng.integers(-4000, 4001, size=200)]
+    xs = [k / 4 for k in ks]
+    xs += [k / 4 + 1e-12 for k in ks] + [k / 4 - 1e-12 for k in ks]
+    xs += [float(v) / (2 * bound) for v in rng.uniform(-1, 1, size=200)]  # |x| < 1/(2N)
+    xs += [(2 * k + 1) / (2 * bound) for k in ks]  # midway between two k/N
+    xs += [k + 0.5 for k in ks]  # midway between two integers
+    xs += [float(v) for v in rng.uniform(-50, 50, size=400)]
+    xs += [float(v) for v in rng.standard_normal(200) * 1e6]
+    return xs + [-x for x in xs] + [0.0, -0.0, 5e-324, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("bound", [1, 7, 1024, 10**6])
+def test_snap_matches_limit_denominator(bound):
+    for x in _snap_inputs(bound):
+        got = rl._snap(x, bound)
+        want = Fraction(x).limit_denominator(bound)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), x
+
+
+def test_snap_breaks_a_tie_as_limit_denominator_does():
+    # 5/2 lies midway between 2 and 3, 1/2048 between 0 and 1/1024: the
+    # last convergent wins
+    assert rl._snap(2.5, 1) == 2 and rl._snap(-2.5, 1) == -3
+    assert rl._snap(1 / 2048, 1024) == 0 and rl._snap(-1 / 2048, 1024) == 0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_snap_refuses_a_value_that_is_not_finite(x):
+    with pytest.raises(SnapFailure):
+        rl._snap(x, 1024)
 
 
 # ---------------------------------------------------------------------------
