@@ -169,12 +169,21 @@ class GeneratorSpec:
 
 @record
 class RationalMatrix:
-    """Dense square matrix with Fraction entries."""
+    """Dense square matrix with Fraction entries.
+
+    rows is a sequence of rows, each a sequence of entries that
+    `errors._rational` takes (a bool is refused); anything else raises
+    SpecParseError.
+    """
 
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
+        try:
+            rows = tuple(map(_matrix_row, self.rows))
+        except TypeError:  # the rows, or one of them, are not a sequence
+            raise SpecParseError(
+                "a matrix takes a sequence of rows, each a sequence of entries") from None
         d = len(rows)
         for row in rows:
             if len(row) != d:
@@ -210,6 +219,12 @@ class RationalMatrix:
         import hashlib
 
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _matrix_row(row):
+    if isinstance(row, (str, bytes)):  # a sequence of characters, not of entries
+        raise TypeError(row)
+    return tuple(_rational(x, "matrix entry", SpecParseError) for x in row)
 
 
 @record
@@ -385,11 +400,14 @@ def realify(blocks):
     real one maps to two copies).
     """
     out = []
-    for blk in blocks:
-        if not isinstance(blk, JordanBlock):
-            m, re, im = blk
-            blk = JordanBlock(m, re, im)
-        out.extend((blk, blk) if blk.im == 0 else (blk,))
+    try:
+        for blk in blocks:
+            if not isinstance(blk, JordanBlock):
+                m, re, im = blk
+                blk = JordanBlock(m, re, im)
+            out.extend((blk, blk) if blk.im == 0 else (blk,))
+    except (TypeError, ValueError):  # blocks, or an entry, is not a sequence of three
+        raise SpecParseError("realify takes a sequence of (size, re, im) triples") from None
     return GeneratorSpec(tuple(out))
 
 
@@ -458,6 +476,8 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     than return a guess.  Both routes live in `_ratlinalg`, the one module
     of matrix ingestion.
     """
+    if not isinstance(matrix, RationalMatrix):
+        raise PreconditionViolated(f"need a RationalMatrix, got {type(matrix).__name__}")
     try:
         _above(tol, 0.0, "tol")
         max_denominator = _at_least(max_denominator, 1, "max_denominator")  # numpy's as an int

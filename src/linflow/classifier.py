@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import record
-from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, scale_spec, serialize_spec
+from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _require_spec, scale_spec
+from .blocks import serialize_spec
 from .errors import DimMismatch, InternalCheckError, PreconditionViolated, UnknownRelation
 from .invariants import _part, _spectrum, _unrotated
 from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
@@ -57,9 +58,10 @@ class Relation(enum.Enum):
 
     @classmethod
     def from_string(cls, text):
-        for rel in cls:
-            if rel.value.lower() == text.strip().lower():
-                return rel
+        if isinstance(text, str):
+            for rel in cls:
+                if rel.value.lower() == text.strip().lower():
+                    return rel
         names = ", ".join(r.value for r in cls)
         raise UnknownRelation(f"unknown relation {text!r}; expected one of {names}")
 
@@ -152,11 +154,13 @@ class _Pair:
 
     Each part is computed on first use and kept for the pair's lifetime
     only: the partition dims, each spec's projective data (see
-    `similarity._projective`), and the keyed alpha of every form already
-    compared.  Certificates are built per verdict, never shared.
+    `similarity._projective`), the keyed alpha of every form already
+    compared, and the right generator scaled by each certified alpha.
+    Certificates and their witness dicts are built per verdict, never
+    shared.
     """
 
-    __slots__ = ("a", "b", "_dims", "_projective", "_alphas")
+    __slots__ = ("a", "b", "_dims", "_projective", "_alphas", "_scaled")
 
     def __init__(self, a, b):
         if not (isinstance(a, GeneratorSpec) and isinstance(b, GeneratorSpec)):
@@ -164,7 +168,7 @@ class _Pair:
                 f"need two GeneratorSpecs, got {type(a).__name__} and {type(b).__name__}")
         self.a, self.b = a, b
         self._dims = self._projective = None
-        self._alphas = {}
+        self._alphas, self._scaled = {}, {}
 
     def dims(self):
         if self._dims is None:
@@ -179,6 +183,13 @@ class _Pair:
             (key_a, c_a), (key_b, c_b) = (_projective_key(p, form) for p in self._projective)
             self._alphas[form] = c_b / c_a if key_a == key_b else None
         return self._alphas[form]
+
+    def scaled(self, alpha):
+        """scale_spec(b, alpha), built once per alpha."""
+        spec = self._scaled.get(alpha)
+        if spec is None:
+            spec = self._scaled[alpha] = scale_spec(self.b, alpha)
+        return spec
 
 
 def _decide_by_keys(pair, forms, scaled, name, trace):
@@ -200,7 +211,7 @@ def _decide_by_keys(pair, forms, scaled, name, trace):
         name,
         {
             "left_generator": serialize_spec(pair.a),
-            "scaled_right_generator": serialize_spec(scale_spec(pair.b, alpha)),
+            "scaled_right_generator": serialize_spec(pair.scaled(alpha)),
         },
     )
 
@@ -332,7 +343,7 @@ def catalog2d(spec):
     normalising scaling, to unit size: a growth rate of largest modulus
     becomes +1, else the top rotation rate becomes 1.
     """
-    if spec.dim != 2:
+    if _require_spec(spec).dim != 2:
         raise DimMismatch(f"catalog requires dimension 2, got {spec.dim}")
     forms = {
         "similar": spec,
@@ -435,7 +446,8 @@ def implication_audit(a, b):
     """Decide every relation for the pair and check the implication lattice.
 
     All eleven decisions share one pair, so each spec's key of each form is
-    computed once, and a conjugacy reuses its equivalence's alpha.  Edges
+    computed once, a conjugacy reuses its equivalence's alpha, and the right
+    generator is scaled once per certified alpha.  Edges
     with an Undecided endpoint are skipped; a violation is a premise decided
     Yes whose conclusion is decided No.
     """

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .blocks import GeneratorSpec, _block_entries, _layout
+from .blocks import GeneratorSpec, _block_entries, _layout, _require_spec
 from .errors import PreconditionViolated, RangeGuard, _at_least
 
 __all__ = ["FlowEvaluator", "flow_apply", "FLOW_TIME_GUARD"]
@@ -73,7 +73,8 @@ class FlowEvaluator:
 
     @classmethod
     def from_spec(cls, spec: GeneratorSpec, guard=FLOW_TIME_GUARD):
-        return cls([(b.size, float(b.re), float(b.im)) for b in spec.blocks], guard=guard)
+        return cls([(b.size, float(b.re), float(b.im)) for b in _require_spec(spec).blocks],
+                   guard=guard)
 
     def _check_t(self, ts):
         """max |t|, once it is checked against the guard."""

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._record import factory, record
-from .blocks import GeneratorSpec, JordanBlock, _layout
+from .blocks import GeneratorSpec, JordanBlock, _layout, _require_spec
 from .errors import (
     DefinitenessCheckFailed,
     InternalCheckError,
@@ -440,7 +440,7 @@ def build_uniform_exponent_map(spec):
     """For a semisimple generator whose blocks all share one negative
     growth rate, unwind each rotation plane by a spiral; the image flow is
     the uniform contraction at that rate."""
-    blocks = spec.blocks
+    blocks = _require_spec(spec).blocks
     if not blocks:
         raise PreconditionViolated("empty generator")
     a0 = blocks[0].re

@@ -160,7 +160,7 @@ def refined_dim(spec, m, s):
     _at_least(m, 0, "degree index m")
     s = _rational(s, "growth rate s")
     total = 0
-    for b in spec.blocks:
+    for b in _require_spec(spec).blocks:
         if b.re < s:
             total += b.dim
         elif b.re == s:
@@ -172,11 +172,11 @@ def refined_dim(spec, m, s):
 def max_block_size_at(spec, s):
     """Largest block size among blocks with growth rate exactly s (0 if none)."""
     s = _rational(s, "growth rate s")
-    return max((b.size for b in spec.blocks if b.re == s), default=0)
+    return max((b.size for b in _require_spec(spec).blocks if b.re == s), default=0)
 
 
 def top_rate(spec):
-    if not spec.blocks:
+    if not _require_spec(spec).blocks:
         raise PreconditionViolated("empty generator has no top growth rate")
     return max(b.re for b in spec.blocks)
 
@@ -209,7 +209,7 @@ class GrowthProfile:
 
 
 def growth_profile(spec):
-    if not spec.blocks:
+    if not _require_spec(spec).blocks:
         raise PreconditionViolated("empty generator has no growth profile")
     breakpoints = tuple(sorted({b.re for b in spec.blocks}))
     max_m = max(b.size for b in spec.blocks)
@@ -251,7 +251,7 @@ class DistortionSubspace:
 
 
 def distortion_subspace(spec):
-    if not spec.blocks:
+    if not _require_spec(spec).blocks:
         raise PreconditionViolated("empty generator")
     if any(b.re >= 0 for b in spec.blocks):
         raise NotStable("distortion subspace is defined for stable generators only")
@@ -315,7 +315,7 @@ def _inverse_gcd(rates):
 
 def is_bounded(spec):
     """All trajectories bounded: every block is size 1 with zero growth."""
-    return all(b.size == 1 and b.re == 0 for b in spec.blocks)
+    return all(b.size == 1 and b.re == 0 for b in _require_spec(spec).blocks)
 
 
 def minimal_period(spec, x=None):
@@ -346,7 +346,7 @@ def minimal_period(spec, x=None):
 
 def is_generic(spec):
     """Open dense class: semisimple, no zero rates, pairwise distinct rates."""
-    if any(b.size != 1 or b.re == 0 for b in spec.blocks):
+    if any(b.size != 1 or b.re == 0 for b in _require_spec(spec).blocks):
         return False
     rates = [b.re for b in spec.blocks]
     return len(set(rates)) == len(rates)

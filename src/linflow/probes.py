@@ -24,7 +24,7 @@ from math import lgamma, pi
 import numpy as np
 
 from ._record import factory, record
-from .blocks import _fields_to_json, _layout
+from .blocks import _fields_to_json, _layout, _require_spec
 from .errors import LinFlowError, NotStable, PreconditionViolated, _above, _at_least, _point
 from .flows import _INTERNAL_GUARD, FlowEvaluator
 from .invariants import (
@@ -400,7 +400,7 @@ def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
     """Least-squares fit of log |Phi_t x| = rate * t + degree * log t + c
     over the window, snapped to the nearest block rate and integer degree
     and compared with the structural prediction."""
-    if any(b.re >= 0 for b in spec.blocks):
+    if any(b.re >= 0 for b in _require_spec(spec).blocks):
         raise NotStable("decay probe requires a stable generator")
     x = np.array(_point(x, spec.dim))
     _at_least(n, 3, "n")  # samples for the 3 fitted parameters
@@ -443,7 +443,7 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     The grid runs from 0.45 times the fastest carrier period to t_max
     (default 1.25 times the predicted period), so a t_max given must be
     finite and past that start; tol must be finite and > 0."""
-    x = np.array(_point(x, spec.dim))
+    x = np.array(_point(x, _require_spec(spec).dim))
     q = minimal_period(spec, x)  # raises NotBounded on unbounded input
     _above(tol, 0.0, "tol")
     rates = [abs(float(b.im)) for b in spec.blocks if b.im != 0]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .blocks import _fields_to_json, rational_to_json
+from .blocks import _fields_to_json, _require_spec, rational_to_json
 from .errors import DimMismatch
 from .invariants import (
     _inverse_gcd,
@@ -55,7 +55,7 @@ __all__ = [
 
 def similar(a, b):
     """Linear similarity: equal block multisets."""
-    return a.blocks == b.blocks
+    return _require_spec(a).blocks == _require_spec(b).blocks
 
 
 def lyapunov_similar(a, b):
@@ -169,7 +169,7 @@ def scaling_candidates(a, b):
     deduplicated.  See the module docstring for the completeness argument;
     it is additionally fuzzed in the test suite.
     """
-    if a.dim != b.dim:
+    if _require_spec(a).dim != _require_spec(b).dim:
         raise DimMismatch(f"dims differ: {a.dim} vs {b.dim}")
     res_a = {blk.re for blk in a.blocks if blk.re != 0}
     res_b = {blk.re for blk in b.blocks if blk.re != 0}

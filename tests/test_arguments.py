@@ -7,25 +7,34 @@ point a sequence of the spec's dimension of finite reals, and an exact
 rate or scaling factor anything Fraction takes but a bool.  The functions
 that take a spec refuse anything else with PreconditionViolated, and a
 GeneratorSpec refuses entries that are not blocks with SpecParseError.
+A sweep over the package's public functions finds every function that
+takes a spec by its leading parameters, so a new one is covered without a
+list to keep.
 Each refused call below used to truncate its size, answer for a point that
 is not finite, accept a bool as a number, or end in a raw ValueError,
 TypeError, OverflowError, IndexError or AttributeError.  Integers and floats of numpy, and
 Fractions, stay accepted and give what the plain Python numbers give.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import linflow
 from linflow import (
     FlowEvaluator,
     GeneratorSpec,
     JordanBlock,
+    LinFlowError,
     PreconditionViolated,
+    RationalMatrix,
+    Relation,
     SnapFailure,
     SpecParseError,
+    UnknownRelation,
     build_parabola_shear,
     build_rotation_unwind_map,
     build_spiral_map,
@@ -213,3 +222,91 @@ def test_rational_refusals_name_the_argument():
         scale_spec(SADDLE, math.inf)
     with pytest.raises(PreconditionViolated, match=r"need two GeneratorSpecs, got GeneratorSpec and int"):
         implication_audit(SADDLE, 5)
+
+
+# Malformed input built in Python: a matrix that is no sequence of rows, an
+# entry that is no finite rational (a bool included), a matrix argument that
+# is no RationalMatrix, a relation that is no string, blocks that are no
+# sequence of triples.  Each used to end in a raw TypeError, ValueError or
+# AttributeError, or, for a bool entry, in a matrix of ones and zeros.
+@pytest.mark.parametrize("error, call", [
+    (SpecParseError, lambda: RationalMatrix(5)),  # TypeError
+    (SpecParseError, lambda: RationalMatrix([5, 6])),  # TypeError
+    (SpecParseError, lambda: RationalMatrix(["12", "34"])),  # [[1, 2], [3, 4]]
+    (SpecParseError, lambda: RationalMatrix([[1, 2], [None, 1]])),  # TypeError
+    (SpecParseError, lambda: RationalMatrix([[math.nan]])),  # ValueError
+    (SpecParseError, lambda: RationalMatrix([[math.inf]])),  # OverflowError
+    (SpecParseError, lambda: RationalMatrix([[True]])),  # [[1]]
+    (SpecParseError, lambda: RationalMatrix([["1/0"]])),  # ZeroDivisionError
+    (PreconditionViolated, lambda: spec_from_matrix(5)),  # AttributeError
+    (PreconditionViolated, lambda: spec_from_matrix([[0, 1], [-1, 0]])),  # AttributeError
+    (UnknownRelation, lambda: Relation.from_string(5)),  # AttributeError
+    (UnknownRelation, lambda: Relation.from_string(None)),  # AttributeError
+    (SpecParseError, lambda: realify(5)),  # TypeError
+    (SpecParseError, lambda: realify([5])),  # TypeError
+    (SpecParseError, lambda: realify([(1, 0)])),  # ValueError
+], ids=["matrix-int", "matrix-int-rows", "matrix-string-rows", "matrix-none-entry",
+        "matrix-nan-entry", "matrix-infinite-entry", "matrix-bool-entry",
+        "matrix-zero-denominator", "ingest-int", "ingest-list", "relation-int",
+        "relation-none", "realify-int", "realify-int-entry", "realify-pair-entry"])
+def test_typed_entry_points_refuse_malformed_input(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_matrix_entries_take_what_a_rational_takes():
+    plain = RationalMatrix(((0, Fraction(-1, 4)), (1, 0)))
+    assert plain == MATRIX
+    assert RationalMatrix(np.array([[0.0, -0.25], [1.0, 0.0]])) == plain
+    assert RationalMatrix([[np.int64(0), "-1/4"], (1, 0)]) == plain
+    with pytest.raises(SpecParseError, match=r"need a finite rational matrix entry, got nan"):
+        RationalMatrix([[math.nan]])
+
+
+def _spec_functions():
+    """Every public function whose parameters start with spec, with a, b or
+    with relation, a, b, and the names of its spec parameters."""
+    out = []
+    for name in sorted(linflow.__all__):
+        fn = getattr(linflow, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = list(inspect.signature(fn).parameters)
+        for lead in (["spec"], ["a", "b"], ["relation", "a", "b"]):
+            if params[:len(lead)] == lead:
+                out.append(pytest.param(fn, [p for p in lead if p != "relation"], id=name))
+                break
+    return out
+
+
+SPEC_FUNCTIONS = _spec_functions()
+
+
+def _call(fn, given):
+    """fn with the given arguments, LinEquiv for a relation and 5 for every
+    other parameter without a default."""
+    params = inspect.signature(fn).parameters.values()
+    return fn(**{p.name: given.get(p.name, "LinEquiv" if p.name == "relation" else 5)
+                 for p in params if p.default is p.empty})
+
+
+def test_the_spec_sweep_selects_every_spec_function():
+    # a renamed parameter must not empty the sweep
+    assert len(SPEC_FUNCTIONS) >= 30
+    names = {p.id for p in SPEC_FUNCTIONS}
+    assert {"classify", "implication_audit", "similar", "flow_apply", "period_probe"} <= names
+
+
+@pytest.mark.parametrize("fn, specs", SPEC_FUNCTIONS)
+def test_every_spec_function_refuses_an_int_with_a_typed_error(fn, specs):
+    with pytest.raises(LinFlowError) as info:
+        _call(fn, dict.fromkeys(specs, 5))
+    assert isinstance(info.value, PreconditionViolated)
+    assert "GeneratorSpec" in str(info.value)
+
+
+@pytest.mark.parametrize("fn, specs", [p for p in SPEC_FUNCTIONS if len(p.values[1]) == 2])
+def test_every_two_spec_function_checks_its_right_operand(fn, specs):
+    a, b = specs
+    with pytest.raises(PreconditionViolated, match="GeneratorSpec"):
+        _call(fn, {a: SADDLE, b: 5})

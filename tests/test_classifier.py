@@ -564,3 +564,140 @@ def test_each_form_runs_once_per_sign_on_projective_triples(monkeypatch):
         for form, seen in calls.items():
             assert len(seen) <= 4, form.__name__
             assert all(triples in allowed for triples in seen), form.__name__
+
+
+# ---------------------------------------------------------------------------
+# the scaled right generator, once per certified alpha
+#
+# An audit builds scale_spec(b, alpha) once per distinct certified alpha and
+# keeps it on its pair; each Yes still gets witness dicts of its own.  The
+# oracle builds every witness fresh from the certificate's alpha.
+
+
+def assert_witnesses_are_fresh(a, b):
+    report = implication_audit(a, b)
+    for rel, v in report.verdicts.items():
+        if v.scaling is None:  # a No, an Undecided, or a Yes by index or catalog
+            assert v.decision is not Decision.YES or rel in (Relation.PW_LIP_EQUIV, Relation.TOP_EQUIV)
+            continue
+        assert v.decision is Decision.YES
+        fresh = {"left_generator": serialize_spec(a),
+                 "scaled_right_generator": serialize_spec(scale_spec(b, v.scaling.alpha))}
+        assert v.scaling.witness == fresh, (rel, a, b)
+    return report
+
+
+@given(pair=oracle_pair_st())
+@settings(max_examples=200, deadline=None)
+def test_audit_witnesses_match_a_fresh_scaling(pair):
+    assert_witnesses_are_fresh(*pair)
+
+
+def _seeded_pairs(rng, n):
+    """Scaled (by negative and non-unit alphas too), negated, collapse,
+    decouple and independent pairs of rotating, pure-central and nilpotent
+    specs of dimension <= 6."""
+    for i in range(n):
+        kind = i % 4
+        a = random_spec(rng, max_dim=6, rot_prob=0.6)
+        if kind == 1:  # pure central, rotating
+            a = GeneratorSpec(tuple(JordanBlock(blk.size, 0, blk.im) for blk in a.blocks))
+        elif kind == 2:  # nilpotent
+            a = GeneratorSpec(tuple(JordanBlock(blk.size, 0, 0) for blk in a.blocks))
+        alpha = ALPHAS[int(rng.integers(len(ALPHAS)))]
+        r = rng.random()
+        if r < 0.5:
+            b = scale_spec(a, alpha)
+        elif r < 0.6:
+            b = scale_spec(a, -1)
+        elif r < 0.7:
+            b = semisimple_collapse(scale_spec(a, alpha))
+        elif r < 0.8:
+            b = rotation_decouple(scale_spec(a, alpha))
+        else:
+            b = random_spec(rng, max_dim=6)
+        yield (b, a) if rng.random() < 0.5 else (a, b)
+
+
+def test_audit_witnesses_match_a_fresh_scaling_on_a_seeded_sweep(rng):
+    alphas = set()
+    for a, b in _seeded_pairs(rng, 400):
+        report = assert_witnesses_are_fresh(a, b)
+        alphas |= {v.scaling.alpha for v in report.verdicts.values() if v.scaling}
+    # the sweep certifies negative and non-unit alphas
+    assert any(x < 0 for x in alphas) and any(abs(x) not in (0, 1) for x in alphas)
+
+
+def _containers(value):
+    """Every dict and list inside value, value included."""
+    if isinstance(value, dict):
+        yield value
+        for v in value.values():
+            yield from _containers(v)
+    elif isinstance(value, list):
+        yield value
+        for v in value:
+            yield from _containers(v)
+
+
+# b = -a: the linear and kinematic keys certify alpha = -1, the Hoelder key
+# (a symmetric spectrum, no central part) alpha = 1
+TWO_ALPHAS = (S((2, -1, 0), (1, 1, 0), (1, 1, 0)), S((2, 1, 0), (1, -1, 0), (1, -1, 0)))
+
+
+@pytest.mark.parametrize("a, b", [
+    TWO_ALPHAS,
+    (S((1, -1, 2), (1, 2, 0)), S((1, -1, 2), (1, 2, 0))),
+    (S((1, -1, 2), (2, 2, 0)), scale_spec(S((1, -1, 2), (2, 2, 0)), Fraction(-3, 2))),
+    (S((1, 0, 1), (1, 0, 3)), S((1, 0, 2), (1, 0, 6))),
+])
+def test_audit_verdicts_share_no_witness_dict(a, b):
+    report = implication_audit(a, b)
+    yes = [v for v in report.verdicts.values() if v.scaling is not None]
+    assert len(yes) >= 4
+    seen = {}
+    for v in yes:
+        for obj in _containers(v.scaling.witness):
+            assert seen.setdefault(id(obj), v.relation) is v.relation, v.relation
+    before = {v.relation: v.to_json() for v in yes}
+    for v in yes:
+        witness = v.scaling.witness
+        witness["left_generator"]["blocks"].append({"m": 9, "re": 9, "im": 9})
+        witness["scaled_right_generator"]["blocks"][0]["re"] = "mutated"
+        witness["extra"] = True
+        for other in yes:
+            if other is not v:
+                assert other.to_json() == before[other.relation], (v.relation, other.relation)
+
+
+def _counted_scale_spec(monkeypatch):
+    from linflow import classifier
+
+    calls = []
+
+    def counted(spec, alpha):
+        calls.append(alpha)
+        return scale_spec(spec, alpha)
+
+    monkeypatch.setattr(classifier, "scale_spec", counted)
+    return calls
+
+
+def test_audit_scales_once_per_distinct_certified_alpha(monkeypatch, rng):
+    calls = _counted_scale_spec(monkeypatch)
+    implication_audit(*TWO_ALPHAS)
+    assert sorted(calls) == [-1, 1]
+    for a, b in [(TWO_ALPHAS[0], TWO_ALPHAS[0])] + list(_seeded_pairs(rng, 200)):
+        calls.clear()
+        report = implication_audit(a, b)
+        alphas = {v.scaling.alpha for v in report.verdicts.values() if v.scaling}
+        assert sorted(calls) == sorted(alphas), (a, b)
+
+
+def test_classify_scales_once_per_yes(monkeypatch, rng):
+    calls = _counted_scale_spec(monkeypatch)
+    for a, b in list(_seeded_pairs(rng, 50)) + [TWO_ALPHAS]:
+        for rel in Relation:
+            calls.clear()
+            v = classify(rel, a, b)
+            assert calls == ([v.scaling.alpha] if v.scaling else [])
