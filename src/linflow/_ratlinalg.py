@@ -14,10 +14,10 @@ D, with the same Jordan structure.
 * ``_diagonal_blocks`` splits B along the connected components of its
   symmetric nonzero pattern, a simultaneous row and column permutation
   to block-diagonal form; a dense B is one component and stays whole.
-  chi_B is the product of the blocks' charpolys and every rank below the
-  sum of theirs, so the O(d^4) and elimination work is the blocks'.  The
-  square-free part, rooting, snapping and certification run once, on
-  the product.
+  chi_B is the product of the blocks' charpolys, and every multiplicity
+  and rank below is the sum of theirs, so the O(d^4), division and
+  elimination work is the blocks'.  The square-free part, rooting and
+  snapping run once, on the product.
 * ``charpoly`` runs Berkowitz's division-free algorithm on a block and
   returns its monic integer characteristic polynomial; chi_A(x) =
   D^-d chi_B(D x).
@@ -34,8 +34,9 @@ D, with the same Jordan structure.
   by ``_snap``: the best approximation with a bounded denominator, from
   the continued fraction of the float's exact ratio, in integers only.
 * ``_real_factor`` builds the monic integer factor of each snapped
-  eigenvalue once, and ``divmod_monic`` divides chi_B by it, which
-  certifies the eigenvalue and its multiplicity.  By the rational-root
+  eigenvalue once, and ``divmod_monic`` divides each block's charpoly by
+  it, once, which certifies the eigenvalue and its multiplicity in every
+  block; their sum is its multiplicity in chi_B.  By the rational-root
   theorem a rational eigenvalue of B is an integer c, with factor x - c;
   by Gauss's lemma a pair a +- bi (b != 0) has the monic integer factor
   x^2 - 2a x + a^2 + b^2.  A candidate whose factor is not in Z[x] is
@@ -45,12 +46,12 @@ D, with the same Jordan structure.
   identity and multistep integer-preserving Gaussian elimination"); block
   sizes follow.  For a pair the Jordan blocks m_j of a + bi recur at
   a - bi, so dim ker p(B)^k = 2 * sum_j min(k, m_j) and the complex rank
-  of (B - a - bi)^k is (d + rank p(B)^k) / 2.  Ranks are taken only
-  where the certified multiplicity does not already fix them (see
-  ``rank_sequence``); a simple eigenvalue needs none, being one block of
-  size 1 (1 <= geometric <= algebraic multiplicity), ranks [d, d - 1].
-  Over diagonal blocks (``_summed_ranks``) the same holds per block, at
-  the multiplicity that p divides out of the block's charpoly.
+  of (B - a - bi)^k is (d + rank p(B)^k) / 2.  Each diagonal block that
+  holds the eigenvalue is ranked at its multiplicity m there and gives its
+  own Jordan sizes.  Ranks are taken only where m does not already fix
+  them (see ``rank_sequence``); m = 1 needs none: a block of size n then
+  holds one Jordan block of size 1 (1 <= geometric <= algebraic
+  multiplicity), so its ranks are [n, n - 1].
 
 When the spectrum is not exactly rational at the denominator bound, the
 numeric tier clusters A's float eigenvalues within tol, snaps each
@@ -94,26 +95,21 @@ def ingest(matrix, tol, max_denominator):
     either attribute sees every call."""
     B, D = integer_matrix(matrix.rows)
     parts = [(Bc, charpoly(Bc)) for Bc in _diagonal_blocks(B)]
-    chi = reduce(_poly_mul, (chi_c for _, chi_c in parts))
-    exact = _exact_tier(chi, D, tol, max_denominator)
-    if exact is not None:
-        eigs, residual, factors = exact
-        _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
-        what = "rank sequence"
-
-        def ranks(re, im, mult):
-            # a simple eigenvalue has one block, of size 1, since 1 <= geometric
-            # <= algebraic multiplicity: no elimination can add to that
-            if mult == 1:
-                return [len(B), len(B) - 1]
-            if len(parts) == 1:
-                return rank_sequence(B, factors[re, im], mult)
-            return _summed_ranks(parts, factors[re, im], mult)
-
-    else:
+    exact = _exact_tier(parts, D, tol, max_denominator)
+    if exact is None:
         eigs, residual, ranks = _numeric_tier(matrix, tol, max_denominator)
-        what = "numeric rank sequence"
-    return _structure(eigs, ranks, what), residual, exact is not None
+        return _structure(eigs, ranks, "numeric rank sequence"), residual, False
+    eigs, residual, factors = exact
+    _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
+
+    def ranks(re, im, mult):
+        # per diagonal block holding z; a simple z is one block of size 1 there,
+        # since 1 <= geometric <= algebraic multiplicity: no elimination can add
+        factor, held = factors[re, im]
+        return [(rank_sequence(Bc, factor, m) if m > 1 else [len(Bc), len(Bc) - 1], m)
+                for (Bc, _), m in zip(parts, held) if m]
+
+    return _structure(eigs, ranks, "rank sequence"), residual, True
 
 
 def _diagonal_blocks(B):
@@ -142,21 +138,6 @@ def _diagonal_blocks(B):
     if len(comps) <= 1:
         return [B]
     return [[[B[i][j] for j in comp] for i in comp] for comp in comps]
-
-
-def _summed_ranks(parts, factor, mult):
-    """Complex ranks of (B - z I)^k for k = 0..mult, at a root z of factor
-    of certified multiplicity mult, as sums over B's diagonal blocks
-    (Bc, chi_c).  In a block that factor divides m times, m >= 2 takes
-    rank_sequence, m = 1 gives [n, n - 1] and m = 0 leaves the full size
-    n; each rank stays at its last value past k = m."""
-    total = [0] * (mult + 1)
-    for Bc, chi_c in parts:
-        m = _divide_out(chi_c, factor)[1]
-        r = rank_sequence(Bc, factor, m) if m > 1 else [len(Bc), len(Bc) - m]
-        for k in range(mult + 1):
-            total[k] += r[min(k, m)]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +220,11 @@ def _real_factor(D, re, im):
     return [int(c) for c in factor]
 
 
-def _exact_tier(chi, D, tol, max_denominator):
-    """(eigs, residual, factors) or None: eigs maps (re, im >= 0) to the
-    multiplicity, factors to the monic integer factor that certified it."""
-    roots = _float_roots_squarefree(chi, D)
+def _exact_tier(parts, D, tol, max_denominator):
+    """(eigs, residual, factors) or None, from the diagonal blocks (Bc, chi_c)
+    of B: eigs maps (re, im >= 0) to the multiplicity, factors to the monic
+    integer factor that certified it and its multiplicity in each block."""
+    roots = _float_roots_squarefree(reduce(_poly_mul, (chi_c for _, chi_c in parts)), D)
     # candidate rational eigenvalues, conjugates identified, and the largest snap
     # distance: a root nearer another candidate would trip _check_cluster_separation
     cands = []
@@ -257,19 +239,22 @@ def _exact_tier(chi, D, tol, max_denominator):
         pair = (re_hat, im_hat)
         if pair not in cands:
             cands.append(pair)
-    remaining = chi
+    remaining = [chi_c for _, chi_c in parts]
     eigs = {}
     factors = {}
     for pair in cands:
         factor = _real_factor(D, *pair)
         if factor is None:
             return None
-        remaining, mult = _divide_out(remaining, factor)
-        if mult == 0:
+        held = []
+        for c, chi_c in enumerate(remaining):
+            remaining[c], m = _divide_out(chi_c, factor)
+            held.append(m)
+        if not any(held):
             return None
-        eigs[pair] = mult
-        factors[pair] = factor
-    if len(remaining) != 1:
+        eigs[pair] = sum(held)
+        factors[pair] = factor, held
+    if any(len(chi_c) != 1 for chi_c in remaining):
         return None
     return eigs, residual, factors
 
@@ -316,15 +301,17 @@ def _sizes_from_ranks(ranks, total):
 
 
 def _structure(eigs, ranks, what):
-    """The blocks of both tiers: at each eigenvalue (re, im) of multiplicity
-    mult, sizes from ranks(re, im, mult), the rank sequence [rank((A - z)^k)
-    for k = 0..mult] measured by that tier; what names it in the error."""
+    """The blocks of both tiers: at each eigenvalue z = (re, im) of
+    multiplicity mult, ranks(re, im, mult) lists (ranks, m) for each part
+    of the space holding z, m its multiplicity there and ranks the rank
+    sequence of (A - z)^k on the part, k = 0..m; what names the tier."""
     blocks = []
     for (re_hat, im_hat), mult in eigs.items():
-        sizes = _sizes_from_ranks(ranks(re_hat, im_hat, mult), mult)
-        if sizes is None:
-            raise SnapFailure(f"inconsistent {what} at eigenvalue ({re_hat}, {im_hat})")
-        blocks.extend(JordanBlock(m, re_hat, im_hat) for m in sizes)
+        for part_ranks, m in ranks(re_hat, im_hat, mult):
+            sizes = _sizes_from_ranks(part_ranks, m)
+            if sizes is None:
+                raise SnapFailure(f"inconsistent {what} at eigenvalue ({re_hat}, {im_hat})")
+            blocks.extend(JordanBlock(size, re_hat, im_hat) for size in sizes)
     return GeneratorSpec(tuple(blocks))
 
 
@@ -391,7 +378,7 @@ def _numeric_tier(matrix, tol, max_denominator):
             sv = np.linalg.svd(P, compute_uv=False)
             thresh = tol * max(1.0, sv[0] if len(sv) else 0.0)
             out.append(int(np.sum(sv > thresh)))
-        return out
+        return [(out, mult)]  # the whole space is one part
 
     return parsed, residual, ranks
 

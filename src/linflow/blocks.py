@@ -82,7 +82,7 @@ def parse_rational(value, where="value"):
 
 
 def rational_to_json(q):
-    q = Fraction(q)
+    q = _rational(q, "number")
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -357,6 +357,8 @@ def parse_matrix(source):
 
 
 def serialize_matrix(matrix):
+    if not isinstance(matrix, RationalMatrix):
+        raise PreconditionViolated(f"need a RationalMatrix, got {type(matrix).__name__}")
     return {
         "dim": matrix.dim,
         "rows": [[rational_to_json(x) for x in row] for row in matrix.rows],
@@ -478,6 +480,8 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     """
     if not isinstance(matrix, RationalMatrix):
         raise PreconditionViolated(f"need a RationalMatrix, got {type(matrix).__name__}")
+    if not matrix.rows:  # as parse_matrix, which takes dim >= 1
+        raise PreconditionViolated("need a matrix of dim >= 1, got dim 0")
     try:
         _above(tol, 0.0, "tol")
         max_denominator = _at_least(max_denominator, 1, "max_denominator")  # numpy's as an int

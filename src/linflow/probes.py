@@ -125,6 +125,8 @@ def verify_conjugacy(hmap, times=None, n_points=32, seed=0, radii=(0.25, 4.0)):
     max over points and grid times of |lhs - rhs| / (1 + |rhs|).  A round
     trip or residual that is not finite raises PreconditionViolated.
     """
+    if not isinstance(getattr(hmap, "source_flow", None), FlowEvaluator):
+        raise PreconditionViolated(f"need a HomeoMap, got {type(hmap).__name__}")
     _at_least(n_points, 1, "n_points")
     _at_least(seed, 0, "seed")
     times = np.linspace(-5.0, 5.0, 11) if times is None else np.array(_point(times, None, "times"))
@@ -184,6 +186,8 @@ def lipschitz_probe(hmap, n_scales=24, pairs=16, seed=0):
     separate Lipschitz maps (bounded) from merely log-Lipschitz ones
     (growing as the scale shrinks).
     """
+    if not isinstance(getattr(hmap, "source_flow", None), FlowEvaluator):
+        raise PreconditionViolated(f"need a HomeoMap, got {type(hmap).__name__}")
     _at_least(n_scales, 1, "n_scales")
     _at_least(pairs, 0, "pairs")
     _at_least(seed, 0, "seed")

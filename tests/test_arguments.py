@@ -9,7 +9,9 @@ that take a spec refuse anything else with PreconditionViolated, and a
 GeneratorSpec refuses entries that are not blocks with SpecParseError.
 A sweep over the package's public functions finds every function that
 takes a spec by its leading parameters, so a new one is covered without a
-list to keep.
+list to keep; a second sweep finds every function whose first parameter
+is a matrix or a map, which refuses anything but a RationalMatrix or a
+HomeoMap with PreconditionViolated.
 Each refused call below used to truncate its size, answer for a point that
 is not finite, accept a bool as a number, or end in a raw ValueError,
 TypeError, OverflowError, IndexError or AttributeError.  Integers and floats of numpy, and
@@ -57,6 +59,7 @@ from linflow import (
     time_reverse,
     verify_conjugacy,
 )
+from linflow.blocks import rational_to_json
 
 
 def S(*blks):
@@ -226,9 +229,11 @@ def test_rational_refusals_name_the_argument():
 
 # Malformed input built in Python: a matrix that is no sequence of rows, an
 # entry that is no finite rational (a bool included), a matrix argument that
-# is no RationalMatrix, a relation that is no string, blocks that are no
-# sequence of triples.  Each used to end in a raw TypeError, ValueError or
-# AttributeError, or, for a bool entry, in a matrix of ones and zeros.
+# is no RationalMatrix or has no rows, a rational to serialize that is no
+# finite rational, a relation that is no string, blocks that are no
+# sequence of triples.  Each used to end in a raw TypeError, ValueError,
+# IndexError or AttributeError, or, for a bool entry, in a matrix of ones
+# and zeros.
 @pytest.mark.parametrize("error, call", [
     (SpecParseError, lambda: RationalMatrix(5)),  # TypeError
     (SpecParseError, lambda: RationalMatrix([5, 6])),  # TypeError
@@ -240,6 +245,9 @@ def test_rational_refusals_name_the_argument():
     (SpecParseError, lambda: RationalMatrix([["1/0"]])),  # ZeroDivisionError
     (PreconditionViolated, lambda: spec_from_matrix(5)),  # AttributeError
     (PreconditionViolated, lambda: spec_from_matrix([[0, 1], [-1, 0]])),  # AttributeError
+    (PreconditionViolated, lambda: spec_from_matrix(RationalMatrix([]))),  # IndexError
+    (PreconditionViolated, lambda: rational_to_json(math.nan)),  # ValueError
+    (PreconditionViolated, lambda: rational_to_json("x")),  # ValueError
     (UnknownRelation, lambda: Relation.from_string(5)),  # AttributeError
     (UnknownRelation, lambda: Relation.from_string(None)),  # AttributeError
     (SpecParseError, lambda: realify(5)),  # TypeError
@@ -247,7 +255,8 @@ def test_rational_refusals_name_the_argument():
     (SpecParseError, lambda: realify([(1, 0)])),  # ValueError
 ], ids=["matrix-int", "matrix-int-rows", "matrix-string-rows", "matrix-none-entry",
         "matrix-nan-entry", "matrix-infinite-entry", "matrix-bool-entry",
-        "matrix-zero-denominator", "ingest-int", "ingest-list", "relation-int",
+        "matrix-zero-denominator", "ingest-int", "ingest-list", "ingest-empty",
+        "json-nan-rational", "json-string-rational", "relation-int",
         "relation-none", "realify-int", "realify-int-entry", "realify-pair-entry"])
 def test_typed_entry_points_refuse_malformed_input(error, call):
     with pytest.raises(error):
@@ -310,3 +319,35 @@ def test_every_two_spec_function_checks_its_right_operand(fn, specs):
     a, b = specs
     with pytest.raises(PreconditionViolated, match="GeneratorSpec"):
         _call(fn, {a: SADDLE, b: 5})
+
+
+def _object_functions():
+    """Every public function whose first parameter is a matrix or a map,
+    and the type that parameter needs."""
+    out = []
+    for name in sorted(linflow.__all__):
+        fn = getattr(linflow, name)
+        if inspect.isfunction(fn):
+            first = next(iter(inspect.signature(fn).parameters), None)
+            need = {"matrix": "RationalMatrix", "hmap": "HomeoMap"}.get(first)
+            if need:
+                out.append(pytest.param(fn, need, id=name))
+    return out
+
+
+OBJECT_FUNCTIONS = _object_functions()
+
+
+def test_the_matrix_and_map_sweep_selects_every_such_function():
+    # a renamed parameter must not empty the sweep
+    assert len(OBJECT_FUNCTIONS) >= 4
+    names = {p.id for p in OBJECT_FUNCTIONS}
+    assert {"spec_from_matrix", "serialize_matrix", "verify_conjugacy", "lipschitz_probe"} <= names
+
+
+@pytest.mark.parametrize("fn, need", OBJECT_FUNCTIONS)
+def test_every_matrix_or_map_function_refuses_an_int_with_a_typed_error(fn, need):
+    with pytest.raises(LinFlowError) as info:
+        _call(fn, {})
+    assert isinstance(info.value, PreconditionViolated)
+    assert f"need a {need}, got int" in str(info.value)

@@ -19,6 +19,8 @@ checks live in one module too: no module but `errors` defines `_at_least`,
 `_above`, `_point` or `_rational`, and none defines the retired
 `_require_finite`.  Snapping has one kernel, `_ratlinalg._snap`: no
 module reaches `limit_denominator`, as an attribute, a name or a string.
+The exact ranks have one call site: only `_ratlinalg.ingest` refers to
+`rank_sequence`, so a new rank kernel replaces one call.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -383,3 +385,43 @@ def test_the_check_sees_limit_denominator():
         "    return x\n"
     )
     assert limit_denominator_uses(source) == [3, 4, 5, 5]
+
+
+def rank_sequence_uses(source):
+    """(line, enclosing top-level name or None) of each reference to
+    `rank_sequence` in source, by its name or as an attribute: a call, or
+    an alias that a call could go through."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "rank_sequence") or (
+                    isinstance(node, ast.Attribute) and node.attr == "rank_sequence"):
+                out.append((node.lineno, owner))
+    return out
+
+
+def test_rank_sequence_has_one_call_site():
+    # the exact ranks are taken at one place, so swapping the rank kernel is
+    # one call
+    found = [(path.name, owner) for path in ALL_MODULES
+             for _, owner in rank_sequence_uses(path.read_text(encoding="utf-8"))]
+    assert found == [("_ratlinalg.py", "ingest")]
+
+
+def test_the_check_sees_rank_sequence_uses():
+    source = (
+        "from ._ratlinalg import rank_sequence\n"
+        "def ingest(B):\n"
+        "    def ranks(f, m):\n"
+        "        return rank_sequence(B, f, m)\n"
+        "    return ranks\n"
+        "total = rl.rank_sequence(B, [0, 1], 2)\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return _ratlinalg.rank_sequence(self.B, [0, 1], 1)\n"
+        "kernel = rank_sequence\n"
+        "def rank_sequence(B, factor, mult):\n"
+        "    'the same as rank_sequence'\n"
+    )
+    assert rank_sequence_uses(source) == [(4, "ingest"), (6, None), (9, "C"), (10, None)]

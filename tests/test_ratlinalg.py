@@ -17,8 +17,9 @@ a seeded pool of over 1000 eigenvalues, sympy on every partition of
 multiplicity 2..6, and a count of ``_row_basis`` calls pins how few
 eliminations five small structures need.  A block-diagonal matrix under a
 random permutation is ingested one diagonal block at a time: the blocks'
-charpolys multiply to the whole matrix's, their summed ranks equal full
-elimination on the whole matrix, a normal form of several blocks never
+charpolys multiply to the whole matrix's, the exact tier's multiplicities
+in the blocks sum to each eigenvalue's, the blocks' rank sequences sum to
+full elimination on the whole matrix, a normal form of several blocks never
 passes the whole matrix to ``charpoly`` or ``rank_sequence``, and a dense
 one passes it to ``charpoly`` once.  ``_snap`` gives the numerator and
 denominator of ``Fraction.limit_denominator`` on seeded floats, ties
@@ -421,8 +422,10 @@ def test_permuted_block_diagonal_matrices_ingest_exactly():
 
 
 def test_the_blocks_multiply_to_chi_and_sum_to_the_ranks():
-    # chi_B is the product of the blocks' charpolys, and the summed ranks at
-    # every eigenvalue are those of full elimination on the whole matrix
+    # chi_B is the product of the blocks' charpolys; at every eigenvalue the
+    # exact tier's per-block multiplicities sum to the spec's, and the blocks'
+    # rank sequences, each held at its last rank past its own multiplicity,
+    # sum to full elimination on the whole matrix
     rng = np.random.default_rng(43)
     across = 0
     for _ in range(40):
@@ -433,10 +436,19 @@ def test_the_blocks_multiply_to_chi_and_sum_to_the_ranks():
         for _, chi_c in parts[1:]:
             chi = rl._poly_mul(chi, chi_c)
         assert chi == rl.charpoly(B)
-        for (re, im), mult in _multiplicities(spec).items():
-            factor = rl._real_factor(D, re, im)
-            assert rl._summed_ranks(parts, factor, mult) == full_rank_sequence(B, factor, mult)
-            across += sum(rl._divide_out(chi_c, factor)[1] > 0 for _, chi_c in parts) > 1
+        eigs, _, factors = rl._exact_tier(parts, D, 1e-9, 1024)
+        assert eigs == _multiplicities(spec)
+        for (re, im), mult in eigs.items():
+            factor, held = factors[re, im]
+            assert factor == rl._real_factor(D, re, im)
+            assert len(held) == len(parts) and sum(held) == mult
+            total = [0] * (mult + 1)
+            for (Bc, _), m in zip(parts, held):
+                ranks = rl.rank_sequence(Bc, factor, m)
+                for k in range(mult + 1):
+                    total[k] += ranks[min(k, m)]
+            assert total == full_rank_sequence(B, factor, mult)
+            across += sum(m > 0 for m in held) > 1
     assert across >= 20
 
 
