@@ -357,17 +357,13 @@ def _numeric_tier(matrix, tol, max_denominator):
     # pts folded both members of a conjugate pair onto the upper half plane,
     # so a count is the multiplicity over C for im == 0 and twice the number
     # of pairs for im > 0; halve the latter
-    total = 0
     for (re_hat, im_hat), mult in list(parsed.items()):
-        total += mult
         if im_hat > 0:
             if mult % 2:
                 raise SnapFailure(
                     f"odd conjugate count at eigenvalue ({re_hat}, {im_hat})"
                 )
             parsed[(re_hat, im_hat)] = mult // 2
-    if total != d:
-        raise SnapFailure("eigenvalue multiplicities do not sum to the dimension")
 
     def ranks(re_hat, im_hat, mult):
         S = Mf.astype(complex) - complex(re_hat, im_hat) * np.eye(d)

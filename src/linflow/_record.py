@@ -1,24 +1,25 @@
 """Value types without `dataclasses`.
 
-`record` turns a class with annotated fields into a value type: it adds
-``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` with the bodies that
-``@dataclass(frozen=True)`` generates, compiled by one ``exec`` per class,
-and a ``__setattr__``/``__delattr__`` that raise AttributeError.  Importing
-`dataclasses` (which imports `inspect`) would cost every CLI launch more
-than all of linflow's exact modules do.
+`record` turns a class with annotated fields into a value type with the
+``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` of
+``@dataclass(frozen=True)``, and a ``__setattr__``/``__delattr__`` that raise
+AttributeError.  Importing `dataclasses` (which imports `inspect`) would
+cost every CLI launch more than all of linflow's exact modules do.  Only
+``__init__``, whose signature is the class's own, is compiled, by one
+``exec`` per class; the other methods are module functions that every
+record type shares, reading the fields from ``__match_args__``.
 
 A field's value in the class body is its default; ``factory(make)`` is a
-default built by ``make()`` for each instance, and ``DERIVED`` marks a
-field that only ``__post_init__`` sets, which stays out of ``__init__``,
-eq, hash and repr.  ``slots=True`` rebuilds the class with ``__slots__``
-and pickles it through ``__getstate__``/``__setstate__``.  With
+default built by ``make()`` for each instance.  Slots come from the class
+body: a class that declares ``__slots__`` pickles through the shared
+``__getstate__``/``__setstate__``, and an unannotated slot there, set by
+``__post_init__``, stays out of ``__init__``, eq, hash and repr.  With
 ``frozen=False`` fields stay assignable and instances are unhashable, as
 dataclasses makes a mutable class with eq.
 """
 
-__all__ = ["DERIVED", "factory", "record"]
+__all__ = ["factory", "record"]
 
-DERIVED = object()
 _NO_DEFAULT = object()
 
 
@@ -39,27 +40,50 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _tuple(obj, names):
-    return "(" + "".join(f"{obj}.{n}," for n in names) + ")"
+def _values(self):
+    return tuple([getattr(self, n) for n in self.__match_args__])
 
 
-def record(cls=None, *, frozen=True, slots=False):
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+def _repr(self):
+    fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in self.__match_args__])
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _getstate(self):
+    return [getattr(self, n) for n in self.__slots__]
+
+
+def _setstate(self, state):
+    for n, value in zip(self.__slots__, state):
+        object.__setattr__(self, n, value)
+
+
+def record(cls=None, *, frozen=True):
     """Class decorator: see the module docstring."""
     if cls is None:
-        return lambda c: record(c, frozen=frozen, slots=slots)
+        return lambda c: record(c, frozen=frozen)
     names = tuple(cls.__annotations__)
+    slots = cls.__dict__.get("__slots__", ())
     ns = {"_setattr": object.__setattr__, "_FACTORY": factory}
-    params, body, compared = [], [], []
+    params, body = [], []
     for n in names:
-        value = cls.__dict__.get(n, _NO_DEFAULT)
-        if value is DERIVED:
-            continue
-        compared.append(n)
+        value = _NO_DEFAULT if n in slots else cls.__dict__.get(n, _NO_DEFAULT)
         value_src = n
         if isinstance(value, factory):
             ns[f"_make_{n}"] = value.make
             params.append(f"{n}=_FACTORY")
             value_src = f"_make_{n}() if {n} is _FACTORY else {n}"
+            delattr(cls, n)  # a plain default stays a class attribute, as with dataclasses
         elif value is _NO_DEFAULT:
             params.append(n)
         else:
@@ -68,47 +92,15 @@ def record(cls=None, *, frozen=True, slots=False):
         body.append(f"_setattr(self,{n!r},{value_src})" if frozen else f"self.{n}={value_src}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    mine, theirs = _tuple("self", compared), _tuple("other", compared)
-    fields = ", ".join(f"{n}={{self.{n}!r}}" for n in compared)
-    src = [
-        f"def __init__(self,{','.join(params)}):",
-        *(f" {line}" for line in body or ["pass"]),
-        "def __eq__(self,other):",
-        " if other.__class__ is self.__class__:",
-        f"  return {mine}=={theirs}",
-        " return NotImplemented",
-        "def __repr__(self):",
-        f' return self.__class__.__qualname__ + f"({fields})"',
-    ]
-    if frozen:
-        src += ["def __hash__(self):", f" return hash({mine})"]
+    exec("\n".join([f"def __init__(self,{','.join(params)}):",
+                    *(f" {line}" for line in body or ["pass"])]), ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__, cls.__eq__, cls.__repr__ = ns["__init__"], _eq, _repr
     if slots:
-        src += ["def __getstate__(self):", f" return [{', '.join(f'self.{n}' for n in names)}]",
-                "def __setstate__(self,state):",
-                *(f" _setattr(self,{n!r},state[{i}])" for i, n in enumerate(names))]
-    exec("\n".join(src), ns)
-    if slots:
-        body_dict = dict(cls.__dict__)
-        for n in names + ("__dict__", "__weakref__"):
-            body_dict.pop(n, None)
-        body_dict["__slots__"] = names
-        qualname = cls.__qualname__
-        cls = type(cls)(cls.__name__, cls.__bases__, body_dict)
-        cls.__qualname__ = qualname
-    else:  # a plain default stays a class attribute, as with dataclasses
-        for n in names:
-            if isinstance(cls.__dict__.get(n), factory) or cls.__dict__.get(n) is DERIVED:
-                delattr(cls, n)
-    methods = ["__init__", "__eq__", "__repr__"]
-    methods += ["__hash__"] if frozen else []
-    methods += ["__getstate__", "__setstate__"] if slots else []
-    for name in methods:
-        fn = ns[name]
-        fn.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, fn)
+        cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     if frozen:
-        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+        cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _frozen_setattr, _frozen_delattr
     else:
         cls.__hash__ = None
-    cls.__match_args__ = tuple(compared)
+    cls.__match_args__ = names
     return cls

@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Integral
 
-from ._record import DERIVED, record
+from ._record import record
 from .errors import PreconditionViolated, SnapFailure, SpecParseError, _above, _at_least, _rational
 
 __all__ = [
@@ -108,7 +108,7 @@ def _load_json(text, what):
 # core types
 
 
-@record(slots=True)
+@record
 class JordanBlock:
     """One real Jordan block: size, growth rate, rotation rate (>= 0).
 
@@ -116,6 +116,7 @@ class JordanBlock:
     so it is normalized away at construction.
     """
 
+    __slots__ = ("size", "re", "im")
     size: int
     re: Fraction
     im: Fraction
@@ -139,13 +140,13 @@ class JordanBlock:
         return (self.re, self.im, self.size)
 
 
-@record(slots=True)
+@record
 class GeneratorSpec:
     """Canonically ordered multiset of blocks; equality is similarity."""
 
+    # dim, the real dimension, is set at construction; not part of eq, hash or repr
+    __slots__ = ("blocks", "dim")
     blocks: tuple
-    # real dimension, fixed at construction; not part of eq, hash or repr
-    dim: int = DERIVED
 
     def __post_init__(self):
         try:
@@ -171,7 +172,7 @@ class GeneratorSpec:
 class RationalMatrix:
     """Dense square matrix with Fraction entries.
 
-    rows is a sequence of rows, each a sequence of entries that
+    rows is a nonempty sequence of rows, each a sequence of entries that
     `errors._rational` takes (a bool is refused); anything else raises
     SpecParseError.
     """
@@ -185,6 +186,8 @@ class RationalMatrix:
             raise SpecParseError(
                 "a matrix takes a sequence of rows, each a sequence of entries") from None
         d = len(rows)
+        if not d:  # as parse_matrix, which takes dim >= 1
+            raise SpecParseError("a matrix needs at least one row")
         for row in rows:
             if len(row) != d:
                 raise SpecParseError(
@@ -450,6 +453,8 @@ def materialize(spec):
     2m x 2m matrix [[J, -b I], [b I, J]] acting on R^m x R^m.
     """
     d = _require_spec(spec).dim
+    if not d:
+        raise PreconditionViolated("empty generator has no matrix")
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i, j, v in _block_entries((b.size, b.re, b.im) for b in spec.blocks):
         rows[i][j] = v
@@ -480,8 +485,6 @@ def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     """
     if not isinstance(matrix, RationalMatrix):
         raise PreconditionViolated(f"need a RationalMatrix, got {type(matrix).__name__}")
-    if not matrix.rows:  # as parse_matrix, which takes dim >= 1
-        raise PreconditionViolated("need a matrix of dim >= 1, got dim 0")
     try:
         _above(tol, 0.0, "tol")
         max_denominator = _at_least(max_denominator, 1, "max_denominator")  # numpy's as an int

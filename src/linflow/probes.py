@@ -27,12 +27,7 @@ from ._record import factory, record
 from .blocks import _fields_to_json, _layout, _require_spec
 from .errors import LinFlowError, NotStable, PreconditionViolated, _above, _at_least, _point
 from .flows import _INTERNAL_GUARD, FlowEvaluator
-from .invariants import (
-    distortion_subspace,
-    minimal_period,
-    top_rate,
-    top_size,
-)
+from .invariants import distortion_subspace, minimal_period
 
 __all__ = [
     "ConjugacyReport",
@@ -236,11 +231,10 @@ class DistortionReport:
     to_json = _fields_to_json
 
 
-def _choose_witness_block(spec):
-    """A largest block at the top growth rate and its half-chain starts;
-    prefer one without rotation (its probe schedule needs no subsequence)."""
-    lam = top_rate(spec)
-    M = top_size(spec)
+def _choose_witness_block(spec, lam, M):
+    """A largest block (size M) at the top growth rate lam and its
+    half-chain starts; prefer one without rotation (its probe schedule needs
+    no subsequence)."""
     layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
     _, _, i = min(
         (b.im != 0, b.im, i) for i, b in enumerate(spec.blocks) if b.re == lam and b.size == M
@@ -278,15 +272,15 @@ def distortion_probe(
     for value, what in ((eps, "eps"), (member_bound, "member_bound"),
                         (outside_bound, "outside_bound")):
         _above(value, 0.0, what)
-    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(x))))
     inside = set(sub.coords)
     member = all(
         abs(x[i]) <= 1e-12 * scale for i in range(spec.dim) if i not in inside
     )
     flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
-    lam = abs(float(top_rate(spec)))
-    M = top_size(spec)
-    blk, halves = _choose_witness_block(spec)
+    lam = abs(float(sub.top_rate))
+    M = sub.top_size
+    blk, halves = _choose_witness_block(spec, sub.top_rate, M)
     m = blk.size
     rot = float(blk.im) / lam  # rotation rate in normalized time
 

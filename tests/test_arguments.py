@@ -227,13 +227,14 @@ def test_rational_refusals_name_the_argument():
         implication_audit(SADDLE, 5)
 
 
-# Malformed input built in Python: a matrix that is no sequence of rows, an
-# entry that is no finite rational (a bool included), a matrix argument that
-# is no RationalMatrix or has no rows, a rational to serialize that is no
-# finite rational, a relation that is no string, blocks that are no
-# sequence of triples.  Each used to end in a raw TypeError, ValueError,
-# IndexError or AttributeError, or, for a bool entry, in a matrix of ones
-# and zeros.
+# Malformed input built in Python: a matrix that is no sequence of rows or
+# has no rows, an entry that is no finite rational (a bool included), a
+# matrix argument that is no RationalMatrix, a generator with no blocks to
+# materialize, a rational to serialize that is no finite rational, a
+# relation that is no string, blocks that are no sequence of triples.  Each
+# used to end in a raw TypeError, ValueError or AttributeError, in a matrix
+# of ones and zeros for a bool entry, or in a 0 x 0 matrix, which
+# parse_matrix refuses, for no rows or no blocks.
 @pytest.mark.parametrize("error, call", [
     (SpecParseError, lambda: RationalMatrix(5)),  # TypeError
     (SpecParseError, lambda: RationalMatrix([5, 6])),  # TypeError
@@ -243,9 +244,10 @@ def test_rational_refusals_name_the_argument():
     (SpecParseError, lambda: RationalMatrix([[math.inf]])),  # OverflowError
     (SpecParseError, lambda: RationalMatrix([[True]])),  # [[1]]
     (SpecParseError, lambda: RationalMatrix([["1/0"]])),  # ZeroDivisionError
+    (SpecParseError, lambda: RationalMatrix([])),  # a 0 x 0 matrix
     (PreconditionViolated, lambda: spec_from_matrix(5)),  # AttributeError
     (PreconditionViolated, lambda: spec_from_matrix([[0, 1], [-1, 0]])),  # AttributeError
-    (PreconditionViolated, lambda: spec_from_matrix(RationalMatrix([]))),  # IndexError
+    (PreconditionViolated, lambda: materialize(GeneratorSpec([]))),  # a 0 x 0 matrix
     (PreconditionViolated, lambda: rational_to_json(math.nan)),  # ValueError
     (PreconditionViolated, lambda: rational_to_json("x")),  # ValueError
     (UnknownRelation, lambda: Relation.from_string(5)),  # AttributeError
@@ -255,7 +257,8 @@ def test_rational_refusals_name_the_argument():
     (SpecParseError, lambda: realify([(1, 0)])),  # ValueError
 ], ids=["matrix-int", "matrix-int-rows", "matrix-string-rows", "matrix-none-entry",
         "matrix-nan-entry", "matrix-infinite-entry", "matrix-bool-entry",
-        "matrix-zero-denominator", "ingest-int", "ingest-list", "ingest-empty",
+        "matrix-zero-denominator", "matrix-empty", "ingest-int", "ingest-list",
+        "materialize-empty",
         "json-nan-rational", "json-string-rational", "relation-int",
         "relation-none", "realify-int", "realify-int-entry", "realify-pair-entry"])
 def test_typed_entry_points_refuse_malformed_input(error, call):

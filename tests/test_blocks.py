@@ -118,10 +118,13 @@ def test_deeply_nested_json_is_a_parse_error(parse):
         parse("[" * 200000 + "]" * 200000)
 
 
-def test_matrix_round_trip():
+def test_matrix_round_trip(rng):
     m = parse_matrix('{"dim": 2, "rows": [[0, "-1/3"], [1, 0]]}')
     assert m.rows[0][1] == Fraction(-1, 3)
     assert parse_matrix(serialize_matrix(m)) == m
+    for _ in range(20):
+        m = materialize(random_spec(rng, max_dim=6, denom=16))
+        assert parse_matrix(serialize_matrix(m)) == m
 
 
 @given(st.data())

@@ -21,6 +21,8 @@ checks live in one module too: no module but `errors` defines `_at_least`,
 module reaches `limit_denominator`, as an attribute, a name or a string.
 The exact ranks have one call site: only `_ratlinalg.ingest` refers to
 `rank_sequence`, so a new rank kernel replaces one call.
+Source text is run at one site: only `_record.record`, which compiles each
+value type's `__init__`, refers to `exec` or `eval`.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -425,3 +427,41 @@ def test_the_check_sees_rank_sequence_uses():
         "    'the same as rank_sequence'\n"
     )
     assert rank_sequence_uses(source) == [(4, "ingest"), (6, None), (9, "C"), (10, None)]
+
+
+def exec_uses(source):
+    """(line, enclosing top-level name or None) of each reference to `exec`
+    or `eval` in source, by its name or as an attribute: a call, or an
+    alias that a call could go through."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id in ("exec", "eval")) or (
+                    isinstance(node, ast.Attribute) and node.attr in ("exec", "eval")):
+                out.append((node.lineno, owner))
+    return out
+
+
+def test_exec_has_one_call_site():
+    # only the value types' constructors are compiled from source text
+    found = [(path.name, owner) for path in ALL_MODULES
+             for _, owner in exec_uses(path.read_text(encoding="utf-8"))]
+    assert found == [("_record.py", "record")]
+
+
+def test_the_check_sees_exec_uses():
+    source = (
+        "import builtins\n"
+        "def record(cls):\n"
+        "    exec('def __init__(self): pass', {})\n"
+        "total = eval('1 + 1')\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return builtins.exec(self.source)\n"
+        "value = ast.literal_eval('1')\n"
+        "run = eval\n"
+        "def g():\n"
+        "    'the same as exec'\n"
+    )
+    assert exec_uses(source) == [(3, "record"), (4, None), (7, "C"), (9, None)]

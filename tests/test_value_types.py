@@ -12,6 +12,7 @@ hand-written methods it replaced (`hand_encoders`), on these instances and
 on a seeded pool of verdicts, invariants, catalog rows and probe reports.
 """
 
+import ast
 import copy
 import json
 import pickle
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 import linflow
-from linflow import Decision, Relation
+from linflow import Decision, Relation, _record
 from linflow.blocks import _fields_to_json
 from linflow.homeos import _same_time
 
@@ -359,6 +360,40 @@ def test_slotted_types_have_no_instance_dict(name):
     ours, _, _ = pair(name)
     assert not hasattr(ours[0], "__dict__")
     assert type(ours[0]).__slots__ == MIRRORS[name].__slots__
+
+
+def test_record_compiles_only_init(monkeypatch):
+    sources = []
+
+    def spy(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(_record, "exec", spy, raising=False)
+
+    @_record.record
+    class Toy:
+        a: int
+        b: tuple = ()
+        c: dict = _record.factory(dict)
+
+        def __post_init__(self):
+            object.__setattr__(self, "b", tuple(self.b))
+
+    [source] = sources
+    assert [(type(node), node.name) for node in ast.parse(source).body] == [
+        (ast.FunctionDef, "__init__")]
+    assert Toy(1, [2]) == Toy(1, (2,), {}) and Toy(1).c is not Toy(1).c
+    assert repr(Toy(1)).endswith("Toy(a=1, b=(), c={})")
+
+
+def test_every_record_type_shares_eq_repr_and_hash():
+    shared = linflow.JordanBlock
+    for name in MIRRORS:
+        cls = getattr(linflow, name)
+        assert cls.__eq__ is shared.__eq__ and cls.__repr__ is shared.__repr__, name
+        if name in FROZEN:
+            assert cls.__hash__ is shared.__hash__, name
 
 
 # ---------------------------------------------------------------------------
