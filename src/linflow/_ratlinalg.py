@@ -437,19 +437,13 @@ def rank_sequence(B, factor, mult):
     """
     d = len(B)
     width = len(factor) - 1
-    c = factor[0]
-    if width == 1:
-        # B + c I
-        M = [[b + (c if i == j else 0) for j, b in enumerate(row)] for i, row in enumerate(B)]
-    else:
-        # B^2 + u B + c I
-        u = factor[1]
+    # p(B) by Horner: M = B + u I from the top two coefficients, then M B + c I per lower c
+    u = factor[-2]
+    M = [[b + (u if i == j else 0) for j, b in enumerate(row)] for i, row in enumerate(B)]
+    for c in reversed(factor[:-2]):
         cols = list(zip(*B))
-        M = [
-            [sum(map(mul, row, col)) + u * b + (c if i == j else 0)
-             for j, (b, col) in enumerate(zip(row, cols))]
-            for i, row in enumerate(B)
-        ]
+        M = [[sum(map(mul, row, col)) + (c if i == j else 0) for j, col in enumerate(cols)]
+             for i, row in enumerate(M)]
     floor = d - width * mult
     ranks = [d]
     vecs = [list(col) for col in zip(*M)]  # the image of M^1 is spanned by M's columns

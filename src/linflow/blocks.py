@@ -12,14 +12,15 @@ Every module uses one coordinate layout, computed only by `_layout`: the
 blocks follow one another in order, a real block as one half-chain of m
 coordinates and a rotating one as two, whose coordinates i turn together.
 Along a half-chain the nilpotent shift moves each coordinate into the one
-before it.
+before it.  Only `_reach` reads how far a point reaches along each chain.
 
 The JSON wire format is::
 
     {"blocks": [{"m": 2, "re": "-1/2", "im": 1}, ...]}
 
 for generators, and ``{"dim": d, "rows": [[...], ...]}`` with rational
-entries for matrices.  Rationals are integers or "p/q" strings.
+entries for matrices.  Rationals are integers or "p/q" strings.  Every
+top-level wire object, generator or matrix, is read by `_wire_fields`.
 
 Reports print as JSON here too: ``to_json = _fields_to_json`` writes a
 record's fields in field order, each by `_wire`: a GeneratorSpec through
@@ -285,18 +286,24 @@ def _parse_block_obj(obj, where):
     )
 
 
+def _wire_fields(source, what, names):
+    """The values of names, in order, in the wire object source (text or dict)."""
+    if isinstance(source, (str, bytes)):
+        source = _load_json(source, what)
+    if not isinstance(source, dict):
+        raise SpecParseError(f"{what}: top level must be an object")
+    extra = set(source) - set(names)
+    if extra:
+        raise SpecParseError(f"{what}: unknown field(s) {sorted(extra)}")
+    for key in names:
+        if key not in source:
+            raise SpecParseError(f"{what}: missing '{key}'")
+    return [source[key] for key in names]
+
+
 def parse_spec(source):
     """Parse a generator from JSON text or an already-decoded dict."""
-    if isinstance(source, (str, bytes)):
-        source = _load_json(source, "generator")
-    if not isinstance(source, dict):
-        raise SpecParseError("generator: top level must be an object")
-    extra = set(source) - {"blocks"}
-    if extra:
-        raise SpecParseError(f"generator: unknown field(s) {sorted(extra)}")
-    if "blocks" not in source:
-        raise SpecParseError("generator: missing 'blocks'")
-    blocks = source["blocks"]
+    (blocks,) = _wire_fields(source, "generator", ("blocks",))
     if not isinstance(blocks, list):
         raise SpecParseError("generator.blocks: must be a list")
     parsed = [
@@ -333,20 +340,9 @@ def _fields_to_json(self):
 
 def parse_matrix(source):
     """Parse a rational matrix from JSON text or a decoded dict."""
-    if isinstance(source, (str, bytes)):
-        source = _load_json(source, "matrix")
-    if not isinstance(source, dict):
-        raise SpecParseError("matrix: top level must be an object")
-    extra = set(source) - {"dim", "rows"}
-    if extra:
-        raise SpecParseError(f"matrix: unknown field(s) {sorted(extra)}")
-    for key in ("dim", "rows"):
-        if key not in source:
-            raise SpecParseError(f"matrix: missing '{key}'")
-    d = source["dim"]
+    d, rows = _wire_fields(source, "matrix", ("dim", "rows"))
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise SpecParseError("matrix.dim: must be a positive integer")
-    rows = source["rows"]
     if not isinstance(rows, list) or len(rows) != d:
         raise SpecParseError(f"matrix.rows: expected {d} rows")
     out = []
@@ -424,6 +420,14 @@ def _layout(blocks):
         out.append((off,) if im == 0 else (off, off + m))
         off += len(out[-1]) * m
     return out
+
+
+def _reach(spec, x):
+    """How far the point x reaches along each block's chain: 1 + the last
+    position at which x is nonzero in either half-chain, or 0 if nowhere."""
+    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
+    return [max((i + 1 for i in range(b.size) if any(x[h + i] != 0 for h in halves)), default=0)
+            for b, halves in zip(spec.blocks, layout)]
 
 
 def _block_entries(blocks):

@@ -216,6 +216,12 @@ def _decide_by_keys(pair, forms, scaled, name, trace):
     )
 
 
+def _catalog_step(trace, step, ok, detail):
+    """Record a catalog step, which decides outright: Yes when ok, else No."""
+    trace.append(TraceEntry(step, "pass" if ok else "fail", detail))
+    return Decision.YES if ok else Decision.NO
+
+
 def _hyperbolic_index(pair, trace):
     """Decision by unordered stable/unstable dims when both flows are
     hyperbolic, else None."""
@@ -223,15 +229,8 @@ def _hyperbolic_index(pair, trace):
     if pa.central or pb.central:
         return None
     da, db = (pa.stable, pa.unstable), (pb.stable, pb.unstable)
-    ok = sorted(da) == sorted(db)
-    trace.append(
-        TraceEntry(
-            "hyperbolic index",
-            "pass" if ok else "fail",
-            f"stable/unstable dims {da} vs {db}, unordered",
-        )
-    )
-    return Decision.YES if ok else Decision.NO
+    return _catalog_step(trace, "hyperbolic index", sorted(da) == sorted(db),
+                         f"stable/unstable dims {da} vs {db}, unordered")
 
 
 def _topological_label_2d(spec):
@@ -258,23 +257,12 @@ def _low_dim_topological(a, b, trace):
     """TopEquiv on a line or in the plane, where the catalogs are complete;
     None in dimension >= 3."""
     if a.dim == 1:
-        ok = (a.blocks[0].re == 0) == (b.blocks[0].re == 0)
-        trace.append(
-            TraceEntry(
-                "line catalog",
-                "pass" if ok else "fail",
-                "flows on a line match iff both or neither are rest points",
-            )
-        )
-    elif a.dim == 2:
+        return _catalog_step(trace, "line catalog", (a.blocks[0].re == 0) == (b.blocks[0].re == 0),
+                             "flows on a line match iff both or neither are rest points")
+    if a.dim == 2:
         la, lb = _topological_label_2d(a), _topological_label_2d(b)
-        ok = la == lb
-        trace.append(
-            TraceEntry("planar catalog", "pass" if ok else "fail", f"labels {la} vs {lb}")
-        )
-    else:
-        return None
-    return Decision.YES if ok else Decision.NO
+        return _catalog_step(trace, "planar catalog", la == lb, f"labels {la} vs {lb}")
+    return None
 
 
 def classify(relation, a, b):

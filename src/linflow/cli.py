@@ -150,7 +150,10 @@ def _time_grid(args, default_span, default_n):
     import numpy as np
 
     if args.times:
-        return np.array([_parse_float(p, "--times") for p in args.times.split(",") if p.strip()])
+        times = [_parse_float(p, "--times") for p in args.times.split(",") if p.strip()]
+        if not times:  # the message of verify_conjugacy, which simulate does not call
+            raise PreconditionViolated("need at least one time")
+        return np.array(times)
     if args.t_range:
         parts = args.t_range.split(",")
         if len(parts) != 3:

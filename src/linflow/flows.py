@@ -43,12 +43,16 @@ class FlowEvaluator:
 
     blocks: sequence of (size, growth, rotation) with float rates; rotation
     may be signed here (a spec normalizes it away, but the explicit
-    homeomorphism constructions need the signed flow).
+    homeomorphism constructions need the signed flow).  A rate beyond the
+    float range, such as a spec's -10^400/3, raises PreconditionViolated.
     """
 
     def __init__(self, blocks, guard=FLOW_TIME_GUARD):
-        self.blocks = tuple((_at_least(m, 1, "block size"), float(a), float(b))
-                            for m, a, b in blocks)
+        try:
+            self.blocks = tuple((_at_least(m, 1, "block size"), float(a), float(b))
+                                for m, a, b in blocks)
+        except OverflowError:
+            raise PreconditionViolated("a block rate is beyond the float range") from None
         self.guard = float(guard)
         layout = _layout(self.blocks)
         rates, pos, u, v, rot = ([] for _ in range(5))
@@ -73,8 +77,7 @@ class FlowEvaluator:
 
     @classmethod
     def from_spec(cls, spec: GeneratorSpec, guard=FLOW_TIME_GUARD):
-        return cls([(b.size, float(b.re), float(b.im)) for b in _require_spec(spec).blocks],
-                   guard=guard)
+        return cls([(b.size, b.re, b.im) for b in _require_spec(spec).blocks], guard=guard)
 
     def _check_t(self, ts):
         """max |t|, once it is checked against the guard."""

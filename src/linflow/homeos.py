@@ -450,21 +450,22 @@ def build_uniform_exponent_map(spec):
         )
     if a0 >= 0:
         raise PreconditionViolated("shared growth rate must be negative")
-    layout = _layout((b.size, b.re, b.im) for b in blocks)
+    source = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)  # refuses a rate past floats
+    rate = source.blocks[0][1]
     # the two size-1 half-chains of a rotation block span its plane
-    plane = [(halves, float(b.im) / abs(float(a0)))
-             for b, halves in zip(blocks, layout) if b.im != 0]
+    plane = [(halves, rot / -rate)
+             for (_, _, rot), halves in zip(source.blocks, _layout(source.blocks)) if rot != 0]
     forward_batch, inverse_batch = _turn_planes(plane)
     target_spec = GeneratorSpec([JordanBlock(1, a0, 0)] * spec.dim)
     return HomeoMap(
         name="uniform",
-        source_flow=FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD),
+        source_flow=source,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
         forward_batch=forward_batch,
         inverse_batch=inverse_batch,
         source_spec=spec,
         target_spec=target_spec,
-        metadata={"rate": float(a0), "planes_unwound": len(plane)},
+        metadata={"rate": rate, "planes_unwound": len(plane)},
     )
 
 
@@ -582,6 +583,8 @@ def build_pw_conj_hyperbolic(spec):
     subnormal or zero.
     """
     dims = partition_dims(spec)
+    if not spec.dim:
+        raise PreconditionViolated("empty generator")
     if dims.central:
         raise PreconditionViolated("hyperbolic generator required")
     d, dS = spec.dim, dims.stable

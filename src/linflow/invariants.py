@@ -20,7 +20,7 @@ from math import gcd, inf, lcm
 from ._record import record
 from .errors import InternalCheckError, NotBounded, NotStable, PreconditionViolated
 from .errors import _at_least, _point, _rational
-from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout, _require_spec
+from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _layout, _reach, _require_spec
 
 __all__ = [
     "PartitionDims",
@@ -329,19 +329,9 @@ def minimal_period(spec, x=None):
     """
     if not is_bounded(spec):
         raise NotBounded("minimal period needs a bounded flow")
-    if x is not None:
-        x = _point(x, spec.dim)
-    rates = []
-    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
-    for b, halves in zip(spec.blocks, layout):
-        supported = x is None or any(
-            x[h + i] != 0.0 for h in halves for i in range(b.size)
-        )
-        if supported and b.im != 0:
-            rates.append(b.im)
-    if not rates:
-        return Fraction(0)
-    return _inverse_gcd(rates)
+    reach = [1] * len(spec.blocks) if x is None else _reach(spec, _point(x, spec.dim))
+    rates = [b.im for b, k in zip(spec.blocks, reach) if k and b.im != 0]
+    return _inverse_gcd(rates) if rates else Fraction(0)
 
 
 def is_generic(spec):

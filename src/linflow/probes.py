@@ -24,7 +24,7 @@ from math import lgamma, pi
 import numpy as np
 
 from ._record import factory, record
-from .blocks import _fields_to_json, _layout, _require_spec
+from .blocks import _fields_to_json, _layout, _reach, _require_spec
 from .errors import LinFlowError, NotStable, PreconditionViolated, _above, _at_least, _point
 from .flows import _INTERNAL_GUARD, FlowEvaluator
 from .invariants import distortion_subspace, minimal_period
@@ -381,17 +381,10 @@ class DecayReport:
 
 def _expected_decay(spec, x):
     """Dominant (rate, degree) of |Phi_t x| from the block structure."""
-    best = None
-    layout = _layout((b.size, b.re, b.im) for b in spec.blocks)
-    for b, halves in zip(spec.blocks, layout):
-        support = [i for i in range(b.size) if any(x[h + i] != 0 for h in halves)]
-        if support:
-            cand = (float(b.re), max(support))
-            if best is None or cand > best:
-                best = cand
-    if best is None:
+    reached = [(float(b.re), k - 1) for b, k in zip(spec.blocks, _reach(spec, x)) if k]
+    if not reached:
         raise PreconditionViolated("decay probe needs a nonzero point")
-    return best
+    return max(reached)
 
 
 def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
@@ -405,8 +398,8 @@ def decay_rate_probe(spec, x, window=(5.0, 60.0), n=120):
     lo, hi = _point(window, 2, "a window")
     if not 0 < lo < hi:
         raise PreconditionViolated(f"need a window (lo, hi) with 0 < lo < hi, got {window}")
+    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)  # refuses a rate past floats
     exp_rate, exp_deg = _expected_decay(spec, x)
-    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
     ts = np.linspace(lo, hi, n)
     Z = flow.apply_batch(ts, np.tile(x, (n, 1)))
     vals = np.log(np.linalg.norm(Z, axis=1))
@@ -444,7 +437,8 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     x = np.array(_point(x, _require_spec(spec).dim))
     q = minimal_period(spec, x)  # raises NotBounded on unbounded input
     _above(tol, 0.0, "tol")
-    rates = [abs(float(b.im)) for b in spec.blocks if b.im != 0]
+    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)  # refuses a rate past floats
+    rates = [abs(rot) for _, _, rot in flow.blocks if rot != 0]
     # the minimal period is at least the fastest carrier period, so the
     # search may skip the initial stretch where the orbit has barely moved
     carrier = 2.0 * pi / max(rates) if rates else 0.0
@@ -452,7 +446,6 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     if t_max is not None:
         _above(t_max, start, "t_max")
     predicted = float(q) * 2.0 * pi
-    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
     nx = float(np.linalg.norm(x))
     if q == 0:
         drift = float(np.linalg.norm(flow.apply(0.7, x) - x))

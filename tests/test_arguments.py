@@ -354,3 +354,36 @@ def test_every_matrix_or_map_function_refuses_an_int_with_a_typed_error(fn, need
         _call(fn, {})
     assert isinstance(info.value, PreconditionViolated)
     assert f"need a {need}, got int" in str(info.value)
+
+
+# Specs whose exact rates are well formed but whose floats overflow: a
+# stable one with one shared growth rate (the uniform map's input), one
+# whose rotation rate overflows, a bounded one and a hyperbolic one.
+HUGE = Fraction(-10**400, 3)
+OVERFLOWING = {
+    "stable": S((1, HUGE, 0), (1, HUGE, 1)),
+    "rotating": S((1, -1, HUGE), (1, -1, 0)),
+    "bounded": S((1, 0, HUGE), (1, 0, 1)),
+    "hyperbolic": S((1, HUGE, 0), (1, 1, 0)),
+}
+
+
+def _well_formed(name, spec):
+    """A well-formed value of a parameter that is not a spec; a parameter
+    named nowhere here fails the sweep below until it is added."""
+    if name == "x":
+        return [0.5] * spec.dim
+    return {"relation": "LinEquiv", "t": 1.0, "s": -1, "m": 1, "alpha": 2, "part": "stable"}[name]
+
+
+@pytest.mark.parametrize("spec", OVERFLOWING.values(), ids=OVERFLOWING)
+@pytest.mark.parametrize("fn, specs", SPEC_FUNCTIONS)
+def test_every_spec_function_answers_rates_beyond_the_float_range(fn, specs, spec):
+    # the exact layer answers; the float layer refuses with a typed error,
+    # never a raw OverflowError from float() of a rate
+    params = inspect.signature(fn).parameters.values()
+    try:
+        fn(**{p.name: spec if p.name in specs else _well_formed(p.name, spec)
+              for p in params if p.default is p.empty})
+    except LinFlowError:
+        pass

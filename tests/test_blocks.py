@@ -29,6 +29,9 @@ from linflow import (
     time_reverse,
 )
 
+from linflow.blocks import _reach
+from linflow.flows import FlowEvaluator
+
 from conftest import random_spec
 
 
@@ -110,6 +113,44 @@ def test_parse_spec_rejects_duplicate_keys():
 def test_parse_spec_rejects_malformed(text):
     with pytest.raises(SpecParseError):
         parse_spec(text)
+
+
+# every refusal of the top-level wire object, and the first of its fields
+WIRE_ERRORS = [
+    (parse_spec, [], "generator: top level must be an object"),
+    (parse_spec, 5, "generator: top level must be an object"),
+    (parse_spec, {"blocks": [], "dim": 1, "b": 0}, "generator: unknown field(s) ['b', 'dim']"),
+    (parse_spec, {}, "generator: missing 'blocks'"),
+    (parse_spec, {"blocks": "no"}, "generator.blocks: must be a list"),
+    (parse_matrix, [[1]], "matrix: top level must be an object"),
+    (parse_matrix, None, "matrix: top level must be an object"),
+    (parse_matrix, {"dim": 1, "rows": [[1]], "blocks": []}, "matrix: unknown field(s) ['blocks']"),
+    (parse_matrix, {}, "matrix: missing 'dim'"),
+    (parse_matrix, {"rows": [[1]]}, "matrix: missing 'dim'"),
+    (parse_matrix, {"dim": 1}, "matrix: missing 'rows'"),
+    (parse_matrix, {"dim": 0, "rows": []}, "matrix.dim: must be a positive integer"),
+    (parse_matrix, {"dim": True, "rows": [[1]]}, "matrix.dim: must be a positive integer"),
+    (parse_matrix, {"dim": 2, "rows": [[1, 0]]}, "matrix.rows: expected 2 rows"),
+    (parse_matrix, {"dim": 2, "rows": [[1, 0], [0]]}, "matrix.rows[1]: expected 2 entries"),
+]
+
+
+@pytest.mark.parametrize("as_text", [False, True], ids=["dict", "text"])
+@pytest.mark.parametrize("parse, doc, message", WIRE_ERRORS)
+def test_wire_object_errors_keep_their_messages(parse, doc, message, as_text):
+    with pytest.raises(SpecParseError) as info:
+        parse(json.dumps(doc) if as_text else doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, what", [(parse_spec, "generator"), (parse_matrix, "matrix")])
+def test_wire_text_errors_keep_their_messages(parse, what):
+    with pytest.raises(SpecParseError) as info:
+        parse("not json")
+    assert str(info.value) == f"{what}: invalid JSON at line 1: Expecting value"
+    with pytest.raises(SpecParseError) as info:
+        parse(b'{"dim": 1,\n "dim": 2}')
+    assert str(info.value) == "duplicate JSON key 'dim'"
 
 
 @pytest.mark.parametrize("parse", [parse_spec, parse_matrix])
@@ -200,6 +241,29 @@ def test_materialize_rotation_block_layout():
          [float(b) * eye2, float(a) * eye2 + shift]]
     )
     assert np.array_equal(m, expected)
+
+
+def _reach_oracle(spec, x):
+    """1 + the largest chain position of a nonzero coordinate of x in each
+    block, read from the evaluator's own layout (0 for none)."""
+    flow = FlowEvaluator.from_spec(spec)
+    out = []
+    for lo, hi in zip(flow.offsets, flow.offsets[1:]):
+        pos = flow.chain_pos[lo:hi][x[lo:hi] != 0]
+        out.append(int(pos.max()) + 1 if pos.size else 0)
+    return out
+
+
+def test_reach_matches_the_evaluator_layout(rng):
+    for _ in range(300):
+        spec = random_spec(rng, max_dim=10, max_size=4)
+        keep = rng.choice([0.1, 0.4, 0.8, 1.0])  # the share of coordinates drawn nonzero
+        x = np.where(rng.random(spec.dim) < keep, rng.integers(-3, 4, spec.dim), 0.0)
+        assert _reach(spec, x) == _reach_oracle(spec, x)
+        assert _reach(spec, x.tolist()) == _reach(spec, x)
+    assert _reach(S((3, -1, 2), (2, 0, 0)), [0, 0, 1, 0, 0, 0, 0, 0]) == [3, 0]
+    assert _reach(S((3, -1, 2), (2, 0, 0)), [0, 0, 0, 0, 1, 0, 0, 0]) == [2, 0]
+    assert _reach(S((3, -1, 2), (2, 0, 0)), [0, 0, 0, 0, 0, 0, 1, 0]) == [0, 1]
 
 
 def test_materialize_is_block_diagonal_in_spec_order():

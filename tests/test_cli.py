@@ -433,6 +433,25 @@ def test_simulate_parses_point_and_times_as_rationals(
         assert err.splitlines() == [f"error: {message}"]
 
 
+def test_simulate_refuses_an_empty_time_list(capsys, saddle_file):
+    # as verify does; it used to print the CSV header alone and exit 0
+    code, out, err = run_cli(capsys, "simulate", saddle_file, "--point", "1,1", "--times=,")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == ["error: need at least one time"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{g}", "--point", "1,1,1", "--times", "0"],
+    ["verify", "uniform", "{g}"],
+], ids=["simulate", "verify-uniform"])
+def test_a_rate_beyond_the_float_range_exits_3(capsys, tmp_path, argv):
+    rate = f"-{10**400}/3"
+    g = write_json(tmp_path, "huge.json", spec_doc((1, rate, "0"), (1, rate, "1")))
+    code, out, err = run_cli(capsys, *(a.format(g=g) for a in argv))
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == ["error: a block rate is beyond the float range"]
+
+
 def test_simulate_missing_point_flag_is_a_usage_error(capsys, saddle_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", saddle_file])

@@ -122,6 +122,14 @@ def test_uniform_exponent_map_preconditions(spec):
 # hyperbolic pointwise conjugacy to the standard saddle
 
 
+@pytest.mark.parametrize("build", [build_pw_conj_hyperbolic, build_uniform_exponent_map])
+def test_map_builders_refuse_an_empty_generator(build):
+    # a 0-dimensional map would pass verify_conjugacy on empty points, and
+    # lipschitz_probe would divide 0 by 0
+    with pytest.raises(PreconditionViolated, match="^empty generator$"):
+        build(GeneratorSpec([]))
+
+
 def test_pw_conj_planar_saddle():
     hm = build_pw_conj_hyperbolic(S((1, -2, 0), (1, 3, 0)))
     assert hm.target_spec == S((1, -1, 0), (1, 1, 0))
