@@ -265,12 +265,18 @@ def _require_spec(spec):
 # parse / serialize
 
 
+def _unknown(keys):
+    """The unknown fields of a wire object, sorted without comparing keys
+    of different types: its str keys in order, then any other by repr."""
+    return sorted(keys, key=lambda k: (False, k) if isinstance(k, str) else (True, repr(k)))
+
+
 def _parse_block_obj(obj, where):
     if not isinstance(obj, dict):
         raise SpecParseError(f"{where}: block must be an object")
     extra = set(obj) - {"m", "re", "im"}
     if extra:
-        raise SpecParseError(f"{where}: unknown field(s) {sorted(extra)}")
+        raise SpecParseError(f"{where}: unknown field(s) {_unknown(extra)}")
     missing = {"m", "re", "im"} - set(obj)
     if missing:
         raise SpecParseError(f"{where}: missing field(s) {sorted(missing)}")
@@ -294,7 +300,7 @@ def _wire_fields(source, what, names):
         raise SpecParseError(f"{what}: top level must be an object")
     extra = set(source) - set(names)
     if extra:
-        raise SpecParseError(f"{what}: unknown field(s) {sorted(extra)}")
+        raise SpecParseError(f"{what}: unknown field(s) {_unknown(extra)}")
     for key in names:
         if key not in source:
             raise SpecParseError(f"{what}: missing '{key}'")

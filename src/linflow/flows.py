@@ -30,6 +30,19 @@ __all__ = ["FlowEvaluator", "flow_apply", "FLOW_TIME_GUARD"]
 FLOW_TIME_GUARD = 1e3
 _INTERNAL_GUARD = 1e9  # the guard of the evaluators inside maps and probes: no time limit
 _EXP_SAFE = 700.0  # e^x is finite for every x up to this
+_NOT_RATES = (str, bytes, bool, np.bool_)  # float() takes them, but they are no rates
+
+
+def _rate(r):
+    """float(r) for a block rate: a real number, none of `_NOT_RATES`,
+    whose float is finite, and nonzero unless r is 0 (a rotation rate that
+    underflowed would lay its block out as a real one)."""
+    f = math.nan if isinstance(r, _NOT_RATES) else float(r)
+    if not math.isfinite(f):
+        raise PreconditionViolated(f"need a finite real block rate, got {r!r}")
+    if not f and r:
+        raise PreconditionViolated("a block rate is below the float range")
+    return f
 
 
 def _rotate_pairs(theta, U, V):
@@ -44,15 +57,20 @@ class FlowEvaluator:
     blocks: sequence of (size, growth, rotation) with float rates; rotation
     may be signed here (a spec normalizes it away, but the explicit
     homeomorphism constructions need the signed flow).  A rate beyond the
-    float range, such as a spec's -10^400/3, raises PreconditionViolated.
+    float range, such as a spec's -10^400/3, or below it, such as 10^-400,
+    raises PreconditionViolated, and so does a str, bytes, bool, numpy
+    bool, NaN or infinite rate.
     """
 
     def __init__(self, blocks, guard=FLOW_TIME_GUARD):
         try:
-            self.blocks = tuple((_at_least(m, 1, "block size"), float(a), float(b))
+            self.blocks = tuple((_at_least(m, 1, "block size"), _rate(a), _rate(b))
                                 for m, a, b in blocks)
         except OverflowError:
             raise PreconditionViolated("a block rate is beyond the float range") from None
+        except (TypeError, ValueError):  # a rate that float() refuses, or a block that is no triple
+            raise PreconditionViolated("need blocks of (size, growth, rotation)"
+                                       " with real rates") from None
         self.guard = float(guard)
         layout = _layout(self.blocks)
         rates, pos, u, v, rot = ([] for _ in range(5))

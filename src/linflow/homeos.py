@@ -10,20 +10,21 @@ only numerics involved are root solves on closed-form norm profiles, by
 safeguarded Newton steps on their closed-form derivatives to machine-level
 tolerance.  The Lyapunov metrics of the pw-hyp map are closed forms too.
 
-Every root has a certified bracket, and no bracket is grown: the slopes
-of the solved log profiles are Rayleigh quotients of fixed matrix
-pencils, whose ranges each factor computes once at build time.  One loop,
-`_iterate`, runs every solve: `_newton` for one unknown (a norm level in
-`_solve_norm_time`, a minimum in `_solve_min_time`, the slide), and
-`_solve_cone_point` for the mixed pw-hyp inverse, one Newton iteration on
-the time s and the shift delta of the cone point together, each in a
-certified box.  `_NormProfile` gives a factor's norm and derivatives as one
-stacked product, with their slope ranges; `_turn_planes` turns the planes
-of the spiral and uniform maps, and `_chain_weights` with `_definite`
-drives the metric searches.  In the pw-hyp map, `_split` sorts a batch
-into zero, pure-stable, pure-unstable and mixed rows, one `_cone` serves
-the mixed rows of forward and tau, and each batch map runs under one
-np.errstate, as its decorator.
+Every root has a certified bracket, and no bracket is grown: the slopes of
+the solved log profiles are Rayleigh quotients of fixed matrix pencils,
+whose ranges each factor computes once at build time.  One loop,
+`_iterate`, runs every solve, up to its cap `_SOLVE_CAP`: `_newton` for one
+unknown (a norm level in `_solve_norm_time`, a minimum in
+`_solve_min_time`, the slide), and `_solve_cone_point` for the mixed pw-hyp
+inverse, one Newton iteration on the time s and the shift delta of the cone
+point together, each in a certified box.  `_NormProfile` gives a factor's
+norm and derivatives as one stacked product, with their slope ranges;
+`_turn_planes` turns the planes of the spiral and uniform maps, and
+`_chain_weights` with `_definite` drives the metric searches.  In the
+pw-hyp map, `_split` sorts a batch into zero, pure-stable, pure-unstable
+and mixed rows, forward solves each factor's unit-sphere time once per
+call, one `_cone` serves the mixed rows of forward and tau, and each batch
+map runs under one np.errstate, as its decorator.
 """
 
 from __future__ import annotations
@@ -108,15 +109,15 @@ def _bracket(x, f, kmin, kmax):
     return np.where(f == -np.inf, x, lo), np.where(f == np.inf, x, hi)
 
 
-def _iterate(advance, state, k, stats, cap):
+def _iterate(advance, state, k, stats):
     """The loop of every solve: state = (k roots, then the rest) holds an
     array per quantity, and advance(it, rows, *state) -> (state, newton,
     done) runs one iteration on those rows of the batch.  Returns the (k, n)
-    roots; a point still running after `cap` iterations is a bug."""
+    roots; a point still running after `_SOLVE_CAP` iterations is a bug."""
     rows = np.arange(len(state[0]))
     out = np.empty((k, rows.size))
     stats["solves"] += rows.size
-    for it in range(cap):
+    for it in range(_SOLVE_CAP):
         state, newton, done = advance(it, rows, *state)
         stats["iterations"] += rows.size
         stats["bisect_steps"] += rows.size - int(np.count_nonzero(newton))
@@ -131,10 +132,10 @@ def _iterate(advance, state, k, stats, cap):
             rows = rows[keep]
             state = np.array(state)[:, keep]
     raise InternalCheckError("root solve did not converge in %d iterations (%d points)"
-                             % (cap, rows.size))
+                             % (_SOLVE_CAP, rows.size))
 
 
-def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, cap=_SOLVE_CAP):
+def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf):
     """Roots of len(x) elementwise increasing functions, started at x;
     fg(x, rows) -> (f, f') for the given rows of the batch.
 
@@ -148,7 +149,7 @@ def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, cap=_SOLVE_CAP):
     bracket, take the Newton step only if it lands inside it and, from the
     third step on, is at most half the step before last; bisect otherwise.
     A point stops once its step or its bracket is within
-    1e-13 * max(1, |x|), within `cap` iterations.  Every f here is a
+    1e-13 * max(1, |x|), within `_SOLVE_CAP` iterations.  Every f here is a
     difference of logs, so a point that stops with |f| above
     1e-6 * max(1, |x|) stopped at a jump, where a flow left the float range.
     """
@@ -183,7 +184,7 @@ def _newton(fg, x, stats, slopes=None, lo=-np.inf, hi=np.inf, cap=_SOLVE_CAP):
             raise PreconditionViolated("a root of a norm profile lies beyond the float range")
         return (x, lo, hi, step, step_old), newton, done
 
-    return _iterate(advance, (x, lo, hi, *np.full((2, n), np.inf)), 1, stats, cap)[0]
+    return _iterate(advance, (x, lo, hi, *np.full((2, n), np.inf)), 1, stats)[0]
 
 
 def _slope_ranges(G, S, C, sign):
@@ -287,7 +288,7 @@ def _solve_min_time(pS, pU, Y, Z, shift, stats):
     return _newton(fg, s0, stats, (cS0 + cU0, cS1 + cU1), lo, hi)
 
 
-def _solve_cone_point(pS, pU, Y, Z, logmu2, stats, cap=_SOLVE_CAP):
+def _solve_cone_point(pS, pU, Y, Z, logmu2, stats):
     """The root (s, d) of F1 = log V_U'(s + d) - log(-V_S'(s)) and
     F2 = log V - log mu^2, V = V_S(s) + V_U(s + d): s is the argmin of V
     at shift d, as in `_solve_min_time`, and mu^2 its least value.
@@ -347,7 +348,7 @@ def _solve_cone_point(pS, pU, Y, Z, logmu2, stats, cap=_SOLVE_CAP):
 
     zero, inf = np.zeros(len(L)), np.full(len(L), np.inf)
     s0, lo, hi = _balance(pS, pU, L, zero)
-    return _iterate(advance, (s0, zero, lo, hi, -inf, inf, inf, inf), 2, stats, cap)
+    return _iterate(advance, (s0, zero, lo, hi, -inf, inf, inf, inf), 2, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +529,17 @@ def _lyapunov_solutions(flow, sgn, attempts):
         yield g, G
 
 
-def _lyapunov_metric(flow, stable, attempts=8):
+def _lyapunov_metric(flow, stable):
     """The norm profile of a metric G with monotone norms along the factor
-    flow: the first of `_lyapunov_solutions`, over chain weights of growing
-    gap, whose first and second derivative forms S and C of |Phi_t x|_G^2
+    flow: the first of `_lyapunov_solutions`, over chain weights of gap up
+    to 2^7, whose first and second derivative forms S and C of |Phi_t x|_G^2
     are strictly definite, with those same forms."""
     sgn = 1.0 if stable else -1.0  # the norm decreases (stable) or increases
     if flow.dim == 0:
         Z = np.zeros((0, 0))
         return _NormProfile(flow, Z, Z, Z, -sgn, (None, None)), {"attempts": 0, "gap": None}
     A = flow.generator_matrix()
-    for k, (g, G) in enumerate(_lyapunov_solutions(flow, sgn, attempts)):
+    for k, (g, G) in enumerate(_lyapunov_solutions(flow, sgn, 8)):
         if not np.all(np.isfinite(G)):
             continue
         S = G @ A + A.T @ G
@@ -660,17 +661,16 @@ def build_pw_conj_hyperbolic(spec):
     def forward_batch(X):
         X, parts, _, n2, pure, mixed, _ = _split(X)
         W = np.zeros_like(X)
-        for (prof, c), P, rows in zip(factors, parts, pure):
+        shares = np.array((n2, n2))  # each factor's squared image norm: n2 on its pure rows
+        if mixed.any():
+            T, mu4, rad = _cone(*(P[mixed] for P in parts), n2[mixed])
+            for (prof, _), c2 in zip(factors, shares):
+                c2[mixed] = 0.5 * _stable_side(n2[mixed], rad, -prof.sign * np.sign(T), mu4)
+        for (prof, c), P, rows, c2 in zip(factors, parts, pure, shares):
+            rows = rows | mixed
             if rows.any():
                 T = _solve_norm_time(prof, P[rows], stats)
-                W[rows, c] = np.sqrt(n2[rows])[:, None] * prof.flow.apply_batch(T, P[rows])
-        if mixed.any():
-            Q, n2 = [P[mixed] for P in parts], n2[mixed]
-            T, mu4, rad = _cone(*Q, n2)
-            for (prof, c), P in zip(factors, Q):
-                c2 = 0.5 * _stable_side(n2, rad, -prof.sign * np.sign(T), mu4)
-                T1 = _solve_norm_time(prof, P, stats)
-                W[mixed, c] = np.sqrt(c2)[:, None] * prof.flow.apply_batch(T1, P)
+                W[rows, c] = np.sqrt(c2[rows])[:, None] * prof.flow.apply_batch(T, P[rows])
         return _kept(X, _finite(W), pure, mixed)
 
     @np.errstate(all="ignore")

@@ -6,15 +6,15 @@ evaluator only, on explicit time grids, and never extrapolate beyond the
 largest time they actually visited.
 
 Each probe evaluates its grid as one batch per map.  `verify_conjugacy`,
-`lipschitz_probe` and the off-subspace branch of `distortion_probe` stack
-every grid time, scale or partner, and cut the stack only into chunks of
-whole grid items under a fixed budget of `_ROWS` rows per call.  Every map
-and flow treats its rows independently, so the batching moves no bit of
-any report.  The decay and period probes flow one point over one capped
-time grid, and the period probe refines its candidate times together,
-one flow call per bisection step.  The distortion, decay and period
-probes take their point through `errors._point`: dim entries, each a finite
-real number.
+`lipschitz_probe` and `_worst_deviation`, which measures both branches of
+`distortion_probe`, stack every grid time, scale or partner, and cut the
+stack only into chunks of whole grid items under a fixed budget of `_ROWS`
+rows per call.  Every map and flow treats its rows independently, so the
+batching moves no bit of any report.  The decay and period probes flow one
+point over one capped time grid, and the period probe refines its candidate
+times together, one flow call per bisection step.  The distortion, decay and
+period probes take their point through `errors._point`: dim entries, each a
+finite real number.
 """
 
 from __future__ import annotations
@@ -242,6 +242,19 @@ def _choose_witness_block(spec, lam, M):
     return spec.blocks[i], layout[i]
 
 
+def _worst_deviation(flow, x, tx, Y, ty):
+    """Per partner y in Y, max |Phi_tx x - Phi_ty y| / |Phi_ty y| over Phi_ty y != 0, or 0."""
+    n = len(tx)
+    fx = flow.apply_batch(tx, np.tile(x, (n, 1)))
+    out = []
+    for part in _chunks(len(Y), n, _ROWS):
+        fy = flow.apply_batch(np.tile(ty, len(Y[part])), np.repeat(Y[part], n, axis=0))
+        den = np.linalg.norm(fy, axis=1).reshape(-1, n)
+        num = np.linalg.norm(np.tile(fx, (len(den), 1)) - fy, axis=1).reshape(-1, n)
+        out += [float(np.max(nu[de > 0] / de[de > 0], initial=0.0)) for nu, de in zip(num, den)]
+    return out
+
+
 def distortion_probe(
     spec,
     x,
@@ -294,14 +307,7 @@ def distortion_probe(
                 eta = rng.standard_normal(spec.dim)
                 eta /= np.linalg.norm(eta)
                 Y.append(x + (base * 2.0**-k) * eta)
-        Y = np.array(Y)
-        fx = flow.apply_batch(ts, np.tile(x, (n_grid, 1)))
-        ratios = []  # per partner
-        for part in _chunks(len(Y), n_grid, _ROWS):
-            fy = flow.apply_batch(np.tile(ts, len(Y[part])), np.repeat(Y[part], n_grid, axis=0))
-            den = np.linalg.norm(fy, axis=1).reshape(-1, n_grid)
-            num = np.linalg.norm(np.tile(fx, (len(den), 1)) - fy, axis=1).reshape(-1, n_grid)
-            ratios += [float(np.max(nu[de > 0] / de[de > 0])) for nu, de in zip(num, den)]
+        ratios = _worst_deviation(flow, x, ts, np.array(Y), ts)  # per partner
         shells = [max(0.0, *ratios[8 * k : 8 * k + 8]) for k in range(6)]
         estimate = shells[-1]
         return DistortionReport(
@@ -341,13 +347,7 @@ def distortion_probe(
                 snapped.append(s)
     s_all = np.unique(np.concatenate([s_grid, np.array(snapped)]))
     rho = s_all - (M - 1) * np.log(s_all) + lgamma(M)
-    fx = flow.apply_batch(s_all / lam, np.tile(x, (len(s_all), 1)))
-    fy = flow.apply_batch(rho / lam, np.tile(y, (len(s_all), 1)))
-    den = np.linalg.norm(fy, axis=1)
-    num = np.linalg.norm(fx - fy, axis=1)
-    ok = den > 0
-    ratios = num[ok] / den[ok]
-    estimate = float(np.max(ratios))
+    (estimate,) = _worst_deviation(flow, x, s_all / lam, y[None, :], rho / lam)
     return DistortionReport(
         member=True,
         branch=branch,

@@ -366,6 +366,14 @@ OVERFLOWING = {
     "bounded": S((1, 0, HUGE), (1, 0, 1)),
     "hyperbolic": S((1, HUGE, 0), (1, 1, 0)),
 }
+# Specs with a nonzero exact rate whose float is 0, which no evaluator may
+# take for a zero rate: a rotating one, a bounded one and a hyperbolic one
+TINY = Fraction(1, 10**400)
+UNDERFLOWING = {
+    "rotating-tiny": S((1, -1, TINY), (1, -1, 0)),
+    "bounded-tiny": S((1, 0, TINY), (1, 0, 1)),
+    "hyperbolic-tiny": S((1, -TINY, 0), (1, 1, 0)),
+}
 
 
 def _well_formed(name, spec):
@@ -376,11 +384,13 @@ def _well_formed(name, spec):
     return {"relation": "LinEquiv", "t": 1.0, "s": -1, "m": 1, "alpha": 2, "part": "stable"}[name]
 
 
-@pytest.mark.parametrize("spec", OVERFLOWING.values(), ids=OVERFLOWING)
+@pytest.mark.parametrize("spec", [*OVERFLOWING.values(), *UNDERFLOWING.values()],
+                         ids=[*OVERFLOWING, *UNDERFLOWING])
 @pytest.mark.parametrize("fn, specs", SPEC_FUNCTIONS)
 def test_every_spec_function_answers_rates_beyond_the_float_range(fn, specs, spec):
     # the exact layer answers; the float layer refuses with a typed error,
-    # never a raw OverflowError from float() of a rate
+    # never a raw OverflowError from float() of a rate, and never a flow of
+    # the wrong dimension from a rate that came out 0
     params = inspect.signature(fn).parameters.values()
     try:
         fn(**{p.name: spec if p.name in specs else _well_formed(p.name, spec)

@@ -143,6 +143,26 @@ def test_wire_object_errors_keep_their_messages(parse, doc, message, as_text):
     assert str(info.value) == message
 
 
+# a decoded dict, unlike JSON text, may mix key types: str keys come first
+# in their order, then the others by repr, and no key is compared with
+# one of another type
+MIXED_KEYS = [
+    (parse_spec, {1: 2, "x": 3}, "generator: unknown field(s) ['x', 1]"),
+    (parse_matrix, {"dim": 1, "rows": [[1]], (0, "a"): 0, "b": 1, 2.5: 0},
+     "matrix: unknown field(s) ['b', (0, 'a'), 2.5]"),
+    (parse_spec, {"blocks": [{"m": 1, "re": 0, "im": 0, None: 1, "z": 2}]},
+     "generator.blocks[0]: unknown field(s) ['z', None]"),
+]
+
+
+@pytest.mark.parametrize("parse, doc, message", MIXED_KEYS,
+                         ids=["parse_spec", "parse_matrix", "_parse_block_obj"])
+def test_unknown_keys_of_mixed_types_are_a_parse_error(parse, doc, message):
+    with pytest.raises(SpecParseError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("parse, what", [(parse_spec, "generator"), (parse_matrix, "matrix")])
 def test_wire_text_errors_keep_their_messages(parse, what):
     with pytest.raises(SpecParseError) as info:

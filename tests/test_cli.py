@@ -452,6 +452,15 @@ def test_a_rate_beyond_the_float_range_exits_3(capsys, tmp_path, argv):
     assert err.splitlines() == ["error: a block rate is beyond the float range"]
 
 
+def test_a_rate_whose_float_is_zero_exits_3(capsys, tmp_path):
+    # the rotation 10^-400 is not 0: the spec has dimension 2, and no
+    # evaluator may lay its block out as a real one of dimension 1
+    g = write_json(tmp_path, "tiny.json", spec_doc((1, "-1", f"1/{10**400}")))
+    code, out, err = run_cli(capsys, "simulate", g, "--point", "1,0", "--times", "0,1")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == ["error: a block rate is below the float range"]
+
+
 def test_simulate_missing_point_flag_is_a_usage_error(capsys, saddle_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", saddle_file])

@@ -129,6 +129,46 @@ def test_shape_validation():
         FlowEvaluator([(0, 1.0, 0.0)])
 
 
+@pytest.mark.parametrize("rate, message", [
+    ("1.5", "need a finite real block rate, got '1.5'"),
+    (b"1.5", "need a finite real block rate, got b'1.5'"),
+    (True, "need a finite real block rate, got True"),
+    (np.False_, f"need a finite real block rate, got {np.False_!r}"),
+    (np.nan, "need a finite real block rate, got nan"),
+    (-np.inf, "need a finite real block rate, got -inf"),
+    ("x", "need a finite real block rate, got 'x'"),
+    (None, "need blocks of (size, growth, rotation) with real rates"),
+])
+@pytest.mark.parametrize("slot", [1, 2], ids=["growth", "rotation"])
+def test_evaluator_refuses_a_rate_that_is_no_finite_real(rate, message, slot):
+    block = [1, -1.0, 0.0]
+    block[slot] = rate
+    with pytest.raises(PreconditionViolated) as info:
+        FlowEvaluator([(2, 0.5, 1.0), tuple(block)])
+    assert str(info.value) == message
+
+
+def test_evaluator_refuses_a_block_that_is_no_triple():
+    for blocks in ([(1, -1.0)], [5]):
+        with pytest.raises(PreconditionViolated, match="need blocks of"):
+            FlowEvaluator(blocks)
+
+
+@pytest.mark.parametrize("block", [(1, -1, Fraction(1, 10**400)),
+                                   (1, Fraction(-1, 10**400), 0)], ids=["rotation", "growth"])
+def test_evaluator_refuses_a_nonzero_rate_whose_float_is_zero(block):
+    # the rotating block would be laid out as a real one, of half its dimension
+    with pytest.raises(PreconditionViolated, match="^a block rate is below the float range$"):
+        FlowEvaluator.from_spec(S(block))
+    with pytest.raises(PreconditionViolated, match="below the float range"):
+        flow_apply(S(block), 1.0, [1.0] * S(block).dim)
+
+
+def test_evaluator_takes_exact_and_numpy_zero_rates():
+    for zero in (0, Fraction(0), -0.0, np.float64(0.0), np.int64(0)):
+        assert FlowEvaluator([(1, -1.0, zero)]).blocks == ((1, -1.0, 0.0),)
+
+
 def test_expm_free_layout_cross_check():
     # the flow of the materialized matrix and the closed form agree on the
     # whole matrix, so the block layout conventions match

@@ -509,13 +509,36 @@ def test_newton_bisects_through_a_useless_derivative(bad):
     assert stats["bisect_steps"] == stats["iterations"] > 0
 
 
-def test_newton_iteration_cap_is_an_internal_error():
+def test_newton_iteration_cap_is_an_internal_error(monkeypatch):
     def fg(x, rows):
         return x - 0.3, np.full(len(rows), np.nan)
 
+    monkeypatch.setattr(homeos, "_SOLVE_CAP", 5)
     stats = fresh_stats()
     with pytest.raises(InternalCheckError):
-        homeos._newton(fg, np.zeros(3), stats, slopes=(1.0, 1.0), cap=5)
+        homeos._newton(fg, np.zeros(3), stats, slopes=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("rows, calls", [(slice(None), 2), (slice(0, 4), 1), (slice(8, 12), 2)],
+                         ids=["pure-and-mixed", "pure-stable", "mixed"])
+def test_pw_conj_forward_solves_each_factor_once(monkeypatch, rows, calls):
+    # a batch of pure-stable, pure-unstable and mixed rows: the unit-sphere
+    # time of each factor is one solve over its pure and mixed rows
+    spec = S((2, -1, 1), (2, Fraction(1, 2), 0))
+    X = _sample_points(spec.dim, 12, 3)
+    X[:4, 4:], X[4:8, :4] = 0.0, 0.0
+    want = build_pw_conj_hyperbolic(spec).forward_batch(X[rows])
+    seen = []
+    solve = homeos._solve_norm_time
+
+    def counted(prof, P, stats, targets=1.0):
+        seen.append(len(P))
+        return solve(prof, P, stats, targets)
+
+    monkeypatch.setattr(homeos, "_solve_norm_time", counted)
+    got = build_pw_conj_hyperbolic(spec).forward_batch(X[rows])
+    assert got.tobytes() == want.tobytes()
+    assert len(seen) == calls
 
 
 def test_solver_counters_accumulate_on_the_map():
@@ -713,10 +736,11 @@ def test_pw_conj_inverse_matches_the_nested_and_grown_oracles():
     assert wide <= 2
 
 
-def test_cone_point_iteration_cap_is_an_internal_error():
+def test_cone_point_iteration_cap_is_an_internal_error(monkeypatch):
     args = _cone_inputs(S((2, -1, 1), (2, Fraction(1, 2), 0)), np.random.default_rng(5))
+    monkeypatch.setattr(homeos, "_SOLVE_CAP", 2)
     with np.errstate(all="ignore"), pytest.raises(InternalCheckError, match="in 2 iterations"):
-        homeos._solve_cone_point(*args, fresh_stats(), cap=2)
+        homeos._solve_cone_point(*args, fresh_stats())
 
 
 @pytest.mark.parametrize("block", [(1, -0.5, 1.25), (2, 0.75, -2.0), (3, -1.5, 0.5)])

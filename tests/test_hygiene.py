@@ -20,7 +20,9 @@ checks live in one module too: no module but `errors` defines `_at_least`,
 `_require_finite`.  Snapping has one kernel, `_ratlinalg._snap`: no
 module reaches `limit_denominator`, as an attribute, a name or a string.
 The exact ranks have one call site: only `_ratlinalg.ingest` refers to
-`rank_sequence`, so a new rank kernel replaces one call.
+`rank_sequence`, so a new rank kernel replaces one call.  Every parameter
+with a default of a private top-level function is passed by some call in
+the package, so no knob stays that only a test turns.
 Source text is run at one site: only `_record.record`, which compiles each
 value type's `__init__`, refers to `exec` or `eval`.
 For imports, `__init__.py` is exempt: its imports are the public
@@ -157,6 +159,67 @@ def test_the_check_sees_unreferenced_privates():
     other = "from m import _elsewhere\n"
     assert unreferenced_privates(source, [other]) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left")]
     assert unreferenced_privates(source) == [(2, "_UNUSED"), (3, "_helper"), (5, "_Left"), (9, "_elsewhere")]
+
+
+def unpassed_defaults(source, other_sources=()):
+    """(line, function, parameter) of each parameter with a default of a
+    private top-level function of source that no call in source or in
+    other_sources passes, by position or by keyword.  A call is matched by
+    the name it calls, bare or as an attribute; *args passes every
+    position and **kwargs every keyword."""
+    positions, keywords = {}, {}
+    for tree in (ast.parse(s) for s in (source, *other_sources)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[name] = max(positions.get(name, 0),
+                                      float("inf") if starred else len(node.args))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            continue
+        args = node.args
+        ordered = args.posonlyargs + args.args
+        first = len(ordered) - len(args.defaults)
+        params = [(i, a.arg) for i, a in enumerate(ordered) if i >= first]
+        params += [(float("inf"), a.arg)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        keys = keywords.get(node.name, set())
+        out += [(node.lineno, node.name, name) for i, name in params
+                if not (positions.get(node.name, 0) > i or name in keys or None in keys)]
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_private_defaults_are_passed_in_the_package(path):
+    # a default that no call overrides is a knob only tests turn; the value
+    # belongs in the function or a module constant
+    others = [p.read_text(encoding="utf-8") for p in ALL_MODULES if p != path]
+    assert unpassed_defaults(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_the_check_sees_unpassed_defaults():
+    source = (
+        "def _solve(f, x, cap=5, *, tol=1e-9, seed=0):\n"
+        "    return _solve(f, x, seed=1)\n"
+        "def _grid(n, lo=0, hi=1):\n"
+        "    pass\n"
+        "def _spread(a, b=2):\n"
+        "    pass\n"
+        "def public(x, y=1):\n"
+        "    return _grid(x, 0)\n"
+        "class C:\n"
+        "    def _m(self, z=1):\n"
+        "        pass\n"
+    )
+    assert unpassed_defaults(source) == [
+        (1, "_solve", "cap"), (1, "_solve", "tol"), (3, "_grid", "hi"), (5, "_spread", "b")]
+    others = ["from m import _grid\n_grid(3, hi=2)\nm._solve(f, 1, 2)\n_spread(*args)\n",
+              "m._solve(f, x, **opts)\n"]
+    assert unpassed_defaults(source, others) == []
 
 
 def assert_lines(source):

@@ -355,6 +355,39 @@ def test_distortion_rotating_witness_snaps_times():
     assert rep.detail["snapped_times"], "rotating witness needs aligned times"
 
 
+@pytest.mark.parametrize("x, branch", [([1.0, 0.0], "partner-rotated"), ([0.5, 1.0], "outside")])
+def test_both_distortion_branches_measure_through_one_helper(monkeypatch, x, branch):
+    spec = S((2, -1, 0))
+    want = distortion_probe(spec, np.array(x), t_max=80.0, n_grid=50, seed=4)
+    calls = []
+    helper = probes._worst_deviation
+
+    def counted(flow, x, tx, Y, ty):
+        calls.append(len(Y))
+        return helper(flow, x, tx, Y, ty)
+
+    monkeypatch.setattr(probes, "_worst_deviation", counted)
+    got = distortion_probe(spec, np.array(x), t_max=80.0, n_grid=50, seed=4)
+    assert got.branch == branch
+    assert _bits(got) == _bits(want)
+    assert calls == [1 if got.member else 48]
+
+
+def test_distortion_partner_at_the_origin_is_skipped():
+    # base = 0.1, so the partner x - 0.1 of the first shell is 0: its orbit
+    # has norm 0 at every time and gives no ratio, not an empty maximum
+    rep = distortion_probe(S((1, -1, 0)), [0.1])
+    assert rep.branch == "outside" and rep.passed
+    assert min(rep.detail["shell_ratios"]) >= 0.0
+
+
+def test_period_probe_refuses_a_rotation_rate_whose_float_is_zero():
+    # the evaluator would lay the block out as a real one, and the period
+    # 2 pi 10^400 is past the float range
+    with pytest.raises(PreconditionViolated, match="below the float range"):
+        period_probe(S((1, 0, Fraction(1, 10**400))), [1.0, 0.0])
+
+
 def test_distortion_membership_matches_subspace():
     spec = S((1, -2, 0), (1, -1, 0))
     assert distortion_probe(spec, np.array([1.0, 0.0])).member
