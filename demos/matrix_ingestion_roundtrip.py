@@ -16,10 +16,10 @@ from linflow import (
     FlowEvaluator,
     GeneratorSpec,
     JordanBlock,
+    RationalMatrix,
     materialize,
     spec_from_matrix,
 )
-from linflow.blocks import RationalMatrix
 
 
 def S(*blocks):

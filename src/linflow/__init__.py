@@ -10,50 +10,59 @@ everything numerically through closed-form flow evaluation.
 Every public name resolves on first access: `import linflow` loads none
 of its submodules, and the first use of a name imports the module that
 defines it (and what that module imports).  The exact layer (blocks,
-classifier, invariants, similarity) loads numpy only inside the float
-helpers of matrix ingestion, so work on block multisets that never touches
-the float layer (flows, homeos, probes) does not load numpy.  The float
-layer needs nothing beyond numpy.  The public types are value types built
-by `_record`, not dataclasses.
+matrices, classifier, catalog, invariants, summary, similarity) loads
+numpy only inside the float helpers of matrix ingestion, so work on block
+multisets that never touches the float layer (flows, homeos, probes) does
+not load numpy.  The float layer needs nothing beyond numpy.  The public
+types are value types built by `_record`, not dataclasses.
 """
 
 import importlib
 
-# every public name, by the module that defines it; each module is imported
-# the first time one of its names is used (PEP 562 module __getattr__)
+# every public name, in the order of `__all__`, with the module that
+# defines it; each module is imported the first time one of its names is
+# used (PEP 562 module __getattr__)
 _LAZY = {
-    "blocks": ("ApproxSpec", "GeneratorSpec", "JordanBlock", "RationalMatrix",
-               "materialize", "parse_matrix", "parse_rational", "parse_spec", "realify",
-               "scale_spec", "serialize_matrix", "serialize_spec", "spec_from_matrix",
-               "time_reverse"),
-    "classifier": ("IMPLICATION_EDGES", "AuditReport", "CatalogEntry", "CoincidenceReport",
-                   "Decision", "Relation", "TraceEntry", "Verdict", "catalog2d",
-                   "class_coincidence", "classify", "implication_audit"),
-    "errors": ("ClusterAmbiguity", "DefinitenessCheckFailed", "DimMismatch",
-               "InternalCheckError", "LinFlowError", "MonotonicityNotAchieved",
-               "NotBounded", "NotStable", "PreconditionViolated", "RangeGuard", "SnapFailure",
-               "SpecParseError", "UnknownRelation"),
-    "invariants": ("DistortionSubspace", "GrowthProfile", "PartitionDims",
-                   "distortion_subspace", "growth_profile", "is_bounded", "is_generic",
-                   "lyapunov_spectrum", "max_block_size_at", "minimal_period",
-                   "partition_dims", "refined_dim", "rotation_decouple",
-                   "semisimple_collapse", "subspec", "top_rate", "top_size"),
-    "similarity": ("ScalingCertificate", "kinematic_similar", "lipschitz_similar",
-                   "lipschitz_similar_by_parts", "lyapunov_similar", "scaling_candidates",
-                   "similar"),
-    "flows": ("FLOW_TIME_GUARD", "FlowEvaluator", "flow_apply"),
-    "homeos": ("HomeoMap", "build_parabola_shear", "build_pw_conj_hyperbolic",
-               "build_rotation_unwind_map", "build_spiral_map",
-               "build_uniform_exponent_map"),
-    "probes": ("ConjugacyReport", "DecayReport", "DistortionReport", "LipschitzReport",
-               "PeriodReport", "decay_rate_probe", "distortion_probe", "lipschitz_probe",
-               "period_probe", "verify_conjugacy"),
+    # the data model and matrices
+    "ApproxSpec": "matrices", "GeneratorSpec": "blocks", "JordanBlock": "blocks",
+    "RationalMatrix": "matrices", "materialize": "matrices", "parse_matrix": "matrices",
+    "parse_rational": "blocks", "parse_spec": "blocks", "realify": "matrices",
+    "scale_spec": "blocks", "serialize_matrix": "matrices", "serialize_spec": "blocks",
+    "spec_from_matrix": "blocks", "time_reverse": "blocks",
+    # decisions, the planar catalog and the class coincidence
+    "IMPLICATION_EDGES": "classifier", "AuditReport": "classifier",
+    "CatalogEntry": "catalog", "CoincidenceReport": "summary", "Decision": "classifier",
+    "Relation": "classifier", "TraceEntry": "classifier", "Verdict": "classifier",
+    "catalog2d": "catalog", "class_coincidence": "summary", "classify": "classifier",
+    "implication_audit": "classifier",
+    **dict.fromkeys(("ClusterAmbiguity", "DefinitenessCheckFailed", "DimMismatch",
+                     "InternalCheckError", "LinFlowError", "MonotonicityNotAchieved",
+                     "NotBounded", "NotStable", "PreconditionViolated", "RangeGuard",
+                     "SnapFailure", "SpecParseError", "UnknownRelation"), "errors"),
+    # invariants and the summary of the invariants subcommand
+    "DistortionSubspace": "summary", "GrowthProfile": "summary",
+    "PartitionDims": "invariants", "distortion_subspace": "summary",
+    "growth_profile": "summary", "is_bounded": "summary", "is_generic": "summary",
+    "lyapunov_spectrum": "invariants", "max_block_size_at": "summary",
+    "minimal_period": "summary", "partition_dims": "invariants", "refined_dim": "summary",
+    "rotation_decouple": "invariants", "semisimple_collapse": "invariants",
+    "subspec": "invariants", "top_rate": "summary", "top_size": "summary",
+    **dict.fromkeys(("ScalingCertificate", "kinematic_similar", "lipschitz_similar",
+                     "lipschitz_similar_by_parts", "lyapunov_similar",
+                     "scaling_candidates", "similar"), "similarity"),
+    **dict.fromkeys(("FLOW_TIME_GUARD", "FlowEvaluator", "flow_apply"), "flows"),
+    **dict.fromkeys(("HomeoMap", "build_parabola_shear", "build_pw_conj_hyperbolic",
+                     "build_rotation_unwind_map", "build_spiral_map",
+                     "build_uniform_exponent_map"), "homeos"),
+    **dict.fromkeys(("ConjugacyReport", "DecayReport", "DistortionReport",
+                     "LipschitzReport", "PeriodReport", "decay_rate_probe",
+                     "distortion_probe", "lipschitz_probe", "period_probe",
+                     "verify_conjugacy"), "probes"),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    module = _LAZY_MODULE.get(name)
+    module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -62,9 +71,9 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_MODULE))
+    return sorted(set(globals()) | set(_LAZY))
 
 
 __version__ = "1.0.0"
 
-__all__ = list(_LAZY_MODULE)
+__all__ = list(_LAZY)

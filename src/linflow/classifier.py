@@ -4,28 +4,22 @@ Every decision is exact: block data is rational, each grade compares
 canonical scaled keys of a structural form (see `similarity`), and each
 Yes carries a scaling certificate.  Undecided is a first-class outcome
 reserved for the regimes where no finite criterion is available; it is
-never collapsed into No.
+never collapsed into No.  The planar catalog, which reads the planar
+labels of `_topological_label_2d`, lives in `catalog`, and the class
+coincidence in `summary`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from typing import Optional
 
 from ._record import record
-from .blocks import GeneratorSpec, JordanBlock, _fields_to_json, _require_spec, scale_spec
-from .blocks import serialize_spec
+from .blocks import GeneratorSpec, _fields_to_json, scale_spec, serialize_spec
 from .errors import DimMismatch, InternalCheckError, PreconditionViolated, UnknownRelation
-from .invariants import _part, _spectrum, _unrotated
-from .invariants import is_generic, lyapunov_spectrum, partition_dims, semisimple_collapse
-from .similarity import (
-    ScalingCertificate,
-    _projective,
-    _projective_key,
-    normalising_scalings,
-)
+from .invariants import _part, _spectrum, _unrotated, partition_dims
+from .similarity import ScalingCertificate, _projective, _projective_key
 
 __all__ = [
     "Relation",
@@ -33,10 +27,6 @@ __all__ = [
     "TraceEntry",
     "Verdict",
     "classify",
-    "CatalogEntry",
-    "catalog2d",
-    "CoincidenceReport",
-    "class_coincidence",
     "AuditReport",
     "implication_audit",
     "IMPLICATION_EDGES",
@@ -303,82 +293,6 @@ def _classify(relation, pair):
     else:
         decision = Decision.NO
     return Verdict(relation, decision, a, b, cert, tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# Planar catalog
-
-
-@record
-class CatalogEntry:
-    row: str
-    representative: GeneratorSpec
-    scaling: Optional[Fraction]
-    label: Optional[str] = None
-    to_json = _fields_to_json
-
-
-def _spectrum_spec(spec):
-    return GeneratorSpec(
-        [JordanBlock(1, lam, 0) for lam in lyapunov_spectrum(spec)]
-    )
-
-
-def catalog2d(spec):
-    """Four coarsening normal forms of a planar generator, finest first.
-
-    The first three rows scale a form of the generator by its first
-    normalising scaling, to unit size: a growth rate of largest modulus
-    becomes +1, else the top rotation rate becomes 1.
-    """
-    if _require_spec(spec).dim != 2:
-        raise DimMismatch(f"catalog requires dimension 2, got {spec.dim}")
-    forms = {
-        "similar": spec,
-        "lipschitz": semisimple_collapse(spec),
-        "lyapunov": _spectrum_spec(spec),
-    }
-    rows = {}
-    for row, form in forms.items():
-        alpha = normalising_scalings(form)[0]
-        rows[row] = CatalogEntry(row, scale_spec(form, alpha), alpha)
-    label = _topological_label_2d(spec)
-    rows["topological"] = CatalogEntry("topological", _TOP_REPS[label], None, label=label)
-    return rows
-
-
-_TOP_REPS = {
-    "zero": GeneratorSpec([JordanBlock(1, 0, 0), JordanBlock(1, 0, 0)]),
-    "shear": GeneratorSpec([JordanBlock(2, 0, 0)]),
-    "center": GeneratorSpec([JordanBlock(1, 0, 1)]),
-    "saddle": GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, 1, 0)]),
-    "degenerate-line": GeneratorSpec([JordanBlock(1, 0, 0), JordanBlock(1, 1, 0)]),
-    "node": GeneratorSpec([JordanBlock(1, 1, 0), JordanBlock(1, 1, 0)]),
-}
-
-
-# ---------------------------------------------------------------------------
-# Class coincidence for generic generators
-
-
-@record
-class CoincidenceReport:
-    generic: bool
-    real_spectrum: Optional[bool]
-    smooth_class_equals_lipschitz: Optional[bool]
-    lipschitz_class_equals_hoelder: Optional[bool]
-    to_json = _fields_to_json
-
-
-def class_coincidence(spec):
-    """For a generic generator the smooth, Lipschitz and Hoelder classes
-    collapse together exactly when the spectrum is real; rotation splits
-    them.  Outside the generic case the comparison is not determined by
-    this criterion, so the fields stay None."""
-    if not is_generic(spec):
-        return CoincidenceReport(False, None, None, None)
-    real = all(blk.im == 0 for blk in spec.blocks)
-    return CoincidenceReport(True, real, real, real)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ each half-chain and R(bt) rotates the two halves pairwise.  No integrator
 is involved anywhere; everything is evaluated by this polynomial-plus-
 rotation formula, vectorized over sample points.
 
-An evaluator turns the block layout (see `blocks`) into a plan when it is
+An evaluator turns the block layout (see `matrices`) into a plan when it is
 built: each coordinate's growth rate and chain position, the (destination,
 source) indices of each power K^j, and the (u, v, rate) rotating pairs.  A
 call then runs one series over the powers, one cos/sin (only when the layout
@@ -22,8 +22,9 @@ import math
 
 import numpy as np
 
-from .blocks import GeneratorSpec, _block_entries, _layout, _require_spec
+from .blocks import GeneratorSpec, _require_spec
 from .errors import PreconditionViolated, RangeGuard, _at_least
+from .matrices import _block_entries, _layout
 
 __all__ = ["FlowEvaluator", "flow_apply", "FLOW_TIME_GUARD"]
 

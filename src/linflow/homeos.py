@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._record import factory, record
-from .blocks import GeneratorSpec, JordanBlock, _layout, _require_spec
+from .blocks import GeneratorSpec, JordanBlock, _require_spec
 from .errors import (
     DefinitenessCheckFailed,
     InternalCheckError,
@@ -45,6 +45,7 @@ from .errors import (
 )
 from .flows import _INTERNAL_GUARD, FlowEvaluator, _rotate_pairs
 from .invariants import partition_dims
+from .matrices import _layout
 
 __all__ = [
     "HomeoMap",
@@ -377,10 +378,13 @@ def build_spiral_map(rate):
 
     Conjugates the focus flow with growth -1 and signed rotation `rate`
     to the radial flow with growth -1; Lipschitz with constant 1 + |rate|
-    on the unit ball, and a homeomorphism globally.
+    on the unit ball, and a homeomorphism globally.  A nonzero rate whose
+    float is 0 is refused, as `FlowEvaluator` refuses it.
     """
     # the spec records the rate as given; a float rate records its binary value
     rate, exact_rate = _above(rate, -np.inf, "rate"), abs(Fraction(rate))
+    if exact_rate and not rate:  # the focus would turn at rate 0
+        raise PreconditionViolated("a block rate is below the float range")
     forward_batch, inverse_batch = _turn_planes([((0, 1), rate)])
     node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
     target = FlowEvaluator.from_spec(node_spec, guard=_INTERNAL_GUARD)

@@ -12,22 +12,24 @@ stack only into chunks of whole grid items under a fixed budget of `_ROWS`
 rows per call.  Every map and flow treats its rows independently, so the
 batching moves no bit of any report.  The decay and period probes flow one
 point over one capped time grid, and the period probe refines its candidate
-times together, one flow call per bisection step.  The distortion, decay and
-period probes take their point through `errors._point`: dim entries, each a
-finite real number.
+times together, one flow call per bisection step; it refuses an orbit whose
+exact period lies beyond its evaluator's time guard before any float of the
+period is taken.  The distortion, decay and period probes take their point
+through `errors._point`: dim entries, each a finite real number.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lgamma, pi
 
 import numpy as np
 
 from ._record import factory, record
-from .blocks import _fields_to_json, _layout, _reach, _require_spec
+from .blocks import _fields_to_json, _require_spec
 from .errors import LinFlowError, NotStable, PreconditionViolated, _above, _at_least, _point
 from .flows import _INTERNAL_GUARD, FlowEvaluator
-from .invariants import distortion_subspace, minimal_period
+from .matrices import _layout, _reach
 
 __all__ = [
     "ConjugacyReport",
@@ -277,6 +279,8 @@ def distortion_probe(
     at equal times dies off on shrinking balls around x.  Either grid needs
     a finite t_max > 1; eps and both bounds must be finite and > 0.
     """
+    from .summary import distortion_subspace  # here, so that `verify` launches skip it
+
     sub = distortion_subspace(spec)  # raises NotStable on non-stable input
     x = np.array(_point(x, spec.dim))
     _at_least(n_grid, 1, "n_grid")
@@ -434,10 +438,17 @@ def period_probe(spec, x, t_max=None, tol=1e-9):
     The grid runs from 0.45 times the fastest carrier period to t_max
     (default 1.25 times the predicted period), so a t_max given must be
     finite and past that start; tol must be finite and > 0."""
+    from .summary import minimal_period  # here, so that `verify` launches skip it
+
     x = np.array(_point(x, _require_spec(spec).dim))
     q = minimal_period(spec, x)  # raises NotBounded on unbounded input
     _above(tol, 0.0, "tol")
     flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)  # refuses a rate past floats
+    # the exact period against the time guard, before float() of it could
+    # overflow; the fastest carrier period below is at most this period
+    if q * Fraction(2 * pi) > _INTERNAL_GUARD:
+        raise PreconditionViolated(
+            f"the period of the orbit lies beyond the time guard {_INTERNAL_GUARD:g}")
     rates = [abs(rot) for _, _, rot in flow.blocks if rot != 0]
     # the minimal period is at least the fastest carrier period, so the
     # search may skip the initial stretch where the orbit has barely moved

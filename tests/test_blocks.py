@@ -29,7 +29,7 @@ from linflow import (
     time_reverse,
 )
 
-from linflow.blocks import _reach
+from linflow.matrices import _reach
 from linflow.flows import FlowEvaluator
 
 from conftest import random_spec

@@ -1,7 +1,11 @@
 """End-to-end CLI tests: every subcommand exercised in process through
 main(argv), with exit codes and emitted JSON/CSV checked against the
-documented contract."""
+documented contract.  The parser that main builds for one subcommand
+parses every recorded command line as the parser of all seven does."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -20,6 +24,7 @@ from linflow.cli import (
     EXIT_PRECONDITION,
     EXIT_UNDECIDED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from linflow.errors import InternalCheckError
@@ -461,6 +466,13 @@ def test_a_rate_whose_float_is_zero_exits_3(capsys, tmp_path):
     assert err.splitlines() == ["error: a block rate is below the float range"]
 
 
+def test_verify_spiral_rate_whose_float_is_zero_exits_3(capsys):
+    # the map of rate 0 is the node map, not a spiral of rate 10^-400
+    code, out, err = run_cli(capsys, "verify", "spiral:1e-400")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == ["error: a block rate is below the float range"]
+
+
 def test_simulate_missing_point_flag_is_a_usage_error(capsys, saddle_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", saddle_file])
@@ -574,7 +586,7 @@ def test_matrix_dimension_is_capped_before_its_entries_are_parsed(capsys, monkey
     def parse_matrix(doc):
         pytest.fail("the 513 x 513 entries were parsed before the dimension cap")
 
-    monkeypatch.setattr("linflow.cli.parse_matrix", parse_matrix)
+    monkeypatch.setattr("linflow.matrices.parse_matrix", parse_matrix)
     code, out, err = run_cli(capsys, "invariants", wide)
     assert (code, out) == (EXIT_PRECONDITION, "")
     assert err == f"error: {wide}: dimension is capped at 512, got 513\n"
@@ -733,3 +745,50 @@ def test_internal_check_failure_exits_3_with_its_own_prefix(
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert err == "internal check failed: the two routes disagree\n"
+
+
+# ---------------------------------------------------------------------------
+# the parser of one subcommand against the parser of all seven
+
+GOLDEN_ARGVS = {name: case["argv"] for name, case in json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+).items()}
+PARSED_ARGVS = {
+    **GOLDEN_ARGVS,
+    "unknown-flag": ["classify", "LipEquiv", "a.json", "b.json", "--bogus"],
+    "short-help": ["classify", "-h"],
+}
+
+
+def _parse(parser, argv):
+    """(Namespace or None, exit code or None, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS.values(), ids=PARSED_ARGVS.keys())
+def test_one_subparser_parses_as_all_seven(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify", "spiral:1"], ["verify"]),
+    (["audit", "--help"], ["audit"]),
+    (["--help"], None),
+    ([], None),
+    (["frobnicate"], None),
+    (None, None),
+])
+def test_the_parser_builds_the_named_subparser_only(argv, built):
+    full = ["classify", "invariants", "transform", "catalog2d", "simulate", "verify", "audit"]
+    assert _subcommands(build_parser(argv)) == (built or full)

@@ -64,6 +64,13 @@ def test_spiral_map_pointwise_check():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+@pytest.mark.parametrize("rate", [Fraction(1, 10**400), Fraction(-3, 10**400)])
+def test_spiral_map_refuses_a_nonzero_rate_whose_float_is_zero(rate):
+    # it would build the rate-0 node map and report the source spec as the node
+    with pytest.raises(PreconditionViolated, match="a block rate is below the float range"):
+        build_spiral_map(rate)
+
+
 def test_spiral_map_at_rate_zero_is_the_planar_identity():
     # the focus without rotation is the node itself: two real blocks
     hm = build_spiral_map(0)

@@ -12,6 +12,12 @@ Launches also keep out what they do not run: `dataclasses` (and the
 `_ratlinalg` unless the input is a matrix, and `classifier` and
 `similarity` from `transform`.  A bare `import linflow` loads none of its
 submodules.
+
+Every launch compiles the linflow modules it loads, so the exact set each
+subcommand loads is pinned, and so is a ceiling on their total source
+lines for each exact launch: code that regrows onto a launch path fails
+here, not in the benchmark.  Each public name that moved to a module of
+its own still resolves to the same object through `linflow.<name>`.
 """
 
 import json
@@ -107,21 +113,39 @@ def test_verify_pw_hyp_loads_numpy_but_not_scipy(spec_dir):
     assert out == {"rc": 0, "numpy": True, "scipy": False}
 
 
+# public names by the module they moved to, off the classify, audit and
+# transform launches
+MOVED = {
+    "matrices": ["ApproxSpec", "RationalMatrix", "materialize", "parse_matrix", "realify",
+                 "serialize_matrix"],
+    "catalog": ["CatalogEntry", "catalog2d"],
+    "summary": ["CoincidenceReport", "DistortionSubspace", "GrowthProfile", "class_coincidence",
+                "distortion_subspace", "growth_profile", "is_bounded", "is_generic",
+                "max_block_size_at", "minimal_period", "refined_dim", "top_rate", "top_size"],
+}
+
+
 def test_every_public_name_resolves(spec_dir):
     out = run_fresh(
-        "import json, linflow\n"
+        "import importlib, json, linflow\n"
         "missing = [n for n in linflow.__all__ if getattr(linflow, n, None) is None]\n"
         "same = linflow.verify_conjugacy is linflow.probes.verify_conjugacy\n"
+        f"moved = {MOVED!r}\n"
+        "elsewhere = [f'{m}.{n}' for m, names in moved.items() for n in names\n"
+        "             if getattr(importlib.import_module('linflow.' + m), n) is not getattr(linflow, n)]\n"
         "listed = set(linflow.__all__) <= set(dir(linflow))\n"
         "try:\n"
         "    linflow.no_such_name\n"
         "    bogus = 'resolved'\n"
         "except AttributeError:\n"
         "    bogus = 'AttributeError'\n"
-        "print(json.dumps({'missing': missing, 'same': same, 'listed': listed, 'bogus': bogus}))\n",
+        "print(json.dumps({'missing': missing, 'same': same, 'elsewhere': elsewhere,\n"
+        "                  'listed': listed, 'bogus': bogus}))\n",
         spec_dir,
     )
-    assert out == {"missing": [], "same": True, "listed": True, "bogus": "AttributeError"}
+    assert out == {"missing": [], "same": True, "elsewhere": [], "listed": True,
+                   "bogus": "AttributeError"}
+    assert {n for names in MOVED.values() for n in names} <= set(linflow.__all__)
 
 
 def test_star_import_binds_every_public_name(spec_dir):
@@ -190,3 +214,56 @@ def test_a_name_loads_only_its_module_and_what_that_imports(spec_dir):
         spec_dir,
     )
     assert out == ["linflow._record", "linflow.blocks", "linflow.errors"]
+
+
+def launch_modules(argv, cwd):
+    """The linflow modules that linflow.cli.main(argv) leaves loaded, short
+    names with "linflow" for the package, and their total source lines."""
+    code = (
+        "import contextlib, io, json, pathlib, sys\n"
+        "import linflow.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = linflow.cli.main({argv!r})\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'linflow')\n"
+        "lines = sum(len(pathlib.Path(sys.modules[m].__file__).read_text(encoding='utf-8')\n"
+        "                .splitlines()) for m in mods)\n"
+        "print(json.dumps({'rc': rc, 'modules': [m.rpartition('.')[2] for m in mods],\n"
+        "                  'lines': lines}))\n"
+    )
+    return run_fresh(code, cwd)
+
+
+CORE = ["linflow", "_record", "blocks", "cli", "errors"]
+DECIDE = CORE + ["classifier", "invariants", "similarity"]
+FLOAT = CORE + ["_subcommands", "flows", "matrices"]
+
+# launch -> (the linflow modules it loads, a ceiling on their source lines
+# for the exact launches, set at the split of matrices, summary, catalog and
+# _subcommands out of the launch path; None for the float launches)
+LAUNCHES = {
+    "classify": (["classify", "LipEquiv", "shear.json", "scalar.json"], DECIDE, 1640),
+    "audit": (["audit", "shear.json", "scalar.json"], DECIDE, 1640),
+    "transform-collapse": (["transform", "collapse", "spiral.json"], CORE + ["invariants"], 1078),
+    "transform-reverse": (["transform", "reverse", "spiral.json"], CORE, 906),
+    "invariants": (["invariants", "saddle.json"],
+                   CORE + ["_subcommands", "invariants", "matrices", "summary"], 1681),
+    "catalog2d": (["catalog2d", "spiral.json"], DECIDE + ["_subcommands", "catalog"], 1866),
+    "classify-matrix": (["classify", "LipEquiv", "matrix.json", "shear.json"],
+                        DECIDE + ["_ratlinalg", "matrices"], 2444),
+    "invariants-matrix": (["invariants", "matrix.json"],
+                          CORE + ["_ratlinalg", "_subcommands", "invariants", "matrices",
+                                  "summary"], 2265),
+    "verify-spiral": (["verify", "spiral:1", "--points", "4"],
+                      FLOAT + ["homeos", "invariants", "probes"], None),
+    "verify-pw-hyp": (["verify", "pw-hyp", "saddle.json", "--points", "4"],
+                      FLOAT + ["homeos", "invariants", "probes"], None),
+    "simulate": (["simulate", "shear.json", "--point", "1,1", "--times", "0,1"], FLOAT, None),
+}
+
+
+@pytest.mark.parametrize("argv, modules, ceiling", LAUNCHES.values(), ids=LAUNCHES.keys())
+def test_each_launch_loads_its_modules_and_no_more_lines(spec_dir, argv, modules, ceiling):
+    out = launch_modules(argv, spec_dir)
+    assert (out["rc"], sorted(out["modules"])) == (0, sorted(modules))
+    if ceiling is not None:
+        assert out["lines"] <= ceiling

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linflow
-from linflow import invariants
+from linflow import invariants, summary
 from linflow import (
     GeneratorSpec,
     InternalCheckError,
@@ -216,7 +216,7 @@ def test_distortion_subspace_dim_matches_filtration():
 def test_distortion_subspace_cross_check_raises(monkeypatch):
     # the coordinate count is checked against the growth filtration by a
     # raise, not an assert; a disagreeing filtration must surface
-    monkeypatch.setattr(invariants, "refined_dim", lambda spec, m, s: -1)
+    monkeypatch.setattr(summary, "refined_dim", lambda spec, m, s: -1)
     with pytest.raises(InternalCheckError):
         distortion_subspace(S((2, -1, 0)))
 

@@ -388,6 +388,25 @@ def test_period_probe_refuses_a_rotation_rate_whose_float_is_zero():
         period_probe(S((1, 0, Fraction(1, 10**400))), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("spec, x", [
+    # carriers 1 and 1 + 10^-400: the exact period is past the float range
+    (S((1, 0, 1), (1, 0, 1 + Fraction(1, 10**400))), [1.0, 0.0, 1.0, 0.0]),
+    # one carrier of 10^-310: its float is not 0, its period 2 pi 10^310 overflows
+    (S((1, 0, Fraction(1, 10**310))), [1.0, 0.0]),
+    # 2 pi 10^308 is a float, but an infinite one, and the grid had NaN points
+    (S((1, 0, Fraction(1, 10**308))), [1.0, 0.0]),
+], ids=["two-carriers", "period-past-floats", "period-infinite"])
+def test_period_probe_refuses_a_period_beyond_the_time_guard(spec, x):
+    with pytest.raises(PreconditionViolated, match="period of the orbit lies beyond the time guard"):
+        period_probe(spec, x)
+
+
+def test_period_probe_keeps_a_fixed_point_of_a_slow_carrier():
+    # the period check is on the orbit's period: a fixed point has period 0
+    rep = period_probe(S((1, 0, Fraction(1, 10**308))), [0.0, 0.0])
+    assert (rep.period, rep.predicted, rep.match) == (0.0, 0.0, True)
+
+
 def test_distortion_membership_matches_subspace():
     spec = S((1, -2, 0), (1, -1, 0))
     assert distortion_probe(spec, np.array([1.0, 0.0])).member
