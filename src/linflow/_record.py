@@ -1,13 +1,14 @@
-"""Value types without `dataclasses`.
+"""Value types without `dataclasses`, whose import (with `inspect`) would
+cost every CLI launch more than all of linflow's exact modules do.
 
 `record` turns a class with annotated fields into a value type with the
 ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` of
 ``@dataclass(frozen=True)``, and a ``__setattr__``/``__delattr__`` that raise
-AttributeError.  Importing `dataclasses` (which imports `inspect`) would
-cost every CLI launch more than all of linflow's exact modules do.  Only
-``__init__``, whose signature is the class's own, is compiled, by one
-``exec`` per class; the other methods are module functions that every
-record type shares, reading the fields from ``__match_args__``.
+AttributeError.  Only ``__init__``, whose signature is the class's own, is
+compiled, by one ``exec`` per class; a frozen one stores each field past
+that ``__setattr__``, straight into ``self.__dict__`` or, for a slot, by its
+member descriptor's ``__set__``.  The other methods are module functions
+that every record type shares, reading the fields from ``__match_args__``.
 
 A field's value in the class body is its default; ``factory(make)`` is a
 default built by ``make()`` for each instance.  Slots come from the class
@@ -32,12 +33,8 @@ class factory:
         self.make = make
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+def _frozen(self, name, *value):  # __setattr__, or __delattr__ without a value
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _values(self):
@@ -74,8 +71,8 @@ def record(cls=None, *, frozen=True):
         return lambda c: record(c, frozen=frozen)
     names = tuple(cls.__annotations__)
     slots = cls.__dict__.get("__slots__", ())
-    ns = {"_setattr": object.__setattr__, "_FACTORY": factory}
-    params, body = [], []
+    ns, params = {"_FACTORY": factory}, []
+    body = ["_d=self.__dict__"] if frozen and (not slots or "__dict__" in slots) else []
     for n in names:
         value = _NO_DEFAULT if n in slots else cls.__dict__.get(n, _NO_DEFAULT)
         value_src = n
@@ -89,7 +86,10 @@ def record(cls=None, *, frozen=True):
         else:
             ns[f"_dflt_{n}"] = value
             params.append(f"{n}=_dflt_{n}")
-        body.append(f"_setattr(self,{n!r},{value_src})" if frozen else f"self.{n}={value_src}")
+        if frozen and n in slots:
+            ns[f"_set_{n}"] = cls.__dict__[n].__set__
+        body.append(f"_set_{n}(self,{value_src})" if frozen and n in slots else
+                    f"_d[{n!r}]={value_src}" if frozen else f"self.{n}={value_src}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec("\n".join([f"def __init__(self,{','.join(params)}):",
@@ -99,7 +99,7 @@ def record(cls=None, *, frozen=True):
     if slots:
         cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _frozen_setattr, _frozen_delattr
+        cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _frozen, _frozen
     else:
         cls.__hash__ = None
     cls.__match_args__ = names

@@ -45,6 +45,7 @@ class Relation(enum.Enum):
     LIP_CONJ = "LipConj"
     HOELDER_CONJ = "HoelderConj"
     PW_LIP_CONJ = "PwLipConj"
+    __hash__ = object.__hash__  # members are singletons: no name hash per lookup
 
     @classmethod
     def from_string(cls, text):
@@ -60,6 +61,7 @@ class Decision(enum.Enum):
     YES = "Yes"
     NO = "No"
     UNDECIDED = "Undecided"
+    __hash__ = object.__hash__
 
 
 @record
@@ -142,23 +144,26 @@ _UNDECIDED_SCOPE = {
 class _Pair:
     """The two generators of one decision and the data its relations share.
 
-    Each part is computed on first use and kept for the pair's lifetime
-    only: the partition dims, each spec's projective data (see
+    The dimension entry that opens every trace is built with the pair.
+    Each other part is computed on first use and kept for the pair's
+    lifetime only: the partition dims, each spec's projective data (see
     `similarity._projective`), the keyed alpha of every form already
-    compared, and the right generator scaled by each certified alpha.
-    Certificates and their witness dicts are built per verdict, never
-    shared.
+    compared, and the serialized block rows of the left generator and of
+    the right one scaled by each certified alpha.  Certificates are built
+    per verdict, each with witness dicts of its own copied from the rows.
     """
 
-    __slots__ = ("a", "b", "_dims", "_projective", "_alphas", "_scaled")
+    __slots__ = ("a", "b", "dimension", "_dims", "_projective", "_alphas", "_left", "_rows")
 
     def __init__(self, a, b):
         if not (isinstance(a, GeneratorSpec) and isinstance(b, GeneratorSpec)):
             raise PreconditionViolated(
                 f"need two GeneratorSpecs, got {type(a).__name__} and {type(b).__name__}")
-        self.a, self.b = a, b
-        self._dims = self._projective = None
-        self._alphas, self._scaled = {}, {}
+        self.a, self.b, same = a, b, a.dim == b.dim
+        self.dimension = TraceEntry("dimension", "ok" if same else "fail",
+                                    f"{a.dim} {'==' if same else '!='} {b.dim}")
+        self._dims = self._projective = self._left = None
+        self._alphas, self._rows = {}, {}
 
     def dims(self):
         if self._dims is None:
@@ -174,12 +179,16 @@ class _Pair:
             self._alphas[form] = c_b / c_a if key_a == key_b else None
         return self._alphas[form]
 
-    def scaled(self, alpha):
-        """scale_spec(b, alpha), built once per alpha."""
-        spec = self._scaled.get(alpha)
-        if spec is None:
-            spec = self._scaled[alpha] = scale_spec(self.b, alpha)
-        return spec
+    def witness(self, alpha):
+        """Fresh witness dicts of a Yes at alpha, copied from the rows of a
+        and of scale_spec(b, alpha), each serialized once per pair."""
+        right = self._rows.get(alpha)
+        if right is None:
+            right = self._rows[alpha] = serialize_spec(scale_spec(self.b, alpha))["blocks"]
+        if self._left is None:
+            self._left = serialize_spec(self.a)["blocks"]
+        return {"left_generator": {"blocks": [{**row} for row in self._left]},
+                "scaled_right_generator": {"blocks": [{**row} for row in right]}}
 
 
 def _decide_by_keys(pair, forms, scaled, name, trace):
@@ -196,14 +205,7 @@ def _decide_by_keys(pair, forms, scaled, name, trace):
         trace.append(TraceEntry(name, "fail", f"{what} differ{routes}"))
         return None
     trace.append(TraceEntry(name, "pass", f"alpha = {alpha}, {what} equal{routes}"))
-    return ScalingCertificate(
-        alpha,
-        name,
-        {
-            "left_generator": serialize_spec(pair.a),
-            "scaled_right_generator": serialize_spec(pair.scaled(alpha)),
-        },
-    )
+    return ScalingCertificate(alpha, name, pair.witness(alpha))
 
 
 def _catalog_step(trace, step, ok, detail):
@@ -268,13 +270,9 @@ def classify(relation, a, b):
 
 def _classify(relation, pair):
     a, b = pair.a, pair.b
-    trace = []
+    trace = [pair.dimension]
     if a.dim != b.dim:
-        trace.append(
-            TraceEntry("dimension", "fail", f"{a.dim} != {b.dim}")
-        )
         return Verdict(relation, Decision.NO, a, b, None, tuple(trace))
-    trace.append(TraceEntry("dimension", "ok", f"{a.dim} == {b.dim}"))
 
     if relation in _UNDECIDED_SCOPE:
         decision = _hyperbolic_index(pair, trace)
@@ -348,10 +346,12 @@ def implication_audit(a, b):
     """Decide every relation for the pair and check the implication lattice.
 
     All eleven decisions share one pair, so each spec's key of each form is
-    computed once, a conjugacy reuses its equivalence's alpha, and the right
-    generator is scaled once per certified alpha.  Edges
-    with an Undecided endpoint are skipped; a violation is a premise decided
-    Yes whose conclusion is decided No.
+    computed once, a conjugacy reuses its equivalence's alpha, the left
+    generator is serialized once, the right one is scaled and serialized
+    once per certified alpha, and every trace opens with the same dimension
+    entry; each Yes still gets witness dicts of its own.  Edges with an
+    Undecided endpoint are skipped; a violation is a premise decided Yes
+    whose conclusion is decided No.
     """
     pair = _Pair(a, b)
     verdicts = {rel: _classify(rel, pair) for rel in Relation}

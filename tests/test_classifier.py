@@ -1,5 +1,6 @@
 """Relation decisions, planar catalog, coincidence report, implication audit."""
 
+import json
 import sys
 from fractions import Fraction
 
@@ -567,10 +568,11 @@ def test_each_form_runs_once_per_sign_on_projective_triples(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the scaled right generator, once per certified alpha
+# the serialized rows, once per pair and certified alpha
 #
-# An audit builds scale_spec(b, alpha) once per distinct certified alpha and
-# keeps it on its pair; each Yes still gets witness dicts of its own.  The
+# An audit serializes the left generator once, and builds and serializes
+# scale_spec(b, alpha) once per distinct certified alpha, keeping the rows
+# on its pair; each Yes copies them into witness dicts of its own.  The
 # oracle builds every witness fresh from the certificate's alpha.
 
 
@@ -701,3 +703,64 @@ def test_classify_scales_once_per_yes(monkeypatch, rng):
             calls.clear()
             v = classify(rel, a, b)
             assert calls == ([v.scaling.alpha] if v.scaling else [])
+
+
+# ---------------------------------------------------------------------------
+# an audit's shared pair against a fresh pair per relation
+#
+# An audit decides its eleven relations on one pair, which keeps the keyed
+# alphas, the serialized rows and the dimension entry; classify builds a
+# fresh pair per call.  Each verdict of an audit must equal the one classify
+# gives alone, and serialize to the same bytes.
+
+
+def test_audit_verdicts_match_a_fresh_classify_on_a_seeded_sweep(rng):
+    pairs = list(_seeded_pairs(rng, 400))
+    # unequal dimensions: one more block on one side
+    pairs += [(a, GeneratorSpec(b.blocks + (JordanBlock(1, 1, 0),))) if k % 2 else
+              (GeneratorSpec(a.blocks + (JordanBlock(2, 0, 1),)), b)
+              for k, (a, b) in enumerate(pairs[:40])]
+    # two certified alphas per pair, as TWO_ALPHAS, at other rates and scalings
+    for r, alpha, extra in [(1, 1, ()), (Fraction(1, 2), Fraction(3, 2), ((1, 0, 2),)),
+                            (3, Fraction(1, 3), ((1, 0, 1),)), (2, 2, ((2, 0, 0),))]:
+        a = S((2, -r, 0), (1, r, 0), (1, r, 0), *extra)
+        pairs.append((a, scale_spec(S((2, r, 0), (1, -r, 0), (1, -r, 0), *extra), alpha)))
+    seen, two_alphas = [], 0
+    for a, b in pairs:
+        report = implication_audit(a, b)
+        two_alphas += len({v.scaling.alpha for v in report.verdicts.values() if v.scaling}) > 1
+        for rel in Relation:
+            alone = classify(rel, a, b)
+            assert report.verdicts[rel] == alone, (rel, a, b)
+            assert json.dumps(report.verdicts[rel].to_json()) == json.dumps(alone.to_json())
+            seen.append((a.dim == b.dim, alone.decision, alone.scaling is not None))
+    assert {(False, Decision.NO, False), (True, Decision.YES, True), (True, Decision.NO, False),
+            (True, Decision.UNDECIDED, False)} <= set(seen)
+    assert two_alphas >= 4
+
+
+# ---------------------------------------------------------------------------
+# report order
+#
+# Relation and Decision hash by identity, so a set of them could iterate in
+# another order in another process; the report keeps the declaration order of
+# Relation and the order of IMPLICATION_EDGES.
+
+
+def test_audit_json_keeps_relation_and_edge_order(monkeypatch):
+    from linflow import classifier
+
+    order = list(Relation)
+
+    def alternating(rel, pair):  # Yes at even declaration index, No at odd
+        yes = order.index(rel) % 2 == 0
+        return classifier.Verdict(rel, Decision.YES if yes else Decision.NO, pair.a, pair.b)
+
+    a = S((1, -1, 0))
+    assert list(implication_audit(a, a).to_json()["verdicts"]) == [r.value for r in order]
+    monkeypatch.setattr(classifier, "_classify", alternating)
+    out = implication_audit(a, a).to_json()
+    assert list(out["verdicts"]) == [r.value for r in order]
+    expected = [{"premise": p.value, "conclusion": c.value} for p, c in IMPLICATION_EDGES
+                if order.index(p) % 2 == 0 and order.index(c) % 2 == 1]
+    assert out["violations"] == expected and len(expected) >= 4

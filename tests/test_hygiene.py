@@ -24,7 +24,11 @@ The exact ranks have one call site: only `_ratlinalg.ingest` refers to
 with a default of a private top-level function is passed by some call in
 the package, so no knob stays that only a test turns.
 Source text is run at one site: only `_record.record`, which compiles each
-value type's `__init__`, refers to `exec` or `eval`.
+value type's `__init__`, refers to `exec` or `eval`.  `Relation` and
+`Decision` hash by identity, so a set of their members could iterate in
+another order in each process: no module builds a set or frozenset that
+reads either enum, a verdict's `relation` or `decision`, or a table keyed
+by them, and dicts, which keep insertion order, hold them instead.
 For imports, `__init__.py` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module
 or listed in its `__all__`.  A private name (`_x`, dunders exempt) defined
@@ -528,3 +532,49 @@ def test_the_check_sees_exec_uses():
         "    'the same as exec'\n"
     )
     assert exec_uses(source) == [(3, "record"), (4, None), (7, "C"), (9, None)]
+
+
+# names that a set of Relation or Decision members is built from: the enums,
+# a verdict's fields and the classifier's tables keyed by relation
+ENUM_SOURCES = {"Relation", "Decision", "relation", "decision", "verdicts",
+                "IMPLICATION_EDGES", "_TABLE", "_UNDECIDED_SCOPE"}
+
+
+def enum_sets(source):
+    """(line, enclosing top-level name or None) of each set display, set
+    comprehension or `set`/`frozenset` call in source that reads one of
+    ENUM_SOURCES, as a name or as an attribute."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, (ast.Set, ast.SetComp)) and not (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("set", "frozenset")):
+                continue
+            if any((isinstance(n, ast.Name) and n.id in ENUM_SOURCES) or (
+                    isinstance(n, ast.Attribute) and n.attr in ENUM_SOURCES)
+                   for n in ast.walk(node)):
+                out.append((node.lineno, owner))
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_set_of_relations_or_decisions(path):
+    # an audit report lists its verdicts and violations in a fixed order
+    assert enum_sets(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_sets_of_relations_and_decisions():
+    source = (
+        "EDGES = {Relation.LIN_EQUIV, Relation.LIP_EQUIV}\n"
+        "def audit(report, alphas):\n"
+        "    seen = {v.decision for v in report.verdicts.values()}\n"
+        "    for rel in frozenset(report.verdicts):\n"
+        "        pass\n"
+        "    return set(alphas), {1, 2}, sorted(Relation), dict.fromkeys(Decision)\n"
+        "class C:\n"
+        "    PREMISES = frozenset(p for p, _ in IMPLICATION_EDGES)\n"
+        "names = set(globals()) | set(_TABLE)\n"
+    )
+    assert enum_sets(source) == [(1, None), (3, "audit"), (4, "audit"), (8, "C"), (9, None)]

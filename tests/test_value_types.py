@@ -397,6 +397,104 @@ def test_every_record_type_shares_eq_repr_and_hash():
 
 
 # ---------------------------------------------------------------------------
+# the compiled __init__ on both layouts
+#
+# A frozen record's __init__ stores a slot field through the slot's member
+# descriptor and every other field straight into the instance dict.  Two
+# toys pin both stores against dataclasses mirrors, each with a plain
+# default, a factory default and a __post_init__.  A slot cannot carry a
+# class-level default, so the slotted toy keeps its defaulted fields in a
+# __dict__ slot, beside its slotted field and an unannotated slot that
+# __post_init__ sets (as GeneratorSpec's dim).
+
+
+@_record.record
+class SlottedToy:
+    __slots__ = ("a", "n", "__dict__")
+    a: int
+    b: tuple = ()
+    c: list = _record.factory(list)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "n", len(self.b))
+
+
+@_record.record
+class DictToy:
+    a: int
+    b: tuple = ()
+    c: list = _record.factory(list)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(self.b))
+
+
+@dataclass(frozen=True)
+class SlottedToyMirror:
+    __slots__ = ("a", "n", "__dict__")
+    a: int
+    b: tuple = ()
+    c: list = field(default_factory=list)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "n", len(self.b))
+
+
+@dataclass(frozen=True)
+class DictToyMirror:
+    a: int
+    b: tuple = ()
+    c: list = field(default_factory=list)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(self.b))
+
+
+# constructor arguments: defaults, a list that __post_init__ makes a tuple,
+# and a hashable c
+TOY_ARGS = [((1,), {}), ((1, [2, 3]), {}), ((1, (2, 3)), {}), ((1,), {"c": ("x",)}),
+            ((2, (), ("x",)), {})]
+
+
+@pytest.mark.parametrize("toy, mirror", [(SlottedToy, SlottedToyMirror), (DictToy, DictToyMirror)],
+                         ids=["slotted", "dict"])
+def test_record_init_matches_the_mirror_on_both_layouts(toy, mirror):
+    ours = [toy(*args, **kw) for args, kw in TOY_ARGS]
+    mirrors = [mirror(*args, **kw) for args, kw in TOY_ARGS]
+    for o, m in zip(ours, mirrors):
+        assert repr(o) == repr(m).replace("Mirror(", "(", 1)
+        assert [getattr(o, n) for n in ("a", "b", "c")] == [getattr(m, n) for n in ("a", "b", "c")]
+    assert [a == b for a in ours for b in ours] == [a == b for a in mirrors for b in mirrors]
+    assert [hash_or_error(o) for o in ours] == [hash_or_error(m) for m in mirrors]
+    assert toy.__match_args__ == mirror.__match_args__ and toy(1).c is not toy(1).c
+    assert (toy.b, hasattr(toy, "c")) == ((), False)  # as dataclasses leaves them
+    for o in ours:
+        for back in (pickle.loads(pickle.dumps(o)), pickle.loads(pickle.dumps(o, protocol=0)),
+                     copy.deepcopy(o)):
+            assert type(back) is toy and back == o and repr(back) == repr(o)
+            assert back.__dict__ == o.__dict__
+        for attr in ("a", "b", "c", "n", "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(o, attr, 9)
+            with pytest.raises(AttributeError):
+                delattr(o, attr)
+    for m in mirrors:
+        with pytest.raises(AttributeError):
+            m.a = 9
+        with pytest.raises(AttributeError):
+            del m.b
+
+
+def test_record_init_stores_a_slot_in_the_slot_and_the_rest_in_the_dict():
+    slotted, plain = SlottedToy(1, [2]), DictToy(1, [2])
+    assert (sorted(slotted.__dict__), slotted.a, slotted.n) == (["b", "c"], 1, 1)
+    assert sorted(plain.__dict__) == ["a", "b", "c"]
+    assert pickle.loads(pickle.dumps(slotted)).n == 1
+
+
+# ---------------------------------------------------------------------------
 # the field encoder against the hand-written methods it replaced
 
 
