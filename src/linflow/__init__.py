@@ -12,9 +12,9 @@ of its submodules, and the first use of a name imports the module that
 defines it (and what that module imports).  The exact layer (blocks,
 matrices, classifier, catalog, invariants, summary, similarity) loads
 numpy only inside the float helpers of matrix ingestion, so work on block
-multisets that never touches the float layer (flows, homeos, probes) does
-not load numpy.  The float layer needs nothing beyond numpy.  The public
-types are value types built by `_record`, not dataclasses.
+multisets that never touches the float layer (flows, maps, homeos, probes)
+does not load numpy.  The float layer needs nothing beyond numpy.  The
+public types are value types built by `_record`, not dataclasses.
 """
 
 import importlib
@@ -51,9 +51,9 @@ _LAZY = {
                      "lipschitz_similar_by_parts", "lyapunov_similar",
                      "scaling_candidates", "similar"), "similarity"),
     **dict.fromkeys(("FLOW_TIME_GUARD", "FlowEvaluator", "flow_apply"), "flows"),
-    **dict.fromkeys(("HomeoMap", "build_parabola_shear", "build_pw_conj_hyperbolic",
-                     "build_rotation_unwind_map", "build_spiral_map",
-                     "build_uniform_exponent_map"), "homeos"),
+    **dict.fromkeys(("HomeoMap", "build_parabola_shear", "build_spiral_map",
+                     "build_uniform_exponent_map"), "maps"),
+    **dict.fromkeys(("build_pw_conj_hyperbolic", "build_rotation_unwind_map"), "homeos"),
     **dict.fromkeys(("ConjugacyReport", "DecayReport", "DistortionReport",
                      "LipschitzReport", "PeriodReport", "decay_rate_probe",
                      "distortion_probe", "lipschitz_probe", "period_probe",

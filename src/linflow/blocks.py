@@ -66,9 +66,8 @@ def parse_rational(value, where="value"):
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecParseError(f"{where}: malformed rational {value!r}") from exc
-    raise SpecParseError(
-        f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}"
-    )
+    raise SpecParseError(f"{where}: expected an integer or 'p/q' string,"
+                         f" got {type(value).__name__}")
 
 
 def rational_to_json(q):
@@ -119,7 +118,8 @@ class JordanBlock:
         if self.size < 1:
             raise SpecParseError(f"block size must be >= 1, got {self.size}")
         object.__setattr__(self, "re", _rational(self.re, "growth rate", SpecParseError))
-        object.__setattr__(self, "im", abs(_rational(self.im, "rotation rate", SpecParseError)))
+        im = _rational(self.im, "rotation rate", SpecParseError)  # a rate >= 0 is kept, not copied
+        object.__setattr__(self, "im", -im if im < 0 else im)
 
     @property
     def dim(self):

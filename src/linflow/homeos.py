@@ -1,14 +1,11 @@
-"""Explicit homeomorphisms realizing exact verdicts between linear flows.
+"""The homeomorphisms that solve for times: the pw-hyp and unwind maps.
 
-Each builder returns a HomeoMap h with a time change tau such that
-
-    h(Phi_t x) = Psi_{tau(x, t)} h(x)
-
-where Phi is the source flow and Psi the target flow.  Conjugacies have
-tau(x, t) = t.  All maps come with inverses and vectorized variants; the
-only numerics involved are root solves on closed-form norm profiles, by
-safeguarded Newton steps on their closed-form derivatives to machine-level
-tolerance.  The Lyapunov metrics of the pw-hyp map are closed forms too.
+Each builder returns a `maps.HomeoMap`; `maps` holds the closed-form
+spiral, shear and uniform builders, which this module re-exports, so that
+every builder is an attribute of `homeos`.  The only numerics here are
+root solves on closed-form norm profiles, by safeguarded Newton steps on
+their closed-form derivatives to machine-level tolerance.  The Lyapunov
+metrics of the pw-hyp map are closed forms too.
 
 Every root has a certified bracket, and no bracket is grown: the slopes of
 the solved log profiles are Rayleigh quotients of fixed matrix pencils,
@@ -19,8 +16,8 @@ unknown (a norm level in `_solve_norm_time`, a minimum in
 inverse, one Newton iteration on the time s and the shift delta of the cone
 point together, each in a certified box.  `_NormProfile` gives a factor's
 norm and derivatives as one stacked product, with their slope ranges;
-`_turn_planes` turns the planes of the spiral and uniform maps, and
-`_chain_weights` with `_definite` drives the metric searches.  In the
+`_chain_weights` drives the metric searches, and the unwind map turns its
+block by `maps._turned`, the one route that turns rotation planes.  In the
 pw-hyp map, `_split` sorts a batch into zero, pure-stable, pure-unstable
 and mixed rows, forward solves each factor's unit-sphere time once per
 call, one `_cone` serves the mixed rows of forward and tau, and each batch
@@ -30,69 +27,25 @@ map runs under one np.errstate, as its decorator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
 
 import numpy as np
 
-from ._record import factory, record
-from .blocks import GeneratorSpec, JordanBlock, _require_spec
-from .errors import (
-    DefinitenessCheckFailed,
-    InternalCheckError,
-    MonotonicityNotAchieved,
-    PreconditionViolated,
-    _above,
-)
-from .flows import _INTERNAL_GUARD, FlowEvaluator, _rotate_pairs
+from .blocks import GeneratorSpec, JordanBlock
+from .errors import DefinitenessCheckFailed, InternalCheckError, MonotonicityNotAchieved
+from .errors import PreconditionViolated, _above
+from .flows import _INTERNAL_GUARD, FlowEvaluator
 from .invariants import partition_dims
-from .matrices import _layout
+from .maps import HomeoMap, _turned, build_parabola_shear, build_spiral_map
+from .maps import build_uniform_exponent_map
 
-__all__ = [
-    "HomeoMap",
-    "build_spiral_map",
-    "build_parabola_shear",
-    "build_uniform_exponent_map",
-    "build_pw_conj_hyperbolic",
-    "build_rotation_unwind_map",
-]
+__all__ = ["HomeoMap", "build_spiral_map", "build_parabola_shear", "build_uniform_exponent_map",
+           "build_pw_conj_hyperbolic", "build_rotation_unwind_map"]
 
 _SOLVE_CAP = 300  # bisection alone needs ~100 steps across the time guard
 _SLACK = 1e-2  # relative widening of the slope bounds behind a certified bracket
 _F_PAD = 1e-10  # rounding allowance on a log value that places a certified bracket
 _PADS = np.array([-_F_PAD, _F_PAD])
 _BIG, _TINY = np.finfo(float).max, np.finfo(float).tiny
-
-
-def _same_time(X, ts):
-    return np.asarray(ts, dtype=float)
-
-
-@record(frozen=False)
-class HomeoMap:
-    """A homeomorphism between the phase spaces of two linear flows.
-
-    Builders give the vectorized maps; the single-point forward, inverse
-    and tau are derived from them."""
-
-    name: str
-    source_flow: FlowEvaluator
-    target_flow: FlowEvaluator
-    forward_batch: Callable
-    inverse_batch: Callable
-    # tau_batch(X, ts) -> reparametrized target times; conjugacies keep t
-    tau_batch: Callable = _same_time
-    source_spec: Optional[GeneratorSpec] = None
-    target_spec: Optional[GeneratorSpec] = None
-    metadata: dict = factory(dict)
-
-    def forward(self, x):
-        return self.forward_batch(x)[0]
-
-    def inverse(self, w):
-        return self.inverse_batch(w)[0]
-
-    def tau(self, x, t):
-        return float(self.tau_batch(x, np.array([t], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -353,128 +306,6 @@ def _solve_cone_point(pS, pU, Y, Z, logmu2, stats):
 
 
 # ---------------------------------------------------------------------------
-# planar spiral
-
-
-def _turn_planes(planes):
-    """Forward and inverse batch maps that turn each coordinate plane
-    (i, j) by the logarithmic spiral R(rate * log r), r the point's radius
-    in that plane; planes: ((i, j), rate) pairs."""
-
-    def turn(X, sgn):
-        X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
-        for (i, j), rate in planes:
-            u, v = X[:, i], X[:, j]
-            r = np.hypot(u, v)
-            theta = np.where(r > 0, sgn * rate * np.log(np.where(r > 0, r, 1.0)), 0.0)
-            X[:, i], X[:, j] = _rotate_pairs(theta, u, v)
-        return X
-
-    return (lambda X: turn(X, 1.0)), (lambda W: turn(W, -1.0))
-
-
-def build_spiral_map(rate):
-    """Logarithmic spiral h(y) = R(rate * log|y|) y on the plane.
-
-    Conjugates the focus flow with growth -1 and signed rotation `rate`
-    to the radial flow with growth -1; Lipschitz with constant 1 + |rate|
-    on the unit ball, and a homeomorphism globally.  A nonzero rate whose
-    float is 0 is refused, as `FlowEvaluator` refuses it.
-    """
-    # the spec records the rate as given; a float rate records its binary value
-    rate, exact_rate = _above(rate, -np.inf, "rate"), abs(Fraction(rate))
-    if exact_rate and not rate:  # the focus would turn at rate 0
-        raise PreconditionViolated("a block rate is below the float range")
-    forward_batch, inverse_batch = _turn_planes([((0, 1), rate)])
-    node_spec = GeneratorSpec([JordanBlock(1, -1, 0), JordanBlock(1, -1, 0)])
-    target = FlowEvaluator.from_spec(node_spec, guard=_INTERNAL_GUARD)
-    # at rate 0 the focus is the node itself (two real blocks) and h = id;
-    # otherwise the source turns by the signed rate, which a spec normalises
-    if rate:
-        source_spec = GeneratorSpec([JordanBlock(1, -1, exact_rate)])
-        source = FlowEvaluator([(1, -1.0, rate)], guard=_INTERNAL_GUARD)
-    else:
-        source_spec, source = node_spec, target
-    return HomeoMap(
-        name="spiral",
-        source_flow=source,
-        target_flow=target,
-        forward_batch=forward_batch,
-        inverse_batch=inverse_batch,
-        source_spec=source_spec,
-        target_spec=node_spec,
-        metadata={"rate": rate, "lipschitz_bound_unit_ball": 1.0 + abs(rate)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# parabola shear
-
-
-def build_parabola_shear(shift):
-    """Self-equivalence (x1, x2) -> (x1 + shift * x2^2, x2) of the node
-    flow diag(-2, -1); exact conjugacy, maps the x2-axis to a parabola."""
-    c = _above(shift, -np.inf, "shift")
-
-    def fwd(X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.column_stack([X[:, 0] + s * X[:, 1] ** 2, X[:, 1]])
-
-    spec = GeneratorSpec([JordanBlock(1, -2, 0), JordanBlock(1, -1, 0)])
-    flow = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)
-    return HomeoMap(
-        name="shear",
-        source_flow=flow,
-        target_flow=flow,
-        forward_batch=lambda X: fwd(X, c),
-        inverse_batch=lambda W: fwd(W, -c),
-        source_spec=spec,
-        target_spec=spec,
-        metadata={
-            "shift": c,
-            "axis_image": "second coordinate axis maps onto x1 = shift * x2^2",
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# uniform exponent: straighten every rotation at a single contraction rate
-
-
-def build_uniform_exponent_map(spec):
-    """For a semisimple generator whose blocks all share one negative
-    growth rate, unwind each rotation plane by a spiral; the image flow is
-    the uniform contraction at that rate."""
-    blocks = _require_spec(spec).blocks
-    if not blocks:
-        raise PreconditionViolated("empty generator")
-    a0 = blocks[0].re
-    if any(b.size != 1 for b in blocks) or any(b.re != a0 for b in blocks):
-        raise PreconditionViolated(
-            "uniform-exponent map needs semisimple blocks with one shared rate"
-        )
-    if a0 >= 0:
-        raise PreconditionViolated("shared growth rate must be negative")
-    source = FlowEvaluator.from_spec(spec, guard=_INTERNAL_GUARD)  # refuses a rate past floats
-    rate = source.blocks[0][1]
-    # the two size-1 half-chains of a rotation block span its plane
-    plane = [(halves, rot / -rate)
-             for (_, _, rot), halves in zip(source.blocks, _layout(source.blocks)) if rot != 0]
-    forward_batch, inverse_batch = _turn_planes(plane)
-    target_spec = GeneratorSpec([JordanBlock(1, a0, 0)] * spec.dim)
-    return HomeoMap(
-        name="uniform",
-        source_flow=source,
-        target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
-        forward_batch=forward_batch,
-        inverse_batch=inverse_batch,
-        source_spec=spec,
-        target_spec=target_spec,
-        metadata={"rate": rate, "planes_unwound": len(plane)},
-    )
-
-
-# ---------------------------------------------------------------------------
 # Lyapunov metrics
 
 
@@ -495,11 +326,6 @@ def _margin(ev):
     """Whether the ascending eigenvalues ev of a symmetric matrix make it
     positive definite with margin 1e-10 relative to the largest one."""
     return ev[0] > 1e-10 * max(1.0, ev[-1])
-
-
-def _definite(M):
-    """Whether the symmetric M is strictly positive definite (`_margin`)."""
-    return _margin(np.linalg.eigvalsh(M))
 
 
 def _lyapunov_solutions(flow, sgn, attempts):
@@ -791,12 +617,10 @@ def build_rotation_unwind_map(size, growth, rotation):
     # diagonal chain metric; double the gap until the norm is monotone
     for g, G in _chain_weights(src, 40):
         S = G @ A + A.T @ G
-        if _definite(np.sign(a) * S):
+        if _margin(np.linalg.eigvalsh(np.sign(a) * S)):
             break
     else:
-        raise MonotonicityNotAchieved(
-            "no diagonal chain metric made the norm strictly monotone"
-        )
+        raise MonotonicityNotAchieved("no diagonal chain metric made the norm strictly monotone")
 
     # the pencil (S, G) of the diagonal G: the spectrum of G^(-1/2) S G^(-1/2)
     d = 1.0 / np.sqrt(np.diag(G))
@@ -805,29 +629,26 @@ def build_rotation_unwind_map(size, growth, rotation):
     stats = dict.fromkeys(("solves", "iterations", "bisect_steps"), 0)
 
     @np.errstate(all="ignore")  # the map checks every result
-    def _map(X, sgn):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = X.copy()
+    def by_norm_time(X):
+        """The angles of `_turned` for the batch X: k T(x), T the unit-sphere
+        time, and 0 where the norm is 0."""
         norm2 = np.einsum("ni,ij,nj->n", X, G, X)
         if not np.all(np.isfinite(norm2)):
             raise PreconditionViolated("unwind map: a point's norm is beyond the float range")
-        nz = norm2 > 0
+        T, nz = np.zeros(len(X)), norm2 > 0
         if np.any(nz):
-            T = _solve_norm_time(prof, X[nz], stats)
-            theta = sgn * b * T
-            U, V = X[nz, :m], X[nz, m:]
-            RU, RV = _rotate_pairs(theta[:, None], U, V)
-            out[nz, :m], out[nz, m:] = RU, RV
-        return out
+            T[nz] = _solve_norm_time(prof, X[nz], stats)
+        return lambda k, U, V: k * T[:, None]
 
+    forward_batch, inverse_batch = _turned([(slice(0, m), slice(m, None), b)], by_norm_time)
     fa = Fraction(a)
     target_spec = GeneratorSpec([JordanBlock(m, fa, 0), JordanBlock(m, fa, 0)])
     return HomeoMap(
         name="unwind",
         source_flow=src,
         target_flow=FlowEvaluator.from_spec(target_spec, guard=_INTERNAL_GUARD),
-        forward_batch=lambda X: _map(X, 1.0),
-        inverse_batch=lambda W: _map(W, -1.0),
+        forward_batch=forward_batch,
+        inverse_batch=inverse_batch,
         source_spec=GeneratorSpec([JordanBlock(m, fa, abs(Fraction(b)))]),
         target_spec=target_spec,
         metadata={

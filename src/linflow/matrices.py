@@ -13,7 +13,7 @@ before it.  Only `_reach` reads how far a point reaches along each chain.
 and returns an `ApproxSpec`.  `realify` gives the real block multiset of a
 complex-diagonal generator.
 
-Matrix input, `transform realify`, the float layer (flows, homeos,
+Matrix input, `transform realify`, the float layer (flows, maps, homeos,
 probes) and `summary` import this module; a launch that classifies or
 audits block multisets, or transforms them otherwise, never does.
 """

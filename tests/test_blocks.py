@@ -59,6 +59,15 @@ def test_block_normalizes_rotation_sign():
     assert JordanBlock(2, 1, -3) == JordanBlock(2, 1, 3)
 
 
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(5, 7), Fraction(10**30, 3)])
+def test_block_keeps_a_nonnegative_fraction_rate_as_it_is(q):
+    # scaled specs and pools build blocks from existing Fractions: no copy
+    assert JordanBlock(1, 0, q).im is q
+    flipped, kept = JordanBlock(2, -1, -q), JordanBlock(2, -1, q)
+    assert flipped.im == q and type(flipped.im) is Fraction
+    assert (flipped, hash(flipped), repr(flipped)) == (kept, hash(kept), repr(kept))
+
+
 def test_block_dim():
     assert JordanBlock(3, 0, 0).dim == 3
     assert JordanBlock(3, 0, 1).dim == 6

@@ -352,6 +352,23 @@ def test_unwind_map_is_an_isometry(rng):
     assert np.allclose(np.linalg.norm(HX, axis=1), np.linalg.norm(X, axis=1))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spiral_map_agrees_with_the_size_one_unwind(seed):
+    # two independent angles: the spiral's closed-form rate * log|x|, and
+    # the unwind's b T(x), T the unit-sphere time found by a Newton root
+    rng = np.random.default_rng(seed)
+    rates = np.concatenate([[-2.0, 2.0], rng.uniform(-2.0, 2.0, 6)])  # the verify pool's range
+    X = rng.standard_normal((128, 2))
+    X *= np.exp(rng.uniform(-5.0, 5.0, (128, 1))) / np.linalg.norm(X, axis=1, keepdims=True)
+    norms = np.linalg.norm(X, axis=1)
+    for r in rates:
+        spiral, unwind = build_spiral_map(r), build_rotation_unwind_map(1, -1, r)
+        for mine, theirs in ((spiral.forward_batch, unwind.forward_batch),
+                             (spiral.inverse_batch, unwind.inverse_batch)):
+            gap = np.linalg.norm(mine(X) - theirs(X), axis=1) / norms
+            assert gap.max() <= 1e-14, (r, gap.max())
+
+
 def test_unwind_map_is_not_uniformly_lipschitz():
     hm = build_rotation_unwind_map(2, Fraction(-1), Fraction(1))
     rep = lipschitz_probe(hm)

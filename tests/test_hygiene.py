@@ -20,7 +20,10 @@ checks live in one module too: no module but `errors` defines `_at_least`,
 `_require_finite`.  Snapping has one kernel, `_ratlinalg._snap`: no
 module reaches `limit_denominator`, as an attribute, a name or a string.
 The exact ranks have one call site: only `_ratlinalg.ingest` refers to
-`rank_sequence`, so a new rank kernel replaces one call.  Every parameter
+`rank_sequence`, so a new rank kernel replaces one call.  Pairs turn at
+two sites, the flow and `maps._turned`, the one route that turns the
+rotation planes of the maps: only `flows.FlowEvaluator` and `_turned`
+refer to `_rotate_pairs`.  Every parameter
 with a default of a private top-level function is passed by some call in
 the package, so no knob stays that only a test turns.
 Source text is run at one site: only `_record.record`, which compiles each
@@ -456,16 +459,16 @@ def test_the_check_sees_limit_denominator():
     assert limit_denominator_uses(source) == [3, 4, 5, 5]
 
 
-def rank_sequence_uses(source):
-    """(line, enclosing top-level name or None) of each reference to
-    `rank_sequence` in source, by its name or as an attribute: a call, or
-    an alias that a call could go through."""
+def name_uses(source, *names):
+    """(line, enclosing top-level name or None) of each reference to one of
+    names in source, by its name or as an attribute: a call, or an alias
+    that a call could go through."""
     out = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
-            if (isinstance(node, ast.Name) and node.id == "rank_sequence") or (
-                    isinstance(node, ast.Attribute) and node.attr == "rank_sequence"):
+            if (isinstance(node, ast.Name) and node.id in names) or (
+                    isinstance(node, ast.Attribute) and node.attr in names):
                 out.append((node.lineno, owner))
     return out
 
@@ -474,8 +477,17 @@ def test_rank_sequence_has_one_call_site():
     # the exact ranks are taken at one place, so swapping the rank kernel is
     # one call
     found = [(path.name, owner) for path in ALL_MODULES
-             for _, owner in rank_sequence_uses(path.read_text(encoding="utf-8"))]
+             for _, owner in name_uses(path.read_text(encoding="utf-8"), "rank_sequence")]
     assert found == [("_ratlinalg.py", "ingest")]
+
+
+def test_rotate_pairs_has_two_call_sites():
+    # pairs turn in the flow and in the one route that turns the rotation
+    # planes of the spiral, uniform and unwind maps, so a second turning
+    # route fails here
+    found = [(path.name, owner) for path in ALL_MODULES
+             for _, owner in name_uses(path.read_text(encoding="utf-8"), "_rotate_pairs")]
+    assert found == [("flows.py", "FlowEvaluator"), ("maps.py", "_turned")]
 
 
 def test_the_check_sees_rank_sequence_uses():
@@ -493,27 +505,16 @@ def test_the_check_sees_rank_sequence_uses():
         "def rank_sequence(B, factor, mult):\n"
         "    'the same as rank_sequence'\n"
     )
-    assert rank_sequence_uses(source) == [(4, "ingest"), (6, None), (9, "C"), (10, None)]
-
-
-def exec_uses(source):
-    """(line, enclosing top-level name or None) of each reference to `exec`
-    or `eval` in source, by its name or as an attribute: a call, or an
-    alias that a call could go through."""
-    out = []
-    for top in ast.parse(source).body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Name) and node.id in ("exec", "eval")) or (
-                    isinstance(node, ast.Attribute) and node.attr in ("exec", "eval")):
-                out.append((node.lineno, owner))
-    return out
+    want = [(4, "ingest"), (6, None), (9, "C"), (10, None)]
+    assert name_uses(source, "rank_sequence") == want
+    assert name_uses(source.replace("rank_sequence", "_rotate_pairs"), "_rotate_pairs") == want
+    assert name_uses(source, "_rotate_pairs") == []
 
 
 def test_exec_has_one_call_site():
     # only the value types' constructors are compiled from source text
     found = [(path.name, owner) for path in ALL_MODULES
-             for _, owner in exec_uses(path.read_text(encoding="utf-8"))]
+             for _, owner in name_uses(path.read_text(encoding="utf-8"), "exec", "eval")]
     assert found == [("_record.py", "record")]
 
 
@@ -531,7 +532,7 @@ def test_the_check_sees_exec_uses():
         "def g():\n"
         "    'the same as exec'\n"
     )
-    assert exec_uses(source) == [(3, "record"), (4, None), (7, "C"), (9, None)]
+    assert name_uses(source, "exec", "eval") == [(3, "record"), (4, None), (7, "C"), (9, None)]
 
 
 # names that a set of Relation or Decision members is built from: the enums,

@@ -15,9 +15,12 @@ submodules.
 
 Every launch compiles the linflow modules it loads, so the exact set each
 subcommand loads is pinned, and so is a ceiling on their total source
-lines for each exact launch: code that regrows onto a launch path fails
-here, not in the benchmark.  Each public name that moved to a module of
-its own still resolves to the same object through `linflow.<name>`.
+lines for each exact launch and each `verify` of a closed-form map, which
+loads `maps` but neither the solvers of `homeos` nor `invariants`: code
+that regrows onto a launch path fails here, not in the benchmark.  Each
+public name that moved to a module of its own still resolves to the same
+object through `linflow.<name>`, and every map builder stays an attribute
+of `homeos`.
 """
 
 import json
@@ -114,7 +117,7 @@ def test_verify_pw_hyp_loads_numpy_but_not_scipy(spec_dir):
 
 
 # public names by the module they moved to, off the classify, audit and
-# transform launches
+# transform launches and, for maps, off the verify launches of closed forms
 MOVED = {
     "matrices": ["ApproxSpec", "RationalMatrix", "materialize", "parse_matrix", "realify",
                  "serialize_matrix"],
@@ -122,6 +125,7 @@ MOVED = {
     "summary": ["CoincidenceReport", "DistortionSubspace", "GrowthProfile", "class_coincidence",
                 "distortion_subspace", "growth_profile", "is_bounded", "is_generic",
                 "max_block_size_at", "minimal_period", "refined_dim", "top_rate", "top_size"],
+    "maps": ["HomeoMap", "build_parabola_shear", "build_spiral_map", "build_uniform_exponent_map"],
 }
 
 
@@ -146,6 +150,14 @@ def test_every_public_name_resolves(spec_dir):
     assert out == {"missing": [], "same": True, "elsewhere": [], "listed": True,
                    "bogus": "AttributeError"}
     assert {n for names in MOVED.values() for n in names} <= set(linflow.__all__)
+
+
+def test_every_map_builder_stays_a_homeos_attribute():
+    # the bench wraps each builder as an attribute of homeos
+    from linflow import homeos
+
+    for name in homeos.__all__:
+        assert getattr(homeos, name) is getattr(linflow, name)
 
 
 def test_star_import_binds_every_public_name(spec_dir):
@@ -236,10 +248,12 @@ def launch_modules(argv, cwd):
 CORE = ["linflow", "_record", "blocks", "cli", "errors"]
 DECIDE = CORE + ["classifier", "invariants", "similarity"]
 FLOAT = CORE + ["_subcommands", "flows", "matrices"]
+CLOSED = FLOAT + ["maps", "probes"]  # a verify of a closed-form map
 
 # launch -> (the linflow modules it loads, a ceiling on their source lines
 # for the exact launches, set at the split of matrices, summary, catalog and
-# _subcommands out of the launch path; None for the float launches)
+# _subcommands out of the launch path, and for the closed-form verify
+# launches, set at the split of maps out of homeos; None for the others)
 LAUNCHES = {
     "classify": (["classify", "LipEquiv", "shear.json", "scalar.json"], DECIDE, 1640),
     "audit": (["audit", "shear.json", "scalar.json"], DECIDE, 1640),
@@ -253,10 +267,11 @@ LAUNCHES = {
     "invariants-matrix": (["invariants", "matrix.json"],
                           CORE + ["_ratlinalg", "_subcommands", "invariants", "matrices",
                                   "summary"], 2265),
-    "verify-spiral": (["verify", "spiral:1", "--points", "4"],
-                      FLOAT + ["homeos", "invariants", "probes"], None),
+    "verify-spiral": (["verify", "spiral:1", "--points", "4"], CLOSED, 2165),
+    "verify-shear": (["verify", "shear:1", "--points", "4"], CLOSED, 2165),
+    "verify-uniform": (["verify", "uniform", "spiral.json", "--points", "4"], CLOSED, 2165),
     "verify-pw-hyp": (["verify", "pw-hyp", "saddle.json", "--points", "4"],
-                      FLOAT + ["homeos", "invariants", "probes"], None),
+                      FLOAT + ["homeos", "invariants", "maps", "probes"], None),
     "simulate": (["simulate", "shear.json", "--point", "1,1", "--times", "0,1"], FLOAT, None),
 }
 

@@ -25,7 +25,7 @@ import pytest
 import linflow
 from linflow import Decision, Relation, _record
 from linflow.blocks import _fields_to_json
-from linflow.homeos import _same_time
+from linflow.maps import _same_time
 
 from conftest import random_spec
 from hand_encoders import GENERATED, REFERENCE, reference_json
