@@ -11,9 +11,9 @@ Every public name resolves on first access: `import linflow` loads none
 of its submodules, and the first use of a name imports the module that
 defines it (and what that module imports).  The exact layer (blocks,
 matrices, classifier, catalog, invariants, summary, similarity) loads
-numpy only inside the float helpers of matrix ingestion, so work on block
-multisets that never touches the float layer (flows, maps, homeos, probes)
-does not load numpy.  The float layer needs nothing beyond numpy.  The
+numpy only in the numeric tier of matrix ingestion, so exact work that
+never touches the float layer (flows, maps, homeos, probes) loads no
+numpy.  The float layer needs nothing beyond numpy.  The
 public types are value types built by `_record`, not dataclasses.
 """
 

@@ -1,46 +1,47 @@
-"""Matrix ingestion: the block multiset of a rational matrix, by an exact
-tier over the integers or else a numeric one.
+"""Matrix ingestion: the block multiset of a rational matrix, certified by
+an exact tier that uses integers only, or else snapped by the numeric tier
+of ``_numeric``.
 
 Only matrix input needs this module.  ``blocks.spec_from_matrix`` checks
 its arguments, imports this module inside the call and calls ``ingest``;
-no other module imports it.  Either tier raises SnapFailure or
-ClusterAmbiguity rather than guess.
+no other module imports it.  It uses no float and imports no numpy: only
+a fall-through to the numeric tier loads ``_numeric``, and numpy with it.
 
 The exact tier clears the denominators of A once, B = D*A with D their lcm
 (``integer_matrix``), and then works on B with integers only, so no step
 pays for a Fraction gcd.  The eigenvalues of A are those of B divided by
-D, with the same Jordan structure.
+D, with the same Jordan structure.  It reads ``max_denominator``, the
+bound on the denominators of a certified re and im, but not tol, and its
+residual is 0.0.
 
 * ``_diagonal_blocks`` splits B along the connected components of its
   symmetric nonzero pattern, a simultaneous row and column permutation
   to block-diagonal form; a dense B is one component and stays whole.
   chi_B is the product of the blocks' charpolys, and every multiplicity
   and rank below is the sum of theirs, so the O(d^4), division and
-  elimination work is the blocks'.  The square-free part, rooting and
-  snapping run once, on the product.
+  elimination work is the blocks'.  The square-free part and its roots
+  are taken once, on the product.
 * ``charpoly`` runs Berkowitz's division-free algorithm on a block and
   returns its monic integer characteristic polynomial; chi_A(x) =
   D^-d chi_B(D x).
-* ``squarefree`` gives the monic square-free part of chi_B.  Most
-  characteristic polynomials are square-free already, and that is proved
-  modulo the prime p = 2^61 - 1: if chi had a repeated factor g^2 over Q,
-  Gauss's lemma would put the monic g in Z[x], its degree would survive
-  reduction mod p, and g mod p would divide gcd(chi mod p, chi' mod p).
-  So a gcd of 1 mod p proves chi square-free.  Only when the test fails
-  is gcd(chi, chi') taken over Z, by the primitive polynomial remainder
-  sequence (Brown 1971, "On Euclid's algorithm and the computation of
-  polynomial greatest common divisors").  Its float roots, scaled to A
-  and polished by Newton steps, are each snapped to a rational within tol
-  by ``_snap``: the best approximation with a bounded denominator, from
-  the continued fraction of the float's exact ratio, in integers only.
-* ``_real_factor`` builds the monic integer factor of each snapped
-  eigenvalue once, and ``divmod_monic`` divides each block's charpoly by
-  it, once, which certifies the eigenvalue and its multiplicity in every
-  block; their sum is its multiplicity in chi_B.  By the rational-root
-  theorem a rational eigenvalue of B is an integer c, with factor x - c;
-  by Gauss's lemma a pair a +- bi (b != 0) has the monic integer factor
-  x^2 - 2a x + a^2 + b^2.  A candidate whose factor is not in Z[x] is
-  therefore no eigenvalue.
+* ``squarefree`` gives the monic square-free part sf_B of chi_B.  A gcd of
+  1 between chi and chi' modulo the prime 2^61 - 1 proves chi square-free
+  (a repeated factor g^2 over Q has a monic g in Z[x] by Gauss's lemma,
+  and g mod p would divide both); only when that test fails is gcd(chi,
+  chi') taken over Z, by the primitive polynomial remainder sequence
+  (Brown 1971).
+* The candidates come from p-adic lifting (von zur Gathen and Gerhard,
+  *Modern Computer Algebra*, ch. 14-15).  By the rational-root theorem a
+  rational eigenvalue of B is an integer c, with factor x - c, and by
+  Gauss's lemma a pair a +- bi (b != 0) has the monic integer factor
+  x^2 - 2a x + a^2 + b^2, of discriminant -(2b)^2.  At a prime p = 1 mod
+  4 where sf_B is square-free both split into distinct roots mod p, which
+  ``_lifted_roots`` finds by evaluation at every residue and lifts by
+  Newton steps to p^K > 4 R^2 + 4, R a bound on the roots; the candidates
+  are those roots and the products of two of them.  ``divmod_monic``
+  divides each block's charpoly by a candidate, which certifies the
+  eigenvalue and its multiplicity in every block; their sum is its
+  multiplicity in chi_B.
 * ``rank_sequence`` takes the same factor p and the ranks of the powers
   of p(B) by Bareiss fraction-free elimination (Bareiss 1968, "Sylvester's
   identity and multistep integer-preserving Gaussian elimination"); block
@@ -53,10 +54,6 @@ D, with the same Jordan structure.
   holds one Jordan block of size 1 (1 <= geometric <= algebraic
   multiplicity), so its ranks are [n, n - 1].
 
-When the spectrum is not exactly rational at the denominator bound, the
-numeric tier clusters A's float eigenvalues within tol, snaps each
-cluster, and takes ranks of the float powers by SVD.
-
 Dot products are ``sum(map(mul, row, v))``, which multiplies and adds the
 exact integers in C: the same result as a generator expression, at about
 0.6 of its time on a 12 x 12 integer mat-vec.  Polynomials are lists of
@@ -68,11 +65,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isfinite, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .blocks import GeneratorSpec, JordanBlock
-from .errors import ClusterAmbiguity, InternalCheckError, SnapFailure
+from .errors import InternalCheckError, SnapFailure
 
 __all__ = [
     "ingest",
@@ -90,17 +88,19 @@ _PRIME = 2**61 - 1
 
 def ingest(matrix, tol, max_denominator):
     """(spec, residual, exact) of a RationalMatrix, by the exact tier if it
-    certifies the spectrum, else the numeric one.  charpoly and
-    rank_sequence are called by their module names, so a wrapper set on
-    either attribute sees every call."""
+    certifies the spectrum, with residual 0.0, else by the numeric tier of
+    `_numeric`, which only then loads.  charpoly and rank_sequence are
+    called by their module names, so a wrapper set on either attribute sees
+    every call."""
     B, D = integer_matrix(matrix.rows)
     parts = [(Bc, charpoly(Bc)) for Bc in _diagonal_blocks(B)]
-    exact = _exact_tier(parts, D, tol, max_denominator)
+    exact = _exact_tier(parts, D, max_denominator)
     if exact is None:
+        from ._numeric import _numeric_tier
+
         eigs, residual, ranks = _numeric_tier(matrix, tol, max_denominator)
         return _structure(eigs, ranks, "numeric rank sequence"), residual, False
-    eigs, residual, factors = exact
-    _check_cluster_separation([complex(re, im) for re, im in eigs], tol)
+    eigs, factors = exact
 
     def ranks(re, im, mult):
         # per diagonal block holding z; a simple z is one block of size 1 there,
@@ -109,7 +109,7 @@ def ingest(matrix, tol, max_denominator):
         return [(rank_sequence(Bc, factor, m) if m > 1 else [len(Bc), len(Bc) - 1], m)
                 for (Bc, _), m in zip(parts, held) if m]
 
-    return _structure(eigs, ranks, "rank sequence"), residual, True
+    return _structure(eigs, ranks, "rank sequence"), 0.0, True
 
 
 def _diagonal_blocks(B):
@@ -144,119 +144,117 @@ def _diagonal_blocks(B):
 # exact tier
 
 
-def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+# the primes p = 1 mod 4 below 1024, tried in turn: -1 is a square mod p, so
+# the factor x^2 + u x + v of a rational pair (4 v - u^2 = s^2) splits there
+_PRIMES = [p for p in range(13, 1024, 4) if all(p % q for q in range(3, isqrt(p) + 1, 2))]
 
 
-def _float_roots_squarefree(chi, D):
-    """Polished float roots of the square-free part of chi_A, from chi = chi_B.
+def _exact_tier(parts, D, max_denominator):
+    """(eigs, factors) or None, from the diagonal blocks (Bc, chi_c) of B:
+    eigs maps (re, im >= 0) to the multiplicity, factors to the monic
+    integer factor that certified it and its multiplicity in each block.
 
-    sf_A(x) = D^-e sf_B(D x) for sf_B of degree e, so the coefficient of
-    x^k is sf_B[k] / D^(e-k), rounded once by int / int true division: the
-    same correctly rounded float as float() of the Fraction.
-    """
-    import numpy as np
-
-    sf = squarefree(chi)
-    e = len(sf) - 1
-    powers = [1]  # D^0 .. D^e
-    for _ in range(e):
-        powers.append(powers[-1] * D)
-    try:
-        coeffs = [c / powers[e - k] for k, c in enumerate(sf)]  # lowest degree first
-        dcoeffs = [k * c / powers[e - k] for k, c in enumerate(sf) if k]
-    except OverflowError:
-        raise SnapFailure("characteristic polynomial coefficient beyond the float range") from None
-    roots = np.roots(coeffs[::-1])
-    polished = []
-    for z in roots:
-        z = complex(z)
-        for _ in range(4):
-            dz = _horner(dcoeffs, z)
-            if dz == 0:
-                break
-            z = z - _horner(coeffs, z) / dz
-        polished.append(z)
-    return polished
-
-
-def _snap(x, max_denominator):
-    """The rational nearest the float x with denominator <= max_denominator,
-    as Fraction(x).limit_denominator(max_denominator) finds it: the same
-    continued-fraction loop from x.as_integer_ratio(), whose last convergent
-    p1/q1 and semiconvergent p/q are compared by integer cross-multiplication,
-    with a tie to p1/q1.  Only the result becomes a Fraction."""
-    if not isfinite(x):
-        raise SnapFailure(f"eigenvalue estimate {x} is not finite")
-    num, den = x.as_integer_ratio()
-    if den <= max_denominator:
-        return Fraction(num, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    p, q = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - x| <= |p/q - x|, both sides times q1 * q * den
-    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
-        return Fraction(p1, q1)
-    return Fraction(p, q)
-
-
-def _real_factor(D, re, im):
-    """Monic real factor over Z of the eigenvalue D*(re + i*im) of B, or None
-    when it has non-integer coefficients and so divides no monic chi_B."""
-    factor = [-D * re, 1] if im == 0 else [D * D * (re * re + im * im), -2 * D * re, 1]
-    if any(c.denominator != 1 for c in factor[:-1]):
-        return None
-    return [int(c) for c in factor]
-
-
-def _exact_tier(parts, D, tol, max_denominator):
-    """(eigs, residual, factors) or None, from the diagonal blocks (Bc, chi_c)
-    of B: eigs maps (re, im >= 0) to the multiplicity, factors to the monic
-    integer factor that certified it and its multiplicity in each block."""
-    roots = _float_roots_squarefree(reduce(_poly_mul, (chi_c for _, chi_c in parts)), D)
-    # candidate rational eigenvalues, conjugates identified, and the largest snap
-    # distance: a root nearer another candidate would trip _check_cluster_separation
-    cands = []
-    residual = 0.0
-    for z in roots:
-        re_hat = _snap(z.real, max_denominator)
-        im_hat = _snap(abs(z.imag), max_denominator)
-        dist = abs(complex(z.real, abs(z.imag)) - complex(re_hat, im_hat))
-        if dist > tol:
-            return None
-        residual = max(residual, dist)
-        pair = (re_hat, im_hat)
-        if pair not in cands:
-            cands.append(pair)
+    The candidates are the roots of sf_B mod p^K (``_lifted_roots``) and
+    the products of two of them, since a rational pair splits mod p; one
+    certifies an eigenvalue when its roots are rational or a rational pair
+    within the denominator bound and it divides chi_B.  The tier succeeds
+    when the certified factors divide every block's chi_c down to 1."""
     remaining = [chi_c for _, chi_c in parts]
+    lifted = _lifted_roots(squarefree(reduce(_poly_mul, remaining)))
+    if lifted is None:
+        return None
+    roots, M = lifted
     eigs = {}
     factors = {}
-    for pair in cands:
-        factor = _real_factor(D, *pair)
-        if factor is None:
-            return None
+
+    def certified(factor):
+        pair = _eigenvalue(factor, D, max_denominator)
+        if pair is None:
+            return False
         held = []
         for c, chi_c in enumerate(remaining):
             remaining[c], m = _divide_out(chi_c, factor)
             held.append(m)
         if not any(held):
-            return None
+            return False
         eigs[pair] = sum(held)
         factors[pair] = factor, held
+        return True
+
+    left = [r for r in roots if not certified([-r, 1])]
+    for r, s in combinations(left, 2):
+        certified([_sym(r * s, M), _sym(-r - s, M), 1])
     if any(len(chi_c) != 1 for chi_c in remaining):
         return None
-    return eigs, residual, factors
+    return eigs, factors
+
+
+def _eigenvalue(factor, D, max_denominator):
+    """(re, im) of the eigenvalue of A = B / D at a root of the monic integer
+    factor, when it is rational or a rational pair within the denominator
+    bound; else None."""
+    if len(factor) == 2:
+        re, im = Fraction(-factor[0], D), Fraction(0)
+    else:
+        v, u, _ = factor
+        s = isqrt(max(4 * v - u * u, 0))
+        if not s or s * s != 4 * v - u * u:
+            return None
+        re, im = Fraction(-u, 2 * D), Fraction(s, 2 * D)
+    if max(re.denominator, im.denominator) > max_denominator:
+        return None
+    return re, im
+
+
+def _sym(c, M):
+    """The residue of c mod M in (-M/2, M/2]."""
+    c %= M
+    return c - M if 2 * c > M else c
+
+
+def _lifted_roots(f):
+    """(roots, M): the roots of the square-free f mod M = p^K > 4 R^2 + 4, in
+    symmetric residues, for the first p in _PRIMES at which f splits into
+    distinct linear factors; None when some p has f square-free without
+    splitting, or no p qualifies.
+
+    Every certifiable factor of f over Z, x - c or the x^2 + u x + v of a
+    rational pair, splits into distinct linear factors mod a p at which f
+    is square-free; so if f does not split there, the tier cannot succeed.
+    R is Fujiwara's root bound 2 max_k |f_k|^(1/(n-k)), rounded up to a
+    power of 2: |c|, |u| / 2 and |v|^(1/2) are at most R, so the symmetric
+    residues of c, u and v mod M are c, u and v."""
+    n = len(f) - 1
+    for p in _PRIMES:
+        roots = [a for a, v in enumerate(_values(f, range(p), p)) if not v]
+        if len(roots) == n:  # n distinct roots: f is square-free mod p
+            break
+        if _coprime_mod(f, _deriv(f), p):
+            return None
+    else:
+        return None
+    R = 2 ** (1 + max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(f[:-1])))
+    M = p
+    while M <= 4 * R * R + 4:
+        M *= p
+    # Newton steps, each doubling the p-adic precision of every root: a root
+    # is simple mod p, so f' is a unit there
+    q, df = p, _deriv(f)
+    while q < M:
+        q = min(q * q, M)
+        roots = [(r - v * pow(d, -1, q)) % q
+                 for r, v, d in zip(roots, _values(f, roots, q), _values(df, roots, q))]
+    return [_sym(r, M) for r in roots], M
+
+
+def _values(f, xs, q):
+    """f(x) mod q at each x of xs, by one Horner pass over all of them."""
+    xs = list(xs)
+    out = [0] * len(xs)
+    for c in reversed(f):
+        c %= q
+        out = [(v * x + c) % q for v, x in zip(out, xs)]
+    return out
 
 
 def _divide_out(poly, factor):
@@ -269,18 +267,6 @@ def _divide_out(poly, factor):
             return poly, m
         poly = q
         m += 1
-
-
-def _check_cluster_separation(pts, tol):
-    """ClusterAmbiguity if two distinct eigenvalues (exact tier) or cluster
-    centres (numeric tier) lie closer than 2 tol, where a snap within tol
-    could not tell them apart."""
-    for i, z in enumerate(pts):
-        for w in pts[i + 1 :]:
-            if abs(z - w) < 2 * tol:
-                raise ClusterAmbiguity(
-                    f"eigenvalues {z:.12g} and {w:.12g} are closer than twice tol={tol}"
-                )
 
 
 def _sizes_from_ranks(ranks, total):
@@ -313,70 +299,6 @@ def _structure(eigs, ranks, what):
                 raise SnapFailure(f"inconsistent {what} at eigenvalue ({re_hat}, {im_hat})")
             blocks.extend(JordanBlock(size, re_hat, im_hat) for size in sizes)
     return GeneratorSpec(tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# numeric tier
-
-
-def _numeric_tier(matrix, tol, max_denominator):
-    """(eigs, residual, ranks) from float eigenvalues clustered within tol
-    and snapped, with SVD ranks of the float powers."""
-    import numpy as np
-
-    Mf = matrix.to_float()
-    d = matrix.dim
-    eigs = np.linalg.eigvals(Mf)
-    pts = [complex(z.real, abs(z.imag)) for z in eigs]
-    # greedy union clustering at distance tol
-    clusters = []
-    for z in pts:
-        for cl in clusters:
-            if any(abs(z - w) <= tol for w in cl):
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    centers = [sum(cl) / len(cl) for cl in clusters]
-    _check_cluster_separation(centers, tol)
-    residual = 0.0
-    parsed = {}
-    for cl, z in zip(clusters, centers):
-        re_hat = _snap(z.real, max_denominator)
-        im_hat = abs(_snap(z.imag, max_denominator))
-        snapped = complex(re_hat, im_hat)
-        err = max(abs(w - snapped) for w in cl)
-        if err > tol:
-            raise SnapFailure(
-                f"no rational with denominator <= {max_denominator} within "
-                f"tol={tol} of eigenvalue {z:.12g} (best miss {err:.3e})"
-            )
-        residual = max(residual, err)
-        key = (re_hat, im_hat)
-        parsed[key] = parsed.get(key, 0) + len(cl)
-    # pts folded both members of a conjugate pair onto the upper half plane,
-    # so a count is the multiplicity over C for im == 0 and twice the number
-    # of pairs for im > 0; halve the latter
-    for (re_hat, im_hat), mult in list(parsed.items()):
-        if im_hat > 0:
-            if mult % 2:
-                raise SnapFailure(
-                    f"odd conjugate count at eigenvalue ({re_hat}, {im_hat})"
-                )
-            parsed[(re_hat, im_hat)] = mult // 2
-
-    def ranks(re_hat, im_hat, mult):
-        S = Mf.astype(complex) - complex(re_hat, im_hat) * np.eye(d)
-        P = np.eye(d, dtype=complex)
-        out = [d]
-        for _ in range(mult):
-            P = P @ S
-            sv = np.linalg.svd(P, compute_uv=False)
-            thresh = tol * max(1.0, sv[0] if len(sv) else 0.0)
-            out.append(int(np.sum(sv > thresh)))
-        return [(out, mult)]  # the whole space is one part
-
-    return parsed, residual, ranks
 
 
 # ---------------------------------------------------------------------------

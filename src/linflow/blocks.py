@@ -292,12 +292,11 @@ def _floats(values, what):
 def spec_from_matrix(matrix, tol=1e-9, max_denominator=1024):
     """Recover the block multiset of a rational matrix, with certification.
 
-    Tries the exact route first (rational characteristic polynomial,
-    certified rational eigenvalues, exact rank sequences); falls back to a
-    numeric route for matrices whose spectrum is only approximately rational
-    at the denominator bound.  Raises SnapFailure or ClusterAmbiguity rather
-    than return a guess.  Both routes live in `_ratlinalg`, the one module
-    of matrix ingestion.
+    The exact route (`_ratlinalg`, no float) certifies rational eigenvalues
+    and pairs whose re and im have denominators <= max_denominator, with
+    residual 0.0 and without reading tol; else the numeric route (`_numeric`,
+    which loads numpy) snaps float eigenvalues within tol.  Only it raises
+    ClusterAmbiguity, and it raises SnapFailure rather than return a guess.
     """
     from .matrices import ApproxSpec, RationalMatrix  # here, as _ratlinalg below
 

@@ -40,7 +40,7 @@ from .errors import InternalCheckError, PreconditionViolated, SnapFailure, SpecP
 # here (classify, audit, transform) import `classifier` or a transform's
 # module when they run; `_subcommands` holds the other four, which import
 # `summary`, `catalog`, or numpy and the float layer.  Matrix input adds
-# `matrices` and its `_ratlinalg` kernel.
+# `matrices` and `_ratlinalg`; only an uncertified one, `_numeric` and numpy.
 
 # Cap on the dimension of a loaded generator; `_subcommands` caps the other
 # sizes the CLI allocates from its input.

@@ -34,7 +34,6 @@ from .blocks import GeneratorSpec, JordanBlock
 from .errors import DefinitenessCheckFailed, InternalCheckError, MonotonicityNotAchieved
 from .errors import PreconditionViolated, _above
 from .flows import _INTERNAL_GUARD, FlowEvaluator
-from .invariants import partition_dims
 from .maps import HomeoMap, _turned, build_parabola_shear, build_spiral_map
 from .maps import build_uniform_exponent_map
 
@@ -413,6 +412,8 @@ def build_pw_conj_hyperbolic(spec):
     squares to zero, or a block of the image or preimage that comes out
     subnormal or zero.
     """
+    from .invariants import partition_dims  # here, so that verify unwind: skips invariants
+
     dims = partition_dims(spec)
     if not spec.dim:
         raise PreconditionViolated("empty generator")
@@ -636,6 +637,8 @@ def build_rotation_unwind_map(size, growth, rotation):
         if not np.all(np.isfinite(norm2)):
             raise PreconditionViolated("unwind map: a point's norm is beyond the float range")
         T, nz = np.zeros(len(X)), norm2 > 0
+        if X[~nz].any():
+            raise PreconditionViolated("unwind map: a point's norm is below the float range")
         if np.any(nz):
             T[nz] = _solve_norm_time(prof, X[nz], stats)
         return lambda k, U, V: k * T[:, None]

@@ -103,10 +103,10 @@ def _matrix_row(row):
 class ApproxSpec:
     """A generator recovered from a matrix, with its certification data.
 
-    ``residual`` is the largest distance between a computed eigenvalue and
-    the rational it was snapped to; it is guaranteed <= ``tol``.  ``exact``
-    records whether the rational spectrum was certified by exact polynomial
-    division (True) or only numerically (False).
+    ``exact`` records whether the rational spectrum was certified by exact
+    polynomial division (True, ``residual`` 0.0) or only snapped numerically
+    (False); ``residual`` is then the largest distance between a computed
+    eigenvalue and the rational it was snapped to, guaranteed <= ``tol``.
     """
 
     spec: GeneratorSpec

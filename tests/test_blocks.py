@@ -313,7 +313,7 @@ def test_round_trip_exact_tier(rng):
         rec = spec_from_matrix(materialize(spec))
         assert rec.spec == spec
         assert rec.exact
-        assert rec.residual <= rec.tol
+        assert rec.residual == 0.0
 
 
 def test_ingestion_survives_rational_conjugation():
@@ -362,17 +362,32 @@ def test_ingestion_rejects_bad_tolerances(kwargs):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        # charpoly coefficients overflow a float
-        (((10**400, 0), (0, 1)), "float range"),
+        # N +- sqrt(2) for N = 10^400: the numeric tier's float matrix overflows
+        (((10**400, 1), (2, 10**400)), "float range"),
         # irrational spectrum: the numeric tier's float matrix overflows
         (((0, 1, 10**400), (2, 0, 0), (0, 0, 0)), "float range"),
-        # entries fit a float, but the numeric tier's eigenvalues do not
-        (((10**308, 0, 0), (0, 10**308, 1), (1, 0, 10**308)), "not finite"),
+        # N + 2^(1/3) w^k for N = 10^308: entries fit a float, but the numeric
+        # tier's eigenvalues do not
+        (((10**308, 1, 0), (0, 10**308, 1), (2, 0, 10**308)), "not finite"),
     ],
 )
 def test_entries_beyond_float_range_are_snap_failures(rows, message):
     with pytest.raises(SnapFailure, match=message):
         spec_from_matrix(RationalMatrix(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, spec",
+    [
+        (((10**400, 0), (0, 1)), S((1, 1, 0), (1, 10**400, 0))),
+        (((10**308, 0, 0), (0, 10**308, 1), (1, 0, 10**308)), S((3, 10**308, 0))),
+    ],
+)
+def test_rational_spectra_beyond_float_range_are_certified(rows, spec):
+    # the exact tier uses no float, so entries and charpoly coefficients
+    # beyond the float range cost it nothing
+    rec = spec_from_matrix(RationalMatrix(rows))
+    assert (rec.spec, rec.residual, rec.exact) == (spec, 0.0, True)
 
 
 def test_hostile_digit_entries_end_in_snap_failure():
@@ -397,10 +412,13 @@ def test_cluster_ambiguity_between_tol_and_twice_tol():
         spec_from_matrix(m, tol=1e-9)
 
 
-def test_cluster_ambiguity_in_exact_tier():
+def test_no_cluster_ambiguity_in_exact_tier():
+    # the exact tier reads no tol: eigenvalues 0 and 1/1000, closer than
+    # twice tol = 1e-3, are certified; ClusterAmbiguity is the numeric tier's
     m = RationalMatrix(((0, 0), (0, Fraction(1, 1000))))
-    with pytest.raises(ClusterAmbiguity):
-        spec_from_matrix(m, tol=1e-3)
+    for tol in (1e-3, 1.0, 1e-300):
+        rec = spec_from_matrix(m, tol=tol)
+        assert (rec.spec, rec.residual, rec.exact) == (S((1, 0, 0), (1, Fraction(1, 1000), 0)), 0.0, True)
 
 
 def test_defective_rotation_round_trip():

@@ -180,7 +180,8 @@ def test_matrix_rows_file_is_ingested(capsys, shear_file, tmp_path):
 
 
 def test_matrix_entry_beyond_float_range_exits_2(capsys, tmp_path):
-    matrix = write_json(tmp_path, "huge.json", {"dim": 2, "rows": [[10**400, 0], [0, 1]]})
+    # N +- sqrt(2) for N = 10^400: irrational, so the numeric tier needs the floats
+    matrix = write_json(tmp_path, "huge.json", {"dim": 2, "rows": [[10**400, 1], [2, 10**400]]})
     code, _, err = run_cli(capsys, "invariants", matrix)
     assert code == EXIT_PARSE
     assert "Traceback" not in err

@@ -376,6 +376,21 @@ def test_unwind_map_is_not_uniformly_lipschitz():
     assert rep.pointwise_trend == "bounded"
 
 
+@pytest.mark.parametrize("size, point", [(1, [1e-170, 0.0]), (2, [0.0, 1e-170, 0.0, 0.0])])
+def test_unwind_map_refuses_a_norm_below_the_float_range(size, point):
+    # the squared metric norm underflows to 0 for a nonzero point, whose
+    # angle T(x) then went unsolved: the map returned the point unturned
+    hm = build_rotation_unwind_map(size, Fraction(-1), Fraction(1))
+    for batch in (hm.forward_batch, hm.inverse_batch):
+        with pytest.raises(PreconditionViolated, match="unwind map: a point's norm is below"):
+            batch(np.array([point, [1.0] * (2 * size)]))
+    # the origin stays fixed, and a point above the underflow turns
+    assert np.array_equal(hm.forward_batch(np.zeros((1, 2 * size))), np.zeros((1, 2 * size)))
+    small = np.zeros(2 * size)
+    small[0] = 1e-150
+    assert not np.allclose(hm.forward(small), small, rtol=1e-3, atol=0)
+
+
 def test_unwind_preconditions():
     with pytest.raises(PreconditionViolated):
         build_rotation_unwind_map(0, Fraction(-1), Fraction(1))

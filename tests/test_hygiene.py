@@ -14,11 +14,14 @@ keep the exact integer kernels of `_ratlinalg` free of generator-expression
 product sums (`sum(x * y for x, y in zip(a, b))`), whose per-item bytecode
 costs about twice `sum(map(mul, a, b))`.  Matrix ingestion stays behind
 one module: no module imports `_ratlinalg` but `blocks`, and `blocks` only
-inside `spec_from_matrix`, so only matrix input loads it.  The argument
+inside `spec_from_matrix`, so only matrix input loads it.  `_ratlinalg`
+imports no numpy at any level, and only its `ingest` imports `_numeric`,
+the numeric fall-through, so a certified matrix loads neither.  The argument
 checks live in one module too: no module but `errors` defines `_at_least`,
 `_above`, `_point` or `_rational`, and none defines the retired
-`_require_finite`.  Snapping has one kernel, `_ratlinalg._snap`: no
-module reaches `limit_denominator`, as an attribute, a name or a string.
+`_require_finite`.  Snapping has one kernel, `_numeric._snap`: no
+module reaches `limit_denominator`, as an attribute, a name or a string,
+and no other module defines a `_snap`.
 The exact ranks have one call site: only `_ratlinalg.ingest` refers to
 `rank_sequence`, so a new rank kernel replaces one call.  Pairs turn at
 two sites, the flow and `maps._turned`, the one route that turns the
@@ -318,9 +321,10 @@ def test_the_check_sees_product_sums():
     assert product_sums(source) == [2, 4]
 
 
-def ratlinalg_imports(source):
+def imports_of(source, module):
     """(line, enclosing top-level name or None) of each import statement in
-    source that names `_ratlinalg`, as a module or as an imported name."""
+    source, at any depth, that names `module`, as a module, a dotted part
+    of one or an imported name."""
     out = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
@@ -331,7 +335,7 @@ def ratlinalg_imports(source):
                 names = [part for a in node.names for part in a.name.split(".")]
             else:
                 continue
-            if "_ratlinalg" in names:
+            if module in names:
                 out.append((node.lineno, owner))
     return out
 
@@ -339,9 +343,23 @@ def ratlinalg_imports(source):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_only_spec_from_matrix_imports_ratlinalg(path):
     # matrix ingestion lives in one module, which only matrix input loads
-    found = ratlinalg_imports(path.read_text(encoding="utf-8"))
+    found = imports_of(path.read_text(encoding="utf-8"), "_ratlinalg")
     allowed = {"spec_from_matrix"} if path.name == "blocks.py" else set()
     assert [(line, owner) for line, owner in found if owner not in allowed] == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_only_ingest_imports_the_numeric_tier(path):
+    # the numeric fall-through, and numpy with it, loads only when the
+    # exact tier could not certify
+    found = imports_of(path.read_text(encoding="utf-8"), "_numeric")
+    allowed = {"ingest"} if path.name == "_ratlinalg.py" else set()
+    assert [(line, owner) for line, owner in found if owner not in allowed] == []
+
+
+def test_ratlinalg_imports_no_numpy():
+    # the exact tier and its integer kernels use no float
+    assert imports_of((PACKAGE / "_ratlinalg.py").read_text(encoding="utf-8"), "numpy") == []
 
 
 def test_the_check_sees_ratlinalg_imports():
@@ -358,10 +376,15 @@ def test_the_check_sees_ratlinalg_imports():
         "    def f(self):\n"
         "        from .. import _ratlinalg\n"
     )
-    assert ratlinalg_imports(source) == [
-        (1, None), (2, None), (3, None), (4, None), (6, "spec_from_matrix"), (11, "C")]
+    want = [(1, None), (2, None), (3, None), (4, None), (6, "spec_from_matrix"), (11, "C")]
+    assert imports_of(source, "_ratlinalg") == want
+    for module in ("numpy", "_numeric"):
+        assert imports_of(source.replace("_ratlinalg", module), module) == want
+        assert imports_of(source, module) == []
     blocks = (PACKAGE / "blocks.py").read_text(encoding="utf-8")
-    assert [owner for _, owner in ratlinalg_imports(blocks)] == ["spec_from_matrix"]
+    assert [owner for _, owner in imports_of(blocks, "_ratlinalg")] == ["spec_from_matrix"]
+    ratlinalg = (PACKAGE / "_ratlinalg.py").read_text(encoding="utf-8")
+    assert [owner for _, owner in imports_of(ratlinalg, "_numeric")] == ["ingest"]
 
 
 ARGUMENT_CHECKS = {"_at_least", "_above", "_point", "_rational"}
@@ -413,7 +436,7 @@ ORACLES = sorted(p for p in TESTS.glob("*.py")
 def test_the_oracle_modules_are_found():
     names = {p.name for p in ORACLES}
     assert {"unstacked_solver.py", "grown_brackets.py", "hand_encoders.py",
-            "nested_inverse.py", "full_rank_sequence.py"} <= names
+            "nested_inverse.py", "full_rank_sequence.py", "float_exact_tier.py"} <= names
 
 
 @pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
@@ -441,8 +464,11 @@ def limit_denominator_uses(source):
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_snapping_has_one_kernel(path):
-    # `_ratlinalg._snap` finds the best approximation with integers only
-    assert limit_denominator_uses(path.read_text(encoding="utf-8")) == []
+    # `_numeric._snap` finds the best approximation with integers only, and
+    # no other module defines a `_snap`
+    source = path.read_text(encoding="utf-8")
+    assert limit_denominator_uses(source) == []
+    assert ("_snap" in defined_names(source)) == (path.name == "_numeric.py")
 
 
 def test_the_check_sees_limit_denominator():

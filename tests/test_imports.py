@@ -9,14 +9,16 @@ package's lazily resolved names must still all resolve, and
 
 Launches also keep out what they do not run: `dataclasses` (and the
 `inspect` it imports) everywhere, `hashlib` and the integer kernel
-`_ratlinalg` unless the input is a matrix, and `classifier` and
-`similarity` from `transform`.  A bare `import linflow` loads none of its
-submodules.
+`_ratlinalg` unless the input is a matrix, numpy and the numeric
+fall-through `_numeric` unless the exact tier cannot certify the matrix,
+and `classifier` and `similarity` from `transform`.  A bare `import
+linflow` loads none of its submodules.
 
 Every launch compiles the linflow modules it loads, so the exact set each
 subcommand loads is pinned, and so is a ceiling on their total source
-lines for each exact launch and each `verify` of a closed-form map, which
-loads `maps` but neither the solvers of `homeos` nor `invariants`: code
+lines for each exact launch, each `verify` of a closed-form map, which
+loads `maps` but neither the solvers of `homeos` nor `invariants`, and
+`verify unwind:`, which loads the solvers but not `invariants`: code
 that regrows onto a launch path fails here, not in the benchmark.  Each
 public name that moved to a module of its own still resolves to the same
 object through `linflow.<name>`, and every map builder stays an attribute
@@ -205,8 +207,28 @@ def test_transform_loads_neither_classifier_nor_similarity(spec_dir, op):
     ],
 )
 def test_matrix_input_loads_the_integer_kernel(spec_dir, argv):
-    out = run_main(argv, spec_dir, ("linflow._ratlinalg", "hashlib", "dataclasses"))
+    # a certified matrix loads neither numpy nor the numeric fall-through
+    watch = ("linflow._ratlinalg", "hashlib", "dataclasses", "numpy", "linflow._numeric")
+    out = run_main(argv, spec_dir, watch)
     assert out == {"rc": 0, "loaded": ["linflow._ratlinalg", "hashlib"]}
+
+
+SQRT2_ERROR = ("error: no rational with denominator <= 1024 within tol=1e-09 of eigenvalue "
+               "1.41421356237+0j (best miss 3.644e-07)\n")
+
+
+@pytest.mark.parametrize("argv", [["invariants", "sqrt2.json"],
+                                  ["classify", "LipEquiv", "sqrt2.json", "shear.json"]])
+def test_an_uncertified_matrix_loads_the_numeric_tier(spec_dir, argv):
+    # +-sqrt(2) falls through to the numeric tier, which loads numpy
+    (spec_dir / "sqrt2.json").write_text(json.dumps({"dim": 2, "rows": [[0, 2], [1, 0]]}),
+                                         encoding="utf-8")
+    out = run_main(argv, spec_dir, ("linflow._numeric", "numpy"))
+    assert out == {"rc": 2, "loaded": ["linflow._numeric", "numpy"]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "linflow", *argv], capture_output=True,
+                          text=True, env=env, cwd=spec_dir, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", SQRT2_ERROR)
 
 
 def test_bare_import_loads_no_submodule(spec_dir):
@@ -252,8 +274,9 @@ CLOSED = FLOAT + ["maps", "probes"]  # a verify of a closed-form map
 
 # launch -> (the linflow modules it loads, a ceiling on their source lines
 # for the exact launches, set at the split of matrices, summary, catalog and
-# _subcommands out of the launch path, and for the closed-form verify
-# launches, set at the split of maps out of homeos; None for the others)
+# _subcommands out of the launch path, for the closed-form verify launches,
+# set at the split of maps out of homeos, and for verify unwind:, set when
+# homeos stopped importing invariants at module level; None for the others)
 LAUNCHES = {
     "classify": (["classify", "LipEquiv", "shear.json", "scalar.json"], DECIDE, 1640),
     "audit": (["audit", "shear.json", "scalar.json"], DECIDE, 1640),
@@ -272,6 +295,8 @@ LAUNCHES = {
     "verify-uniform": (["verify", "uniform", "spiral.json", "--points", "4"], CLOSED, 2165),
     "verify-pw-hyp": (["verify", "pw-hyp", "saddle.json", "--points", "4"],
                       FLOAT + ["homeos", "invariants", "maps", "probes"], None),
+    "verify-unwind": (["verify", "unwind:2,-1,1", "--points", "4"],
+                      FLOAT + ["homeos", "maps", "probes"], 2793),
     "simulate": (["simulate", "shear.json", "--point", "1,1", "--times", "0,1"], FLOAT, None),
 }
 

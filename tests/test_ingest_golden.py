@@ -1,16 +1,18 @@
 """Matrix ingestion pinned bit for bit on recorded outputs.
 
 ``data/ingest_golden.json`` holds 43 fixed matrices with what
-``spec_from_matrix`` returned on them when the exact tier still did its
-polynomial arithmetic over Fractions: block-diagonal normal forms, dense
+``spec_from_matrix`` returned on them: block-diagonal normal forms, dense
 P J P^-1 conjugates and near-rational matrices at d = 4, 8 and 12, the
 ingestion edge cases of ``test_blocks.py``, x^2 - p^2 for the prime
-p = 2^61 - 1 of the modular square-free test, and snaps to a rational
-lambda whose D * lambda is no integer, which certification must reject.
-A success is recorded as the ``repr`` of the ApproxSpec (spec, residual,
-tol, source fingerprint, exact flag) and the residual's ``float.hex``; a
-failure as the error's type and message.  Any change in a verdict, a
-residual bit, the exact flag or the message fails here.
+p = 2^61 - 1 of the modular square-free test, and eigenvalues whose
+denominators exceed the bound, which the exact tier must leave to the
+numeric one.  A success is recorded as the ``repr`` of the ApproxSpec
+(spec, residual, tol, source fingerprint, exact flag) and the residual's
+``float.hex``; a failure as the error's type and message.  The outputs of
+certified cases were re-recorded when the exact tier stopped rooting
+floats: their residual became 0.0, and four refusals of exactly rational
+spectra became certified results.  Any change in a verdict, a residual
+bit, the exact flag or the message fails here.
 """
 
 import json

@@ -3,7 +3,7 @@
 sympy is a test-only dependency: these tests skip when it is missing.
 ``charpoly`` is checked against ``sympy.Matrix.charpoly`` on dense rational
 matrices, ``rank_sequence``, given the monic integer factor from
-``_real_factor``, against exact ranks over Q(i) of the complex powers
+``real_factor`` of the retired float route, against exact ranks over Q(i) of the complex powers
 (A - (re + i*im) I)^k that the kernel never forms, ``squarefree``
 against ``sqf_part`` and ``factor_list`` on monic integer polynomials with
 and without repeated factors, and ``divmod_monic`` against ``div``.
@@ -21,9 +21,10 @@ charpolys multiply to the whole matrix's, the exact tier's multiplicities
 in the blocks sum to each eigenvalue's, the blocks' rank sequences sum to
 full elimination on the whole matrix, a normal form of several blocks never
 passes the whole matrix to ``charpoly`` or ``rank_sequence``, and a dense
-one passes it to ``charpoly`` once.  ``_snap`` gives the numerator and
-denominator of ``Fraction.limit_denominator`` on seeded floats, ties
-included, at four denominator bounds.
+one passes it to ``charpoly`` once.  ``_numeric._snap``, the numeric
+tier's snap, gives the numerator and denominator of
+``Fraction.limit_denominator`` on seeded floats, ties included, at four
+denominator bounds.
 """
 
 import math
@@ -36,9 +37,11 @@ from hypothesis import given, settings, strategies as st
 
 from linflow import GeneratorSpec, JordanBlock, RationalMatrix, materialize, spec_from_matrix
 from linflow import _ratlinalg as rl
+from linflow._numeric import _snap
 from linflow.errors import InternalCheckError, SnapFailure
 
 from conftest import random_spec
+from float_exact_tier import real_factor
 from full_rank_sequence import full_rank_sequence
 
 sympy = pytest.importorskip("sympy")
@@ -163,14 +166,14 @@ def test_rank_sequence_matches_sympy(case):
     for (re, im), mult in _multiplicities(spec).items():
         # the eigenvalues of B = D A are D times those of A; the ranks run
         # to k = mult, the certified multiplicity that ingestion passes
-        ranks = rl.rank_sequence(B, rl._real_factor(D, re, im), mult)
+        ranks = rl.rank_sequence(B, real_factor(D, re, im), mult)
         assert ranks == _oracle_ranks(rows, re, im, mult)
     # not an eigenvalue: full rank, which contradicts any claimed multiplicity.
     # 7/3 and 7/3 + i/5, scaled by 15 D, have integer factors over B (the
     # roots 35 D and 35 D + 3 D i), and neither divides chi_B
     chi = rl.charpoly(B)
     for re, im in ((Fraction(7, 3), Fraction(0)), (Fraction(7, 3), Fraction(1, 5))):
-        factor = rl._real_factor(15 * D, re, im)
+        factor = real_factor(15 * D, re, im)
         assert rl.divmod_monic(chi, factor)[1]
         with pytest.raises(InternalCheckError):
             rl.rank_sequence(B, factor, 2)
@@ -185,9 +188,16 @@ def test_rank_sequence_matches_sympy(case):
     (1, Fraction(1, 2), Fraction(1, 2), None),  # x^2 - x + 1/2
 ])
 def test_real_factor_is_monic_over_z_or_none(D, re, im, factor):
-    got = rl._real_factor(D, Fraction(re), Fraction(im))
+    got = real_factor(D, Fraction(re), Fraction(im))
     assert got == factor
     assert got is None or all(type(c) is int for c in got)
+    # the exact tier reads the eigenvalue back from the factor, within the
+    # denominator bound and not below it
+    if got is not None:
+        re, im = Fraction(re), Fraction(im)
+        tight = max(re.denominator, im.denominator)
+        assert rl._eigenvalue(got, D, tight) == (re, im)
+        assert tight == 1 or rl._eigenvalue(got, D, tight - 1) is None
 
 
 def _simple_spec(rng, d, repeated):
@@ -220,7 +230,7 @@ def test_simple_eigenvalue_ranks_need_no_elimination(d, repeated, monkeypatch):
     mult = _multiplicities(spec)
     for (re, im), m in mult.items():
         if m == 1:
-            assert rl.rank_sequence(B, rl._real_factor(D, re, im), 1) == [d, d - 1]
+            assert rl.rank_sequence(B, real_factor(D, re, im), 1) == [d, d - 1]
             assert _oracle_ranks(rows, re, im, 1) == [d, d - 1]
     calls = []
     rank_sequence = rl.rank_sequence
@@ -267,7 +277,7 @@ def test_rank_sequence_matches_sympy_on_40_digit_entries():
     B, D = rl.integer_matrix(rows)
     assert all(abs(x) >= 10**39 for row in B for x in row)
     for (re, im), mult in _multiplicities(spec).items():
-        assert rl.rank_sequence(B, rl._real_factor(D, re, im), mult) == _oracle_ranks(
+        assert rl.rank_sequence(B, real_factor(D, re, im), mult) == _oracle_ranks(
             rows, re, im, mult
         )
     assert rl.charpoly(B) == [
@@ -322,7 +332,7 @@ def test_rank_sequence_matches_full_elimination_on_a_seeded_pool():
         spec = _repeated_spec(rng, 12)
         B, D = rl.integer_matrix(_elementary_conjugate(rng, spec))
         for (re, im), mult in _multiplicities(spec).items():
-            factor = rl._real_factor(D, re, im)
+            factor = real_factor(D, re, im)
             ranks = rl.rank_sequence(B, factor, mult)
             assert ranks == full_rank_sequence(B, factor, mult)
             sizes = sorted(b.size for b in spec.blocks if (b.re, b.im) == (re, im))
@@ -354,7 +364,7 @@ def test_rank_sequence_matches_sympy_on_every_partition(sizes, im):
     rows = _elementary_conjugate(rng, spec)
     B, D = rl.integer_matrix(rows)
     mult = sum(sizes)
-    ranks = rl.rank_sequence(B, rl._real_factor(D, re, Fraction(im)), mult)
+    ranks = rl.rank_sequence(B, real_factor(D, re, Fraction(im)), mult)
     assert ranks == _oracle_ranks(rows, re, Fraction(im), mult)
     assert rl._sizes_from_ranks(ranks, mult) == sorted(sizes)
 
@@ -381,7 +391,7 @@ def test_rank_sequence_takes_only_the_eliminations_it_needs(sizes, eliminations,
 
     monkeypatch.setattr(rl, "_row_basis", counted)
     mult = sum(sizes)
-    ranks = rl.rank_sequence(B, rl._real_factor(D, re, Fraction(im)), mult)
+    ranks = rl.rank_sequence(B, real_factor(D, re, Fraction(im)), mult)
     assert rl._sizes_from_ranks(ranks, mult) == sorted(sizes)
     assert len(calls) == eliminations
 
@@ -436,11 +446,11 @@ def test_the_blocks_multiply_to_chi_and_sum_to_the_ranks():
         for _, chi_c in parts[1:]:
             chi = rl._poly_mul(chi, chi_c)
         assert chi == rl.charpoly(B)
-        eigs, _, factors = rl._exact_tier(parts, D, 1e-9, 1024)
+        eigs, factors = rl._exact_tier(parts, D, 1024)
         assert eigs == _multiplicities(spec)
         for (re, im), mult in eigs.items():
             factor, held = factors[re, im]
-            assert factor == rl._real_factor(D, re, im)
+            assert factor == real_factor(D, re, im)
             assert len(held) == len(parts) and sum(held) == mult
             total = [0] * (mult + 1)
             for (Bc, _), m in zip(parts, held):
@@ -519,7 +529,7 @@ def _snap_inputs(bound):
 @pytest.mark.parametrize("bound", [1, 7, 1024, 10**6])
 def test_snap_matches_limit_denominator(bound):
     for x in _snap_inputs(bound):
-        got = rl._snap(x, bound)
+        got = _snap(x, bound)
         want = Fraction(x).limit_denominator(bound)
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator), x
@@ -528,14 +538,14 @@ def test_snap_matches_limit_denominator(bound):
 def test_snap_breaks_a_tie_as_limit_denominator_does():
     # 5/2 lies midway between 2 and 3, 1/2048 between 0 and 1/1024: the
     # last convergent wins
-    assert rl._snap(2.5, 1) == 2 and rl._snap(-2.5, 1) == -3
-    assert rl._snap(1 / 2048, 1024) == 0 and rl._snap(-1 / 2048, 1024) == 0
+    assert _snap(2.5, 1) == 2 and _snap(-2.5, 1) == -3
+    assert _snap(1 / 2048, 1024) == 0 and _snap(-1 / 2048, 1024) == 0
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_snap_refuses_a_value_that_is_not_finite(x):
     with pytest.raises(SnapFailure):
-        rl._snap(x, 1024)
+        _snap(x, 1024)
 
 
 # ---------------------------------------------------------------------------
