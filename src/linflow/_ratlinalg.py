@@ -6,6 +6,7 @@ Only matrix input needs this module.  ``blocks.spec_from_matrix`` checks
 its arguments, imports this module inside the call and calls ``ingest``;
 no other module imports it.  It uses no float and imports no numpy: only
 a fall-through to the numeric tier loads ``_numeric``, and numpy with it.
+Only the numeric tier raises ClusterAmbiguity.
 
 The exact tier clears the denominators of A once, B = D*A with D their lcm
 (``integer_matrix``), and then works on B with integers only, so no step
